@@ -2,8 +2,7 @@
 """Recompute the twelve magic-square Killing signatures.
 
 Each cell builds g_eps(S, S') from scratch, certifies Jacobi, and
-diagonalizes the Killing form exactly, so this takes a minute or two
-single-threaded.
+diagonalizes the Killing form exactly, so this takes about a minute.
 """
 
 import argparse
@@ -14,10 +13,9 @@ from realforms.pipeline import signature_table
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     args = ap.parse_args()
-    rows = signature_table(threads=args.threads)
+    rows = signature_table()
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return

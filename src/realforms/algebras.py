@@ -46,12 +46,6 @@ class AlgebraTable:
         v[i] = ONE
         return v
 
-    def vec_of(self, coeffs: Dict[str, Scalar]) -> DenseVec:
-        v = vzero(self.dim)
-        for lab, c in coeffs.items():
-            v[self.labels.index(lab)] = sc(c)
-        return v
-
     def mul(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> DenseVec:
         n = self.dim
         out = vzero(n)
@@ -82,10 +76,6 @@ class AlgebraTable:
     def norm(self, x: Sequence[Scalar]) -> Scalar:
         return self.polar(x, x) * HALF
 
-    def polar_with(self, x: Sequence[Scalar]) -> DenseVec:
-        """The covector j -> n(x, b_j)."""
-        return [self.polar(x, self.basis_vec(j)) for j in range(self.dim)]
-
     def conj_vec(self, x: Sequence[Scalar]) -> DenseVec:
         if self.invol is None:
             raise ConstructionError(f"{self.name} carries no involution")
@@ -99,13 +89,6 @@ class AlgebraTable:
     def rmul_matrix(self, x: Sequence[Scalar]) -> List[DenseVec]:
         cols = [self.mul(self.basis_vec(j), x) for j in range(self.dim)]
         return [[cols[j][p] for j in range(self.dim)] for p in range(self.dim)]
-
-    def show_vec(self, x: Sequence[Scalar]) -> str:
-        parts = []
-        for lab, c in zip(self.labels, x):
-            if c:
-                parts.append(f"({c})*{lab}" if not c.is_integer() else f"{c}*{lab}")
-        return " + ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------

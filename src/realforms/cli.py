@@ -467,6 +467,15 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _jsonable(witness: object) -> object:
+    """A failure witness as JSON: tuples become lists, Scalars strings."""
+    if isinstance(witness, (list, tuple)):
+        return [_jsonable(x) for x in witness]
+    if isinstance(witness, Scalar):
+        return witness.to_str()
+    return witness
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -479,6 +488,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "error": type(exc).__name__,
                     "message": str(exc),
                     "exit_code": exc.exit_code,
+                    "witness": _jsonable(getattr(exc, "witness", None)),
                 },
                 sort_keys=True,
             )

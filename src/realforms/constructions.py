@@ -11,27 +11,24 @@ algebra yields the 78-dimensional model used for the rank-2 real form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .algebras import AlbertAlgebra, AlgebraTable, albert, symmetric_composition
 from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra, lie_from_fn
 from .linalg import (
     DenseVec,
+    SparseVec,
     SpanSolver,
     mat_mul,
     mat_vec,
+    rank_of,
     to_sparse,
-    vadd,
-    vscale,
     vzero,
 )
-from .scalars import HALF, ONE, ZERO, Rat, Scalar, sc
-from .triality import Matrix, TrialityAlgebra, triality
+from .scalars import ONE, ZERO, Scalar, sc
+from .triality import Matrix, TrialityAlgebra, triality, triality_cached
 
 
 @dataclass(eq=False)
@@ -239,25 +236,6 @@ class DerivationModel:
     def der_dim(self) -> int:
         return len(self.rho)
 
-    def der_vec(self, coords: Sequence[Scalar]) -> DenseVec:
-        v = vzero(self.lie.dim)
-        for k, c in enumerate(coords):
-            v[k] = c
-        return v
-
-    def albert_zero_vec(self, u: Sequence[Scalar]) -> DenseVec:
-        """Embed a traceless Jordan element (27 coordinates)."""
-        c0, c1, c2 = u[0], u[1], u[2]
-        if c0 + c1 + c2:
-            raise ConstructionError("element has nonzero trace")
-        v = vzero(self.lie.dim)
-        off = self.der_dim
-        v[off] = -c1  # coefficient of E0 - E1
-        v[off + 1] = c2  # coefficient of E2 - E0
-        for k in range(3, len(u)):
-            v[off + 2 + (k - 3)] = u[k]
-        return v
-
 
 def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[Matrix]:
     """The action of g(S, R) on the Jordan algebra, basis by basis."""
@@ -294,47 +272,45 @@ def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[Matrix]:
     return out
 
 
+def _add_product(
+    acc: Dict[Tuple[int, int], Scalar],
+    a: List[SparseVec],
+    b: List[SparseVec],
+    coef: Scalar,
+) -> None:
+    """acc += coef * (a b) for matrices stored as lists of sparse rows."""
+    for p, row_a in enumerate(a):
+        for r, x in row_a.items():
+            row_b = b[r]
+            if row_b:
+                cx = coef * x
+                for q, y in row_b.items():
+                    acc[(p, q)] = acc.get((p, q), ZERO) + cx * y
+
+
 def check_rho_homomorphism(square: MagicSquareAlgebra, rho: List[Matrix]) -> Dict[str, int]:
-    """rho([x, y]) = [rho x, rho y] on all basis pairs, and rho injective."""
+    """[rho b_i, rho b_j] = sum_m c^m_ij rho b_m on all basis pairs i < j,
+    exactly, and rho injective."""
     nb = len(rho)
     n = len(rho[0])
-    denoms = set()
-    for m in rho:
-        for row in m:
-            for x in row:
-                if not x.is_rational():
-                    raise ConstructionError("derivation images must be rational here")
-                denoms.add(int(x.a.denominator))
-    for v in square.lie.brk.values():
-        for x in v.values():
-            denoms.add(int(x.a.denominator))
-    scale = math.lcm(*denoms)
-    R = np.zeros((nb, n, n), dtype=np.int64)
-    for k, m in enumerate(rho):
-        for p in range(n):
-            for q in range(n):
-                if m[p][q]:
-                    R[k, p, q] = int(m[p][q].a * scale)
-    N = np.zeros((nb, nb, nb), dtype=np.int64)
-    for (i, j), v in square.lie.brk.items():
-        for m_, x in v.items():
-            e = int(x.a * scale)
-            N[i][j][m_] = e
-            N[j][i][m_] = -e
-    from .linalg import rank_of
-
     flat = [[m[p][q] for p in range(n) for q in range(n)] for m in rho]
     if rank_of(flat) != nb:
         raise VerificationError("derivation images are dependent")
+    R = [[to_sparse(row) for row in m] for m in rho]
     for i in range(nb):
-        # R = scale * rho, so [R_i, R_j] = sum_m (scale c^m) R_m exactly
-        lhs = np.matmul(R[i], R) - np.matmul(R, R[i])
-        rhs = np.tensordot(N[i], R, axes=(1, 0))
-        if not np.array_equal(lhs, rhs):
-            j = int(np.nonzero((lhs != rhs).any(axis=(1, 2)))[0][0])
-            raise VerificationError(
-                f"action map fails to be a homomorphism at pair ({i}, {j})"
-            )
+        for j in range(i + 1, nb):
+            acc: Dict[Tuple[int, int], Scalar] = {}
+            _add_product(acc, R[i], R[j], ONE)
+            _add_product(acc, R[j], R[i], -ONE)
+            for m, c in square.lie.brk.get((i, j), {}).items():
+                for p, row in enumerate(R[m]):
+                    for q, x in row.items():
+                        acc[(p, q)] = acc.get((p, q), ZERO) - c * x
+            if any(acc.values()):
+                raise VerificationError(
+                    f"action map fails to be a homomorphism at pair ({i}, {j})",
+                    witness=(i, j),
+                )
     return {"pairs": nb * (nb - 1) // 2}
 
 
@@ -342,7 +318,8 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     """The 78-dimensional extension Der(A) + A0 for A = A(S, +++)."""
     if s is None:
         s = symmetric_composition("pO")
-    square = magic_square(s, symmetric_composition("R"), (1, 1, 1))
+    r = symmetric_composition("R")
+    square = magic_square(s, r, (1, 1, 1), triality_cached(s), triality_cached(r))
     alg = albert(s, (1, 1, 1))
     rho = rho_images(square, alg)
     check_rho_homomorphism(square, rho)

@@ -1,20 +1,17 @@
 """Lie algebras as exact structure-constant tables, with certificates.
 
-Brackets are stored sparsely for i < j only.  Certification (Jacobi,
-Killing form) prefers an integer fast path: when every structure constant
-is rational, scale by the common denominator and compare int64 numpy
-arrays, which is exact as long as the bounds checked here rule out
-overflow.  Algebras with sqrt3 in their constants (the Okubo-built ones)
-take the pure-Python route.
+Brackets are stored sparsely for i < j only.  Every certificate (Jacobi,
+Killing form, Killing invariance) runs over these sparse tables in exact
+Scalar arithmetic, so the same code serves rational constants and the
+sqrt3 constants of the Okubo-built algebras, and nothing can overflow.
+Each check is exhaustive over basis tuples and raises VerificationError
+with the failing tuple as witness.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import VerificationError
 from .linalg import (
@@ -23,11 +20,10 @@ from .linalg import (
     SpanSolver,
     nullspace,
     sylvester_signature,
-    to_dense,
     to_sparse,
     vzero,
 )
-from .scalars import ONE, ZERO, Rat, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 @dataclass(eq=False)
@@ -97,104 +93,73 @@ def lie_from_fn(
 
 
 # ---------------------------------------------------------------------------
-# integer fast path
-
-_INT_LIMIT = 1 << 62
+# certificates
 
 
-def _integerize(L: LieAlgebra):
-    """(A, N, scale) with A[i] = scale * ad(b_i) as int64, or None.
-
-    N[i][j][m] = scale * c^m_{ij}.  Returns None when constants are not
-    rational or int64 bounds could overflow.
-    """
-    n = L.dim
-    denoms = set()
-    for v in L.brk.values():
-        for x in v.values():
-            if not x.is_rational():
-                return None
-            denoms.add(int(x.a.denominator))
-    scale = math.lcm(*denoms) if denoms else 1
-    N = np.zeros((n, n, n), dtype=np.int64)
-    maxa = 0
+def _ad_table(L: LieAlgebra) -> List[Dict[int, SparseVec]]:
+    """ad[i][p] = [b_i, b_p] for every nonzero bracket; ad[i] is ad(b_i)
+    stored column by column."""
+    ad: List[Dict[int, SparseVec]] = [{} for _ in range(L.dim)]
     for (i, j), v in L.brk.items():
-        for m, x in v.items():
-            e = int(x.a * scale)
-            N[i][j][m] = e
-            N[j][i][m] = -e
-            maxa = max(maxa, abs(e))
-    if maxa and n * maxa * maxa >= _INT_LIMIT // 4:
-        return None
-    A = np.ascontiguousarray(N.transpose(0, 2, 1))
-    return A, N, scale
+        ad[i][j] = v
+        ad[j][i] = {p: -x for p, x in v.items()}
+    return ad
+
+
+def _add_bracket(
+    acc: Dict[int, Scalar], v: Optional[SparseVec], ad_x: Dict[int, SparseVec]
+) -> None:
+    """acc += [x, v] where ad_x is the ad table row of x."""
+    if not v:
+        return
+    for p, c in v.items():
+        col = ad_x.get(p)
+        if col:
+            for q, w in col.items():
+                acc[q] = acc.get(q, ZERO) + c * w
 
 
 def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
-    """Check ad([x,y]) = [ad x, ad y] on all basis pairs (equivalent to the
-    Jacobi identity).  Raises with a witness triple on failure."""
+    """[b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]] = 0 on every
+    basis triple i < j < k, exactly.  Raises with the triple as witness."""
     n = L.dim
-    fast = _integerize(L)
-    if fast is not None:
-        A, N, scale = fast
-        for i in range(n):
-            lhs = np.matmul(A[i], A) - np.matmul(A, A[i])
-            rhs = np.tensordot(N[i], A, axes=(1, 0))
-            if not np.array_equal(lhs, rhs):
-                j = int(np.nonzero((lhs != rhs).any(axis=(1, 2)))[0][0])
-                raise VerificationError(
-                    f"{L.name}: Jacobi fails on ({L.labels[i]}, {L.labels[j]})",
-                    witness=(i, j),
-                )
-        return {"method": "int64", "pairs": n * (n - 1) // 2, "scale": scale}
-    checked = 0
+    ad = _ad_table(L)
     for i in range(n):
-        bi = L.basis_vec(i)
+        ad_i = ad[i]
         for j in range(i + 1, n):
-            bj = L.basis_vec(j)
-            vij = to_dense(L.bracket_basis(i, j), n)
+            ad_j = ad[j]
+            v_ij = ad_i.get(j)
             for k in range(j + 1, n):
-                bk = L.basis_vec(k)
-                acc = L.bracket(vij, bk)
-                acc2 = L.bracket(to_dense(L.bracket_basis(j, k), n), bi)
-                acc3 = L.bracket(to_dense(L.bracket_basis(k, i), n), bj)
-                if any(a + b + c for a, b, c in zip(acc, acc2, acc3)):
+                ad_k = ad[k]
+                v_jk = ad_j.get(k)
+                v_ki = ad_k.get(i)
+                if not (v_ij or v_jk or v_ki):
+                    continue
+                acc: Dict[int, Scalar] = {}
+                _add_bracket(acc, v_jk, ad_i)
+                _add_bracket(acc, v_ki, ad_j)
+                _add_bracket(acc, v_ij, ad_k)
+                if any(acc.values()):
                     raise VerificationError(
                         f"{L.name}: Jacobi fails on "
                         f"({L.labels[i]}, {L.labels[j]}, {L.labels[k]})",
                         witness=(i, j, k),
                     )
-                checked += 1
-    return {"method": "exact", "triples": checked}
+    return {"method": "sparse", "triples": n * (n - 1) * (n - 2) // 6}
 
 
 def killing_form(L: LieAlgebra) -> List[List[Scalar]]:
-    """K[i][j] = trace(ad b_i ad b_j), exact."""
+    """K[i][j] = trace(ad b_i ad b_j) = sum_{p,q} ad_i[p][q] ad_j[q][p], exact."""
     n = L.dim
-    fast = _integerize(L)
-    if fast is not None:
-        A, _, scale = fast
-        k_int = np.einsum("ipq,jqp->ij", A, A)
-        s2 = scale * scale
-        return [
-            [Scalar(Rat(int(k_int[i, j]), s2)) for j in range(n)] for i in range(n)
-        ]
-    # sparse exact fallback: K[i][j] = sum_{p,q} ad_i[p][q] ad_j[q][p]
-    ads: List[Dict[int, Dict[int, Scalar]]] = []
-    for i in range(n):
-        cols: Dict[int, Dict[int, Scalar]] = {}
-        for j in range(n):
-            v = L.bracket_basis(i, j)
-            if v:
-                cols[j] = v
-        ads.append(cols)
+    ad = _ad_table(L)
     out = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
+            ad_j = ad[j]
             acc = ZERO
-            for q, col_i in ads[i].items():
+            for q, col_i in ad[i].items():
                 for p, val_i in col_i.items():
-                    col_j = ads[j].get(p)
+                    col_j = ad_j.get(p)
                     if col_j:
                         v = col_j.get(q)
                         if v:
@@ -211,47 +176,30 @@ def killing_signature(L: LieAlgebra) -> Tuple[int, int, int]:
 def check_killing_invariance(L: LieAlgebra) -> Dict[str, object]:
     """k([x,y], z) + k(y, [x,z]) = 0 on all basis triples.
 
-    Equivalent to K ad(b_i) being antisymmetric for every i.
+    Equivalent to K ad(b_i) being antisymmetric for every i; row j of
+    m = ad(b_i)^T K holds k([b_i, b_j], b_k).
     """
     n = L.dim
-    fast = _integerize(L)
-    if fast is not None:
-        A, N, scale = fast
-        k_int = np.einsum("ipq,jqp->ij", A, A)
-        maxn = int(np.abs(N).max()) if n else 0
-        maxk = int(np.abs(k_int).max()) if n else 0
-        if not maxn or n * maxn * maxk < _INT_LIMIT:
-            for i in range(n):
-                m = np.matmul(N[i], k_int)
-                bad = np.argwhere(m + m.T)
-                if len(bad):
-                    j, k = map(int, bad[0])
-                    raise VerificationError(
-                        f"{L.name}: Killing invariance fails on "
-                        f"({L.labels[i]}, {L.labels[j]}, {L.labels[k]})",
-                        witness=(i, j, k),
-                    )
-            return {"method": "int64", "triples": n * n * n}
-    K = killing_form(L)
+    k_rows = [to_sparse(row) for row in killing_form(L)]
+    ad = _ad_table(L)
     for i in range(n):
-        m = [[ZERO] * n for _ in range(n)]
-        for j in range(n):
-            v = L.bracket_basis(i, j)
+        m: Dict[int, Dict[int, Scalar]] = {}
+        for j, v in ad[i].items():
+            row: Dict[int, Scalar] = {}
             for p, c in v.items():
-                kp = K[p]
-                row = m[j]
-                for k in range(n):
-                    if kp[k]:
-                        row[k] = row[k] + c * kp[k]
-        for j in range(n):
-            for k in range(j + 1, n):
-                if m[j][k] + m[k][j]:
+                for k, x in k_rows[p].items():
+                    row[k] = row.get(k, ZERO) + c * x
+            m[j] = row
+        for j, row in m.items():
+            for k, x in row.items():
+                if x + m.get(k, {}).get(j, ZERO):
+                    j0, k0 = min(j, k), max(j, k)
                     raise VerificationError(
                         f"{L.name}: Killing invariance fails on "
-                        f"({L.labels[i]}, {L.labels[j]}, {L.labels[k]})",
-                        witness=(i, j, k),
+                        f"({L.labels[i]}, {L.labels[j0]}, {L.labels[k0]})",
+                        witness=(i, j0, k0),
                     )
-    return {"method": "exact", "triples": n * n * n}
+    return {"method": "sparse", "triples": n * n * n}
 
 
 # ---------------------------------------------------------------------------

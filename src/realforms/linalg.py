@@ -246,10 +246,6 @@ def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]):
     return out
 
 
-def identity_matrix(n: int) -> List[DenseVec]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def sylvester_signature(gram) -> tuple:
     """(n_plus, n_minus, n_zero) of a symmetric real matrix, by congruence.
 

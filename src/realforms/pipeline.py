@@ -10,12 +10,10 @@ cross-checking an independently derived adapted basis against the preset.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebras import AlgebraTable, symmetric_composition
+from .algebras import symmetric_composition
 from .constructions import (
     DerivationModel,
     MagicSquareAlgebra,
@@ -58,7 +56,7 @@ from .satake import (
     e6_label_order,
 )
 from .scalars import HALF, Rat, Scalar, sc
-from .triality import TrialityAlgebra, triality
+from .triality import triality_cached
 
 JORDAN_CHECK_SEED = 20260814
 
@@ -102,15 +100,6 @@ MODELS: Dict[str, ModelSpec] = {
                   satake_preset="EIV"),
     ]
 }
-
-_TRI_CACHE: Dict[str, TrialityAlgebra] = {}
-
-
-def triality_cached(comp: AlgebraTable) -> TrialityAlgebra:
-    if comp.name not in _TRI_CACHE:
-        _TRI_CACHE[comp.name] = triality(comp)
-    return _TRI_CACHE[comp.name]
-
 
 @dataclass(eq=False)
 class ModelBuild:
@@ -185,25 +174,15 @@ SIGNATURE_CELLS: List[TableCell] = [
 ]
 
 
-def _cell_signature(cell: TableCell) -> Tuple[TableCell, Tuple[int, int, int]]:
-    s = symmetric_composition(cell.s_name)
-    sp = symmetric_composition(cell.sp_name)
-    sq = magic_square(s, sp, cell.eps, triality_cached(s), triality_cached(sp))
-    certify_jacobi(sq.lie)
-    return cell, killing_signature(sq.lie)
-
-
-def signature_table(threads: Optional[int] = None) -> List[Dict[str, object]]:
+def signature_table() -> List[Dict[str, object]]:
     """All twelve (S, S', eps) Killing signatures, certified and compared."""
-    if threads is None:
-        threads = int(os.environ.get("REALFORMS_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_cell_signature, SIGNATURE_CELLS))
-    else:
-        results = [_cell_signature(c) for c in SIGNATURE_CELLS]
     rows = []
-    for cell, sig in results:
+    for cell in SIGNATURE_CELLS:
+        s = symmetric_composition(cell.s_name)
+        sp = symmetric_composition(cell.sp_name)
+        sq = magic_square(s, sp, cell.eps, triality_cached(s), triality_cached(sp))
+        certify_jacobi(sq.lie)
+        sig = killing_signature(sq.lie)
         got = sig[0] - sig[1]
         if got != cell.expected or sig[2]:
             raise VerificationError(
@@ -643,9 +622,7 @@ EI_STATIC_ROW: Dict[str, object] = {
 }
 
 
-def table_rows(
-    only: Optional[Sequence[str]] = None, threads: Optional[int] = None
-) -> List[Dict[str, object]]:
+def table_rows(only: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
     all_keys = ["e6p2", "e6m14", "e6m26"]
     static_key = "e6p6"
     if only:
@@ -660,15 +637,8 @@ def table_rows(
     else:
         keys = all_keys
         include_static = True
-    if threads is None:
-        threads = int(os.environ.get("REALFORMS_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_satake, keys))
-    else:
-        results = [run_satake(k) for k in keys]
     rows: List[Dict[str, object]] = []
-    for res in results:
+    for res in map(run_satake, keys):
         rows.append(
             {
                 "key": res.build.spec.key,

@@ -20,7 +20,6 @@ from .rootspace import (
     Covector,
     RootDatum,
     cartan_matrix,
-    classify_cartan_matrix,
     classify_restricted,
     cov_is_zero,
     cov_key,
@@ -483,6 +482,3 @@ def build_restricted_table(
     sigma_type = classify_restricted(sigma, bbar)
     return RestrictedTable(rows, bonds, sigma_type, sum(rmult.values()))
 
-
-def classify_simple_system(simple: List[Covector], roots: set) -> str:
-    return classify_cartan_matrix(cartan_matrix(simple, roots))

@@ -211,10 +211,6 @@ class Scalar:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _is_scalar_like(tok: str) -> bool:
-    return bool(tok) and (tok[0].isdigit() or tok[0] in "+-")
-
-
 class _Parser:
     """Recursive-descent parser for the scalar text form.
 

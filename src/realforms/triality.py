@@ -14,7 +14,7 @@ algebra; for S = R it vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import AlgebraTable
 from .errors import ConstructionError, VerificationError
@@ -219,3 +219,13 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
         [theta_cols[j][p] for j in range(len(basis))] for p in range(len(basis))
     ]
     return TrialityAlgebra(s, basis, lie, solver, theta_mat)
+
+
+_TRI_CACHE: Dict[str, TrialityAlgebra] = {}
+
+
+def triality_cached(comp: AlgebraTable) -> TrialityAlgebra:
+    """tri(comp), computed once per algebra name for the process."""
+    if comp.name not in _TRI_CACHE:
+        _TRI_CACHE[comp.name] = triality(comp)
+    return _TRI_CACHE[comp.name]

@@ -59,7 +59,7 @@ def cov(*xs):
 
 def test_criterion_1_signatures():
     with criterion(1, "twelve magic-square Killing signatures"):
-        rows = signature_table(threads=4)
+        rows = signature_table()
         got = {(r["s"], r["sp"], tuple(r["eps"])): r["signature"] for r in rows}
         assert got == {
             ("pO", "R", (1, 1, 1)): -52,

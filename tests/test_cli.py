@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from realforms.cli import JobConfig, main
-from realforms.errors import IOFormatError
+from realforms.errors import IOFormatError, VerificationError
 
 
 def run(capsys, *argv):
@@ -46,7 +50,7 @@ def test_construct_small_magic_square(capsys):
     assert code == 0
     assert data["dim"] == 8
     assert data["signature"] == -8
-    assert data["jacobi"]["pairs"] > 0
+    assert data["jacobi"] == {"method": "sparse", "triples": 56}
 
 
 def test_satake_compact_ascii(capsys):
@@ -98,6 +102,36 @@ def test_unknown_model_exit_code(capsys):
     payload = json.loads(err)
     assert payload["error"] == "ConstructionError"
     assert payload["exit_code"] == 3
+    assert payload["witness"] is None
+
+
+def test_verification_error_reports_witness(capsys, monkeypatch):
+    import realforms.cli as cli
+
+    def failing_jacobi(L):
+        raise VerificationError(f"{L.name}: Jacobi fails", witness=(0, 1, 2))
+
+    monkeypatch.setattr(cli, "certify_jacobi", failing_jacobi)
+    code, out, err = run(capsys, "construct", "--s", "pC", "--sp", "R")
+    assert code == 2 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "VerificationError"
+    assert payload["witness"] == [0, 1, 2]
+
+
+def test_cli_imports_without_numpy():
+    import realforms
+
+    src = str(Path(realforms.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys; sys.modules['numpy'] = None; import realforms.cli"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_roots_without_model(capsys):

@@ -2,10 +2,12 @@ import pytest
 
 from realforms.algebras import albert, symmetric_composition
 from realforms.constructions import (
+    check_rho_homomorphism,
     derivation_model,
     magic_square,
     rho_images,
 )
+from realforms.errors import VerificationError
 from realforms.lie import (
     certify_jacobi,
     derivations,
@@ -135,6 +137,17 @@ def test_rho_images_are_derivations(f4_square):
                 lhs = mat_vec(m, t.sc[i][j])
                 rhs = vadd(t.mul(dbi, bj), t.mul(bi, mat_vec(m, bj)))
                 assert lhs == rhs
+
+
+def test_rho_homomorphism_catches_corruption():
+    s = symmetric_composition("pC")
+    square = magic_square(s, symmetric_composition("R"), (1, 1, 1))
+    rho = rho_images(square, albert(s, (1, 1, 1)))
+    assert check_rho_homomorphism(square, rho) == {"pairs": 8 * 7 // 2}
+    rho[1][3][4] = rho[1][3][4] + ONE
+    with pytest.raises(VerificationError, match="homomorphism") as info:
+        check_rho_homomorphism(square, rho)
+    assert info.value.witness == (0, 1)
 
 
 def test_model78_structure(model78):

@@ -38,9 +38,9 @@ def so3() -> LieAlgebra:
     return lie_from_fn("so3", ["x", "y", "z"], fn)
 
 
-def test_sl2_jacobi_int_path():
+def test_sl2_jacobi_sparse_report():
     report = certify_jacobi(sl2())
-    assert report["method"] == "int64"
+    assert report == {"method": "sparse", "triples": 1}
 
 
 def test_sl2_killing_oracle():
@@ -59,14 +59,17 @@ def test_so3_killing_negative_definite():
 
 
 def test_jacobi_catches_corruption():
-    bad = sl2()
-    bad.brk[(1, 2)] = {1: ONE}  # [e, f] = e violates Jacobi on (h, e, f)
-    with pytest.raises(VerificationError):
-        certify_jacobi(bad)
+    # [e, f] = e violates Jacobi on (h, e, f), for rational and sqrt3 tables
+    for make in (sl2, sl2_scaled):
+        bad = make()
+        bad.brk[(1, 2)] = {1: ONE}
+        with pytest.raises(VerificationError) as info:
+            certify_jacobi(bad)
+        assert info.value.witness == (0, 1, 2)
 
 
 def sl2_scaled() -> LieAlgebra:
-    # e' = sqrt3 e forces the exact (non-integer) code path
+    # e' = sqrt3 e puts sqrt3 into the structure constants
     def fn(i, j):
         if (i, j) == (0, 1):
             return [ZERO, sc(2), ZERO]
@@ -77,10 +80,10 @@ def sl2_scaled() -> LieAlgebra:
     return lie_from_fn("sl2'", ["h", "e'", "f"], fn)
 
 
-def test_exact_fallback_matches_scaling():
+def test_sqrt3_table_matches_scaling():
     L = sl2_scaled()
     report = certify_jacobi(L)
-    assert report["method"] == "exact"
+    assert report == {"method": "sparse", "triples": 1}
     k = killing_form(L)
     assert k[0][0] == sc(8)
     assert k[1][2] == sc(4) * SQRT3
@@ -148,7 +151,7 @@ def test_sub_lie_algebra_rejects_unclosed_span():
 def test_killing_invariance_sl2_and_so3():
     from realforms.lie import check_killing_invariance
 
-    assert check_killing_invariance(sl2())["method"] == "int64"
+    assert check_killing_invariance(sl2()) == {"method": "sparse", "triples": 27}
     assert check_killing_invariance(so3())["triples"] == 27
 
 
