@@ -16,8 +16,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, IOFormatError, VerificationError
-from .linalg import DenseVec, SpanSolver, mat_vec, rank_of, vadd, vscale, vsub, vzero
-from .scalars import HALF, IUNIT, OMEGA, ONE, SQRT3, ZERO, Scalar, sc
+from .linalg import (
+    DenseVec,
+    SpanSolver,
+    flatten,
+    mat_mul,
+    mat_vec,
+    rank_of,
+    vadd,
+    vscale,
+    vsub,
+    vzero,
+)
+from .scalars import HALF, IUNIT, OMEGA, ONE, ZERO, Scalar, sc
 
 
 @dataclass(eq=False)
@@ -252,16 +263,6 @@ def _m(rows) -> List[List[Scalar]]:
     return [[sc(x) for x in row] for row in rows]
 
 
-def _m_mul(a, b):
-    return [
-        [
-            sum((a[r][k] * b[k][c] for k in range(3) if a[r][k] and b[k][c]), ZERO)
-            for c in range(3)
-        ]
-        for r in range(3)
-    ]
-
-
 def _m_tr(a) -> Scalar:
     return a[0][0] + a[1][1] + a[2][2]
 
@@ -294,14 +295,11 @@ def _okubo_from_matrices(name: str, basis, labels) -> AlgebraTable:
     ident = _m([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def star(x, y):
-        xy = _m_mul(x, y)
-        yx = _m_mul(y, x)
+        xy = mat_mul(x, y)
+        yx = mat_mul(y, x)
         return _m_lin((w, xy), (-w2, yx), (-third * _m_tr(xy), ident))
 
-    def flat(mt) -> DenseVec:
-        return [mt[r][c] for r in range(3) for c in range(3)]
-
-    solver = SpanSolver([flat(b) for b in basis])
+    solver = SpanSolver([flatten(b) for b in basis])
     if solver.rank != 8:
         raise ConstructionError(f"{name}: matrix basis is dependent")
     n = 8
@@ -309,7 +307,7 @@ def _okubo_from_matrices(name: str, basis, labels) -> AlgebraTable:
     for i in range(n):
         row = []
         for j in range(n):
-            coords = solver.coords(flat(star(basis[i], basis[j])))
+            coords = solver.coords(flatten(star(basis[i], basis[j])))
             if coords is None:
                 raise ConstructionError(f"{name}: product escapes the span")
             for c in coords:
@@ -318,7 +316,7 @@ def _okubo_from_matrices(name: str, basis, labels) -> AlgebraTable:
             row.append(coords)
         tab.append(row)
     form = [
-        [-_m_tr(_m_mul(basis[i], basis[j])) for j in range(n)] for i in range(n)
+        [-_m_tr(mat_mul(basis[i], basis[j])) for j in range(n)] for i in range(n)
     ]
     for r in form:
         for x in r:

@@ -390,8 +390,17 @@ def cmd_signatures(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, as README documents
+    (argparse's own 2 is VerificationError's code here)."""
+
+    def error(self, message: str):  # type: ignore[override]
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="realforms",
         description="exact structure constants and Satake data for the "
         "e6/f4 real forms",
@@ -433,7 +442,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("satake", help="Satake diagram and restricted table")
     p.add_argument("model", nargs="?", default=None)
-    p.add_argument("--format", choices=("ascii", "dot", "json"), default="ascii")
+    p.add_argument(
+        "--format", choices=("ascii", "dot", "json"), default=None,
+        help="ascii (default), dot or json",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_satake)
 
@@ -459,11 +471,13 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
             ("out", cfg.out),
             ("format", cfg.fmt),
         ):
-            if hasattr(args, attr) and getattr(args, attr) in (None, "ascii"):
+            if hasattr(args, attr) and getattr(args, attr) is None:
                 if val is not None:
                     setattr(args, attr, val)
         if hasattr(args, "only") and cfg.only and not args.only:
             args.only = cfg.only
+    if hasattr(args, "format") and args.format is None:
+        args.format = "ascii"
     return args
 
 

@@ -19,16 +19,19 @@ from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra, lie_from_fn
 from .linalg import (
     DenseVec,
+    Matrix,
     SparseVec,
     SpanSolver,
-    mat_mul,
+    add_product,
+    commutator,
+    flatten,
     mat_vec,
     rank_of,
     to_sparse,
     vzero,
 )
-from .scalars import ONE, ZERO, Scalar, sc
-from .triality import Matrix, TrialityAlgebra, triality, triality_cached
+from .scalars import ONE, TWO, ZERO, Scalar, sc
+from .triality import TrialityAlgebra, triality, triality_cached
 
 
 @dataclass(eq=False)
@@ -261,31 +264,9 @@ def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[Matrix]:
         for a in range(s.dim):
             v = alg.iota_vec(i, s.basis_vec(a))
             lv = tab.lmul_matrix(v)
-            w = lE[(i + 1) % 3]
-            comm = mat_mul(lv, w)
-            back = mat_mul(w, lv)
-            m = [
-                [sc(2) * (comm[p][q] - back[p][q]) for q in range(n)]
-                for p in range(n)
-            ]
-            out.append(m)
+            comm = commutator(lv, lE[(i + 1) % 3])
+            out.append([[TWO * x for x in row] for row in comm])
     return out
-
-
-def _add_product(
-    acc: Dict[Tuple[int, int], Scalar],
-    a: List[SparseVec],
-    b: List[SparseVec],
-    coef: Scalar,
-) -> None:
-    """acc += coef * (a b) for matrices stored as lists of sparse rows."""
-    for p, row_a in enumerate(a):
-        for r, x in row_a.items():
-            row_b = b[r]
-            if row_b:
-                cx = coef * x
-                for q, y in row_b.items():
-                    acc[(p, q)] = acc.get((p, q), ZERO) + cx * y
 
 
 def check_rho_homomorphism(square: MagicSquareAlgebra, rho: List[Matrix]) -> Dict[str, int]:
@@ -293,20 +274,19 @@ def check_rho_homomorphism(square: MagicSquareAlgebra, rho: List[Matrix]) -> Dic
     exactly, and rho injective."""
     nb = len(rho)
     n = len(rho[0])
-    flat = [[m[p][q] for p in range(n) for q in range(n)] for m in rho]
-    if rank_of(flat) != nb:
+    if rank_of([flatten(m) for m in rho]) != nb:
         raise VerificationError("derivation images are dependent")
     R = [[to_sparse(row) for row in m] for m in rho]
     for i in range(nb):
         for j in range(i + 1, nb):
-            acc: Dict[Tuple[int, int], Scalar] = {}
-            _add_product(acc, R[i], R[j], ONE)
-            _add_product(acc, R[j], R[i], -ONE)
+            acc: List[SparseVec] = [{} for _ in range(n)]
+            add_product(acc, R[i], R[j])
+            add_product(acc, R[j], R[i], -ONE)
             for m, c in square.lie.brk.get((i, j), {}).items():
-                for p, row in enumerate(R[m]):
+                for row_acc, row in zip(acc, R[m]):
                     for q, x in row.items():
-                        acc[(p, q)] = acc.get((p, q), ZERO) - c * x
-            if any(acc.values()):
+                        row_acc[q] = row_acc.get(q, ZERO) - c * x
+            if any(any(row.values()) for row in acc):
                 raise VerificationError(
                     f"action map fails to be a homomorphism at pair ({i}, {j})",
                     witness=(i, j),
@@ -329,9 +309,7 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     na = len(zb)
     dim = nd + na
 
-    solver = SpanSolver(
-        [[m[p][q] for p in range(n27) for q in range(n27)] for m in rho]
-    )
+    solver = SpanSolver([flatten(m) for m in rho])
     if solver.rank != nd:
         raise VerificationError("derivation images are dependent")
 
@@ -354,13 +332,7 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
             for p, v in enumerate(zero_trace_coords(img)):
                 out[nd + p] = v
             return out
-        a, b = lmuls[i - nd], lmuls[j - nd]
-        comm = mat_mul(a, b)
-        back = mat_mul(b, a)
-        flatc = [
-            comm[p][q] - back[p][q] for p in range(n27) for q in range(n27)
-        ]
-        coords = solver.coords(flatc)
+        coords = solver.coords(flatten(commutator(lmuls[i - nd], lmuls[j - nd])))
         if coords is None:
             raise VerificationError("commutator of multiplications is not in the image")
         for p, v in enumerate(coords):

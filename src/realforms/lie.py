@@ -18,6 +18,9 @@ from .linalg import (
     DenseVec,
     SparseVec,
     SpanSolver,
+    add_product,
+    commutator,
+    flatten,
     nullspace,
     sylvester_signature,
     to_sparse,
@@ -183,16 +186,11 @@ def check_killing_invariance(L: LieAlgebra) -> Dict[str, object]:
     k_rows = [to_sparse(row) for row in killing_form(L)]
     ad = _ad_table(L)
     for i in range(n):
-        m: Dict[int, Dict[int, Scalar]] = {}
-        for j, v in ad[i].items():
-            row: Dict[int, Scalar] = {}
-            for p, c in v.items():
-                for k, x in k_rows[p].items():
-                    row[k] = row.get(k, ZERO) + c * x
-            m[j] = row
-        for j, row in m.items():
+        m: List[SparseVec] = [{} for _ in range(n)]
+        add_product(m, [ad[i].get(j, {}) for j in range(n)], k_rows)
+        for j, row in enumerate(m):
             for k, x in row.items():
-                if x + m.get(k, {}).get(j, ZERO):
+                if x + m[k].get(j, ZERO):
                     j0, k0 = min(j, k), max(j, k)
                     raise VerificationError(
                         f"{L.name}: Killing invariance fails on "
@@ -258,25 +256,12 @@ def derivations(table) -> List[List[DenseVec]]:
 
 def derivation_lie_algebra(name: str, mats: List[List[DenseVec]]) -> LieAlgebra:
     """Close a list of matrices under commutator brackets (must span one)."""
-    n2 = len(mats[0])
-    flat = [[m[p][q] for p in range(n2) for q in range(n2)] for m in mats]
-    solver = SpanSolver(flat)
+    solver = SpanSolver([flatten(m) for m in mats])
     if solver.rank != len(mats):
         raise VerificationError(f"{name}: derivation basis is dependent")
 
     def comm(i: int, j: int) -> DenseVec:
-        a, b = mats[i], mats[j]
-        out = []
-        for p in range(n2):
-            for q in range(n2):
-                acc = ZERO
-                for r in range(n2):
-                    if a[p][r] and b[r][q]:
-                        acc = acc + a[p][r] * b[r][q]
-                    if b[p][r] and a[r][q]:
-                        acc = acc - b[p][r] * a[r][q]
-                out.append(acc)
-        coords = solver.coords(out)
+        coords = solver.coords(flatten(commutator(mats[i], mats[j])))
         if coords is None:
             raise VerificationError(f"{name}: commutator escapes the span")
         return coords

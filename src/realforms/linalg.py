@@ -1,11 +1,14 @@
 """Exact linear algebra over Q(sqrt3, i).
 
 Vectors are either dense lists of Scalar or sparse dicts {index: Scalar}
-with zero entries absent.  The workhorse is an incremental reduced row
-echelon form; everything downstream (membership, coordinates, nullspaces,
-ranks) sits on top of it.  No pivoting heuristics are needed for
-correctness since the arithmetic is exact, but rows are kept fully
-reduced so nullspace extraction is direct.
+with zero entries absent; a matrix is a list of rows of either kind.  Two
+kernels carry the package.  `add_product` is the only matrix product: it
+multiplies matrices stored as sparse rows, row by row (Gustavson's
+algorithm), and `mat_mul` and `commutator` wrap it for dense matrices.
+An incremental reduced row echelon form serves everything else
+(membership, coordinates, nullspaces, ranks).  No pivoting heuristics are
+needed for correctness since the arithmetic is exact, but rows are kept
+fully reduced so nullspace extraction is direct.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .scalars import ONE, ZERO, Scalar
 
 SparseVec = Dict[int, Scalar]
 DenseVec = List[Scalar]
+Matrix = List[DenseVec]
 
 
 def to_sparse(v: Sequence[Scalar]) -> SparseVec:
@@ -236,14 +240,55 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> DenseVec:
     return out
 
 
-def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]):
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out.append(
-            [sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt]
-        )
-    return out
+def add_product(
+    acc: List[SparseVec],
+    a: Sequence[SparseVec],
+    b: Sequence[SparseVec],
+    coef: Scalar = ONE,
+) -> None:
+    """acc += coef * (a b), all three matrices stored as lists of sparse rows.
+
+    Row p of the product is the combination of the rows of b weighted by
+    row p of a.  Entries that cancel stay in acc as explicit zeros.
+    """
+    for row_a, row_acc in zip(a, acc):
+        for r, x in row_a.items():
+            row_b = b[r]
+            if row_b:
+                cx = coef * x
+                for q, y in row_b.items():
+                    row_acc[q] = row_acc.get(q, ZERO) + cx * y
+
+
+def _sparse_rows(m: Sequence[Sequence[Scalar]]) -> List[SparseVec]:
+    return [to_sparse(row) for row in m]
+
+
+def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Matrix:
+    """The dense product a b; a is m x k and b is k x n, any of them 0.
+
+    An empty b is read as having no columns, so a b has empty rows: that
+    is what transposing an empty list of vectors gives."""
+    ncols = len(b[0]) if b else 0
+    acc: List[SparseVec] = [{} for _ in a]
+    if ncols:
+        add_product(acc, _sparse_rows(a), _sparse_rows(b))
+    return [to_dense(row, ncols) for row in acc]
+
+
+def commutator(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Matrix:
+    """a b - b a for square dense matrices of the same size."""
+    sa, sb = _sparse_rows(a), _sparse_rows(b)
+    acc: List[SparseVec] = [{} for _ in a]
+    add_product(acc, sa, sb)
+    add_product(acc, sb, sa, -ONE)
+    return [to_dense(row, len(a)) for row in acc]
+
+
+def flatten(*mats: Sequence[Sequence[Scalar]]) -> DenseVec:
+    """The entries of the given matrices, each in row-major order, one
+    matrix after the other."""
+    return [x for m in mats for row in m for x in row]
 
 
 def sylvester_signature(gram) -> tuple:

@@ -11,7 +11,7 @@ cross-checking an independently derived adapted basis against the preset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import symmetric_composition
 from .constructions import (
@@ -25,10 +25,11 @@ from .errors import ConstructionError, VerificationError
 from .lie import (
     LieAlgebra,
     certify_jacobi,
+    killing_form,
     killing_signature,
     sub_lie_algebra,
 )
-from .linalg import DenseVec, vadd, vscale, vsub, vzero
+from .linalg import DenseVec, sylvester_signature, vadd, vscale, vsub, vzero
 from .rootspace import (
     Covector,
     RootDatum,
@@ -108,6 +109,7 @@ class ModelBuild:
     obj: object  # MagicSquareAlgebra or DerivationModel
     signature: Tuple[int, int, int]
     jacobi: Dict[str, object]
+    killing: Optional[List[List[Scalar]]] = None  # set when certified
 
     @property
     def square(self) -> MagicSquareAlgebra:
@@ -134,15 +136,17 @@ def build_model(key: str, certify: bool = True) -> ModelBuild:
         lie = obj.lie  # type: ignore[union-attr]
     jreport: Dict[str, object] = {}
     sig = (0, 0, 0)
+    killing = None
     if certify:
         jreport = certify_jacobi(lie)
-        sig = killing_signature(lie)
+        killing = killing_form(lie)
+        sig = sylvester_signature(killing)
         if sig[0] - sig[1] != spec.signature or sig[2]:
             raise VerificationError(
                 f"{key}: Killing signature {sig} does not match "
                 f"expected {spec.signature}"
             )
-    return ModelBuild(spec, lie, obj, sig, jreport)
+    return ModelBuild(spec, lie, obj, sig, jreport, killing)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +605,7 @@ def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) ->
         t_basis, p_basis, extras = assemble_eii_cartan_decomposition(build)
     else:
         raise ConstructionError(f"no Cartan decomposition recipe for {key}")
-    report = verify_cartan_decomposition(L, t_basis, p_basis)
+    report = verify_cartan_decomposition(L, t_basis, p_basis, killing=build.killing)
     report.update(extras)
     return report
 

@@ -21,7 +21,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra
-from .linalg import DenseVec, Echelon, SpanSolver, nullspace, to_sparse, vadd, vscale, vzero
+from .linalg import (
+    DenseVec,
+    Echelon,
+    SpanSolver,
+    mat_mul,
+    nullspace,
+    to_sparse,
+    vadd,
+    vscale,
+    vzero,
+)
 from .scalars import ONE, ZERO, Rat, Scalar
 
 Covector = Tuple[Scalar, ...]
@@ -742,31 +752,7 @@ def verify_cartan_decomposition(
         killing = killing_form(L)
 
     def gram(vs: List[DenseVec]) -> List[List[Scalar]]:
-        n = L.dim
-        kvs = []
-        for v in vs:
-            supp = [(q, x) for q, x in enumerate(v) if x]
-            kv = vzero(n)
-            for p in range(n):
-                krow = killing[p]
-                acc = ZERO
-                for q, x in supp:
-                    if krow[q]:
-                        acc = acc + krow[q] * x
-                kv[p] = acc
-            kvs.append(kv)
-        out = []
-        for u in vs:
-            usupp = [(p, x) for p, x in enumerate(u) if x]
-            row = []
-            for kv in kvs:
-                acc = ZERO
-                for p, x in usupp:
-                    if kv[p]:
-                        acc = acc + x * kv[p]
-                row.append(acc)
-            out.append(row)
-        return out
+        return mat_mul(vs, mat_mul(killing, [list(c) for c in zip(*vs)]))
 
     sig_t = sylvester_signature(gram(t_basis))
     sig_p = sylvester_signature(gram(p_basis))

@@ -22,7 +22,6 @@ from .rootspace import (
     cartan_matrix,
     classify_restricted,
     cov_is_zero,
-    cov_key,
     cov_scale,
     indivisible_roots,
     restrict_covector,

@@ -15,21 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-try:  # gmpy2 rationals are a large constant factor faster; optional
-    from gmpy2 import mpq as Rat  # type: ignore
-except ImportError:  # pragma: no cover
-    Rat = Fraction
-
-_R0 = Rat(0)
-_R1 = Rat(1)
+Rat = Fraction
 
 
-def _rat(x) -> "Rat":
-    if isinstance(x, (int, str)):
-        return Rat(x)
-    if isinstance(x, Fraction):
-        return Rat(x.numerator, x.denominator)
-    return Rat(x)
+def _rat(x) -> Fraction:
+    # Fraction arithmetic already returns normalised values; only coerce
+    # the rest (ints, strings, Fraction subclasses).
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class Scalar:

@@ -14,25 +14,25 @@ algebra; for S = R it vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebras import AlgebraTable
 from .errors import ConstructionError, VerificationError
 from .linalg import (
     DenseVec,
+    Matrix,
     SparseVec,
     SpanSolver,
+    commutator,
+    flatten,
     mat_mul,
     mat_vec,
     nullspace,
     vadd,
     vscale,
-    vzero,
 )
 from .lie import LieAlgebra, lie_from_fn
 from .scalars import HALF, ONE, ZERO, Scalar
-
-Matrix = List[DenseVec]
 
 
 def orthogonal_lie(s: AlgebraTable) -> List[Matrix]:
@@ -57,14 +57,6 @@ def orthogonal_lie(s: AlgebraTable) -> List[Matrix]:
     return [[vec[p * n : (p + 1) * n] for p in range(n)] for vec in flat]
 
 
-def _flatten_triple(t: Tuple[Matrix, Matrix, Matrix], n: int) -> DenseVec:
-    out: DenseVec = []
-    for m in t:
-        for p in range(n):
-            out.extend(m[p])
-    return out
-
-
 @dataclass(eq=False)
 class TrialityAlgebra:
     comp: AlgebraTable
@@ -78,7 +70,7 @@ class TrialityAlgebra:
         return len(self.basis)
 
     def coords_of_triple(self, t: Tuple[Matrix, Matrix, Matrix]) -> DenseVec:
-        c = self.solver.coords(_flatten_triple(t, self.comp.dim))
+        c = self.solver.coords(flatten(*t))
         if c is None:
             raise VerificationError(
                 f"tri({self.comp.name}): triple is not a triality element"
@@ -185,22 +177,12 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
         return tuple(mats)  # type: ignore[return-value]
 
     basis = [unflatten(c) for c in sols]
-    solver = SpanSolver([_flatten_triple(t, n) for t in basis])
+    solver = SpanSolver([flatten(*t) for t in basis])
     if solver.rank != len(basis):
         raise ConstructionError(f"tri({s.name}): dependent solution basis")
 
     def brk(i: int, j: int) -> DenseVec:
-        a, b = basis[i], basis[j]
-        comm = tuple(
-            [
-                [
-                    [x - y for x, y in zip(r1, r2)]
-                    for r1, r2 in zip(mat_mul(a[s_], b[s_]), mat_mul(b[s_], a[s_]))
-                ]
-                for s_ in range(3)
-            ]
-        )
-        c = solver.coords(_flatten_triple(comm, n))
+        c = solver.coords(flatten(*map(commutator, basis[i], basis[j])))
         if c is None:
             raise VerificationError(f"tri({s.name}): bracket escapes the span")
         return c
@@ -210,8 +192,7 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     )
     theta_cols = []
     for t in basis:
-        rot = (t[2], t[0], t[1])
-        c = solver.coords(_flatten_triple(rot, n))
+        c = solver.coords(flatten(t[2], t[0], t[1]))
         if c is None:
             raise VerificationError(f"tri({s.name}): theta leaves the span")
         theta_cols.append(c)

@@ -134,6 +134,16 @@ def test_cli_imports_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv", [["lie", "nope"], ["satake", "e6m78", "--format", "svg"], ["bogus"], []]
+)
+def test_usage_error_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_roots_without_model(capsys):
     code, _, err = run(capsys, "roots", "decompose")
     assert code == 3
@@ -180,6 +190,16 @@ def test_config_cli_argument_wins(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", str(cfg), "satake", "f4m52")
     assert code == 0
     assert out.count("*") == 4  # f4 template, not the e6 one
+
+
+def test_config_cli_format_wins(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("format = json\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "satake", "e6m78", "--format", "ascii")
+    assert code == 0
+    assert not out.lstrip().startswith("{")
+    code, ascii_out, _ = run(capsys, "satake", "e6m78")
+    assert out == ascii_out
 
 
 def test_config_bad_format_reaches_renderer(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from realforms.linalg import (
     Echelon,
     SpanSolver,
+    commutator,
     is_zero_vec,
     mat_mul,
     mat_vec,
@@ -14,7 +16,7 @@ from realforms.linalg import (
     to_dense,
     to_sparse,
 )
-from realforms.scalars import ONE, SQRT3, ZERO, Scalar, sc
+from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Scalar, sc
 
 
 def v(*xs):
@@ -89,6 +91,52 @@ def test_mat_mul_identity():
     e = [v(1, 0), v(0, 1)]
     assert mat_mul(a, e) == a
     assert mat_mul(e, a) == a
+
+
+ENTRIES = [ZERO, ZERO, ZERO, ONE, -ONE, sc(2), sc("1/2"), SQRT3, IUNIT,
+           sc("1 - r3*i"), sc("-2/3*r3"), sc("(3/4 + r3)*i")]
+
+
+def rand_matrix(rng, rows, cols):
+    return [[rng.choice(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+
+def naive_mul(a, b):
+    ncols = len(b[0]) if b else 0
+    return [
+        [sum((row[r] * b[r][q] for r in range(len(b))), ZERO) for q in range(ncols)]
+        for row in a
+    ]
+
+
+@pytest.mark.parametrize(
+    "m,k,n", [(3, 3, 3), (6, 6, 6), (2, 5, 3), (4, 1, 2), (1, 3, 0), (0, 2, 2)]
+)
+def test_mat_mul_matches_naive_loop(m, k, n):
+    rng = random.Random(100 * m + 10 * k + n)
+    for _ in range(5):
+        a, b = rand_matrix(rng, m, k), rand_matrix(rng, k, n)
+        assert mat_mul(a, b) == naive_mul(a, b)
+
+
+def test_mat_mul_zero_and_empty():
+    a = rand_matrix(random.Random(1), 3, 4)
+    zero = [[ZERO] * 2 for _ in range(4)]
+    assert mat_mul(a, zero) == [[ZERO, ZERO]] * 3
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_mul(a, []) == [[], [], []]
+    assert mat_mul([], [[ONE, ONE]]) == []
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_commutator_matches_naive_loop(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        a, b = rand_matrix(rng, n, n), rand_matrix(rng, n, n)
+        ab, ba = naive_mul(a, b), naive_mul(b, a)
+        expected = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+        assert commutator(a, b) == expected
+        assert commutator(a, a) == [[ZERO] * n for _ in range(n)]
 
 
 def test_signature_diagonal():
