@@ -52,8 +52,8 @@ class JobConfig:
     model: Optional[str] = None
     s_name: Optional[str] = None
     sp_name: Optional[str] = None
-    eps: Tuple[int, int, int] = (1, 1, 1)
-    cartan: str = "preset"
+    eps: Optional[Tuple[int, int, int]] = None
+    cartan: Optional[str] = None
     fmt: str = "ascii"
     out: Optional[str] = None
     only: List[str] = field(default_factory=list)
@@ -257,6 +257,8 @@ def _model_key(name: Optional[str]) -> str:
 
 def cmd_roots(args: argparse.Namespace) -> int:
     key = _model_key(args.model)
+    if args.cartan != "preset":
+        raise ConstructionError("only --cartan preset is supported")
     if args.action == "verify-cartan-decomp":
         rep = cartan_decomposition_report(key)
         rep2 = {
@@ -264,8 +266,6 @@ def cmd_roots(args: argparse.Namespace) -> int:
         }
         _emit(_dump(rep2), args.out, f"{key}.cartan-decomp.json")
         return 0
-    if args.cartan != "preset":
-        raise ConstructionError("only --cartan preset is supported")
     build = build_model(key)
     cartan = preset_cartan(build)
     datum = root_decomposition(build.lie, cartan.hs, name=key)
@@ -424,9 +424,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lie)
 
     p = sub.add_parser("construct", help="inline magic-square or Jordan model")
-    p.add_argument("--s", required=True, help="first symmetric composition")
-    p.add_argument("--sp", default="R", help="second symmetric composition")
-    p.add_argument("--eps", default="1,1,1", help="sign triple, e.g. 1,-1,1")
+    p.add_argument("--s", default=None, help="first symmetric composition")
+    p.add_argument(
+        "--sp", default=None, help="second symmetric composition (default R)"
+    )
+    p.add_argument(
+        "--eps", default=None, help="sign triple, e.g. 1,-1,1 (default 1,1,1)"
+    )
     p.add_argument("--tits", action="store_true", help="derivation-extension model")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
@@ -436,7 +440,7 @@ def make_parser() -> argparse.ArgumentParser:
         "action", choices=("decompose", "restricted", "verify-cartan-decomp")
     )
     p.add_argument("--model", default=None, help="model key (or set in --config)")
-    p.add_argument("--cartan", default="preset")
+    p.add_argument("--cartan", default=None, help="preset (the default)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_roots)
 
@@ -463,21 +467,37 @@ def make_parser() -> argparse.ArgumentParser:
     return top
 
 
+_DEFAULTS = (
+    ("format", "ascii"),
+    ("sp", "R"),
+    ("eps", "1,1,1"),
+    ("cartan", "preset"),
+)
+
+
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill options the command line left unset from --config, then from
+    _DEFAULTS: command line arguments win over config values."""
     if getattr(args, "config", None):
         cfg = JobConfig.from_file(args.config)
+        eps = None if cfg.eps is None else ",".join(map(str, cfg.eps))
         for attr, val in (
             ("model", cfg.model),
             ("out", cfg.out),
             ("format", cfg.fmt),
+            ("s", cfg.s_name),
+            ("sp", cfg.sp_name),
+            ("eps", eps),
+            ("cartan", cfg.cartan),
         ):
             if hasattr(args, attr) and getattr(args, attr) is None:
                 if val is not None:
                     setattr(args, attr, val)
         if hasattr(args, "only") and cfg.only and not args.only:
             args.only = cfg.only
-    if hasattr(args, "format") and args.format is None:
-        args.format = "ascii"
+    for attr, default in _DEFAULTS:
+        if hasattr(args, attr) and getattr(args, attr) is None:
+            setattr(args, attr, default)
     return args
 
 
@@ -494,7 +514,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(_apply_config(args))
+        args = _apply_config(args)
+        if args.command == "construct" and args.s is None:
+            parser.error("construct needs --s (or s = ... in --config)")
+        return args.func(args)
     except RealformsError as exc:
         sys.stderr.write(
             json.dumps(

@@ -2,9 +2,15 @@
 
 Every number that appears in this package -- structure constants, bilinear
 form entries, Killing traces, root eigenvalues -- lives in F.  A Scalar
-stores four rationals (a, b, c, d) and represents
+stores four integer numerators over one positive denominator,
+(a, b, c, d, n), and represents
 
-    a + b*sqrt(3) + (c + d*sqrt(3)) * i.
+    (a + b*sqrt(3) + (c + d*sqrt(3)) * i) / n
+
+in lowest terms: gcd(a, b, c, d, n) = 1, so every element has exactly one
+such form and zero is (0, 0, 0, 0, 1).  All arithmetic runs on Python ints;
+the components are read back as Fractions through the properties a, b, c
+and d.
 
 The cube root of unity omega = -1/2 + (sqrt3/2) i is a unit of F, which is
 what makes the Okubo product expressible here.  Signs of real elements are
@@ -14,26 +20,49 @@ decided exactly (no floating point anywhere).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Rat = Fraction
 
+_new = object.__new__
 
-def _rat(x) -> Fraction:
-    # Fraction arithmetic already returns normalised values; only coerce
-    # the rest (ints, strings, Fraction subclasses).
-    return x if type(x) is Fraction else Fraction(x)
+
+def _make(a: int, b: int, c: int, d: int, n: int) -> "Scalar":
+    """The Scalar (a + b r3 + (c + d r3) i)/n for ints with n > 0."""
+    if n != 1:
+        g = gcd(a, b, c, d, n)
+        if g != 1:
+            a //= g
+            b //= g
+            c //= g
+            d //= g
+            n //= g
+    x = _new(Scalar)
+    x._a = a
+    x._b = b
+    x._c = c
+    x._d = d
+    x._n = n
+    return x
 
 
 class Scalar:
-    """An element a + b*r3 + (c + d*r3)*i of Q(sqrt3, i), exact."""
+    """An element a + b*r3 + (c + d*r3)*i of Q(sqrt3, i), exact.
 
-    __slots__ = ("a", "b", "c", "d")
+    Scalar(a, b, c, d) takes ints, Fractions or anything Fraction()
+    accepts (such as "2/3"); a, b, c and d read back as Fractions.
+    """
+
+    __slots__ = ("_a", "_b", "_c", "_d", "_n")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = _rat(a)
-        self.b = _rat(b)
-        self.c = _rat(c)
-        self.d = _rat(d)
+        parts = [x if type(x) is Fraction else Fraction(x) for x in (a, b, c, d)]
+        n = lcm(*(x.denominator for x in parts))
+        # each part is in lowest terms, so over their lcm the gcd is 1
+        self._a, self._b, self._c, self._d = (
+            x.numerator * (n // x.denominator) for x in parts
+        )
+        self._n = n
 
     # -- construction helpers -------------------------------------------
 
@@ -45,73 +74,117 @@ class Scalar:
             return parse_scalar(x)
         return Scalar(x)
 
+    # -- components ------------------------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._n)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._n)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._c, self._n)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self._d, self._n)
+
     # -- predicates ------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.a or self.b or self.c or self.d)
+        return (self._a or self._b or self._c or self._d) != 0
 
     def is_real(self) -> bool:
-        return not (self.c or self.d)
+        return not (self._c or self._d)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self._b or self._c or self._d)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.a.denominator == 1
+        return self.is_rational() and self._n == 1
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, o: "Scalar") -> "Scalar":
-        return Scalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        n1, n2 = self._n, o._n
+        if n1 == n2:
+            return _make(self._a + o._a, self._b + o._b, self._c + o._c,
+                         self._d + o._d, n1)
+        return _make(
+            self._a * n2 + o._a * n1,
+            self._b * n2 + o._b * n1,
+            self._c * n2 + o._c * n1,
+            self._d * n2 + o._d * n1,
+            n1 * n2,
+        )
 
     def __sub__(self, o: "Scalar") -> "Scalar":
-        return Scalar(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        n1, n2 = self._n, o._n
+        if n1 == n2:
+            return _make(self._a - o._a, self._b - o._b, self._c - o._c,
+                         self._d - o._d, n1)
+        return _make(
+            self._a * n2 - o._a * n1,
+            self._b * n2 - o._b * n1,
+            self._c * n2 - o._c * n1,
+            self._d * n2 - o._d * n1,
+            n1 * n2,
+        )
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.a, -self.b, -self.c, -self.d)
+        return _make(-self._a, -self._b, -self._c, -self._d, self._n)
 
     def __mul__(self, o: "Scalar") -> "Scalar":
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
+        a1, b1, c1, d1, n1 = self._a, self._b, self._c, self._d, self._n
+        a2, b2, c2, d2, n2 = o._a, o._b, o._c, o._d, o._n
         # fast path: right factor rational (very common: scaling)
         if not (b2 or c2 or d2):
             if not a2:
                 return _ZERO
-            return Scalar(a1 * a2, b1 * a2, c1 * a2, d1 * a2)
+            return _make(a1 * a2, b1 * a2, c1 * a2, d1 * a2, n1 * n2)
         if not (b1 or c1 or d1):
             if not a1:
                 return _ZERO
-            return Scalar(a1 * a2, a1 * b2, a1 * c2, a1 * d2)
-        return Scalar(
+            return _make(a1 * a2, a1 * b2, a1 * c2, a1 * d2, n1 * n2)
+        return _make(
             a1 * a2 + 3 * b1 * b2 - c1 * c2 - 3 * d1 * d2,
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
             a1 * c2 + 3 * b1 * d2 + c1 * a2 + 3 * d1 * b2,
             a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+            n1 * n2,
         )
 
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("inverse of 0 in Q(sqrt3, i)")
-        a, b, c, d = self.a, self.b, self.c, self.d
-        # |z|^2 = x^2 + y^2 with x = a+b r3, y = c+d r3: a real element (e, f)
+        a, b, c, d, n = self._a, self._b, self._c, self._d, self._n
+        # |z|^2 = x^2 + y^2 with x = a+b r3, y = c+d r3: a real element e + f r3
         e = a * a + 3 * b * b + c * c + 3 * d * d
         f = 2 * (a * b + c * d)
-        # 1/(e + f r3) = (e - f r3)/(e^2 - 3 f^2)
+        # 1/(e + f r3) = (e - f r3)/g, and g = (e + f r3)(e - f r3) > 0 since
+        # both factors are sums of two real squares, not both zero
         g = e * e - 3 * f * f
-        ie, if_ = e / g, -f / g
-        # conj(z) * (ie + if r3)
-        return Scalar(
-            a * ie + 3 * b * if_,
-            a * if_ + b * ie,
-            -(c * ie + 3 * d * if_),
-            -(c * if_ + d * ie),
+        # n * conj(z) * (e - f r3) / g
+        return _make(
+            n * (a * e - 3 * b * f),
+            n * (b * e - a * f),
+            -n * (c * e - 3 * d * f),
+            -n * (d * e - c * f),
+            g,
         )
 
     def __truediv__(self, o: "Scalar") -> "Scalar":
-        if not (o.b or o.c or o.d):  # rational divisor
-            if not o.a:
+        if not (o._b or o._c or o._d):  # rational divisor p/q
+            p, q = o._a, o._n
+            if not p:
                 raise ZeroDivisionError("division by 0")
-            return Scalar(self.a / o.a, self.b / o.a, self.c / o.a, self.d / o.a)
+            if p < 0:
+                p, q = -p, -q
+            return _make(self._a * q, self._b * q, self._c * q, self._d * q,
+                         self._n * p)
         return self * o.inverse()
 
     def __pow__(self, n: int) -> "Scalar":
@@ -128,15 +201,16 @@ class Scalar:
 
     def conj(self) -> "Scalar":
         """Complex conjugation (the involution fixing Q(sqrt3))."""
-        return Scalar(self.a, self.b, -self.c, -self.d)
+        return _make(self._a, self._b, -self._c, -self._d, self._n)
 
     # -- order structure on the real subfield ----------------------------
 
     def sign(self) -> int:
         """Exact sign of a real element; raises on non-real input."""
-        if self.c or self.d:
+        if self._c or self._d:
             raise ValueError("sign() of a non-real scalar")
-        a, b = self.a, self.b
+        # n > 0, so the sign is that of the numerator a + b r3
+        a, b = self._a, self._b
         if not b:
             return (a > 0) - (a < 0)
         if not a:
@@ -157,20 +231,30 @@ class Scalar:
     # -- parts -----------------------------------------------------------
 
     def real(self) -> "Scalar":
-        return Scalar(self.a, self.b)
+        return _make(self._a, self._b, 0, 0, self._n)
 
     def imag(self) -> "Scalar":
         """The real element c + d*r3 (coefficient of i)."""
-        return Scalar(self.c, self.d)
+        return _make(self._c, self._d, 0, 0, self._n)
 
     # -- hashing / comparison / display ----------------------------------
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, Scalar):
             return NotImplemented
-        return self.a == o.a and self.b == o.b and self.c == o.c and self.d == o.d
+        return (
+            self._a == o._a
+            and self._b == o._b
+            and self._c == o._c
+            and self._d == o._d
+            and self._n == o._n
+        )
 
     def __hash__(self):
+        # the hash of the Fraction components; an int hashes like the
+        # Fraction of the same value, so n == 1 needs no Fractions
+        if self._n == 1:
+            return hash((self._a, self._b, self._c, self._d))
         return hash((self.a, self.b, self.c, self.d))
 
     def key(self):
@@ -186,18 +270,17 @@ class Scalar:
     def to_str(self) -> str:
         """Render as 'a + b*r3 + (c + d*r3)*i' with zero terms omitted."""
         parts = []
-        if self.a:
+        if self._a:
             parts.append(str(self.a))
-        if self.b:
+        if self._b:
             parts.append(f"{self.b}*r3")
-        c, d = self.c, self.d
-        if c and d:
-            inner = f"{c} + {d}*r3".replace("+ -", "- ")
+        if self._c and self._d:
+            inner = f"{self.c} + {self.d}*r3".replace("+ -", "- ")
             parts.append(f"({inner})*i")
-        elif c:
-            parts.append(f"{c}*i")
-        elif d:
-            parts.append(f"{d}*r3*i")
+        elif self._c:
+            parts.append(f"{self.c}*i")
+        elif self._d:
+            parts.append(f"{self.d}*r3*i")
         if not parts:
             return "0"
         return " + ".join(parts).replace("+ -", "- ")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -210,6 +211,52 @@ def test_config_bad_format_reaches_renderer(tmp_path, capsys):
     assert "unknown format" in json.loads(err)["message"]
 
 
+def test_config_supplies_construct_s(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("s = pC\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "construct")
+    assert code == 0
+    data = json.loads(out)
+    assert data["construction"] == "magic(pC,R,1,1,1)"
+    assert data["dim"] == 8
+
+
+def test_config_cli_s_wins(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("s = pO\nsp = pC\neps = 1, -1, 1\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "construct", "--s", "pR")
+    assert code == 0
+    data = json.loads(out)
+    # --s from the command line, sp and eps from the config
+    assert data["construction"] == "magic(pR,pC,1,-1,1)"
+    assert data["dim"] == 8  # magic(pO,pC,...) would be 78
+
+
+def test_construct_without_s_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("sp = pC\n")
+    for argv in (["construct"], ["--config", str(cfg), "construct"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+
+def test_config_cartan_reaches_roots(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("cartan = other\n")
+    code, _, err = run(
+        capsys, "--config", str(cfg), "roots", "restricted", "--model", "e6m14"
+    )
+    assert code == 3
+    assert "only --cartan preset" in json.loads(err)["message"]
+    code, _, err = run(
+        capsys, "roots", "verify-cartan-decomp", "--model", "e6m14", "--cartan", "other"
+    )
+    assert code == 3
+    assert "only --cartan preset" in json.loads(err)["message"]
+
+
 def test_jobconfig_parser(tmp_path):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(
@@ -238,3 +285,25 @@ def test_jobconfig_rejects_bare_line(tmp_path):
     cfg.write_text("just some words\n")
     with pytest.raises(IOFormatError, match="expected key = value"):
         JobConfig.from_file(str(cfg))
+
+
+# ---------------------------------------------------------------------------
+# golden output: sha256 of the stdout of two e6 builds and of the two Okubo
+# algebras (whose constants carry sqrt3 and i); a change to the scalar
+# representation or to the renderer must not move a byte
+
+
+GOLDEN_SHA256 = {
+    ("build", "e6m14"): "89097f891849e212bc7767dc4e9493942f7b151d75edd10f477f3189f7dbfe65",
+    ("build", "e6m26"): "9519c89f273564837d0c6d99219a0b11ffe9473a425d166a7b02578c6f13fc91",
+    ("algebra", "Ok"): "a811bd251c881c2f4a93f4a9fd96dd9276a0f9833c1c49945cc07b1b3914c775",
+    ("algebra", "Oks"): "b7f821f4cf7a9e18f425c4b87aea8961b47ae53c8055316d685d5aa165f3ca14",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256), ids=" ".join)
+def test_golden_output(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_SHA256[argv]

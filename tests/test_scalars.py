@@ -151,3 +151,105 @@ def test_coercion_accepts_fraction_int_str():
     assert sc(fractions.Fraction(3, 4)) == sc("3/4")
     assert sc(2) == ONE + ONE
     assert Scalar.of(sc(5)) is not None
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator representation: components, hashing, canonical form
+
+
+@settings(deadline=None, max_examples=60)
+@given(scalars(), scalars())
+def test_equal_scalars_hash_equal(x, y):
+    # x + y - y is x rebuilt through a different common denominator
+    z = x + y - y
+    assert z == x
+    assert hash(z) == hash(x)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@settings(deadline=None, max_examples=60)
+@given(scalars())
+def test_hash_matches_fraction_components(x):
+    parts = (x.a, x.b, x.c, x.d)
+    assert all(type(p) is fractions.Fraction for p in parts)
+    assert hash(x) == hash(parts)
+    assert x == Scalar(*parts)
+
+
+@settings(deadline=None, max_examples=60)
+@given(scalars())
+def test_self_difference_is_canonical_zero(x):
+    assert x - x == ZERO
+    assert hash(x - x) == hash(ZERO)
+    assert not (x - x)
+
+
+def test_mixed_construction():
+    x = Scalar(fractions.Fraction(2, 4), "1/3", 0, 1)
+    assert x == sc("1/2 + 1/3*r3 + r3*i")
+    assert (x.a, x.b, x.c, x.d) == (
+        fractions.Fraction(1, 2),
+        fractions.Fraction(1, 3),
+        0,
+        1,
+    )
+
+    class Half(fractions.Fraction):
+        pass
+
+    assert Scalar(Half(1, 2)) == HALF
+    assert type(Scalar(Half(1, 2)).a) is fractions.Fraction
+
+
+def test_division_by_negative_rational():
+    x = sc("1/2 + r3")
+    q = x / sc(-3)
+    assert q == sc("-1/6 - 1/3*r3")
+    assert q.to_str() == "-1/6 - 1/3*r3"
+    assert hash(q) == hash(sc("-1/6 - 1/3*r3"))
+    assert q * sc(-3) == x
+    assert sc("2/3*i") / sc("-2/9") == sc("-3*i")
+
+
+def test_inverse_all_parts_nonzero():
+    x = sc("1/2 + 1/3*r3 + (2/5 - 3/7*r3)*i")
+    inv = x.inverse()
+    assert inv.to_str() == (
+        "141906450/361967929 + 94261300/361967929*r3 + "
+        "(-109232760/361967929 + 119046900/361967929*r3)*i"
+    )
+    assert x * inv == ONE
+    assert inv.inverse() == x
+    assert ONE / x == inv
+
+
+def test_key_order_unchanged():
+    vals = [
+        sc("1/2"),
+        sc(-1),
+        SQRT3,
+        sc("1/2 + r3*i"),
+        sc("1/2 - r3*i"),
+        IUNIT,
+        ZERO,
+        sc("-1/3*r3 + 2*i"),
+        OMEGA,
+    ]
+    assert [v.to_str() for v in sorted(vals, key=Scalar.key)] == [
+        "-1",
+        "-1/2 + 1/2*r3*i",
+        "-1/3*r3 + 2*i",
+        "0",
+        "1*i",
+        "1*r3",
+        "1/2 - 1*r3*i",
+        "1/2",
+        "1/2 + 1*r3*i",
+    ]
+    assert OMEGA.key() == (
+        fractions.Fraction(-1, 2),
+        0,
+        0,
+        fractions.Fraction(1, 2),
+    )
