@@ -18,11 +18,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import ConstructionError, IOFormatError, VerificationError
 from .linalg import (
     DenseVec,
+    SparseMatrix,
     SpanSolver,
+    add_product,
     flatten,
-    mat_mul,
     mat_vec,
     rank_of,
+    to_dense,
+    to_sparse,
     vadd,
     vscale,
     vsub,
@@ -263,10 +266,6 @@ def _m(rows) -> List[List[Scalar]]:
     return [[sc(x) for x in row] for row in rows]
 
 
-def _m_tr(a) -> Scalar:
-    return a[0][0] + a[1][1] + a[2][2]
-
-
 def _m_lin(*pairs):
     out = [[ZERO] * 3 for _ in range(3)]
     for coef, mat in pairs:
@@ -292,14 +291,19 @@ def _okubo_from_matrices(name: str, basis, labels) -> AlgebraTable:
     w = OMEGA
     w2 = OMEGA * OMEGA
     third = (w - w2) / sc(3)
-    ident = _m([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    mats = [[to_sparse(row) for row in b] for b in basis]
 
-    def star(x, y):
-        xy = mat_mul(x, y)
-        yx = mat_mul(y, x)
-        return _m_lin((w, xy), (-w2, yx), (-third * _m_tr(xy), ident))
+    def tr_prod(x: SparseMatrix, y: SparseMatrix) -> Scalar:
+        return sum((v * y[q].get(p, ZERO) for p, row in enumerate(x) for q, v in row.items()), ZERO)
 
-    solver = SpanSolver([flatten(b) for b in basis])
+    def star(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+        t = -third * tr_prod(x, y)
+        out: SparseMatrix = [{p: t} for p in range(3)]
+        add_product(out, x, y, w)
+        add_product(out, y, x, -w2)
+        return out
+
+    solver = SpanSolver(flatten(m) for m in mats)
     if solver.rank != 8:
         raise ConstructionError(f"{name}: matrix basis is dependent")
     n = 8
@@ -307,17 +311,14 @@ def _okubo_from_matrices(name: str, basis, labels) -> AlgebraTable:
     for i in range(n):
         row = []
         for j in range(n):
-            coords = solver.coords(flatten(star(basis[i], basis[j])))
+            coords = solver.coords_sparse(flatten(star(mats[i], mats[j])))
             if coords is None:
                 raise ConstructionError(f"{name}: product escapes the span")
-            for c in coords:
-                if not c.is_real():
-                    raise ConstructionError(f"{name}: non-real structure constant")
-            row.append(coords)
+            if not all(c.is_real() for c in coords.values()):
+                raise ConstructionError(f"{name}: non-real structure constant")
+            row.append(to_dense(coords, n))
         tab.append(row)
-    form = [
-        [-_m_tr(mat_mul(basis[i], basis[j])) for j in range(n)] for i in range(n)
-    ]
+    form = [[-tr_prod(mats[i], mats[j]) for j in range(n)] for i in range(n)]
     for r in form:
         for x in r:
             if not x.is_real():

@@ -19,14 +19,15 @@ from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra, lie_from_fn
 from .linalg import (
     DenseVec,
+    Echelon,
     Matrix,
+    SparseMatrix,
     SparseVec,
     SpanSolver,
     add_product,
     commutator,
     flatten,
-    mat_vec,
-    rank_of,
+    to_dense,
     to_sparse,
     vzero,
 )
@@ -98,27 +99,26 @@ def magic_square(
     ns, nsp = s.dim, sp.dim
     nts, ntsp = tri_s.dim, tri_sp.dim
     off_iota = nts + ntsp
-    dim = off_iota + 3 * ns * nsp
     eps_s = [sc(e) for e in eps]
 
-    def theta_t_table(tri: TrialityAlgebra) -> List[List[List[DenseVec]]]:
-        """pow[k][a][b] = theta^k(t_{e_a, e_b})."""
+    def theta_t_table(tri: TrialityAlgebra) -> List[List[SparseVec]]:
+        """pow[k][a * n + b] = theta^k(t_{e_a, e_b}) with n = dim tri.comp."""
         n = tri.comp.dim
-        base: List[List[DenseVec]] = [[[] for _ in range(n)] for _ in range(n)]
+        base: List[SparseVec] = []
         for a in range(n):
             for b in range(n):
                 if a == b:
-                    base[a][b] = vzero(tri.dim)
+                    base.append({})
                 elif b > a:
-                    base[a][b] = tri.t_element(
-                        tri.comp.basis_vec(a), tri.comp.basis_vec(b)
-                    )
+                    t = tri.t_element(tri.comp.basis_vec(a), tri.comp.basis_vec(b))
+                    base.append(to_sparse(t))
                 else:
-                    base[a][b] = [-x for x in base[b][a]]
+                    base.append({p: -x for p, x in base[b * n + a].items()})
         out = [base]
         for _ in range(2):
-            prev = out[-1]
-            out.append([[mat_vec(tri.theta_mat, v) for v in row] for row in prev])
+            acc: List[SparseVec] = [{} for _ in base]
+            add_product(acc, out[-1], tri.theta_rows)
+            out.append(acc)
         return out
 
     ts_pow = theta_t_table(tri_s)
@@ -137,7 +137,7 @@ def magic_square(
     def iota_index(blk: int, a: int, b: int) -> int:
         return off_iota + blk * ns * nsp + a * nsp + b
 
-    def place_tensor(out: DenseVec, blk: int, xs: DenseVec, xps: DenseVec, coef: Scalar):
+    def place_tensor(out: SparseVec, blk: int, xs: DenseVec, xps: DenseVec, coef: Scalar):
         for p, u in enumerate(xs):
             if not u:
                 continue
@@ -145,53 +145,41 @@ def magic_square(
             for q, w in enumerate(xps):
                 if w:
                     k = iota_index(blk, p, q)
-                    out[k] = out[k] + cu * w
+                    out[k] = out.get(k, ZERO) + cu * w
 
-    def fn(i: int, j: int) -> DenseVec:
+    def fn(i: int, j: int) -> SparseVec:
         bi, bj = decode(i), decode(j)
-        out = vzero(dim)
         if bi[0] == "ts" and bj[0] == "ts":
-            for p, v in tri_s.lie.bracket_basis(bi[1], bj[1]).items():
-                out[p] = v
-            return out
+            return tri_s.lie.bracket_basis(bi[1], bj[1])
         if bi[0] == "tsp" and bj[0] == "tsp":
-            for p, v in tri_sp.lie.bracket_basis(bi[1], bj[1]).items():
-                out[nts + p] = v
-            return out
+            return {nts + p: v for p, v in tri_sp.lie.bracket_basis(bi[1], bj[1]).items()}
         if bi[0] == "ts" and bj[0] == "tsp":
-            return out
+            return {}
         if bi[0] == "ts":
             _, blk, a, b = bj
             d = tri_s.basis[bi[1]][blk]
-            for p in range(ns):
-                if d[p][a]:
-                    out[iota_index(blk, p, b)] = d[p][a]
-            return out
+            return {iota_index(blk, p, b): row[a] for p, row in enumerate(d) if a in row}
         if bi[0] == "tsp":
             _, blk, a, b = bj
             d = tri_sp.basis[bi[1]][blk]
-            for p in range(nsp):
-                if d[p][b]:
-                    out[iota_index(blk, a, p)] = d[p][b]
-            return out
+            return {iota_index(blk, a, p): row[b] for p, row in enumerate(d) if b in row}
         # both iota
         _, blki, a, b = bi
         _, blkj, c, d = bj
+        out: SparseVec = {}
         if blki == blkj:
             i1, i2 = (blki + 1) % 3, (blki + 2) % 3
             coef = eps_s[i1] * eps_s[i2]
             qp = sp.form[b][d]
             if qp:
                 cc = coef * qp
-                for p, v in enumerate(ts_pow[blki][a][c]):
-                    if v:
-                        out[p] = out[p] + cc * v
+                for p, v in ts_pow[blki][a * ns + c].items():
+                    out[p] = out.get(p, ZERO) + cc * v
             q = s.form[a][c]
             if q:
                 cc = coef * q
-                for p, v in enumerate(tsp_pow[blki][b][d]):
-                    if v:
-                        out[nts + p] = out[nts + p] + cc * v
+                for p, v in tsp_pow[blki][b * nsp + d].items():
+                    out[nts + p] = out.get(nts + p, ZERO) + cc * v
             return out
         if blkj == (blki + 1) % 3:
             i2 = (blki + 2) % 3
@@ -240,46 +228,48 @@ class DerivationModel:
         return len(self.rho)
 
 
-def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[Matrix]:
+def _rho_rows(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[SparseMatrix]:
     """The action of g(S, R) on the Jordan algebra, basis by basis."""
     s = square.s
     if square.sp.dim != 1:
         raise ConstructionError("derivation model needs the S' = R square")
     n = alg.dim
     tab = alg.table
-    out: List[Matrix] = []
-    for k in range(square.tri_s.dim):
-        d = square.tri_s.basis[k]
-        m = [[ZERO] * n for _ in range(n)]
-        for i in range(3):
-            di = d[i]
+    out: List[SparseMatrix] = []
+    for d in square.tri_s.basis:
+        m: SparseMatrix = [{} for _ in range(n)]
+        for i, di in enumerate(d):
             off = 3 + i * s.dim
-            for p in range(s.dim):
-                for q in range(s.dim):
-                    if di[p][q]:
-                        m[off + p][off + q] = di[p][q]
+            for p, row in enumerate(di):
+                m[off + p] = {off + q: x for q, x in row.items()}
         out.append(m)
-    lE = [tab.lmul_matrix(tab.basis_vec(a)) for a in range(3)]
+    lE = [[to_sparse(row) for row in tab.lmul_matrix(tab.basis_vec(a))] for a in range(3)]
     for i in range(3):
         for a in range(s.dim):
-            v = alg.iota_vec(i, s.basis_vec(a))
-            lv = tab.lmul_matrix(v)
+            lv = [to_sparse(row) for row in tab.lmul_matrix(alg.iota_vec(i, s.basis_vec(a)))]
             comm = commutator(lv, lE[(i + 1) % 3])
-            out.append([[TWO * x for x in row] for row in comm])
+            out.append([{q: TWO * x for q, x in row.items()} for row in comm])
     return out
 
 
-def check_rho_homomorphism(square: MagicSquareAlgebra, rho: List[Matrix]) -> Dict[str, int]:
+def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[Matrix]:
+    """The action of g(S, R) on the Jordan algebra, as dense matrices."""
+    return [[to_dense(row, alg.dim) for row in m] for m in _rho_rows(square, alg)]
+
+
+def _check_rho_rows(square: MagicSquareAlgebra, R: List[SparseMatrix]) -> Dict[str, int]:
     """[rho b_i, rho b_j] = sum_m c^m_ij rho b_m on all basis pairs i < j,
-    exactly, and rho injective."""
-    nb = len(rho)
-    n = len(rho[0])
-    if rank_of([flatten(m) for m in rho]) != nb:
+    exactly, and rho injective; R holds the images as sparse rows."""
+    nb = len(R)
+    n = len(R[0])
+    ech = Echelon()
+    for m in R:
+        ech.add(flatten(m))
+    if ech.rank != nb:
         raise VerificationError("derivation images are dependent")
-    R = [[to_sparse(row) for row in m] for m in rho]
     for i in range(nb):
         for j in range(i + 1, nb):
-            acc: List[SparseVec] = [{} for _ in range(n)]
+            acc: SparseMatrix = [{} for _ in range(n)]
             add_product(acc, R[i], R[j])
             add_product(acc, R[j], R[i], -ONE)
             for m, c in square.lie.brk.get((i, j), {}).items():
@@ -294,6 +284,11 @@ def check_rho_homomorphism(square: MagicSquareAlgebra, rho: List[Matrix]) -> Dic
     return {"pairs": nb * (nb - 1) // 2}
 
 
+def check_rho_homomorphism(square: MagicSquareAlgebra, rho: List[Matrix]) -> Dict[str, int]:
+    """`_check_rho_rows` for images given as dense matrices."""
+    return _check_rho_rows(square, [[to_sparse(row) for row in m] for m in rho])
+
+
 def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     """The 78-dimensional extension Der(A) + A0 for A = A(S, +++)."""
     if s is None:
@@ -301,48 +296,40 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     r = symmetric_composition("R")
     square = magic_square(s, r, (1, 1, 1), triality_cached(s), triality_cached(r))
     alg = albert(s, (1, 1, 1))
-    rho = rho_images(square, alg)
-    check_rho_homomorphism(square, rho)
-    nd = len(rho)
+    R = _rho_rows(square, alg)
+    _check_rho_rows(square, R)
+    nd = len(R)
     n27 = alg.dim
+    solver = SpanSolver(flatten(m) for m in R)
     zb = alg.zero_trace_basis()
-    na = len(zb)
-    dim = nd + na
+    zs = [to_sparse(z) for z in zb]
+    traceless = SpanSolver(zs)
+    lmuls = [[to_sparse(row) for row in alg.table.lmul_matrix(z)] for z in zb]
 
-    solver = SpanSolver([flatten(m) for m in rho])
-    if solver.rank != nd:
-        raise VerificationError("derivation images are dependent")
-
-    def zero_trace_coords(u: DenseVec) -> DenseVec:
-        c0, c1, c2 = u[0], u[1], u[2]
-        if c0 + c1 + c2:
-            raise VerificationError("bracket left the traceless subspace")
-        return [-c1, c2] + list(u[3:])
-
-    lmuls = [alg.table.lmul_matrix(z) for z in zb]
-
-    def fn(i: int, j: int) -> DenseVec:
-        out = vzero(dim)
+    def fn(i: int, j: int) -> SparseVec:
         if j < nd:
-            for p, v in square.lie.bracket_basis(i, j).items():
-                out[p] = v
-            return out
+            return square.lie.bracket_basis(i, j)
         if i < nd:
-            img = mat_vec(rho[i], zb[j - nd])
-            for p, v in enumerate(zero_trace_coords(img)):
-                out[nd + p] = v
-            return out
-        coords = solver.coords(flatten(commutator(lmuls[i - nd], lmuls[j - nd])))
+            z = zs[j - nd]
+            img: SparseVec = {}
+            for p, row in enumerate(R[i]):
+                x = sum((row[q] * c for q, c in z.items() if q in row), ZERO)
+                if x:
+                    img[p] = x
+            coords = traceless.coords_sparse(img)
+            if coords is None:
+                raise VerificationError("bracket left the traceless subspace")
+            return {nd + k: x for k, x in coords.items()}
+        coords = solver.coords_sparse(flatten(commutator(lmuls[i - nd], lmuls[j - nd])))
         if coords is None:
             raise VerificationError("commutator of multiplications is not in the image")
-        for p, v in enumerate(coords):
-            out[p] = v
-        return out
+        return coords
 
     labels = list(square.lie.labels) + ["E0-E1", "E2-E0"] + [
         alg.table.labels[k] for k in range(3, n27)
     ]
     lie = lie_from_fn(f"Der({alg.table.name})+A0", labels, fn)
+    rho = [[to_dense(row, n27) for row in m] for m in R]
     return DerivationModel(lie, alg, square, rho)
 
 

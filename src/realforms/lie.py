@@ -16,11 +16,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import VerificationError
 from .linalg import (
     DenseVec,
+    SparseMatrix,
     SparseVec,
     SpanSolver,
     add_product,
     commutator,
     flatten,
+    matrix_rows,
     nullspace,
     sylvester_signature,
     to_sparse,
@@ -81,15 +83,15 @@ class LieAlgebra:
 
 
 def lie_from_fn(
-    name: str, labels: List[str], pair_fn: Callable[[int, int], Sequence[Scalar]]
+    name: str, labels: List[str], pair_fn: Callable[[int, int], SparseVec]
 ) -> LieAlgebra:
-    """Assemble a table from a function giving [b_i, b_j] for i < j."""
+    """Assemble a table from a function giving [b_i, b_j] for i < j as a
+    sparse vector; the table keeps a zero-free copy of each."""
     n = len(labels)
     brk: Dict[Tuple[int, int], SparseVec] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            v = pair_fn(i, j)
-            s = to_sparse(v) if isinstance(v, list) else dict(v)
+            s = {p: x for p, x in pair_fn(i, j).items() if x}
             if s:
                 brk[(i, j)] = s
     return LieAlgebra(name, labels, brk)
@@ -226,42 +228,30 @@ def derivation_rows(table) -> List[SparseVec]:
                 if v:
                     row[p * n + q] = v
             for r in range(n):
-                v = sc_[r][j][p]
-                if v:
-                    k = r * n + i
-                    nv = row.get(k, ZERO) - v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-                w = sc_[i][r][p]
-                if w:
-                    k = r * n + j
-                    nv = row.get(k, ZERO) - w
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
+                for k, v in ((r * n + i, sc_[r][j][p]), (r * n + j, sc_[i][r][p])):
+                    if v:
+                        row[k] = row.get(k, ZERO) - v
+            row = {k: v for k, v in row.items() if v}
             if row:
                 rows.append(row)
     return rows
 
 
-def derivations(table) -> List[List[DenseVec]]:
-    """Basis of the derivation algebra, as matrices acting on coordinates."""
+def derivations(table) -> List[SparseMatrix]:
+    """Basis of the derivation algebra, as sparse-row matrices acting on
+    coordinates."""
     n = table.dim
-    flat = nullspace(derivation_rows(table), n * n)
-    return [[vec[p * n : (p + 1) * n] for p in range(n)] for vec in flat]
+    return [matrix_rows(vec, n) for vec in nullspace(derivation_rows(table), n * n)]
 
 
-def derivation_lie_algebra(name: str, mats: List[List[DenseVec]]) -> LieAlgebra:
+def derivation_lie_algebra(name: str, mats: List[SparseMatrix]) -> LieAlgebra:
     """Close a list of matrices under commutator brackets (must span one)."""
-    solver = SpanSolver([flatten(m) for m in mats])
+    solver = SpanSolver(flatten(m) for m in mats)
     if solver.rank != len(mats):
         raise VerificationError(f"{name}: derivation basis is dependent")
 
-    def comm(i: int, j: int) -> DenseVec:
-        coords = solver.coords(flatten(commutator(mats[i], mats[j])))
+    def comm(i: int, j: int) -> SparseVec:
+        coords = solver.coords_sparse(flatten(commutator(mats[i], mats[j])))
         if coords is None:
             raise VerificationError(f"{name}: commutator escapes the span")
         return coords
@@ -274,12 +264,12 @@ def sub_lie_algebra(
     L: LieAlgebra, vectors: List[DenseVec], name: str, labels: Optional[List[str]] = None
 ) -> LieAlgebra:
     """The Lie algebra on a bracket-closed independent spanning list."""
-    solver = SpanSolver(vectors)
+    solver = SpanSolver(map(to_sparse, vectors))
     if solver.rank != len(vectors):
         raise VerificationError(f"{name}: spanning list is dependent")
 
-    def fn(i: int, j: int) -> DenseVec:
-        coords = solver.coords(L.bracket(vectors[i], vectors[j]))
+    def fn(i: int, j: int) -> SparseVec:
+        coords = solver.coords_sparse(to_sparse(L.bracket(vectors[i], vectors[j])))
         if coords is None:
             raise VerificationError(
                 f"{name}: bracket of elements {i}, {j} leaves the span"

@@ -1,14 +1,18 @@
 """Exact linear algebra over Q(sqrt3, i).
 
 Vectors are either dense lists of Scalar or sparse dicts {index: Scalar}
-with zero entries absent; a matrix is a list of rows of either kind.  Two
-kernels carry the package.  `add_product` is the only matrix product: it
-multiplies matrices stored as sparse rows, row by row (Gustavson's
-algorithm), and `mat_mul` and `commutator` wrap it for dense matrices.
-An incremental reduced row echelon form serves everything else
-(membership, coordinates, nullspaces, ranks).  No pivoting heuristics are
-needed for correctness since the arithmetic is exact, but rows are kept
-fully reduced so nullspace extraction is direct.
+with zero entries absent.  Every matrix that goes into a product, a
+commutator or a span lookup is stored as a list of sparse rows from the
+point where it is built; `flatten` is the one map from such matrices to
+span vectors.  Dense lists remain only at the edges: algebra and Lie
+algebra elements, `mat_mul`/`mat_vec`, Gram matrices and root spaces,
+each converted once where it meets the sparse code.  Two kernels carry
+the package.  `add_product` is the only matrix product: it multiplies
+matrices stored as sparse rows, row by row (Gustavson's algorithm), and
+`mat_mul` and `commutator` wrap it.  An incremental reduced row echelon
+form serves everything else (membership, coordinates, nullspaces, ranks).
+No pivoting heuristics are needed for correctness since the arithmetic is
+exact, but rows are kept fully reduced so nullspace extraction is direct.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .scalars import ONE, ZERO, Scalar
 SparseVec = Dict[int, Scalar]
 DenseVec = List[Scalar]
 Matrix = List[DenseVec]
+SparseMatrix = List[SparseVec]
 
 
 def to_sparse(v: Sequence[Scalar]) -> SparseVec:
@@ -169,35 +174,33 @@ class Echelon:
 class SpanSolver:
     """Coordinates of vectors relative to a fixed spanning list.
 
-    Feed basis vectors with `add`; then `coords(v)` returns c with
-    v = sum c[k] * basis[k], or None if v is outside the span.  Dependent
-    basis vectors are tolerated (their coordinate just stays unused).
+    Feed sparse basis vectors with `add`; then `coords_sparse(v)` returns
+    c with v = sum c[k] * basis[k], or None if v is outside the span, and
+    `coords` does the same for dense v and c.  Dependent basis vectors are
+    tolerated (their coordinate just stays unused).
     """
 
-    def __init__(self, basis: Optional[Iterable[Sequence[Scalar]]] = None):
+    def __init__(self, basis: Iterable[SparseVec] = ()):
         self.ech = Echelon(track=True)
-        if basis is not None:
-            for b in basis:
-                self.add(b)
+        for b in basis:
+            self.add(b)
 
-    def add(self, v: Sequence[Scalar]) -> bool:
-        return self.ech.add(to_sparse(v))
+    def add(self, v: SparseVec) -> bool:
+        return self.ech.add(v)
 
     @property
     def rank(self) -> int:
         return self.ech.rank
 
-    def coords_sparse(self, v: SparseVec) -> Optional[List[Scalar]]:
+    def coords_sparse(self, v: SparseVec) -> Optional[SparseVec]:
         w, combo = self.ech.residual(v)
         if w:
             return None
-        out = [ZERO] * self.ech.ninserted
-        for k, val in combo.items():  # type: ignore[union-attr]
-            out[k] = -val
-        return out
+        return {k: -val for k, val in combo.items()}  # type: ignore[union-attr]
 
     def coords(self, v: Sequence[Scalar]) -> Optional[List[Scalar]]:
-        return self.coords_sparse(to_sparse(v))
+        c = self.coords_sparse(to_sparse(v))
+        return None if c is None else to_dense(c, self.ech.ninserted)
 
 
 def rank_of(vectors: Iterable[Sequence[Scalar]]) -> int:
@@ -260,10 +263,6 @@ def add_product(
                     row_acc[q] = row_acc.get(q, ZERO) + cx * y
 
 
-def _sparse_rows(m: Sequence[Sequence[Scalar]]) -> List[SparseVec]:
-    return [to_sparse(row) for row in m]
-
-
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Matrix:
     """The dense product a b; a is m x k and b is k x n, any of them 0.
 
@@ -272,23 +271,34 @@ def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Mat
     ncols = len(b[0]) if b else 0
     acc: List[SparseVec] = [{} for _ in a]
     if ncols:
-        add_product(acc, _sparse_rows(a), _sparse_rows(b))
+        add_product(acc, [to_sparse(row) for row in a], [to_sparse(row) for row in b])
     return [to_dense(row, ncols) for row in acc]
 
 
-def commutator(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Matrix:
-    """a b - b a for square dense matrices of the same size."""
-    sa, sb = _sparse_rows(a), _sparse_rows(b)
-    acc: List[SparseVec] = [{} for _ in a]
-    add_product(acc, sa, sb)
-    add_product(acc, sb, sa, -ONE)
-    return [to_dense(row, len(a)) for row in acc]
+def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """a b - b a for square matrices of the same size, as zero-free sparse rows."""
+    acc: SparseMatrix = [{} for _ in a]
+    add_product(acc, a, b)
+    add_product(acc, b, a, -ONE)
+    return [{q: x for q, x in row.items() if x} for row in acc]
 
 
-def flatten(*mats: Sequence[Sequence[Scalar]]) -> DenseVec:
-    """The entries of the given matrices, each in row-major order, one
-    matrix after the other."""
-    return [x for m in mats for row in m for x in row]
+def flatten(*mats: SparseMatrix) -> SparseVec:
+    """Square matrices of one size n, stored as sparse rows, as one span
+    vector: entry (p, q) of the k-th matrix sits at index k n^2 + p n + q."""
+    n = len(mats[0])
+    return {
+        (k * n + p) * n + q: x
+        for k, m in enumerate(mats)
+        for p, row in enumerate(m)
+        for q, x in row.items()
+    }
+
+
+def matrix_rows(flat: Sequence[Scalar], n: int) -> SparseMatrix:
+    """The n x n matrix whose entries are `flat` in row-major order, as
+    sparse rows: the inverse of `flatten` for one matrix."""
+    return [to_sparse(flat[p * n : (p + 1) * n]) for p in range(n)]
 
 
 def sylvester_signature(gram) -> tuple:

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, VerificationError
-from .lie import LieAlgebra
+from .lie import LieAlgebra, killing_form
 from .linalg import (
     DenseVec,
     Echelon,
     SpanSolver,
     mat_mul,
     nullspace,
+    sylvester_signature,
     to_sparse,
     vadd,
     vscale,
@@ -289,7 +290,7 @@ class RootDatum:
 def _restricted_matrix(
     L: LieAlgebra, h: DenseVec, basis: List[DenseVec], context: str
 ) -> List[DenseVec]:
-    solver = SpanSolver(basis)
+    solver = SpanSolver(map(to_sparse, basis))
     if solver.rank != len(basis):
         raise ConstructionError(f"dependent subspace basis {context}")
     cols = []
@@ -499,7 +500,7 @@ def verify_simple_basis(roots: set, simple: List[Covector]) -> Dict[str, int]:
     """Each root must be an integer combination of the claimed simple roots
     with coefficients all of one sign."""
     dim = len(simple[0])
-    solver = SpanSolver([list(s) for s in simple])
+    solver = SpanSolver(map(to_sparse, simple))
     positives = 0
     for cov in roots:
         coords = solver.coords(list(cov))
@@ -521,7 +522,7 @@ def verify_simple_basis(roots: set, simple: List[Covector]) -> Dict[str, int]:
 
 
 def simple_coords(root: Covector, simple: List[Covector]) -> List[int]:
-    solver = SpanSolver([list(s) for s in simple])
+    solver = SpanSolver(map(to_sparse, simple))
     coords = solver.coords(list(root))
     if coords is None:
         raise VerificationError("root outside the simple span")
@@ -722,9 +723,6 @@ def verify_cartan_decomposition(
     """Certify g = t + p with [t,t], [p,p] in t, [t,p] in p, Killing
     negative definite on t and positive definite on p.  Returns the report;
     raises VerificationError on the first failed condition."""
-    from .lie import killing_form
-    from .linalg import sylvester_signature
-
     ech_t = Echelon()
     for v in t_basis:
         ech_t.add(to_sparse(v))
@@ -786,7 +784,7 @@ def sl2_triple(
     e = space.basis[0]
     f0 = opp.basis[0]
     h0 = L.bracket(e, f0)
-    hsolver = SpanSolver(datum.hs)
+    hsolver = SpanSolver(map(to_sparse, datum.hs))
     coords = hsolver.coords(h0)
     if coords is None:
         raise VerificationError("[e, f] left the Cartan span")

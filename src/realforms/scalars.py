@@ -103,9 +103,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return not (self._b or self._c or self._d)
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self._n == 1
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, o: "Scalar") -> "Scalar":

@@ -21,13 +21,17 @@ from .errors import ConstructionError, VerificationError
 from .linalg import (
     DenseVec,
     Matrix,
+    SparseMatrix,
     SparseVec,
     SpanSolver,
+    add_product,
     commutator,
     flatten,
     mat_mul,
-    mat_vec,
+    matrix_rows,
     nullspace,
+    to_dense,
+    to_sparse,
     vadd,
     vscale,
 )
@@ -35,8 +39,8 @@ from .lie import LieAlgebra, lie_from_fn
 from .scalars import HALF, ONE, ZERO, Scalar
 
 
-def orthogonal_lie(s: AlgebraTable) -> List[Matrix]:
-    """Basis of {D : D^t Q + Q D = 0} for the polar form Q of s."""
+def orthogonal_lie(s: AlgebraTable) -> List[SparseMatrix]:
+    """Basis of {D : D^t Q + Q D = 0} for the polar form Q of s, as sparse rows."""
     n = s.dim
     q = s.form
     rows: List[SparseVec] = []
@@ -53,29 +57,28 @@ def orthogonal_lie(s: AlgebraTable) -> List[Matrix]:
             row = {k: v for k, v in row.items() if v}
             if row:
                 rows.append(row)
-    flat = nullspace(rows, n * n)
-    return [[vec[p * n : (p + 1) * n] for p in range(n)] for vec in flat]
+    return [matrix_rows(vec, n) for vec in nullspace(rows, n * n)]
 
 
 @dataclass(eq=False)
 class TrialityAlgebra:
     comp: AlgebraTable
-    basis: List[Tuple[Matrix, Matrix, Matrix]]
+    basis: List[Tuple[SparseMatrix, SparseMatrix, SparseMatrix]]
     lie: LieAlgebra
     solver: SpanSolver
-    theta_mat: Matrix  # action of theta on coordinates
+    theta_rows: SparseMatrix  # row k: coordinates of theta(b_k)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coords_of_triple(self, t: Tuple[Matrix, Matrix, Matrix]) -> DenseVec:
-        c = self.solver.coords(flatten(*t))
+        c = self.solver.coords_sparse(flatten(*([to_sparse(row) for row in m] for m in t)))
         if c is None:
             raise VerificationError(
                 f"tri({self.comp.name}): triple is not a triality element"
             )
-        return c
+        return to_dense(c, self.dim)
 
     def component_maps(self, coords: Sequence[Scalar]) -> Tuple[Matrix, Matrix, Matrix]:
         n = self.comp.dim
@@ -84,14 +87,9 @@ class TrialityAlgebra:
             if not c:
                 continue
             for slot in range(3):
-                m = self.basis[k][slot]
-                om = out[slot]
-                for p in range(n):
-                    row = m[p]
-                    orow = om[p]
-                    for q in range(n):
-                        if row[q]:
-                            orow[q] = orow[q] + c * row[q]
+                for row, orow in zip(self.basis[k][slot], out[slot]):
+                    for q, x in row.items():
+                        orow[q] = orow[q] + c * x
         return tuple(out)  # type: ignore[return-value]
 
     def sigma_map(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Matrix:
@@ -124,10 +122,12 @@ class TrialityAlgebra:
         return self.coords_of_triple((self.sigma_map(x, y), d1, d2))
 
     def theta(self, coords: Sequence[Scalar], power: int = 1) -> DenseVec:
-        out = list(coords)
+        out = [to_sparse(coords)]
         for _ in range(power % 3):
-            out = mat_vec(self.theta_mat, out)
-        return out
+            acc: SparseMatrix = [{}]
+            add_product(acc, out, self.theta_rows)
+            out = acc
+        return to_dense(out[0], self.dim)
 
 
 def triality(s: AlgebraTable) -> TrialityAlgebra:
@@ -135,7 +135,7 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     orth = orthogonal_lie(s)
     no = len(orth)
     # columns of each orthogonal basis matrix, as vectors
-    bcols = [[[m[p][i] for p in range(n)] for i in range(n)] for m in orth]
+    bcols = [[[row.get(i, ZERO) for row in m] for i in range(n)] for m in orth]
     rows: List[SparseVec] = []
     for i in range(n):
         ei = s.basis_vec(i)
@@ -145,44 +145,39 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
             terms = []  # unknown index -> contribution vector
             for k in range(no):
                 # d0 term: B_k applied to (e_i * e_j)
-                terms.append((k, mat_vec(orth[k], prod)))
+                d0 = [sum((x * prod[q] for q, x in row.items()), ZERO) for row in orth[k]]
+                terms.append((k, d0))
                 # d1 term: -(B_k e_i) * e_j
                 terms.append((no + k, vscale(-ONE, s.mul(bcols[k][i], ej))))
                 # d2 term: -e_i * (B_k e_j)
                 terms.append((2 * no + k, vscale(-ONE, s.mul(ei, bcols[k][j]))))
             for p in range(n):
-                row: SparseVec = {}
-                for idx, vec in terms:
-                    if vec[p]:
-                        row[idx] = row.get(idx, ZERO) + vec[p]
-                row = {k: v for k, v in row.items() if v}
+                row = {idx: vec[p] for idx, vec in terms if vec[p]}
                 if row:
                     rows.append(row)
     sols = nullspace(rows, 3 * no)
 
-    def unflatten(coefs: DenseVec) -> Tuple[Matrix, Matrix, Matrix]:
+    def unflatten(coefs: DenseVec) -> Tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
         mats = []
         for slot in range(3):
-            m = [[ZERO] * n for _ in range(n)]
+            m: SparseMatrix = [{} for _ in range(n)]
             for k in range(no):
                 c = coefs[slot * no + k]
                 if not c:
                     continue
-                for p in range(n):
-                    row = orth[k][p]
-                    for q in range(n):
-                        if row[q]:
-                            m[p][q] = m[p][q] + c * row[q]
-            mats.append(m)
+                for row_m, row in zip(m, orth[k]):
+                    for q, x in row.items():
+                        row_m[q] = row_m.get(q, ZERO) + c * x
+            mats.append([{q: x for q, x in row.items() if x} for row in m])
         return tuple(mats)  # type: ignore[return-value]
 
     basis = [unflatten(c) for c in sols]
-    solver = SpanSolver([flatten(*t) for t in basis])
+    solver = SpanSolver(flatten(*t) for t in basis)
     if solver.rank != len(basis):
         raise ConstructionError(f"tri({s.name}): dependent solution basis")
 
-    def brk(i: int, j: int) -> DenseVec:
-        c = solver.coords(flatten(*map(commutator, basis[i], basis[j])))
+    def brk(i: int, j: int) -> SparseVec:
+        c = solver.coords_sparse(flatten(*map(commutator, basis[i], basis[j])))
         if c is None:
             raise VerificationError(f"tri({s.name}): bracket escapes the span")
         return c
@@ -190,16 +185,13 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     lie = lie_from_fn(
         f"tri({s.name})", [f"t{k}" for k in range(len(basis))], brk
     )
-    theta_cols = []
+    theta_rows = []
     for t in basis:
-        c = solver.coords(flatten(t[2], t[0], t[1]))
+        c = solver.coords_sparse(flatten(t[2], t[0], t[1]))
         if c is None:
             raise VerificationError(f"tri({s.name}): theta leaves the span")
-        theta_cols.append(c)
-    theta_mat = [
-        [theta_cols[j][p] for j in range(len(basis))] for p in range(len(basis))
-    ]
-    return TrialityAlgebra(s, basis, lie, solver, theta_mat)
+        theta_rows.append(c)
+    return TrialityAlgebra(s, basis, lie, solver, theta_rows)
 
 
 _TRI_CACHE: Dict[str, TrialityAlgebra] = {}

@@ -1,11 +1,13 @@
-"""Every name a source module imports is used in that module."""
+"""Every name a source module imports is used in that module, and every
+definition in the package is named somewhere else."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "realforms"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "realforms"
 
 
 def unused_imports(path: Path):
@@ -31,3 +33,32 @@ def unused_imports(path: Path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def unreferenced_definitions():
+    """(file, line, name) of each function, method and class defined in the
+    package whose name no other node in src/, tests/ or scripts/ uses."""
+    defined = []
+    referenced = set()
+    for directory in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name.split(".")[-1])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    referenced.add(node.value)
+                elif path.parent == SRC and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    if not (node.name.startswith("__") and node.name.endswith("__")):
+                        defined.append((path.name, node.lineno, node.name))
+    return [d for d in defined if d[2] not in referenced]
+
+
+def test_no_unreferenced_definitions():
+    assert unreferenced_definitions() == []

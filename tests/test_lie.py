@@ -19,10 +19,10 @@ def sl2() -> LieAlgebra:
     # basis h, e, f
     def fn(i, j):
         if (i, j) == (0, 1):
-            return [ZERO, sc(2), ZERO]
+            return {1: sc(2)}
         if (i, j) == (0, 2):
-            return [ZERO, ZERO, sc(-2)]
-        return [ONE, ZERO, ZERO]  # [e, f] = h
+            return {2: sc(-2)}
+        return {0: ONE}  # [e, f] = h
 
     return lie_from_fn("sl2", ["h", "e", "f"], fn)
 
@@ -31,11 +31,22 @@ def so3() -> LieAlgebra:
     def fn(i, j):
         k = 3 - i - j
         sign = sc(1) if (i, j) in ((0, 1), (1, 2)) else sc(-1)
-        v = [ZERO, ZERO, ZERO]
-        v[k] = sign
-        return v
+        return {k: sign}
 
     return lie_from_fn("so3", ["x", "y", "z"], fn)
+
+
+def test_lie_from_fn_stores_zero_free_copy():
+    returned = {}
+
+    def fn(i, j):
+        returned[(i, j)] = {0: ZERO, 1: sc(2)} if (i, j) == (0, 1) else {2: ZERO}
+        return returned[(i, j)]
+
+    L = lie_from_fn("t", ["a", "b", "c"], fn)
+    assert L.brk == {(0, 1): {1: sc(2)}}
+    assert L.brk[(0, 1)] is not returned[(0, 1)]
+    assert returned[(0, 1)] == {0: ZERO, 1: sc(2)}
 
 
 def test_sl2_jacobi_sparse_report():
@@ -72,10 +83,10 @@ def sl2_scaled() -> LieAlgebra:
     # e' = sqrt3 e puts sqrt3 into the structure constants
     def fn(i, j):
         if (i, j) == (0, 1):
-            return [ZERO, sc(2), ZERO]
+            return {1: sc(2)}
         if (i, j) == (0, 2):
-            return [ZERO, ZERO, sc(-2)]
-        return [SQRT3, ZERO, ZERO]
+            return {2: sc(-2)}
+        return {0: SQRT3}
 
     return lie_from_fn("sl2'", ["h", "e'", "f"], fn)
 
@@ -160,10 +171,10 @@ def test_killing_invariance_flags_non_lie_table():
 
     def fn(i, j):
         if (i, j) == (0, 1):
-            return [ZERO, ZERO, ONE]
+            return {2: ONE}
         if (i, j) == (0, 2):
-            return [ONE, ZERO, ZERO]
-        return [ZERO, ZERO, ZERO]
+            return {0: ONE}
+        return {}
 
     bad = lie_from_fn("bad", ["x", "y", "z"], fn)
     with pytest.raises(VerificationError, match="Killing invariance"):

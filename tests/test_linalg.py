@@ -42,7 +42,7 @@ def test_echelon_membership():
 
 def test_span_solver_coords():
     basis = [v(1, 1, 0), v(0, 1, 1), v(1, 0, 0)]
-    sol = SpanSolver(basis)
+    sol = SpanSolver(map(to_sparse, basis))
     target = v(3, 1, -2)
     coords = sol.coords(target)
     assert coords is not None
@@ -50,15 +50,19 @@ def test_span_solver_coords():
     for c, b in zip(coords, basis):
         recon = [r + c * x for r, x in zip(recon, b)]
     assert recon == target
+    assert sol.coords_sparse(to_sparse(target)) == to_sparse(coords)
+    assert sol.coords_sparse(to_sparse(v(0, 0, 0))) == {}
+    outside = SpanSolver(map(to_sparse, basis[:2]))
+    assert outside.coords_sparse(to_sparse(v(1, 0, 0))) is None
 
 
 def test_span_solver_rejects_outside():
-    sol = SpanSolver([v(1, 0, 0), v(0, 1, 0)])
+    sol = SpanSolver(map(to_sparse, [v(1, 0, 0), v(0, 1, 0)]))
     assert sol.coords(v(0, 0, 1)) is None
 
 
 def test_span_solver_tolerates_dependent_basis():
-    sol = SpanSolver([v(1, 1), v(2, 2), v(0, 1)])
+    sol = SpanSolver(map(to_sparse, [v(1, 1), v(2, 2), v(0, 1)]))
     coords = sol.coords(v(3, 4))
     assert coords is not None
     assert coords[0] * v(1, 1)[0] + coords[1] * v(2, 2)[0] + coords[2] * ZERO == sc(3)
@@ -135,8 +139,9 @@ def test_commutator_matches_naive_loop(n):
         a, b = rand_matrix(rng, n, n), rand_matrix(rng, n, n)
         ab, ba = naive_mul(a, b), naive_mul(b, a)
         expected = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
-        assert commutator(a, b) == expected
-        assert commutator(a, a) == [[ZERO] * n for _ in range(n)]
+        sa, sb = [to_sparse(r) for r in a], [to_sparse(r) for r in b]
+        assert commutator(sa, sb) == [to_sparse(r) for r in expected]
+        assert commutator(sa, sa) == [{} for _ in range(n)]
 
 
 def test_signature_diagonal():

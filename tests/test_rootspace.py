@@ -161,10 +161,10 @@ def sl2() -> LieAlgebra:
     # basis h, e, f
     def fn(i, j):
         if (i, j) == (0, 1):
-            return [ZERO, sc(2), ZERO]
+            return {1: sc(2)}
         if (i, j) == (0, 2):
-            return [ZERO, ZERO, sc(-2)]
-        return [ONE, ZERO, ZERO]
+            return {2: sc(-2)}
+        return {0: ONE}
 
     return lie_from_fn("sl2", ["h", "e", "f"], fn)
 
@@ -173,9 +173,7 @@ def so3() -> LieAlgebra:
     def fn(i, j):
         k = 3 - i - j
         sign = sc(1) if (i, j) in ((0, 1), (1, 2)) else sc(-1)
-        v = [ZERO, ZERO, ZERO]
-        v[k] = sign
-        return v
+        return {k: sign}
 
     return lie_from_fn("so3", ["x", "y", "z"], fn)
 
