@@ -289,10 +289,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
             {
                 "covector": [x.to_str() for x in s.covector],
                 "dim": s.dim,
-                "vectors": [
-                    _sparse_str({k: x for k, x in enumerate(v) if x})
-                    for v in s.basis
-                ],
+                "vectors": [_sparse_str(v) for v in s.basis],
             }
         )
     data = {
@@ -302,10 +299,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
         "roots": len(datum.spaces),
         "zero_dim": datum.zero.dim,
         "spaces": spaces,
-        "zero_vectors": [
-            _sparse_str({k: x for k, x in enumerate(v) if x})
-            for v in datum.zero.basis
-        ],
+        "zero_vectors": [_sparse_str(v) for v in datum.zero.basis],
     }
     _emit(_dump(data), args.out, f"{key}.roots.json")
     return 0

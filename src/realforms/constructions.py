@@ -29,7 +29,6 @@ from .linalg import (
     flatten,
     to_dense,
     to_sparse,
-    vzero,
 )
 from .scalars import ONE, TWO, ZERO, Scalar, sc
 from .triality import TrialityAlgebra, triality, triality_cached
@@ -55,30 +54,23 @@ class MagicSquareAlgebra:
     def iota_index(self, blk: int, a: int, b: int) -> int:
         return self.iota_offset + blk * self.s.dim * self.sp.dim + a * self.sp.dim + b
 
-    def tri_s_vec(self, coords: Sequence[Scalar]) -> DenseVec:
-        v = vzero(self.dim)
-        for k, c in enumerate(coords):
-            v[k] = c
-        return v
+    def tri_s_vec(self, coords: Sequence[Scalar]) -> SparseVec:
+        return {k: c for k, c in enumerate(coords) if c}
 
-    def tri_sp_vec(self, coords: Sequence[Scalar]) -> DenseVec:
-        v = vzero(self.dim)
+    def tri_sp_vec(self, coords: Sequence[Scalar]) -> SparseVec:
         off = self.tri_s.dim
-        for k, c in enumerate(coords):
-            v[off + k] = c
-        return v
+        return {off + k: c for k, c in enumerate(coords) if c}
 
-    def iota_vec(self, blk: int, x: Sequence[Scalar], xp: Sequence[Scalar]) -> DenseVec:
-        v = vzero(self.dim)
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            for b, xb in enumerate(xp):
-                if xb:
-                    v[self.iota_index(blk, a, b)] = xa * xb
-        return v
+    def iota_vec(self, blk: int, x: Sequence[Scalar], xp: Sequence[Scalar]) -> SparseVec:
+        return {
+            self.iota_index(blk, a, b): xa * xb
+            for a, xa in enumerate(x)
+            if xa
+            for b, xb in enumerate(xp)
+            if xb
+        }
 
-    def t_s(self, a: int, b: int) -> DenseVec:
+    def t_s(self, a: int, b: int) -> SparseVec:
         """t_{e_a, e_b} of the first factor, embedded."""
         return self.tri_s_vec(
             self.tri_s.t_element(self.s.basis_vec(a), self.s.basis_vec(b))
@@ -339,13 +331,6 @@ class SignedPermutation:
 
     perm: List[int]
     sign: List[int]
-
-    def apply(self, v: Sequence[Scalar]) -> DenseVec:
-        out = vzero(len(self.perm))
-        for k, x in enumerate(v):
-            if x:
-                out[self.perm[k]] = x if self.sign[k] > 0 else -x
-        return out
 
     def apply_sparse(self, v: Dict[int, Scalar]) -> Dict[int, Scalar]:
         return {

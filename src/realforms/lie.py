@@ -11,11 +11,11 @@ with the failing tuple as witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import VerificationError
 from .linalg import (
-    DenseVec,
     SparseMatrix,
     SparseVec,
     SpanSolver,
@@ -26,7 +26,6 @@ from .linalg import (
     nullspace,
     sylvester_signature,
     to_sparse,
-    vzero,
 )
 from .scalars import ONE, ZERO, Scalar
 
@@ -49,37 +48,27 @@ class LieAlgebra:
         v = self.brk.get((j, i), {})
         return {p: -x for p, x in v.items()}
 
-    def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> DenseVec:
-        out = vzero(self.dim)
-        sup_x = [(i, xi) for i, xi in enumerate(x) if xi]
-        sup_y = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in sup_x:
-            for j, yj in sup_y:
-                if i == j:
-                    continue
-                c = xi * yj
-                if i < j:
-                    for p, v in self.brk.get((i, j), {}).items():
-                        out[p] = out[p] + c * v
-                else:
-                    for p, v in self.brk.get((j, i), {}).items():
-                        out[p] = out[p] - c * v
-        return out
+    @cached_property
+    def ad(self) -> List[Dict[int, SparseVec]]:
+        """ad[i][p] = [b_i, b_p] for every nonzero bracket; ad[i] is ad(b_i)
+        stored column by column."""
+        ad: List[Dict[int, SparseVec]] = [{} for _ in range(self.dim)]
+        for (i, j), v in self.brk.items():
+            ad[i][j] = v
+            ad[j][i] = {p: -x for p, x in v.items()}
+        return ad
 
-    def ad_matrix(self, x: Sequence[Scalar]) -> List[DenseVec]:
-        n = self.dim
-        m = [[ZERO] * n for _ in range(n)]
-        for j in range(n):
-            col = self.bracket(x, self.basis_vec(j))
-            for p in range(n):
-                if col[p]:
-                    m[p][j] = col[p]
-        return m
+    def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
+        """[x, y] of sparse elements, as a zero-free sparse vector."""
+        acc: Dict[int, Scalar] = {}
+        ad = self.ad
+        for i, xi in x.items():
+            if ad[i]:
+                _add_bracket(acc, {p: xi * c for p, c in y.items()}, ad[i])
+        return {q: v for q, v in acc.items() if v}
 
-    def basis_vec(self, i: int) -> DenseVec:
-        v = vzero(self.dim)
-        v[i] = ONE
-        return v
+    def basis_vec(self, i: int) -> SparseVec:
+        return {i: ONE}
 
 
 def lie_from_fn(
@@ -101,16 +90,6 @@ def lie_from_fn(
 # certificates
 
 
-def _ad_table(L: LieAlgebra) -> List[Dict[int, SparseVec]]:
-    """ad[i][p] = [b_i, b_p] for every nonzero bracket; ad[i] is ad(b_i)
-    stored column by column."""
-    ad: List[Dict[int, SparseVec]] = [{} for _ in range(L.dim)]
-    for (i, j), v in L.brk.items():
-        ad[i][j] = v
-        ad[j][i] = {p: -x for p, x in v.items()}
-    return ad
-
-
 def _add_bracket(
     acc: Dict[int, Scalar], v: Optional[SparseVec], ad_x: Dict[int, SparseVec]
 ) -> None:
@@ -128,7 +107,7 @@ def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
     """[b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]] = 0 on every
     basis triple i < j < k, exactly.  Raises with the triple as witness."""
     n = L.dim
-    ad = _ad_table(L)
+    ad = L.ad
     for i in range(n):
         ad_i = ad[i]
         for j in range(i + 1, n):
@@ -156,7 +135,7 @@ def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
 def killing_form(L: LieAlgebra) -> List[List[Scalar]]:
     """K[i][j] = trace(ad b_i ad b_j) = sum_{p,q} ad_i[p][q] ad_j[q][p], exact."""
     n = L.dim
-    ad = _ad_table(L)
+    ad = L.ad
     out = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -186,7 +165,7 @@ def check_killing_invariance(L: LieAlgebra) -> Dict[str, object]:
     """
     n = L.dim
     k_rows = [to_sparse(row) for row in killing_form(L)]
-    ad = _ad_table(L)
+    ad = L.ad
     for i in range(n):
         m: List[SparseVec] = [{} for _ in range(n)]
         add_product(m, [ad[i].get(j, {}) for j in range(n)], k_rows)
@@ -261,15 +240,15 @@ def derivation_lie_algebra(name: str, mats: List[SparseMatrix]) -> LieAlgebra:
 
 
 def sub_lie_algebra(
-    L: LieAlgebra, vectors: List[DenseVec], name: str, labels: Optional[List[str]] = None
+    L: LieAlgebra, vectors: List[SparseVec], name: str, labels: Optional[List[str]] = None
 ) -> LieAlgebra:
     """The Lie algebra on a bracket-closed independent spanning list."""
-    solver = SpanSolver(map(to_sparse, vectors))
+    solver = SpanSolver(vectors)
     if solver.rank != len(vectors):
         raise VerificationError(f"{name}: spanning list is dependent")
 
     def fn(i: int, j: int) -> SparseVec:
-        coords = solver.coords_sparse(to_sparse(L.bracket(vectors[i], vectors[j])))
+        coords = solver.coords_sparse(L.bracket(vectors[i], vectors[j]))
         if coords is None:
             raise VerificationError(
                 f"{name}: bracket of elements {i}, {j} leaves the span"

@@ -4,12 +4,14 @@ Vectors are either dense lists of Scalar or sparse dicts {index: Scalar}
 with zero entries absent.  Every matrix that goes into a product, a
 commutator or a span lookup is stored as a list of sparse rows from the
 point where it is built; `flatten` is the one map from such matrices to
-span vectors.  Dense lists remain only at the edges: algebra and Lie
-algebra elements, `mat_mul`/`mat_vec`, Gram matrices and root spaces,
-each converted once where it meets the sparse code.  Two kernels carry
-the package.  `add_product` is the only matrix product: it multiplies
-matrices stored as sparse rows, row by row (Gustavson's algorithm), and
-`mat_mul` and `commutator` wrap it.  An incremental reduced row echelon
+span vectors, and Lie algebra elements are zero-free sparse vectors
+throughout (`combine` forms their linear combinations).  Dense lists
+remain only at the edges: composition and Jordan algebra elements,
+`mat_mul`/`mat_vec`, nullspace output and Gram matrices, each converted
+once where it meets the sparse code.  Two kernels carry the package.
+`add_product` is the only matrix product: it multiplies matrices stored
+as sparse rows, row by row (Gustavson's algorithm), and `mat_mul` and
+`commutator` wrap it.  An incremental reduced row echelon
 form serves everything else (membership, coordinates, nullspaces, ranks).
 No pivoting heuristics are needed for correctness since the arithmetic is
 exact, but rows are kept fully reduced so nullspace extraction is direct.
@@ -18,7 +20,7 @@ exact, but rows are kept fully reduced so nullspace extraction is direct.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -49,6 +51,16 @@ def vsub(u: Sequence[Scalar], v: Sequence[Scalar]) -> DenseVec:
 
 def vscale(c: Scalar, v: Sequence[Scalar]) -> DenseVec:
     return [c * x for x in v]
+
+
+def combine(terms: Iterable[Tuple[Scalar, SparseVec]]) -> SparseVec:
+    """The sum of c v over the (c, v) pairs, as a zero-free sparse vector."""
+    acc: SparseVec = {}
+    for c, v in terms:
+        if c:
+            for q, x in v.items():
+                acc[q] = acc.get(q, ZERO) + c * x
+    return {q: x for q, x in acc.items() if x}
 
 
 def vzero(n: int) -> DenseVec:

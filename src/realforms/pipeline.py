@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import symmetric_composition
 from .constructions import (
-    DerivationModel,
     MagicSquareAlgebra,
     derivation_model,
     magic_square,
@@ -29,21 +28,23 @@ from .lie import (
     killing_signature,
     sub_lie_algebra,
 )
-from .linalg import DenseVec, sylvester_signature, vadd, vscale, vsub, vzero
+from .linalg import SparseVec, combine, sylvester_signature
 from .rootspace import (
     Covector,
     RootDatum,
     adapted_simple_system,
     cartan_matrix,
+    certify_maximally_noncompact,
     classify_cartan_matrix,
     cov_is_zero,
     cov_key,
-    cov_sub,
     highest_root,
+    lex_sign,
     restrict_covector,
     restricted_multiplicities,
     root_decomposition,
     simple_coords,
+    simple_from_positive,
     sl2_triple,
     verify_cartan_decomposition,
     verify_simple_basis,
@@ -56,7 +57,7 @@ from .satake import (
     compact_satake,
     e6_label_order,
 )
-from .scalars import HALF, Rat, Scalar, sc
+from .scalars import HALF, ONE, Rat, Scalar, sc
 from .triality import triality_cached
 
 JORDAN_CHECK_SEED = 20260814
@@ -214,7 +215,7 @@ def signature_table() -> List[Dict[str, object]]:
 @dataclass(eq=False)
 class CartanSpec:
     label: str
-    hs: List[DenseVec]
+    hs: List[SparseVec]
     a_idx: Tuple[int, ...]
 
     @property
@@ -257,10 +258,10 @@ PRESET_SIMPLE: Dict[str, List[Covector]] = {
 PRESET_MODEL: Dict[str, str] = {"EIV": "e6m26", "EIII": "e6m14", "EII": "e6p2"}
 
 
-def _check_commuting(L: LieAlgebra, hs: List[DenseVec], label: str) -> None:
+def _check_commuting(L: LieAlgebra, hs: List[SparseVec], label: str) -> None:
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
-            if any(L.bracket(hs[i], hs[j])):
+            if L.bracket(hs[i], hs[j]):
                 raise ConstructionError(
                     f"{label}: h{i + 1} and h{j + 1} do not commute"
                 )
@@ -273,45 +274,30 @@ def preset_cartan(build: ModelBuild) -> CartanSpec:
             f"model {build.spec.key} has no Cartan preset"
         )
     quarter = Scalar(Rat(1, 4))
+    square: MagicSquareAlgebra = build.square
     if key == "EIV":
-        model: DerivationModel = build.obj  # type: ignore[assignment]
-        square = model.square
-        tri = square.tri_s
-        comp = square.s
-        hs = []
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7)):
-            coords = tri.t_element(comp.basis_vec(a), comp.basis_vec(b))
-            v = vzero(build.lie.dim)
-            for k, c in enumerate(coords):
-                v[k] = c * HALF
-            hs.append(v)
-        h5 = vzero(build.lie.dim)
-        h5[52] = Scalar(-1)  # E1 - E0
-        h6 = vzero(build.lie.dim)
-        h6[53] = Scalar(-1)  # E0 - E2
-        hs += [h5, h6]
+        hs = [
+            combine([(HALF, square.t_s(a, b))])
+            for a, b in ((0, 1), (2, 3), (4, 5), (6, 7))
+        ]
+        hs += [{52: Scalar(-1)}, {53: Scalar(-1)}]  # E1 - E0, E0 - E2
         a_idx: Tuple[int, ...] = (4, 5)
     elif key == "EIII":
-        square = build.obj  # type: ignore[assignment]
         tri_sp = square.tri_sp
         sp = square.sp
-        hs = []
-        for a, b in ((2, 3), (4, 5), (6, 7)):
-            hs.append(vscale(HALF, square.t_s(a, b)))
+        hs = [
+            combine([(HALF, square.t_s(a, b))]) for a, b in ((2, 3), (4, 5), (6, 7))
+        ]
         # opposite orientation of the 2-dim factor: sigma_{e1,e0} throughout
         sigma = tri_sp.sigma_map(sp.basis_vec(1), sp.basis_vec(0))
         zero2 = [[Scalar(0)] * 2 for _ in range(2)]
         neg = [[-x for x in row] for row in sigma]
         coords = tri_sp.coords_of_triple((zero2, sigma, neg))
-        hs.append(vscale(quarter, square.tri_sp_vec(coords)))
-        h5 = vzero(build.lie.dim)
-        h5[square.iota_index(0, 0, 1)] = -HALF
-        h6 = vzero(build.lie.dim)
-        h6[square.iota_index(0, 1, 0)] = -HALF
-        hs += [h5, h6]
+        hs.append(combine([(quarter, square.tri_sp_vec(coords))]))
+        hs.append({square.iota_index(0, 0, 1): -HALF})
+        hs.append({square.iota_index(0, 1, 0): -HALF})
         a_idx = (4, 5)
     elif key == "EII":
-        square = build.obj  # type: ignore[assignment]
         tri_sp = square.tri_sp
         sp = square.sp
         hs = [
@@ -324,7 +310,7 @@ def preset_cartan(build: ModelBuild) -> CartanSpec:
         neg2 = [[-(x + x) for x in row] for row in sigma]
         for triple in ((sigma, sigma, neg2), (sigma, neg2, sigma)):
             coords = tri_sp.coords_of_triple(triple)
-            hs.append(vscale(quarter, square.tri_sp_vec(coords)))
+            hs.append(combine([(quarter, square.tri_sp_vec(coords))]))
         a_idx = (0, 1, 2, 3)
     else:
         raise ConstructionError(f"unknown preset {key!r}")
@@ -426,6 +412,7 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         raise VerificationError(f"{key}: root system classified as {delta_type}")
     d0_count, d0_type = _delta0_data(datum, cartan.a_idx, simple)
     sig = build.signature[0] - build.signature[1]
+    maximal = certify_maximally_noncompact(datum, cartan.a_idx, build.lie.dim, sig)
     diagram = build_satake(
         datum, cartan.a_idx, simple, labels, {"signature": sig}
     )
@@ -460,6 +447,7 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         + len(diagram.arrows)
         + len(diagram.filled_indices()),
         "auto_matches_preset": True,
+        "maximally_noncompact": maximal,
     }
     if cartan.label == "EIII":
         top = highest_root(roots, simple)
@@ -479,13 +467,13 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
 # Cartan decompositions for the three pipeline models
 
 
-def _block_vectors(lie: LieAlgebra, idx: Sequence[int]) -> List[DenseVec]:
+def _block_vectors(lie: LieAlgebra, idx: Sequence[int]) -> List[SparseVec]:
     return [lie.basis_vec(k) for k in idx]
 
 
 def assemble_eii_cartan_decomposition(
     build: ModelBuild,
-) -> Tuple[List[DenseVec], List[DenseVec], Dict[str, object]]:
+) -> Tuple[List[SparseVec], List[SparseVec], Dict[str, object]]:
     """The split-f4 based assembly of t (dim 38) and p (dim 40 = 4 + 36).
 
     The 52-dimensional subalgebra g0 on the first tensor slot is split;
@@ -509,20 +497,13 @@ def assemble_eii_cartan_decomposition(
         raise VerificationError(
             f"g0 decomposition: {len(datum0.spaces)} roots, zero dim {datum0.zero.dim}"
         )
-    for s in datum0.spaces:
-        for x in s.covector:
-            if not x.is_real():
-                raise VerificationError("g0 root values must be real")
     phi = datum0.root_set()
-    positive = [c for c in sorted(phi, key=cov_key) if _lex_positive(c)]
+    # every g0 root is real on hs0: lex_sign raises otherwise
+    split = tuple(range(len(hs0)))
+    positive = [c for c in sorted(phi, key=cov_key) if lex_sign(c, split) > 0]
     if len(positive) != 24:
         raise VerificationError("expected 24 positive g0 roots")
-    pos_set = set(positive)
-    simple0 = [
-        a
-        for a in positive
-        if not any(b != a and cov_sub(a, b) in pos_set for b in positive)
-    ]
+    simple0 = simple_from_positive(positive)
     phi_type = classify_cartan_matrix(cartan_matrix(simple0, phi))
     if phi_type != "F4":
         raise VerificationError(f"g0 system classified as {phi_type}")
@@ -533,7 +514,7 @@ def assemble_eii_cartan_decomposition(
     ]
 
     def block_of(space) -> Optional[int]:
-        support = {k for k, x in enumerate(space.basis[0]) if x}
+        support = set(space.basis[0])
         for blk, rng in enumerate(iota_ranges):
             if support <= set(rng):
                 return blk
@@ -554,15 +535,15 @@ def assemble_eii_cartan_decomposition(
     p_basis = list(hs0)
     for cov in positive:
         e, f, _h = sl2_triple(datum0, cov)
-        minus = vsub(e, f)
-        plus = vadd(e, f)
+        minus = combine([(ONE, e), (-ONE, f)])
+        plus = combine([(ONE, e), (ONE, f)])
         t_basis.append(minus)
         p_basis.append(plus)
         blk = block_of(datum0.space_of(cov))
         if blk is not None:
             rot = psis[(blk + 1) % 3]
-            t_basis.append(rot.apply(minus))
-            p_basis.append(rot.apply(plus))
+            t_basis.append(rot.apply_sparse(minus))
+            p_basis.append(rot.apply_sparse(plus))
     extras = {
         "phi_type": phi_type,
         "phi_positive": len(positive),
@@ -572,14 +553,6 @@ def assemble_eii_cartan_decomposition(
         "dim_p_outside_cartan": len(p_basis) - len(hs0),
     }
     return t_basis, p_basis, extras
-
-
-def _lex_positive(cov: Covector) -> bool:
-    for x in cov:
-        s = x.sign()
-        if s:
-            return s > 0
-    return False
 
 
 def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) -> Dict[str, object]:

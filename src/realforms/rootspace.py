@@ -2,15 +2,20 @@
 
 Commuting ad-semisimple elements h_1..h_r are diagonalized sequentially:
 each current invariant subspace is split into eigenspaces of the next
-operator.  Eigenvalues are found exactly: the minimal polynomial of the
-restricted matrix comes from Krylov sequences, and its roots are located
-by scanning the lattice (p + q sqrt3 + (r + s sqrt3) i)/den inside the
-Cauchy bound, quarter denominators first.  Completeness is certified by
-dimension count, never assumed.
+operator.  Lie algebra elements, root vectors and restricted matrices are
+zero-free sparse vectors and rows throughout.  Eigenvalues are found
+exactly: the minimal polynomial of the restricted matrix comes from Krylov
+sequences, and its roots are located by scanning the lattice
+(p + q sqrt3 + (r + s sqrt3) i)/den inside the Cauchy bound, quarter
+denominators first.  Completeness is certified by dimension count, never
+assumed.
 
 Root systems are then classified intrinsically through root strings;
 coordinate geometry is never trusted (the restriction of the invariant
-form to a subsystem need not be the abstract one).
+form to a subsystem need not be the abstract one).  Positivity adapted to
+the split part is Araki's sigma-order: a root is positive when the first
+nonzero entry of (its restriction to a, then its torus part divided by i)
+is positive, a lexicographic order decided exactly by `Scalar.sign`.
 """
 
 from __future__ import annotations
@@ -22,16 +27,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra, killing_form
 from .linalg import (
-    DenseVec,
     Echelon,
+    SparseMatrix,
+    SparseVec,
     SpanSolver,
-    mat_mul,
+    add_product,
+    combine,
     nullspace,
     sylvester_signature,
     to_sparse,
-    vadd,
-    vscale,
-    vzero,
 )
 from .scalars import ONE, ZERO, Rat, Scalar
 
@@ -131,34 +135,34 @@ def poly_squarefree(p: Poly) -> Poly:
 # exact eigenvalues of a matrix over Q(sqrt3, i)
 
 
-def minimal_polynomial(m: List[DenseVec]) -> Poly:
+def minimal_polynomial(m: SparseMatrix) -> Poly:
     n = len(m)
-    smat = [to_sparse(row) for row in m]
 
-    def apply(v: DenseVec) -> DenseVec:
-        out = vzero(n)
-        for p, row in enumerate(smat):
+    def apply(v: SparseVec) -> SparseVec:
+        out: SparseVec = {}
+        for p, row in enumerate(m):
             acc = ZERO
             for q, c in row.items():
-                if v[q]:
-                    acc = acc + c * v[q]
-            out[p] = acc
+                x = v.get(q)
+                if x:
+                    acc = acc + c * x
+            if acc:
+                out[p] = acc
         return out
 
     total = Echelon()
     minpoly: Poly = [ONE]
     for start in range(n):
-        e = vzero(n)
-        e[start] = ONE
-        if total.contains(to_sparse(e)):
+        e = {start: ONE}
+        if total.contains(e):
             continue
         ech = Echelon(track=True)
         seq = [e]
-        ech.add(to_sparse(e))
-        total.add(to_sparse(e))
+        ech.add(e)
+        total.add(e)
         while True:
             nxt = apply(seq[-1])
-            w, combo = ech.residual(to_sparse(nxt))
+            w, combo = ech.residual(nxt)
             if not w:
                 # monic annihilator: x^k + sum combo[j] x^j
                 ann = [ZERO] * (len(seq) + 1)
@@ -168,8 +172,8 @@ def minimal_polynomial(m: List[DenseVec]) -> Poly:
                 minpoly = poly_lcm(minpoly, poly_normalize(ann))
                 break
             seq.append(nxt)
-            ech.add(to_sparse(nxt))
-            total.add(to_sparse(nxt))
+            ech.add(nxt)
+            total.add(nxt)
         if total.rank == n:
             break
     return minpoly
@@ -199,7 +203,7 @@ def _candidate_values(bound: float, den: int, with_sqrt3: bool):
 _STAGES = [(4, False), (8, False), (12, False), (4, True), (8, True)]
 
 
-def exact_eigenvalues(m: List[DenseVec], context: str = "") -> List[Scalar]:
+def exact_eigenvalues(m: SparseMatrix, context: str = "") -> List[Scalar]:
     """All eigenvalues in the field, certified complete by kernel dimensions."""
     poly = poly_squarefree(minimal_polynomial(m))
     bound = 1.0 + max(_float_abs(c) for c in poly)
@@ -225,8 +229,8 @@ def exact_eigenvalues(m: List[DenseVec], context: str = "") -> List[Scalar]:
 
 
 def eigen_split(
-    m: List[DenseVec], context: str = ""
-) -> List[Tuple[Scalar, List[DenseVec]]]:
+    m: SparseMatrix, context: str = ""
+) -> List[Tuple[Scalar, List[List[Scalar]]]]:
     """(eigenvalue, kernel basis) pairs; dimensions must sum to dim."""
     n = len(m)
     if n == 0:
@@ -234,10 +238,16 @@ def eigen_split(
     out = []
     covered = 0
     for lam in exact_eigenvalues(m, context):
-        shifted = [
-            [m[p][q] - lam if p == q else m[p][q] for q in range(n)] for p in range(n)
-        ]
-        ker = nullspace([to_sparse(r) for r in shifted], n)
+        shifted = []
+        for p, row in enumerate(m):
+            r = dict(row)
+            x = r.get(p, ZERO) - lam
+            if x:
+                r[p] = x
+            else:
+                r.pop(p, None)
+            shifted.append(r)
+        ker = nullspace(shifted, n)
         if not ker:
             raise VerificationError(f"spurious eigenvalue {lam} {context}")
         out.append((lam, ker))
@@ -257,7 +267,7 @@ def eigen_split(
 @dataclass(eq=False)
 class RootSpace:
     covector: Covector
-    basis: List[DenseVec]
+    basis: List[SparseVec]
 
     @property
     def dim(self) -> int:
@@ -267,12 +277,9 @@ class RootSpace:
 @dataclass(eq=False)
 class RootDatum:
     lie: LieAlgebra
-    hs: List[DenseVec]
+    hs: List[SparseVec]
     spaces: List[RootSpace]  # nonzero covectors, sorted
     zero: RootSpace
-
-    def multiplicities(self) -> Dict[Covector, int]:
-        return {s.covector: s.dim for s in self.spaces}
 
     def root_set(self) -> set:
         return {s.covector for s in self.spaces}
@@ -288,43 +295,38 @@ class RootDatum:
 
 
 def _restricted_matrix(
-    L: LieAlgebra, h: DenseVec, basis: List[DenseVec], context: str
-) -> List[DenseVec]:
-    solver = SpanSolver(map(to_sparse, basis))
+    L: LieAlgebra, h: SparseVec, basis: List[SparseVec], context: str
+) -> SparseMatrix:
+    """ad(h) on the span of basis, as sparse rows in basis coordinates."""
+    solver = SpanSolver(basis)
     if solver.rank != len(basis):
         raise ConstructionError(f"dependent subspace basis {context}")
-    cols = []
-    for b in basis:
-        c = solver.coords(L.bracket(h, b))
+    rows: SparseMatrix = [{} for _ in basis]
+    for j, b in enumerate(basis):
+        c = solver.coords_sparse(L.bracket(h, b))
         if c is None:
             raise VerificationError(f"subspace is not ad-invariant {context}")
-        cols.append(c)
-    m = len(basis)
-    return [[cols[j][p] for j in range(m)] for p in range(m)]
+        for p, x in c.items():
+            rows[p][j] = x
+    return rows
 
 
 def root_decomposition(
     L: LieAlgebra,
-    hs: List[DenseVec],
-    subspace: Optional[List[DenseVec]] = None,
+    hs: List[SparseVec],
+    subspace: Optional[List[SparseVec]] = None,
     name: str = "",
 ) -> RootDatum:
     if subspace is None:
         subspace = [L.basis_vec(k) for k in range(L.dim)]
-    layers: List[Tuple[List[Scalar], List[DenseVec]]] = [([], subspace)]
+    layers: List[Tuple[List[Scalar], List[SparseVec]]] = [([], subspace)]
     for hi, h in enumerate(hs):
-        nxt: List[Tuple[List[Scalar], List[DenseVec]]] = []
+        nxt: List[Tuple[List[Scalar], List[SparseVec]]] = []
         for prefix, basis in layers:
             ctx = f"(h{hi + 1} of {name or L.name})"
             m = _restricted_matrix(L, h, basis, ctx)
             for lam, ker in eigen_split(m, ctx):
-                vecs = []
-                for coords in ker:
-                    v = vzero(L.dim)
-                    for j, c in enumerate(coords):
-                        if c:
-                            v = vadd(v, vscale(c, basis[j]))
-                    vecs.append(v)
+                vecs = [combine(zip(coords, basis)) for coords in ker]
                 nxt.append((prefix + [lam], vecs))
         layers = nxt
     spaces = []
@@ -581,6 +583,31 @@ def restricted_multiplicities(
     return out
 
 
+def certify_maximally_noncompact(
+    datum: RootDatum, a_idx: Sequence[int], dim: int, signature: int
+) -> Dict[str, int]:
+    """Certify that the split part a is maximal abelian in p.
+
+    Every h must have real coordinates, so that it lies in the real form.
+    The eigenvalues on a are real, so a lies in p for some Cartan
+    involution, and dim p = dim Z_p(a) + sum over positive restricted roots
+    of their multiplicities.  Since Z_p(a) contains a, a is maximal abelian
+    in p exactly when real rank + mult_sum / 2 = dim p, and the certified
+    Killing signature gives dim p = (dim g + signature) / 2 (Knapp, Lie
+    Groups Beyond an Introduction, ch. VI).
+    """
+    for k, h in enumerate(datum.hs):
+        if not all(x.is_real() for x in h.values()):
+            raise VerificationError(f"h{k + 1} has non-real coordinates")
+    mult_sum = sum(restricted_multiplicities(datum, a_idx).values())
+    if 2 * len(a_idx) + mult_sum != dim + signature:
+        raise VerificationError(
+            f"split part is not maximal abelian in p: real rank {len(a_idx)} "
+            f"+ {mult_sum}/2 differs from dim p = ({dim} + {signature})/2"
+        )
+    return {"dim_p": (dim + signature) // 2}
+
+
 def is_nonreduced(sigma: set) -> bool:
     return any(cov_scale(Scalar(2), lam) in sigma for lam in sigma)
 
@@ -610,104 +637,34 @@ def classify_restricted(sigma: set, simple: List[Covector]) -> str:
 # automatic adapted positivity
 
 
-def _rational_lower_abs(x: Scalar) -> Rat:
-    r = Rat(1)
-    ax = x.abs_real()
-    for _ in range(128):
-        if (ax - Scalar(r)).sign() >= 0:
-            return r
-        r = r / 2
-    raise ArithmeticError("value unexpectedly close to zero")
+def lex_sign(cov: Covector, a_idx: Sequence[int]) -> int:
+    """Sign of a root in the sigma-order: that of the first nonzero entry
+    of (restriction to the split part, torus part divided by i)."""
+    for x in restrict_covector(cov, a_idx) + strip_torus_part(cov, a_idx):
+        s = x.sign()
+        if s:
+            return s
+    return 0
 
 
-def _rational_upper_abs(x: Scalar) -> Rat:
-    r = Rat(1)
-    ax = x.abs_real()
-    for _ in range(128):
-        if (Scalar(r) - ax).sign() >= 0:
-            return r
-        r = r * 2
-    raise ArithmeticError("value unexpectedly large")
-
-
-_WEIGHT_SEEDS = [(1, 2), (1, 3), (2, 3), (1, 5), (3, 2), (2, 5), (3, 5), (5, 2)]
+def simple_from_positive(positive: Sequence[Covector]) -> List[Covector]:
+    """The positive roots that are not the sum of two positive roots."""
+    pos_set = set(positive)
+    return [a for a in positive if not any(cov_sub(a, b) in pos_set for b in positive)]
 
 
 def adapted_simple_system(
     datum: RootDatum, a_idx: Sequence[int]
 ) -> List[Covector]:
-    """A simple system whose positivity is dominated by the split part.
+    """The simple system of the sigma-order (Satake 1960; Araki 1962).
 
-    f(alpha) = M <u, restriction> + <v, compact components / i> with
-    positive integer weights u, v and M large enough (exactly certified)
-    that any nonzero restriction outweighs every compact contribution.
-    Weights are perturbed deterministically until no root lands on 0.
+    The lexicographic order on (restriction to a, torus part / i), with
+    the split coordinates first, is a total order compatible with addition
+    in which every root is positive or negative, so no search is needed;
+    a root with a positive restriction is positive whatever its torus part.
     """
-    roots = sorted(datum.root_set(), key=cov_key)
-    na = len(a_idx)
-    nb = len(roots[0]) - na
-    for su, sv in _WEIGHT_SEEDS:
-        u = [su**k + k for k in range(na)]
-        v = [sv**k + 2 * k for k in range(nb)]
-        upper = Rat(0)
-        lower = None
-        vals_r = []
-        vals_t = []
-        degenerate = False
-        for cov in roots:
-            rbar = restrict_covector(cov, a_idx)
-            tor = strip_torus_part(cov, a_idx)
-            fr = sum((Scalar(u[k]) * rbar[k] for k in range(na)), ZERO)
-            ft = sum((Scalar(v[k]) * tor[k] for k in range(nb)), ZERO)
-            if any(rbar) and not fr:
-                degenerate = True
-                break
-            if not any(rbar) and not ft:
-                degenerate = True
-                break
-            vals_r.append(fr)
-            vals_t.append(ft)
-            if ft:
-                up = _rational_upper_abs(ft)
-                if up > upper:
-                    upper = up
-            if fr:
-                lo = _rational_lower_abs(fr)
-                if lower is None or lo < lower:
-                    lower = lo
-        if degenerate:
-            continue
-        if lower is None:
-            big = Rat(1)
-        else:
-            big = upper / lower + 1
-        m_int = int(big.numerator // big.denominator) + 1
-        big_s = Scalar(m_int)
-        fvals = {}
-        ok = True
-        for cov, fr, ft in zip(roots, vals_r, vals_t):
-            f = big_s * fr + ft
-            if not f:
-                ok = False
-                break
-            fvals[cov] = f
-        if not ok:
-            continue
-        pos = [cov for cov in roots if fvals[cov].sign() > 0]
-        pos_set = set(pos)
-        simple = []
-        for alpha in pos:
-            dec = False
-            for beta in pos:
-                if beta != alpha and cov_sub(alpha, beta) in pos_set:
-                    dec = True
-                    break
-            if not dec:
-                simple.append(alpha)
-        if len(pos) != len(roots) // 2:
-            continue
-        return sorted(simple, key=cov_key)
-    raise ConstructionError("no admissible weights found for adapted positivity")
+    positive = [c for c in datum.root_set() if lex_sign(c, a_idx) > 0]
+    return sorted(simple_from_positive(positive), key=cov_key)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +673,8 @@ def adapted_simple_system(
 
 def verify_cartan_decomposition(
     L: LieAlgebra,
-    t_basis: List[DenseVec],
-    p_basis: List[DenseVec],
+    t_basis: List[SparseVec],
+    p_basis: List[SparseVec],
     killing: Optional[List[List[Scalar]]] = None,
 ) -> Dict[str, object]:
     """Certify g = t + p with [t,t], [p,p] in t, [t,p] in p, Killing
@@ -725,15 +682,15 @@ def verify_cartan_decomposition(
     raises VerificationError on the first failed condition."""
     ech_t = Echelon()
     for v in t_basis:
-        ech_t.add(to_sparse(v))
+        ech_t.add(v)
     ech_p = Echelon()
     for v in p_basis:
-        ech_p.add(to_sparse(v))
+        ech_p.add(v)
     if ech_t.rank != len(t_basis) or ech_p.rank != len(p_basis):
         raise VerificationError("dependent vectors in t or p")
     total = Echelon()
     for v in t_basis + p_basis:
-        total.add(to_sparse(v))
+        total.add(v)
     if total.rank != L.dim or len(t_basis) + len(p_basis) != L.dim:
         raise VerificationError("t + p is not a direct sum decomposition")
     for name, left, right, target in (
@@ -744,13 +701,19 @@ def verify_cartan_decomposition(
         for i, u in enumerate(left):
             start = i + 1 if left is right else 0
             for v in right[start:]:
-                if not target.contains(to_sparse(L.bracket(u, v))):
+                if not target.contains(L.bracket(u, v)):
                     raise VerificationError(f"bracket condition {name} fails")
     if killing is None:
         killing = killing_form(L)
+    k_rows = [to_sparse(row) for row in killing]
 
-    def gram(vs: List[DenseVec]) -> List[List[Scalar]]:
-        return mat_mul(vs, mat_mul(killing, [list(c) for c in zip(*vs)]))
+    def gram(vs: List[SparseVec]) -> List[List[Scalar]]:
+        kv: SparseMatrix = [{} for _ in vs]
+        add_product(kv, vs, k_rows)  # row i: v_i^T K
+        return [
+            [sum((x * w[q] for q, x in row.items() if q in w), ZERO) for w in vs]
+            for row in kv
+        ]
 
     sig_t = sylvester_signature(gram(t_basis))
     sig_p = sylvester_signature(gram(p_basis))
@@ -773,7 +736,7 @@ def verify_cartan_decomposition(
 
 def sl2_triple(
     datum: RootDatum, cov: Covector
-) -> Tuple[DenseVec, DenseVec, DenseVec]:
+) -> Tuple[SparseVec, SparseVec, SparseVec]:
     """(e, f, h) with [e,f] = h, [h,e] = 2e, [h,f] = -2f for a
     one-dimensional root space."""
     L = datum.lie
@@ -783,16 +746,14 @@ def sl2_triple(
         raise ConstructionError("sl2 normalization needs 1-dimensional spaces")
     e = space.basis[0]
     f0 = opp.basis[0]
-    h0 = L.bracket(e, f0)
-    hsolver = SpanSolver(map(to_sparse, datum.hs))
-    coords = hsolver.coords(h0)
+    coords = SpanSolver(datum.hs).coords_sparse(L.bracket(e, f0))
     if coords is None:
         raise VerificationError("[e, f] left the Cartan span")
-    val = sum((c * cov[k] for k, c in enumerate(coords) if c), ZERO)
+    val = sum((c * cov[k] for k, c in coords.items()), ZERO)
     if not val:
         raise VerificationError("root vanishes on [e, f]")
-    f = vscale(Scalar(2) / val, f0)
+    f = combine([(Scalar(2) / val, f0)])
     h = L.bracket(e, f)
-    if L.bracket(h, e) != vscale(Scalar(2), e):
+    if L.bracket(h, e) != combine([(Scalar(2), e)]):
         raise VerificationError("sl2 normalization failed")
     return e, f, h

@@ -222,9 +222,6 @@ class Scalar:
         # here a and b have opposite signs, so sign(a - b r3) = sign(a)
         return (1 if s > 0 else -1) * (1 if a > 0 else -1)
 
-    def abs_real(self) -> "Scalar":
-        return self if self.sign() >= 0 else -self
-
     # -- parts -----------------------------------------------------------
 
     def real(self) -> "Scalar":

@@ -80,12 +80,10 @@ class TrialityAlgebra:
             )
         return to_dense(c, self.dim)
 
-    def component_maps(self, coords: Sequence[Scalar]) -> Tuple[Matrix, Matrix, Matrix]:
+    def component_maps(self, coords: SparseVec) -> Tuple[Matrix, Matrix, Matrix]:
         n = self.comp.dim
         out = [[[ZERO] * n for _ in range(n)] for _ in range(3)]
-        for k, c in enumerate(coords):
-            if not c:
-                continue
+        for k, c in coords.items():
             for slot in range(3):
                 for row, orow in zip(self.basis[k][slot], out[slot]):
                     for q, x in row.items():
@@ -121,13 +119,13 @@ class TrialityAlgebra:
                 d2[p][p] = d2[p][p] + half_q
         return self.coords_of_triple((self.sigma_map(x, y), d1, d2))
 
-    def theta(self, coords: Sequence[Scalar], power: int = 1) -> DenseVec:
-        out = [to_sparse(coords)]
+    def theta(self, coords: SparseVec, power: int = 1) -> SparseVec:
+        out = coords
         for _ in range(power % 3):
             acc: SparseMatrix = [{}]
-            add_product(acc, out, self.theta_rows)
-            out = acc
-        return to_dense(out[0], self.dim)
+            add_product(acc, [out], self.theta_rows)
+            out = {q: x for q, x in acc[0].items() if x}
+        return out
 
 
 def triality(s: AlgebraTable) -> TrialityAlgebra:

@@ -288,9 +288,10 @@ def test_jobconfig_rejects_bare_line(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# golden output: sha256 of the stdout of two e6 builds and of the two Okubo
-# algebras (whose constants carry sqrt3 and i); a change to the scalar
-# representation or to the renderer must not move a byte
+# golden output: sha256 of the stdout of two e6 builds, of the two Okubo
+# algebras (whose constants carry sqrt3 and i), and of a root decomposition,
+# a Satake table and a Cartan decomposition report; a change to the scalar
+# or vector representation or to the renderer must not move a byte
 
 
 GOLDEN_SHA256 = {
@@ -298,6 +299,12 @@ GOLDEN_SHA256 = {
     ("build", "e6m26"): "9519c89f273564837d0c6d99219a0b11ffe9473a425d166a7b02578c6f13fc91",
     ("algebra", "Ok"): "a811bd251c881c2f4a93f4a9fd96dd9276a0f9833c1c49945cc07b1b3914c775",
     ("algebra", "Oks"): "b7f821f4cf7a9e18f425c4b87aea8961b47ae53c8055316d685d5aa165f3ca14",
+    ("roots", "decompose", "--model", "e6m26"):
+        "193f682ee7f90e6e3eda126594acc5bb34435d004223188c708d60fa143fcf85",
+    ("satake", "e6p2", "--format", "json"):
+        "8738b95a73820966f1ee216713aeb891d3604391d707245a9d3e6b16d602bcef",
+    ("roots", "verify-cartan-decomp", "--model", "e6p2"):
+        "397d96734dcb43b017074942224313b985c1ecda3d88fcbe5d53c57d6c18ffaa",
 }
 
 

@@ -14,7 +14,7 @@ from realforms.lie import (
     killing_form,
     killing_signature,
 )
-from realforms.linalg import is_zero_vec, mat_vec, vadd, vscale
+from realforms.linalg import combine, is_zero_vec, mat_vec, vadd
 from realforms.scalars import HALF, ONE, ZERO, sc
 
 
@@ -67,18 +67,18 @@ def test_killing_form_invariance_sampled(e6_indef_square):
 
     def kform(x, y):
         acc = ZERO
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj and k[i][j]:
+        for i, xi in x.items():
+            for j, yj in y.items():
+                if k[i][j]:
                     acc = acc + xi * k[i][j] * yj
         return acc
 
+    def element():
+        coefs = [rng.randint(-1, 1) for _ in range(n)]
+        return {i: sc(c) for i, c in enumerate(coefs) if c}
+
     for _ in range(6):
-        x = [sc(rng.randint(-1, 1)) for _ in range(n)]
-        y = [sc(rng.randint(-1, 1)) for _ in range(n)]
-        z = [sc(rng.randint(-1, 1)) for _ in range(n)]
+        x, y, z = element(), element(), element()
         assert kform(L.bracket(x, y), z) == kform(x, L.bracket(y, z))
 
 
@@ -89,14 +89,13 @@ def test_iota_bracket_eigenvector_conventions(e6_indef_square):
     s, sp = sq.s, sq.sp
     e0s, e1s = s.basis_vec(0), s.basis_vec(1)
     e0p, e1p = sp.basis_vec(0), sp.basis_vec(1)
-    h = vscale(HALF, sq.iota_vec(0, e0s, e1p))
-    v = vadd(
-        vadd(sq.iota_vec(0, e0s, e0p), vscale(sc(-1), sq.iota_vec(0, e1s, e1p))),
-        vadd(
-            sq.tri_s_vec(sq.tri_s.t_element(e0s, e1s)),
-            sq.tri_sp_vec(sq.tri_sp.t_element(e0p, e1p)),
-        ),
-    )
+    h = combine([(HALF, sq.iota_vec(0, e0s, e1p))])
+    v = combine([
+        (ONE, sq.iota_vec(0, e0s, e0p)),
+        (sc(-1), sq.iota_vec(0, e1s, e1p)),
+        (ONE, sq.tri_s_vec(sq.tri_s.t_element(e0s, e1s))),
+        (ONE, sq.tri_sp_vec(sq.tri_sp.t_element(e0p, e1p))),
+    ])
     assert sq.lie.bracket(h, v) == v
 
 

@@ -103,23 +103,24 @@ def test_sqrt3_table_matches_scaling():
 
 def test_bracket_antisymmetry_and_linearity():
     L = sl2()
-    x = [sc(2), sc(3), sc(-1)]
-    y = [ONE, sc(-2), sc(5)]
+    x = {0: sc(2), 1: sc(3), 2: sc(-1)}
+    y = {0: ONE, 1: sc(-2), 2: sc(5)}
     xy = L.bracket(x, y)
     yx = L.bracket(y, x)
-    assert xy == [-v for v in yx]
-    x2 = [v * sc(2) for v in x]
-    assert L.bracket(x2, y) == [v * sc(2) for v in xy]
+    assert xy == {k: -v for k, v in yx.items()}
+    x2 = {k: v * sc(2) for k, v in x.items()}
+    assert L.bracket(x2, y) == {k: v * sc(2) for k, v in xy.items()}
 
 
-def test_ad_matrix_matches_bracket():
+def test_bracket_is_zero_free():
     L = sl2()
-    x = [ONE, sc(2), sc(-3)]
-    m = L.ad_matrix(x)
-    y = [sc(4), ZERO, ONE]
-    from realforms.linalg import mat_vec
-
-    assert mat_vec(m, y) == L.bracket(x, y)
+    h = L.basis_vec(0)
+    assert L.bracket(h, h) == {}
+    # [e + f, e + f] = h - h: the cancelled entry must not stay behind
+    assert L.bracket({1: ONE, 2: ONE}, {1: ONE, 2: ONE}) == {}
+    # [h, e + f] = 2e - 2f, and [e + f, e - f] = -2h
+    assert L.bracket(h, {1: ONE, 2: ONE}) == {1: sc(2), 2: sc(-2)}
+    assert L.bracket({1: ONE, 2: ONE}, {1: ONE, 2: sc(-1)}) == {0: sc(-2)}
 
 
 def test_derivations_of_complex_numbers_vanish():

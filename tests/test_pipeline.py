@@ -8,7 +8,7 @@ import pytest
 
 from realforms.constructions import psi_automorphism
 from realforms.errors import ConstructionError
-from realforms.linalg import is_zero_vec, vscale
+from realforms.linalg import combine
 from realforms.pipeline import (
     MODELS,
     PRESET_MODEL,
@@ -51,7 +51,7 @@ def test_preset_cartan_shape(get_build, key, na):
     L = get_build(key).lie
     for i in range(6):
         for j in range(i + 1, 6):
-            assert is_zero_vec(L.bracket(cartan.hs[i], cartan.hs[j]))
+            assert L.bracket(cartan.hs[i], cartan.hs[j]) == {}
 
 
 def test_preset_cartan_rejects_other_models(get_build):
@@ -146,6 +146,14 @@ def test_auto_simple_is_adapted(get_satake):
         assert zero_restr == res.checks["black_nodes"]
 
 
+@pytest.mark.parametrize("name,dim_p", [("EIV", 26), ("EIII", 32), ("EII", 40)])
+def test_split_part_is_maximal(get_satake, name, dim_p):
+    # real rank + mult_sum / 2 = (dim g + signature) / 2 = dim p
+    res = get_satake(name)
+    assert res.checks["maximally_noncompact"] == {"dim_p": dim_p}
+    assert res.checks["real_rank"] + res.table.mult_sum // 2 == dim_p
+
+
 # ---------------------------------------------------------------------------
 # sl2 normalization inside a big algebra
 
@@ -155,8 +163,8 @@ def test_sl2_triples_eiv(get_satake):
     L = res.build.lie
     alpha = res.simple[1]
     e, f, h = sl2_triple(res.datum, alpha)
-    assert L.bracket(h, e) == vscale(sc(2), e)
-    assert L.bracket(h, f) == vscale(sc(-2), f)
+    assert L.bracket(h, e) == combine([(sc(2), e)])
+    assert L.bracket(h, f) == combine([(sc(-2), f)])
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +218,11 @@ def test_psi_squares(get_build):
     )
     for k in range(build.lie.dim):
         v = build.lie.basis_vec(k)
-        twice = psi.apply(psi.apply(v))
+        twice = psi.apply_sparse(psi.apply_sparse(v))
         if k < square.iota_offset or k in block1:
             assert twice == v
         else:
-            assert twice == vscale(sc(-1), v)
+            assert twice == combine([(sc(-1), v)])
 
 
 def test_psi_sample_action(get_build):
@@ -223,8 +231,8 @@ def test_psi_sample_action(get_build):
     psi = psi_automorphism(square, 1)
     src = square.iota_index(0, 3, 0)
     dst = square.iota_index(0, 3, 1)
-    got = psi.apply(build.lie.basis_vec(src))
-    assert got == vscale(sc(-1), build.lie.basis_vec(dst))
+    got = psi.apply_sparse(build.lie.basis_vec(src))
+    assert got == combine([(sc(-1), build.lie.basis_vec(dst))])
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ from hypothesis import strategies as st
 
 from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import LieAlgebra, lie_from_fn
-from realforms.linalg import vadd, vscale, vsub, vzero
+from realforms.linalg import combine, to_sparse, vzero
 from realforms.rootspace import (
     RootDatum,
     RootSpace,
     adapted_simple_system,
     cartan_integer,
+    certify_maximally_noncompact,
     cartan_matrix,
     classify_cartan_matrix,
     classify_restricted,
@@ -42,6 +43,11 @@ from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Scalar, sc
 
 def cov(*xs):
     return tuple(sc(x) for x in xs)
+
+
+def rows(m):
+    """A dense test matrix as the sparse rows the eigen code takes."""
+    return [to_sparse(r) for r in m]
 
 
 def pm(*covs):
@@ -103,29 +109,29 @@ def test_poly_divmod_reconstructs(acoeffs, bcoeffs):
 def test_minimal_polynomial_diagonal():
     m = [[sc(1), ZERO, ZERO], [ZERO, sc(1), ZERO], [ZERO, ZERO, sc(-2)]]
     # (x - 1)(x + 2) = x^2 + x - 2
-    assert minimal_polynomial(m) == [sc(-2), ONE, ONE]
+    assert minimal_polynomial(rows(m)) == [sc(-2), ONE, ONE]
 
 
 def test_minimal_polynomial_nilpotent():
     m = [[ZERO, ONE], [ZERO, ZERO]]
-    assert minimal_polynomial(m) == [ZERO, ZERO, ONE]
+    assert minimal_polynomial(rows(m)) == [ZERO, ZERO, ONE]
 
 
 def test_exact_eigenvalues_rotation_gives_i():
     m = [[ZERO, sc(-1)], [ONE, ZERO]]
-    assert exact_eigenvalues(m) == sorted([IUNIT, -IUNIT], key=lambda s: s.key())
+    assert exact_eigenvalues(rows(m)) == sorted([IUNIT, -IUNIT], key=lambda s: s.key())
 
 
 def test_exact_eigenvalues_sqrt3_lattice_stage():
     m = [[ZERO, sc("3/4")], [ONE, ZERO]]
-    vals = exact_eigenvalues(m)
+    vals = exact_eigenvalues(rows(m))
     half_r3 = sc("1/2") * SQRT3
     assert set(vals) == {half_r3, -half_r3}
 
 
 def test_exact_eigenvalues_denominators():
     m = [[sc("1/4"), ZERO], [ZERO, sc("-3/4")]]
-    assert exact_eigenvalues(m) == sorted(
+    assert exact_eigenvalues(rows(m)) == sorted(
         [sc("1/4"), sc("-3/4")], key=lambda s: s.key()
     )
 
@@ -133,12 +139,12 @@ def test_exact_eigenvalues_denominators():
 def test_eigen_split_rejects_nilpotent():
     m = [[ZERO, ONE], [ZERO, ZERO]]
     with pytest.raises(VerificationError, match="not semisimple"):
-        eigen_split(m)
+        eigen_split(rows(m))
 
 
 def test_eigen_split_dimensions():
     m = [[sc(2), ZERO, ZERO], [ZERO, sc(2), ZERO], [ZERO, ZERO, sc(-1)]]
-    split = eigen_split(m)
+    split = eigen_split(rows(m))
     dims = {lam.to_str(): len(ker) for lam, ker in split}
     assert dims == {"2": 2, "-1": 1}
 
@@ -149,7 +155,7 @@ def test_exact_eigenvalues_of_diagonal(values):
     vals = sorted(values)
     n = len(vals)
     m = [[Scalar(vals[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-    got = exact_eigenvalues(m)
+    got = exact_eigenvalues(rows(m))
     assert sorted(int(v.a) for v in got) == vals
 
 
@@ -205,8 +211,8 @@ def test_sl2_triple_normalization():
     datum = root_decomposition(L, [L.basis_vec(0)], name="sl2")
     e, f, h = sl2_triple(datum, cov(2))
     assert L.bracket(e, f) == h
-    assert L.bracket(h, e) == vscale(sc(2), e)
-    assert L.bracket(h, f) == vscale(sc(-2), f)
+    assert L.bracket(h, e) == combine([(sc(2), e)])
+    assert L.bracket(h, f) == combine([(sc(-2), f)])
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +366,57 @@ def test_adapted_simple_system_split_dominates():
             assert r[0].sign() > 0
 
 
+def test_adapted_simple_system_g2_without_split_part():
+    # a_idx = (): the sigma-order is the lexicographic order of the torus
+    # parts / i.  Each of the weightings (1, 4), (1, 5), (1, 7) of those
+    # parts puts a root on 0, and the sigma-order needs no weighting.
+    positive = [
+        cov("i", 0),
+        cov("4*i", "-i"),
+        cov("5*i", "-i"),
+        cov("6*i", "-i"),
+        cov("7*i", "-i"),
+        cov("11*i", "-2*i"),
+    ]
+    roots = pm(*positive)
+    simple = adapted_simple_system(_dummy_datum(roots), ())
+    assert set(simple) == {cov("i", 0), cov("4*i", "-i")}
+    report = verify_simple_basis(roots, simple)
+    assert (report["roots"], report["positive"]) == (12, 6)
+    assert classify_cartan_matrix(cartan_matrix(simple, roots)) == "G2"
+
+
+def test_maximally_noncompact_certificate():
+    # sl3(R) with its diagonal Cartan subalgebra: dim 8, Killing signature
+    # 5 - 3 = 2, so dim p = 5 = real rank 2 + 6 roots / 2
+    datum = _dummy_datum(A2)
+    datum.hs = [{0: ONE}, {1: ONE}]
+    assert certify_maximally_noncompact(datum, (0, 1), 8, 2) == {"dim_p": 5}
+    # a one-dimensional split part is abelian in p but not maximal
+    with pytest.raises(VerificationError, match="not maximal abelian"):
+        certify_maximally_noncompact(datum, (0,), 8, 2)
+    # an h with a non-real coordinate is not in the real form
+    datum.hs = [{0: IUNIT}, {1: ONE}]
+    with pytest.raises(VerificationError, match="non-real"):
+        certify_maximally_noncompact(datum, (0, 1), 8, 2)
+
+
 # ---------------------------------------------------------------------------
 # Cartan decomposition checks
+
+
+def add(u, v):
+    return combine([(ONE, u), (ONE, v)])
+
+
+def sub(u, v):
+    return combine([(ONE, u), (-ONE, v)])
 
 
 def test_verify_cartan_decomposition_sl2():
     L = sl2()
     h, e, f = L.basis_vec(0), L.basis_vec(1), L.basis_vec(2)
-    report = verify_cartan_decomposition(L, [vsub(e, f)], [h, vadd(e, f)])
+    report = verify_cartan_decomposition(L, [sub(e, f)], [h, add(e, f)])
     assert report["dim_t"] == 1
     assert report["dim_p"] == 2
     assert report["signature"] == 1
@@ -387,7 +436,7 @@ def test_verify_cartan_decomposition_rejects_swap():
     L = sl2()
     h, e, f = L.basis_vec(0), L.basis_vec(1), L.basis_vec(2)
     with pytest.raises(VerificationError):
-        verify_cartan_decomposition(L, [h, vadd(e, f)], [vsub(e, f)])
+        verify_cartan_decomposition(L, [h, add(e, f)], [sub(e, f)])
 
 
 def test_verify_cartan_decomposition_rejects_non_subalgebra():
