@@ -51,7 +51,7 @@ class LieAlgebra:
     @cached_property
     def ad(self) -> List[Dict[int, SparseVec]]:
         """ad[i][p] = [b_i, b_p] for every nonzero bracket; ad[i] is ad(b_i)
-        stored column by column."""
+        stored column by column.  Built once and shared: callers only read it."""
         ad: List[Dict[int, SparseVec]] = [{} for _ in range(self.dim)]
         for (i, j), v in self.brk.items():
             ad[i][j] = v
