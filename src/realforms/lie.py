@@ -1,17 +1,21 @@
 """Lie algebras as exact structure-constant tables, with certificates.
 
-Brackets are stored sparsely for i < j only.  Every certificate (Jacobi,
-Killing form, Killing invariance) runs over these sparse tables in exact
-Scalar arithmetic, so the same code serves rational constants and the
-sqrt3 constants of the Okubo-built algebras, and nothing can overflow.
-Each check is exhaustive over basis tuples and raises VerificationError
-with the failing tuple as witness.
+Brackets are stored sparsely for i < j only.  Every certificate is exact
+and runs over these sparse tables, so the same code serves rational
+constants and the sqrt3 constants of the Okubo-built algebras, and nothing
+can overflow.  The Killing form and Killing invariance run in Scalar
+arithmetic.  The Jacobi certificate runs on Python ints: it clears the
+table's denominators and writes each constant in integer coordinates over
+the Q-basis 1, sqrt3, i, i sqrt3 of Q(sqrt3, i).  Each check is exhaustive
+over basis tuples and raises VerificationError with the failing tuple as
+witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import VerificationError
@@ -27,7 +31,7 @@ from .linalg import (
     sylvester_signature,
     to_sparse,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import IUNIT, ONE, SQRT3, ZERO, Scalar
 
 
 @dataclass(eq=False)
@@ -103,26 +107,92 @@ def _add_bracket(
                 acc[q] = acc.get(q, ZERO) + c * w
 
 
+# an entry (sign, column of (key, int) pairs) and a row of the integer ad table
+IntEntry = Tuple[int, Tuple[Tuple[int, int], ...]]
+IntRow = Dict[int, IntEntry]
+
+_BASIS = (ONE, SQRT3, IUNIT, IUNIT * SQRT3)  # the Q-basis of Q(sqrt3, i)
+
+
+def _integer_ad(L: LieAlgebra) -> List[IntRow]:
+    """The ad table of D*L over Q, where D is the lcm of L's denominators.
+
+    Over the Q-basis e_0..e_3 = 1, sqrt3, i, i sqrt3 of F = Q(sqrt3, i), an
+    element of F^n has 4n rational coordinates; coordinate u of entry r
+    gets the key r + n*u.  iad[x][p + n*s] = (sign, col), where sign * col
+    lists the nonzero integer coordinates of D*[b_x, b_p e_s].  Each column
+    is built once, for x < p, and shared with [b_p, b_x] by sign -1.
+    Columns exist for s = 0 and for each e_s that occurs in an entry of L:
+    only those occur in the coordinates of D*[b_j, b_k], which are the
+    column iad[j][k] itself (s = 0).
+    """
+    n = L.dim
+    den = 1
+    used = {0}
+    for v in L.brk.values():
+        for c in v.values():
+            *num, d = c.as_ints()
+            den = lcm(den, d)
+            used.update(u for u, x in enumerate(num) if x)
+    basis = [(s, _BASIS[s]) for s in sorted(used)]
+    iad: List[IntRow] = [{} for _ in range(n)]
+    for (i, j), v in L.brk.items():
+        for s, e_s in basis:
+            col: List[Tuple[int, int]] = []
+            for q, c in v.items():
+                *num, d = (c * e_s).as_ints()
+                f = den // d
+                col.extend((q + n * u, x * f) for u, x in enumerate(num) if x)
+            shared = tuple(col)
+            iad[i][j + n * s] = (1, shared)
+            iad[j][i + n * s] = (-1, shared)
+    return iad
+
+
+def _add_int_bracket(
+    acc: Dict[int, int], v: Optional[IntEntry], iad_x: IntRow
+) -> None:
+    """acc += [x, v] in integer coordinates, where v = (sign, col) is an
+    entry of _integer_ad and iad_x is the row of x."""
+    if v is None:
+        return
+    sign, vec = v
+    for key, m in vec:
+        e = iad_x.get(key)
+        if e:
+            if e[0] != sign:
+                m = -m
+            for q, w in e[1]:
+                acc[q] = acc.get(q, 0) + m * w
+
+
 def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
     """[b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]] = 0 on every
-    basis triple i < j < k, exactly.  Raises with the triple as witness."""
+    basis triple i < j < k, exactly.  Raises with the first failing triple,
+    in lexicographic order, as witness.
+
+    The sums run on Python ints over the table of _integer_ad.  A Jacobi
+    sum of D*L is D^2 times that of L, and F -> Q^4 is a Q-linear
+    isomorphism, so its integer coordinates all vanish exactly when the
+    Jacobi sum of L does.
+    """
     n = L.dim
-    ad = L.ad
+    iad = _integer_ad(L)
     for i in range(n):
-        ad_i = ad[i]
+        iad_i = iad[i]
         for j in range(i + 1, n):
-            ad_j = ad[j]
-            v_ij = ad_i.get(j)
+            iad_j = iad[j]
+            v_ij = iad_i.get(j)
             for k in range(j + 1, n):
-                ad_k = ad[k]
-                v_jk = ad_j.get(k)
-                v_ki = ad_k.get(i)
+                iad_k = iad[k]
+                v_jk = iad_j.get(k)
+                v_ki = iad_k.get(i)
                 if not (v_ij or v_jk or v_ki):
                     continue
-                acc: Dict[int, Scalar] = {}
-                _add_bracket(acc, v_jk, ad_i)
-                _add_bracket(acc, v_ki, ad_j)
-                _add_bracket(acc, v_ij, ad_k)
+                acc: Dict[int, int] = {}
+                _add_int_bracket(acc, v_jk, iad_i)
+                _add_int_bracket(acc, v_ki, iad_j)
+                _add_int_bracket(acc, v_ij, iad_k)
                 if any(acc.values()):
                     raise VerificationError(
                         f"{L.name}: Jacobi fails on "

@@ -101,7 +101,8 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
         return list(a)
     g = poly_gcd(a, b)
     q, r = poly_divmod(poly_mul(a, b), g)
-    assert not r
+    if r:
+        raise VerificationError("gcd does not divide the product in poly_lcm")
     if q:
         inv = q[-1].inverse()
         q = [x * inv for x in q]
@@ -127,7 +128,8 @@ def poly_squarefree(p: Poly) -> Poly:
     if len(g) <= 1:
         return list(p)
     q, r = poly_divmod(p, g)
-    assert not r
+    if r:
+        raise VerificationError("gcd(p, p') does not divide p in poly_squarefree")
     return poly_normalize(q)
 
 

@@ -92,6 +92,11 @@ class Scalar:
     def d(self) -> Fraction:
         return Fraction(self._d, self._n)
 
+    def as_ints(self) -> tuple[int, int, int, int, int]:
+        """(a, b, c, d, n): the value is (a + b r3 + (c + d r3) i)/n, in
+        lowest terms with n > 0."""
+        return (self._a, self._b, self._c, self._d, self._n)
+
     # -- predicates ------------------------------------------------------
 
     def __bool__(self) -> bool:

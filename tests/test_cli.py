@@ -299,6 +299,8 @@ GOLDEN_SHA256 = {
     ("build", "e6m26"): "9519c89f273564837d0c6d99219a0b11ffe9473a425d166a7b02578c6f13fc91",
     ("algebra", "Ok"): "a811bd251c881c2f4a93f4a9fd96dd9276a0f9833c1c49945cc07b1b3914c775",
     ("algebra", "Oks"): "b7f821f4cf7a9e18f425c4b87aea8961b47ae53c8055316d685d5aa165f3ca14",
+    ("construct", "--s", "Ok", "--sp", "R"):
+        "9054889b84aad8bf882a0ace8c903ce026edbc8691939a7b5b313c1b79bb771b",
     ("roots", "decompose", "--model", "e6m26"):
         "193f682ee7f90e6e3eda126594acc5bb34435d004223188c708d60fa143fcf85",
     ("satake", "e6p2", "--format", "json"):

@@ -1,5 +1,6 @@
-"""Every name a source module imports is used in that module, and every
-definition in the package is named somewhere else."""
+"""Every name a source module imports is used in that module, every
+definition in the package is named somewhere else, and no source module
+relies on assert statements, which python -O strips."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,17 @@ def unreferenced_definitions():
 
 def test_no_unreferenced_definitions():
     assert unreferenced_definitions() == []
+
+
+def assert_statements():
+    """(file, line) of each assert statement in the package."""
+    return [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_no_assert_statements():
+    assert assert_statements() == []

@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realforms.algebras import hurwitz
 from realforms.errors import VerificationError
@@ -12,7 +15,7 @@ from realforms.lie import (
     lie_from_fn,
     sub_lie_algebra,
 )
-from realforms.scalars import ONE, SQRT3, ZERO, sc
+from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Scalar, sc
 
 
 def sl2() -> LieAlgebra:
@@ -79,14 +82,14 @@ def test_jacobi_catches_corruption():
         assert info.value.witness == (0, 1, 2)
 
 
-def sl2_scaled() -> LieAlgebra:
-    # e' = sqrt3 e puts sqrt3 into the structure constants
+def sl2_scaled(t: Scalar = SQRT3) -> LieAlgebra:
+    # e' = t e puts t into the structure constants: [e', f] = t h
     def fn(i, j):
         if (i, j) == (0, 1):
             return {1: sc(2)}
         if (i, j) == (0, 2):
             return {2: sc(-2)}
-        return {0: SQRT3}
+        return {0: t}
 
     return lie_from_fn("sl2'", ["h", "e'", "f"], fn)
 
@@ -99,6 +102,95 @@ def test_sqrt3_table_matches_scaling():
     assert k[0][0] == sc(8)
     assert k[1][2] == sc(4) * SQRT3
     assert killing_signature(L) == (2, 1, 0)
+
+
+def naive_jacobi_witness(L: LieAlgebra):
+    """The first basis triple i < j < k on which the Jacobi sum is nonzero,
+    computed from bracket_basis in Scalar arithmetic; None if there is none."""
+    for i, j, k in combinations(range(L.dim), 3):
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for p, x in L.bracket_basis(b, c).items():
+                for q, y in L.bracket_basis(a, p).items():
+                    total[q] = total.get(q, ZERO) + x * y
+        if any(total.values()):
+            return (i, j, k)
+    return None
+
+
+def jacobi_witness(L: LieAlgebra):
+    try:
+        certify_jacobi(L)
+    except VerificationError as e:
+        return e.witness
+    return None
+
+
+@pytest.mark.parametrize("t", [IUNIT, IUNIT * SQRT3], ids=["i", "i*r3"])
+def test_imaginary_scaled_sl2_passes(t):
+    # no constructed table has i parts; these exercise the i, i*r3 columns
+    L = sl2_scaled(t)
+    assert certify_jacobi(L) == {"method": "sparse", "triples": 1}
+    assert naive_jacobi_witness(L) is None
+
+
+def two_sl2s() -> LieAlgebra:
+    """sl2 with [e, f] = sqrt3 h plus sl2 with [e', f'] = i h': both
+    sqrt3 and i occur in the table, which passes Jacobi."""
+    brk = {}
+    for base, t in ((0, SQRT3), (3, IUNIT)):
+        brk[(base, base + 1)] = {base + 1: sc(2)}
+        brk[(base, base + 2)] = {base + 2: sc(-2)}
+        brk[(base + 1, base + 2)] = {base: t}
+    return LieAlgebra("sl2+sl2", ["h", "e", "f", "h'", "e'", "f'"], brk)
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [ONE, SQRT3, IUNIT, IUNIT * SQRT3, sc("1/3")],
+    ids=["1", "r3", "i", "i*r3", "1/3"],
+)
+@pytest.mark.parametrize("pair", [(1, 4), (0, 3), (1, 2), (4, 5)])
+def test_jacobi_corruption_in_each_component(delta, pair):
+    L = two_sl2s()
+    assert certify_jacobi(L) == {"method": "sparse", "triples": 20}
+    v = dict(L.brk.get(pair, {}))
+    v[1] = v.get(1, ZERO) + delta
+    L.brk[pair] = {p: x for p, x in v.items() if x}
+    expected = naive_jacobi_witness(L)
+    assert expected is not None
+    with pytest.raises(VerificationError) as info:
+        certify_jacobi(L)
+    assert info.value.witness == expected
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_entries = st.one_of(
+    st.builds(Scalar, _small, _small, _small, _small),
+    st.builds(
+        lambda q, t: Scalar(q) * t,
+        _small,
+        st.sampled_from([ONE, SQRT3, IUNIT, IUNIT * SQRT3]),
+    ),
+)
+
+
+@st.composite
+def antisymmetric_tables(draw):
+    n = draw(st.integers(3, 5))
+    brk = {}
+    for i, j in combinations(range(n), 2):
+        v = draw(st.dictionaries(st.integers(0, n - 1), _entries, max_size=2))
+        v = {p: x for p, x in v.items() if x}
+        if v:
+            brk[(i, j)] = v
+    return LieAlgebra("random", [f"b{k}" for k in range(n)], brk)
+
+
+@settings(deadline=None, max_examples=60)
+@given(antisymmetric_tables())
+def test_jacobi_matches_naive_loop(L):
+    assert jacobi_witness(L) == naive_jacobi_witness(L)
 
 
 def test_bracket_antisymmetry_and_linearity():

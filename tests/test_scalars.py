@@ -1,4 +1,5 @@
 import fractions
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +117,14 @@ def test_field_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + ZERO == x
     assert x * ONE == x
+
+
+@settings(deadline=None, max_examples=60)
+@given(scalars())
+def test_as_ints_round_trip(x):
+    a, b, c, d, n = x.as_ints()
+    assert n > 0 and gcd(a, b, c, d, n) == 1
+    assert Scalar(*(fractions.Fraction(v, n) for v in (a, b, c, d))) == x
 
 
 @settings(deadline=None, max_examples=60)
