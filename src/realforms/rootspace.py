@@ -5,10 +5,12 @@ each current invariant subspace is split into eigenspaces of the next
 operator.  Lie algebra elements, root vectors and restricted matrices are
 zero-free sparse vectors and rows throughout.  Eigenvalues are found
 exactly: the minimal polynomial of the restricted matrix comes from Krylov
-sequences, and its roots are located by scanning the lattice
-(p + q sqrt3 + (r + s sqrt3) i)/den inside the Cauchy bound, quarter
-denominators first.  Completeness is certified by dimension count, never
-assumed.
+sequences.  If D clears the denominators of its monic squarefree part, every
+root in the field has coordinates over 1, sqrt3, i, i sqrt3 in Z/(2D), since
+D times a root is an integer of Q(zeta12).  Float roots of both embeddings
+propose grid points; each is accepted only when the polynomial vanishes on
+it exactly, and deg p accepted roots certify that none is missing.  The
+eigenspace dimensions must then sum to the dimension of the space.
 
 Root systems are then classified intrinsically through root strings;
 coordinate geometry is never trusted (the restriction of the invariant
@@ -21,6 +23,7 @@ is positive, a lexicographic order decided exactly by `Scalar.sign`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -181,50 +184,100 @@ def minimal_polynomial(m: SparseMatrix) -> Poly:
     return minpoly
 
 
-def _float_abs(x: Scalar) -> float:
-    return abs(float(x.a)) + abs(float(x.b)) * 1.7330808 + abs(float(x.c)) + abs(
-        float(x.d)
-    ) * 1.7330808
+_SQRT3 = math.sqrt(3.0)
+_ROOT_SWEEPS = 200  # Durand-Kerner sweeps; simple roots settle in far fewer
 
 
-def _candidate_values(bound: float, den: int, with_sqrt3: bool):
-    top = int(bound * den) + 1
-    if not with_sqrt3:
-        for p in range(-top, top + 1):
-            for r in range(-top, top + 1):
-                yield Scalar(Rat(p, den), 0, Rat(r, den), 0)
-        return
-    top3 = int(bound * den / 1.73) + 1
-    for p in range(-top, top + 1):
-        for q in range(-top3, top3 + 1):
-            for r in range(-top, top + 1):
-                for s in range(-top3, top3 + 1):
-                    yield Scalar(Rat(p, den), Rat(q, den), Rat(r, den), Rat(s, den))
+def _embedded(p: Poly, sqrt3: float) -> List[complex]:
+    """p as complex floats under the embedding r3 -> sqrt3, i -> 1j."""
+    out = []
+    for x in p:
+        a, b, c, d, n = x.as_ints()
+        out.append(complex((a + b * sqrt3) / n, (c + d * sqrt3) / n))
+    return out
 
 
-_STAGES = [(4, False), (8, False), (12, False), (4, True), (8, True)]
+def _float_roots(p: List[complex]) -> List[complex]:
+    """Approximate roots of a monic polynomial (low degree first) by
+    Durand-Kerner iteration from fixed points on its Cauchy circle."""
+    deg = len(p) - 1
+    if deg < 1:
+        return []
+    radius = 1.0 + max(abs(c) for c in p[:-1])
+    angles = [2 * math.pi * k / deg + 0.4 for k in range(deg)]
+    zs = [complex(radius * math.cos(t), radius * math.sin(t)) for t in angles]
+    for _ in range(_ROOT_SWEEPS):
+        moved = 0.0
+        for k in range(deg):
+            z = zs[k]
+            val = complex(1)
+            for c in reversed(p[:-1]):
+                val = val * z + c
+            den = complex(1)
+            for j in range(deg):
+                if j != k:
+                    den *= z - zs[j]
+            if not den:
+                continue
+            step = val / den
+            zs[k] = z - step
+            moved = max(moved, abs(step) / max(1.0, abs(z)))
+        if moved < 1e-14:
+            break
+    return zs
 
 
 def exact_eigenvalues(m: SparseMatrix, context: str = "") -> List[Scalar]:
-    """All eigenvalues in the field, certified complete by kernel dimensions."""
+    """The distinct eigenvalues of m in Q(sqrt3, i), each certified exactly.
+
+    Let p be the monic squarefree part of the minimal polynomial and D the
+    lcm of its coefficient denominators.  D*lam is then an algebraic integer
+    of Q(sqrt3, i) = Q(zeta12), whose ring of integers is Z[zeta12], so every
+    root lam in the field has coordinates over 1, sqrt3, i, i*sqrt3 in
+    Z/(2D).  Floats only propose: the roots z+ of p and z- of its image
+    under sqrt3 -> -sqrt3 pair into u = (z+ + z-)/2 and
+    w = (z+ - z-)/(2 sqrt3), whose real and imaginary parts are snapped to
+    that grid (pairs more than a quarter step off are dropped), closest
+    first.  A candidate is accepted only when poly_eval(p, lam) == 0 exactly,
+    and deg p distinct accepted roots are all of them.  Otherwise p has a
+    root outside the field (or one that double precision cannot resolve on
+    the grid) and VerificationError carries p's coefficients as witness.
+    """
     poly = poly_squarefree(minimal_polynomial(m))
-    bound = 1.0 + max(_float_abs(c) for c in poly)
-    found: List[Scalar] = []
-    target = len(poly) - 1  # number of distinct roots once split over the field
-    for den, with_sqrt3 in _STAGES:
-        for lam in _candidate_values(bound, den, with_sqrt3):
-            if any(lam == f for f in found):
+    if poly[-1] != ONE:
+        inv = poly[-1].inverse()
+        poly = [c * inv for c in poly]
+    deg = len(poly) - 1
+    grid = 2 * math.lcm(*(c.as_ints()[4] for c in poly))
+    emb_plus, emb_minus = _embedded(poly, _SQRT3), _embedded(poly, -_SQRT3)
+    plus = _float_roots(emb_plus)
+    # with no sqrt3 in p both embeddings agree, and so do their roots
+    minus = plus if emb_minus == emb_plus else _float_roots(emb_minus)
+    proposals = []
+    for zp in plus:
+        for zm in minus:
+            u = (zp + zm) / 2
+            w = (zp - zm) / (2 * _SQRT3)
+            scaled = [x * grid for x in (u.real, w.real, u.imag, w.imag)]
+            if not all(map(math.isfinite, scaled)):
                 continue
-            if not poly_eval(poly, lam):
-                found.append(lam)
-                if len(found) == target:
-                    break
-        if len(found) == target:
+            ints = [round(x) for x in scaled]
+            off = max(abs(x - k) for x, k in zip(scaled, ints))
+            if off <= 0.25:
+                proposals.append((off, ints))
+    proposals.sort()
+    found: List[Scalar] = []
+    for _, ints in proposals:
+        if len(found) == deg:
             break
-    if len(found) < target:
+        lam = Scalar(*(Rat(k, grid) for k in ints))
+        if lam not in found and not poly_eval(poly, lam):
+            found.append(lam)
+    if len(found) < deg:
         raise VerificationError(
-            f"eigenvalues escape the search lattice {context or ''}: "
-            f"found {len(found)} of {target}"
+            f"eigenvalues outside Q(sqrt3, i) {context}: certified {len(found)} "
+            f"of {deg} roots of the minimal polynomial",
+            witness=poly,
         )
     found.sort(key=lambda s: s.key())
     return found
@@ -507,15 +560,7 @@ def verify_simple_basis(roots: set, simple: List[Covector]) -> Dict[str, int]:
     solver = SpanSolver(map(to_sparse, simple))
     positives = 0
     for cov in roots:
-        coords = solver.coords(list(cov))
-        if coords is None:
-            raise VerificationError(f"root {cov} outside the simple span")
-        signs = set()
-        for c in coords:
-            if not c.is_rational() or c.a.denominator != 1:
-                raise VerificationError(f"non-integer simple coordinates for {cov}")
-            if c:
-                signs.add(1 if c.a > 0 else -1)
+        signs = {1 if c > 0 else -1 for c in _integer_coords(solver, cov) if c}
         if len(signs) != 1:
             raise VerificationError(f"mixed-sign simple coordinates for {cov}")
         if signs == {1}:
@@ -525,19 +570,29 @@ def verify_simple_basis(roots: set, simple: List[Covector]) -> Dict[str, int]:
     return {"roots": len(roots), "positive": positives, "rank_used": dim}
 
 
-def simple_coords(root: Covector, simple: List[Covector]) -> List[int]:
-    solver = SpanSolver(map(to_sparse, simple))
+def _integer_coords(solver: SpanSolver, root: Covector) -> List[int]:
+    """Coordinates of root over the solver's simple roots; all integers."""
     coords = solver.coords(list(root))
     if coords is None:
-        raise VerificationError("root outside the simple span")
-    return [int(c.a) for c in coords]
+        raise VerificationError(f"root {root} outside the simple span")
+    out = []
+    for c in coords:
+        if not c.is_rational() or c.a.denominator != 1:
+            raise VerificationError(f"non-integer simple coordinates for {root}")
+        out.append(c.a.numerator)
+    return out
+
+
+def simple_coords(root: Covector, simple: List[Covector]) -> List[int]:
+    return _integer_coords(SpanSolver(map(to_sparse, simple)), root)
 
 
 def highest_root(roots: set, simple: List[Covector]) -> Covector:
+    solver = SpanSolver(map(to_sparse, simple))
     best = None
     best_height = None
     for cov in roots:
-        h = sum(simple_coords(cov, simple))
+        h = sum(_integer_coords(solver, cov))
         if best is None or h > best_height:
             best, best_height = cov, h
     for s in simple:

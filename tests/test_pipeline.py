@@ -22,6 +22,7 @@ from realforms.rootspace import (
     cov_neg,
     restrict_covector,
     restricted_multiplicities,
+    root_decomposition,
     sl2_triple,
     verify_simple_basis,
 )
@@ -52,6 +53,17 @@ def test_preset_cartan_shape(get_build, key, na):
     for i in range(6):
         for j in range(i + 1, 6):
             assert L.bracket(cartan.hs[i], cartan.hs[j]) == {}
+
+
+@pytest.mark.parametrize("factor", ["1/5", "1/7*r3"])
+def test_scaled_cartan_decomposes(get_build, factor):
+    # eigenvalues such as 1/10 and r3/14, with denominators 5 and 7
+    build = get_build("e6m14")
+    hs = [combine([(sc(factor), h)]) for h in preset_cartan(build).hs]
+    datum = root_decomposition(build.lie, hs, name="scaled e6m14")
+    assert len(datum.spaces) == 72
+    assert all(s.dim == 1 for s in datum.spaces)
+    assert datum.zero.dim == 6
 
 
 def test_preset_cartan_rejects_other_models(get_build):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realforms.cli import _jsonable
 from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import LieAlgebra, lie_from_fn
 from realforms.linalg import combine, to_sparse, vzero
@@ -38,7 +39,7 @@ from realforms.rootspace import (
     verify_cartan_decomposition,
     verify_simple_basis,
 )
-from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Scalar, sc
+from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Rat, Scalar, sc
 
 
 def cov(*xs):
@@ -136,6 +137,65 @@ def test_exact_eigenvalues_denominators():
     )
 
 
+def by_key(values):
+    return sorted(values, key=lambda s: s.key())
+
+
+def test_exact_eigenvalues_fifths_and_sevenths():
+    lam = sc("-3/7 + 1/5*r3*i")
+    m = [
+        [sc("2/5"), ONE, sc(3)],
+        [ZERO, lam, sc("1/2")],
+        [ZERO, ZERO, lam.conj()],
+    ]
+    assert exact_eigenvalues(rows(m)) == by_key([sc("2/5"), lam, lam.conj()])
+
+
+@pytest.mark.parametrize(
+    "trace,roots",
+    [
+        # x^2 - x + 1: the primitive sixth roots of unity (1 +- r3 i)/2
+        ("1", ["1/2 + 1/2*r3*i", "1/2 - 1/2*r3*i"]),
+        # x^2 - r3 x + 1: primitive twelfth roots of unity (r3 +- i)/2
+        ("r3", ["1/2*r3 + 1/2*i", "1/2*r3 - 1/2*i"]),
+    ],
+)
+def test_exact_eigenvalues_half_integral_coordinates(trace, roots):
+    # p = x^2 - trace x + 1 has integral coefficients (D = 1), yet its roots
+    # have coordinates in Z/2: the grid is Z/(2D), not Z/D
+    m = [[ZERO, -ONE], [ONE, sc(trace)]]
+    assert exact_eigenvalues(rows(m)) == by_key(sc(r) for r in roots)
+
+
+def test_exact_eigenvalues_outside_the_field():
+    m = [[ZERO, sc(2)], [ONE, ZERO]]  # eigenvalues +-sqrt2
+    with pytest.raises(VerificationError, match=r"outside Q\(sqrt3, i\)") as err:
+        exact_eigenvalues(rows(m))
+    assert _jsonable(err.value.witness) == ["-2", "0", "1"]
+
+
+field_elements = st.builds(
+    lambda den, parts: Scalar(*(Rat(k, den) for k in parts)),
+    st.integers(1, 12),
+    st.lists(st.integers(-12, 12), min_size=4, max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(field_elements, min_size=1, max_size=4),
+    st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+)
+def test_exact_eigenvalues_of_triangular(diagonal, upper):
+    n = len(diagonal)
+    fill = iter(upper)
+    m = [
+        [diagonal[i] if i == j else sc(next(fill)) if i < j else ZERO for j in range(n)]
+        for i in range(n)
+    ]
+    assert exact_eigenvalues(rows(m)) == by_key(set(diagonal))
+
+
 def test_eigen_split_rejects_nilpotent():
     m = [[ZERO, ONE], [ZERO, ZERO]]
     with pytest.raises(VerificationError, match="not semisimple"):
@@ -190,6 +250,16 @@ def test_root_decomposition_sl2():
     assert datum.zero.dim == 1
     assert datum.root_set() == pm(cov(2))
     assert datum.total_dim() == 3
+
+
+@pytest.mark.parametrize(
+    "factor,root", [("2/5", "4/5"), ("1/7*r3", "2/7*r3")]
+)
+def test_root_decomposition_sl2_scaled(factor, root):
+    L = sl2()
+    datum = root_decomposition(L, [{0: sc(factor)}], name="sl2")
+    assert datum.zero.dim == 1
+    assert datum.root_set() == pm(cov(root))
 
 
 def test_root_decomposition_so3_imaginary_roots():
@@ -297,6 +367,15 @@ def test_highest_root_a2():
 def test_highest_root_g2():
     top = highest_root(G2, [cov(1, 0), cov(0, 1)])
     assert top == cov(2, 3)
+
+
+def test_simple_coords_rejects_fractions():
+    simple = [cov(1, 0), cov(0, 1)]
+    assert simple_coords(cov(2, -3), simple) == [2, -3]
+    with pytest.raises(VerificationError, match="non-integer"):
+        simple_coords(cov("1/2", 1), simple)
+    with pytest.raises(VerificationError, match="non-integer"):
+        highest_root(pm(cov(1, 0), cov("1/2", 1)), simple)
 
 
 # ---------------------------------------------------------------------------
