@@ -11,12 +11,13 @@ algebra yields the 78-dimensional model used for the rank-2 real form.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import AlbertAlgebra, AlgebraTable, albert, symmetric_composition
 from .errors import ConstructionError, VerificationError
-from .lie import LieAlgebra, lie_from_fn
+from .lie import LieAlgebra, int_coords, lane_scan, lie_from_fn
 from .linalg import (
     DenseVec,
     Echelon,
@@ -30,7 +31,7 @@ from .linalg import (
     to_dense,
     to_sparse,
 )
-from .scalars import ONE, TWO, ZERO, Scalar, sc
+from .scalars import TWO, ZERO, Scalar, sc
 from .triality import TrialityAlgebra, triality, triality_cached
 
 
@@ -249,9 +250,25 @@ def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[Matrix]:
     return [[to_dense(row, alg.dim) for row in m] for m in _rho_rows(square, alg)]
 
 
-def _check_rho_rows(square: MagicSquareAlgebra, R: List[SparseMatrix]) -> Dict[str, int]:
+def check_rho_homomorphism(square: MagicSquareAlgebra, R: List[SparseMatrix]) -> Dict[str, int]:
     """[rho b_i, rho b_j] = sum_m c^m_ij rho b_m on all basis pairs i < j,
-    exactly, and rho injective; R holds the images as sparse rows."""
+    exactly, and rho injective; R holds the images as sparse rows.  Raises
+    with the first failing pair, in lexicographic order, as witness.
+
+    The sums run on Python ints.  D clears the denominators of the images
+    and D_c those of the structure constants, so the identity holds exactly
+    when D_c [D R_i, D R_j] = D sum_m (D_c c^m_ij) D R_m.  Each F-entry is
+    written in integer coordinates over the Q-basis 1, sqrt3, i, i sqrt3
+    (`lie.int_coords`), which turns an F-linear map on F^n into a Q-linear
+    map on Q^4n; column r + n*s of it is column r times e_s.  Columns are
+    kept for s = 0 and for each e_s that occurs in an image or a constant:
+    only those are reached by the coordinates of a lane-0 column or by the
+    product with c^m_ij.  An F-linear map is determined by its lane-0
+    columns (column r times 1), so only those of the two sides are
+    compared.  For each left index i the products are scattered into every
+    j > i at once, through a row index (for R_i R_j) and a column index
+    (for R_j R_i) of the realified images.
+    """
     nb = len(R)
     n = len(R[0])
     ech = Echelon()
@@ -259,26 +276,79 @@ def _check_rho_rows(square: MagicSquareAlgebra, R: List[SparseMatrix]) -> Dict[s
         ech.add(flatten(m))
     if ech.rank != nb:
         raise VerificationError("derivation images are dependent")
+    brk = square.lie.brk
+    den, lanes_r = lane_scan(x for m in R for row in m for x in row.values())
+    den_c, lanes_c = lane_scan(c for v in brk.values() for c in v.values())
+    lanes = sorted(set(lanes_r) | set(lanes_c))
+    # cols[k][r + n*s]: integer coordinates of column r of D R_k times e_s
+    cols: List[Dict[int, List[Tuple[int, int]]]] = []
+    for m in R:
+        by_col: List[SparseVec] = [{} for _ in range(n)]
+        for p, row in enumerate(m):
+            for r, x in row.items():
+                by_col[r][p] = x
+        cols.append(
+            {
+                r + n * s: int_coords(v, s, den, n)
+                for r, v in enumerate(by_col)
+                if v
+                for s in lanes
+            }
+        )
+    # rows[key]: (j, q, D_c w) for each lane-0 entry w of D R_j in row key;
+    # col_js[key], col_vs[key]: each j in increasing order whose D R_j has
+    # column key, and that column
+    rows: Dict[int, List[Tuple[int, int, int]]] = {}
+    col_js: Dict[int, List[int]] = {}
+    col_vs: Dict[int, List[List[Tuple[int, int]]]] = {}
+    for j, cj in enumerate(cols):
+        for key, col in cj.items():
+            col_js.setdefault(key, []).append(j)
+            col_vs.setdefault(key, []).append(col)
+        for q in range(n):
+            for key, w in cj.get(q, ()):
+                rows.setdefault(key, []).append((j, q, den_c * w))
     for i in range(nb):
+        ci = cols[i]
+        # acc[j] keyed k*n + q: coordinate k of lane-0 column q, for j > i
+        acc: List[Dict[int, int]] = [{} for _ in range(nb)]
+        # + D_c (D R_i)(D R_j)
+        for key, col in ci.items():
+            for j, q, w in rows.get(key, ()):
+                if j > i:
+                    a = acc[j]
+                    for k, x in col:
+                        t = k * n + q
+                        a[t] = a.get(t, 0) + w * x
+        # - D_c (D R_j)(D R_i)
+        for q in range(n):
+            for key, x in ci.get(q, ()):
+                js = col_js.get(key)
+                if js:
+                    xc = den_c * x
+                    start = bisect_right(js, i)
+                    for j, col in zip(js[start:], col_vs[key][start:]):
+                        a = acc[j]
+                        for k, y in col:
+                            t = k * n + q
+                            a[t] = a.get(t, 0) - xc * y
         for j in range(i + 1, nb):
-            acc: SparseMatrix = [{} for _ in range(n)]
-            add_product(acc, R[i], R[j])
-            add_product(acc, R[j], R[i], -ONE)
-            for m, c in square.lie.brk.get((i, j), {}).items():
-                for row_acc, row in zip(acc, R[m]):
-                    for q, x in row.items():
-                        row_acc[q] = row_acc.get(q, ZERO) - c * x
-            if any(any(row.values()) for row in acc):
+            a = acc[j]
+            # - D sum_m (D_c c^m_ij) (D R_m)
+            for m, c in brk.get((i, j), {}).items():
+                cm = cols[m]
+                for u, g in int_coords({0: c}, 0, den_c, 1):
+                    g *= den
+                    for q in range(n):
+                        for k, y in cm.get(q + n * u, ()):
+                            t = k * n + q
+                            a[t] = a.get(t, 0) - g * y
+            if any(a.values()):
                 raise VerificationError(
                     f"action map fails to be a homomorphism at pair ({i}, {j})",
                     witness=(i, j),
                 )
     return {"pairs": nb * (nb - 1) // 2}
-
-
-def check_rho_homomorphism(square: MagicSquareAlgebra, rho: List[Matrix]) -> Dict[str, int]:
-    """`_check_rho_rows` for images given as dense matrices."""
-    return _check_rho_rows(square, [[to_sparse(row) for row in m] for m in rho])
 
 
 def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
@@ -289,7 +359,7 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     square = magic_square(s, r, (1, 1, 1), triality_cached(s), triality_cached(r))
     alg = albert(s, (1, 1, 1))
     R = _rho_rows(square, alg)
-    _check_rho_rows(square, R)
+    check_rho_homomorphism(square, R)
     nd = len(R)
     n27 = alg.dim
     solver = SpanSolver(flatten(m) for m in R)

@@ -3,11 +3,14 @@
 Brackets are stored sparsely for i < j only.  Every certificate is exact
 and runs over these sparse tables, so the same code serves rational
 constants and the sqrt3 constants of the Okubo-built algebras, and nothing
-can overflow.  The Killing form and Killing invariance run in Scalar
-arithmetic.  The Jacobi certificate runs on Python ints: it clears the
-table's denominators and writes each constant in integer coordinates over
-the Q-basis 1, sqrt3, i, i sqrt3 of Q(sqrt3, i).  Each check is exhaustive
-over basis tuples and raises VerificationError with the failing tuple as
+can overflow.  The Killing form is one scatter pass over the bracket table
+in Scalar arithmetic that touches only nonzero products; Killing
+invariance runs in Scalar arithmetic over the ad table.  The Jacobi
+certificate runs on Python ints: it clears the table's denominators and
+writes each constant in integer coordinates over the Q-basis 1, sqrt3, i,
+i sqrt3 of Q(sqrt3, i) (`lane_scan`, `int_coords`; the rho certificate of
+`constructions` uses the same coordinates).  Each check is exhaustive over
+basis tuples and raises VerificationError with the failing tuple as
 witness.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import VerificationError
 from .linalg import (
@@ -111,7 +114,34 @@ def _add_bracket(
 IntEntry = Tuple[int, Tuple[Tuple[int, int], ...]]
 IntRow = Dict[int, IntEntry]
 
-_BASIS = (ONE, SQRT3, IUNIT, IUNIT * SQRT3)  # the Q-basis of Q(sqrt3, i)
+_BASIS = (ONE, SQRT3, IUNIT, IUNIT * SQRT3)  # the Q-basis e_0..e_3 of Q(sqrt3, i)
+
+
+def lane_scan(values: Iterable[Scalar]) -> Tuple[int, List[int]]:
+    """(D, lanes) for elements of F = Q(sqrt3, i): D is the lcm of their
+    denominators, and lanes lists, in increasing order, 0 and each s such
+    that the basis element e_s of e_0..e_3 = 1, sqrt3, i, i sqrt3 occurs in
+    one of them."""
+    den = 1
+    used = {0}
+    for c in values:
+        *num, d = c.as_ints()
+        den = lcm(den, d)
+        used.update(u for u, x in enumerate(num) if x)
+    return den, sorted(used)
+
+
+def int_coords(v: SparseVec, s: int, den: int, n: int) -> List[Tuple[int, int]]:
+    """The nonzero integer coordinates of den * e_s * v for v in F^n, each
+    keyed q + n*u for coordinate u of entry q; den must clear v's
+    denominators."""
+    e_s = _BASIS[s]
+    out: List[Tuple[int, int]] = []
+    for q, c in v.items():
+        *num, d = (c * e_s).as_ints()
+        f = den // d
+        out.extend((q + n * u, x * f) for u, x in enumerate(num) if x)
+    return out
 
 
 def _integer_ad(L: LieAlgebra) -> List[IntRow]:
@@ -127,23 +157,11 @@ def _integer_ad(L: LieAlgebra) -> List[IntRow]:
     column iad[j][k] itself (s = 0).
     """
     n = L.dim
-    den = 1
-    used = {0}
-    for v in L.brk.values():
-        for c in v.values():
-            *num, d = c.as_ints()
-            den = lcm(den, d)
-            used.update(u for u, x in enumerate(num) if x)
-    basis = [(s, _BASIS[s]) for s in sorted(used)]
+    den, lanes = lane_scan(c for v in L.brk.values() for c in v.values())
     iad: List[IntRow] = [{} for _ in range(n)]
     for (i, j), v in L.brk.items():
-        for s, e_s in basis:
-            col: List[Tuple[int, int]] = []
-            for q, c in v.items():
-                *num, d = (c * e_s).as_ints()
-                f = den // d
-                col.extend((q + n * u, x * f) for u, x in enumerate(num) if x)
-            shared = tuple(col)
+        for s in lanes:
+            shared = tuple(int_coords(v, s, den, n))
             iad[i][j + n * s] = (1, shared)
             iad[j][i + n * s] = (-1, shared)
     return iad
@@ -203,23 +221,47 @@ def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
 
 
 def killing_form(L: LieAlgebra) -> List[List[Scalar]]:
-    """K[i][j] = trace(ad b_i ad b_j) = sum_{p,q} ad_i[p][q] ad_j[q][p], exact."""
+    """K[i][j] = trace(ad b_i ad b_j) = sum_{q,p} A_i[q][p] A_j[p][q], exact,
+    where A_i[q][p] is coordinate q of [b_i, b_p].
+
+    One scatter pass over the bracket table: an index keyed by position
+    q*n + p lists the (i, A_i[q][p]) read straight from `brk` and its
+    antisymmetry, and each pair of transposed positions (q, p), (p, q)
+    adds its products into K[i][j] for j >= i.  Only nonzero products are
+    formed, and the ad table is neither read nor built.
+    """
     n = L.dim
-    ad = L.ad
+    index: Dict[int, List[Tuple[int, Scalar]]] = {}
+    for (i, j), v in L.brk.items():
+        for q, x in v.items():
+            index.setdefault(q * n + j, []).append((i, x))
+            index.setdefault(q * n + i, []).append((j, -x))
     out = [[ZERO] * n for _ in range(n)]
+    for pos, col in index.items():
+        q, p = divmod(pos, n)
+        if q == p:
+            # A_i[q][q] A_j[q][q]: each unordered pair once
+            for a, x in col:
+                row = out[a]
+                for b, w in col:
+                    if b >= a:
+                        row[b] = row[b] + x * w
+        elif q < p:
+            # A_i[q][p] A_j[p][q] and A_i[p][q] A_j[q][p] give the same
+            # products; they land in K[i][j] and K[j][i], one of them stored
+            for a, x in index.get(p * n + q, ()):
+                for b, w in col:
+                    t = x * w
+                    if a < b:
+                        out[a][b] = out[a][b] + t
+                    elif a > b:
+                        out[b][a] = out[b][a] + t
+                    else:
+                        out[a][a] = out[a][a] + t + t
     for i in range(n):
-        for j in range(i, n):
-            ad_j = ad[j]
-            acc = ZERO
-            for q, col_i in ad[i].items():
-                for p, val_i in col_i.items():
-                    col_j = ad_j.get(p)
-                    if col_j:
-                        v = col_j.get(q)
-                        if v:
-                            acc = acc + val_i * v
-            out[i][j] = acc
-            out[j][i] = acc
+        row = out[i]
+        for j in range(i + 1, n):
+            out[j][i] = row[j]
     return out
 
 

@@ -19,10 +19,13 @@ decided exactly (no floating point anywhere).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 Rat = Fraction
+
+_HASH_P = sys.hash_info.modulus
 
 _new = object.__new__
 
@@ -44,6 +47,16 @@ def _make(a: int, b: int, c: int, d: int, n: int) -> "Scalar":
     x._d = d
     x._n = n
     return x
+
+
+def _rat_hash(a: int, inv: int) -> int:
+    """An int that hashes like Fraction(a, n), for inv = n^-1 mod _HASH_P.
+
+    Python hashes a rational a/n as |a| * n^-1 mod P with the sign of a
+    (and -1 read as -2, which hash() of the int returned here does too);
+    as P is prime, this holds for a/n in lowest terms or not, as long as P
+    does not divide n."""
+    return a * inv % _HASH_P if a >= 0 else -(-a * inv % _HASH_P)
 
 
 class Scalar:
@@ -252,9 +265,14 @@ class Scalar:
     def __hash__(self):
         # the hash of the Fraction components; an int hashes like the
         # Fraction of the same value, so n == 1 needs no Fractions
-        if self._n == 1:
+        n = self._n
+        if n == 1:
             return hash((self._a, self._b, self._c, self._d))
-        return hash((self.a, self.b, self.c, self.d))
+        if n % _HASH_P == 0:
+            return hash((self.a, self.b, self.c, self.d))
+        inv = pow(n, -1, _HASH_P)
+        return hash((_rat_hash(self._a, inv), _rat_hash(self._b, inv),
+                     _rat_hash(self._c, inv), _rat_hash(self._d, inv)))
 
     def key(self):
         """Deterministic sort key (component order; not a field order)."""

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 
 from realforms.algebras import albert, symmetric_composition
@@ -9,13 +12,14 @@ from realforms.constructions import (
 )
 from realforms.errors import VerificationError
 from realforms.lie import (
+    LieAlgebra,
     certify_jacobi,
     derivations,
     killing_form,
     killing_signature,
 )
-from realforms.linalg import combine, is_zero_vec, mat_vec, vadd
-from realforms.scalars import HALF, ONE, ZERO, sc
+from realforms.linalg import combine, is_zero_vec, mat_vec, to_dense, to_sparse, vadd
+from realforms.scalars import HALF, IUNIT, ONE, SQRT3, ZERO, sc
 
 
 @pytest.fixture(scope="module")
@@ -138,15 +142,97 @@ def test_rho_images_are_derivations(f4_square):
                 assert lhs == rhs
 
 
+def sparse_rho(square, alg):
+    return [[to_sparse(row) for row in m] for m in rho_images(square, alg)]
+
+
 def test_rho_homomorphism_catches_corruption():
     s = symmetric_composition("pC")
     square = magic_square(s, symmetric_composition("R"), (1, 1, 1))
-    rho = rho_images(square, albert(s, (1, 1, 1)))
-    assert check_rho_homomorphism(square, rho) == {"pairs": 8 * 7 // 2}
-    rho[1][3][4] = rho[1][3][4] + ONE
+    R = sparse_rho(square, albert(s, (1, 1, 1)))
+    assert check_rho_homomorphism(square, R) == {"pairs": 8 * 7 // 2}
+    R[1][3][4] = R[1][3].get(4, ZERO) + ONE
     with pytest.raises(VerificationError, match="homomorphism") as info:
-        check_rho_homomorphism(square, rho)
+        check_rho_homomorphism(square, R)
     assert info.value.witness == (0, 1)
+
+
+def naive_rho_witness(square, R):
+    """The first pair i < j, in lexicographic order, on which
+    [R_i, R_j] - sum_m c^m_ij R_m is nonzero, from dense Scalar matrices;
+    None if there is none."""
+    n = len(R[0])
+    dense = [[to_dense(row, n) for row in m] for m in R]
+    for i, j in combinations(range(len(R)), 2):
+        a, b = dense[i], dense[j]
+        diff = [
+            [
+                sum((a[p][r] * b[r][q] - b[p][r] * a[r][q] for r in range(n)), ZERO)
+                for q in range(n)
+            ]
+            for p in range(n)
+        ]
+        for m, c in square.lie.brk.get((i, j), {}).items():
+            for p in range(n):
+                for q in range(n):
+                    diff[p][q] = diff[p][q] - c * dense[m][p][q]
+        if any(x for row in diff for x in row):
+            return (i, j)
+    return None
+
+
+@pytest.fixture(scope="module")
+def po_rho(f4_square):
+    return sparse_rho(f4_square, albert(symmetric_composition("pO"), (1, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "delta", [ONE, SQRT3, IUNIT, IUNIT * SQRT3], ids=["1", "r3", "i", "i*r3"]
+)
+def test_rho_homomorphism_mutation_in_each_lane(f4_square, po_rho, delta):
+    R = [[dict(row) for row in m] for m in po_rho]
+    row = next(row for row in R[17] if row)
+    q = min(row)
+    row[q] = row[q] + delta
+    expected = naive_rho_witness(f4_square, R)
+    assert expected is not None
+    with pytest.raises(VerificationError, match="homomorphism") as info:
+        check_rho_homomorphism(f4_square, R)
+    assert info.value.witness == expected
+
+
+def test_rho_homomorphism_lanes_of_the_constants(f4_square, po_rho):
+    """Rescale b_a by sqrt3 and b_b by i: the images gain the sqrt3 and i
+    lanes, and the constant t_a t_b / t_m c^m_ab the i sqrt3 lane, which no
+    image has.  The identity still holds, and a corrupted constant in that
+    lane is still caught."""
+    brk = f4_square.lie.brk
+    a, b = next(k for k, v in brk.items() if set(v) - set(k))
+    t = [ONE] * len(po_rho)
+    t[a], t[b] = SQRT3, IUNIT
+    R = [[{q: t[k] * x for q, x in row.items()} for row in m] for k, m in enumerate(po_rho)]
+    scaled = {
+        (i, j): {m: t[i] * t[j] * c / t[m] for m, c in v.items()}
+        for (i, j), v in brk.items()
+    }
+    square = replace(f4_square, lie=LieAlgebra("scaled", f4_square.lie.labels, scaled))
+    assert any(c.d for v in scaled.values() for c in v.values())
+    assert not any(x.d for m in R for row in m for x in row.values())
+    assert check_rho_homomorphism(square, R) == {"pairs": 52 * 51 // 2}
+    m = next(m for m in scaled[(a, b)] if m not in (a, b))
+    scaled[(a, b)][m] = scaled[(a, b)][m] + IUNIT * SQRT3
+    with pytest.raises(VerificationError, match="homomorphism") as info:
+        check_rho_homomorphism(square, R)
+    assert info.value.witness == (a, b)
+
+
+def test_rho_homomorphism_okubo_model():
+    model = derivation_model(symmetric_composition("Ok"))
+    consts = [c for v in model.square.lie.brk.values() for c in v.values()]
+    assert any(c.b for c in consts)  # sqrt3 lanes in the constants
+    R = [[to_sparse(row) for row in m] for m in model.rho]
+    assert check_rho_homomorphism(model.square, R) == {"pairs": 52 * 51 // 2}
+    assert model.lie.dim == 78
 
 
 def test_model78_structure(model78):

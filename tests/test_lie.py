@@ -1,9 +1,11 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realforms.algebras import hurwitz
+from realforms.algebras import hurwitz, symmetric_composition
+from realforms.constructions import magic_square
 from realforms.errors import VerificationError
 from realforms.lie import (
     LieAlgebra,
@@ -16,6 +18,7 @@ from realforms.lie import (
     sub_lie_algebra,
 )
 from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Scalar, sc
+from realforms.triality import triality_cached
 
 
 def sl2() -> LieAlgebra:
@@ -176,11 +179,11 @@ _entries = st.one_of(
 
 
 @st.composite
-def antisymmetric_tables(draw):
-    n = draw(st.integers(3, 5))
+def antisymmetric_tables(draw, entries=_entries, min_dim=3, max_dim=5):
+    n = draw(st.integers(min_dim, max_dim))
     brk = {}
     for i, j in combinations(range(n), 2):
-        v = draw(st.dictionaries(st.integers(0, n - 1), _entries, max_size=2))
+        v = draw(st.dictionaries(st.integers(0, n - 1), entries, max_size=2))
         v = {p: x for p, x in v.items() if x}
         if v:
             brk[(i, j)] = v
@@ -191,6 +194,62 @@ def antisymmetric_tables(draw):
 @given(antisymmetric_tables())
 def test_jacobi_matches_naive_loop(L):
     assert jacobi_witness(L) == naive_jacobi_witness(L)
+
+
+def naive_killing(L: LieAlgebra):
+    """trace(ad b_i ad b_j) = sum_{q,p} A_i[q][p] A_j[p][q] on the dense
+    ad matrices A_i[q][p] = coordinate q of [b_i, b_p]."""
+    n = L.dim
+    ads = []
+    for i in range(n):
+        a = [[ZERO] * n for _ in range(n)]
+        for p in range(n):
+            for q, x in L.bracket_basis(i, p).items():
+                a[q][p] = x
+        ads.append(a)
+    nonzero = [
+        [(q, p, x) for q, row in enumerate(a) for p, x in enumerate(row) if x]
+        for a in ads
+    ]
+    return [
+        [sum((x * ads[j][p][q] for q, p, x in nonzero[i]), ZERO) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        sl2,
+        so3,
+        two_sl2s,
+        lambda: triality_cached(symmetric_composition("pO")).lie,
+        lambda: magic_square(
+            symmetric_composition("Ok"), symmetric_composition("R"), (1, 1, 1)
+        ).lie,
+    ],
+    ids=["sl2", "so3", "sl2+sl2", "tri(pO)", "f4(Ok)"],
+)
+def test_killing_form_matches_trace_of_dense_ad(make):
+    L = make()
+    assert killing_form(L) == naive_killing(L)
+
+
+# any table has a Killing form: these need not be Lie algebras
+_fractions12 = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+_entries12 = st.builds(Scalar, _fractions12, _fractions12, _fractions12, _fractions12)
+
+
+@settings(deadline=None, max_examples=80)
+@given(antisymmetric_tables(_entries12, 2, 6))
+def test_killing_form_matches_trace_on_random_tables(L):
+    assert killing_form(L) == naive_killing(L)
+
+
+def test_killing_form_does_not_build_ad():
+    L = sl2()
+    killing_form(L)
+    assert "ad" not in vars(L)
 
 
 def test_bracket_antisymmetry_and_linearity():

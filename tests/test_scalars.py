@@ -1,4 +1,5 @@
 import fractions
+import sys
 from math import gcd
 
 import pytest
@@ -184,6 +185,25 @@ def test_hash_matches_fraction_components(x):
     assert all(type(p) is fractions.Fraction for p in parts)
     assert hash(x) == hash(parts)
     assert x == Scalar(*parts)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        # a component hashing to -1, which Python reads as -2
+        (fractions.Fraction(-(2 + sys.hash_info.modulus), 2), 0, 1, "1/3"),
+        # numerators that are multiples of the hash modulus
+        (fractions.Fraction(sys.hash_info.modulus, 7), -sys.hash_info.modulus, 0, 0),
+        # denominators divisible by the hash modulus take the Fraction path
+        (fractions.Fraction(1, sys.hash_info.modulus), "-1/2", 0, 3),
+        (0, 0, fractions.Fraction(-5, 3 * sys.hash_info.modulus), 0),
+    ],
+)
+def test_hash_matches_fraction_components_at_the_modulus(parts):
+    x = Scalar(*parts)
+    fracs = (x.a, x.b, x.c, x.d)
+    assert hash(x) == hash(fracs)
+    assert hash(x) == hash(tuple(fractions.Fraction(p) for p in parts))
 
 
 @settings(deadline=None, max_examples=60)
