@@ -26,12 +26,13 @@ from .algebras import (
 )
 from .constructions import derivation_model, magic_square
 from .errors import ConstructionError, IOFormatError, RealformsError
-from .lie import LieAlgebra, certify_jacobi, killing_signature
+from .lie import LieAlgebra
 from .pipeline import (
     MODELS,
     PRESET_MODEL,
     build_model,
     cartan_decomposition_report,
+    certify,
     compact_diagram,
     preset_cartan,
     run_satake,
@@ -142,21 +143,24 @@ def _lie_json(L: LieAlgebra, extra: Dict[str, object]) -> Dict[str, object]:
     return out
 
 
+def _certificates(sig: Tuple[int, int, int], jacobi: Dict[str, object]) -> Dict[str, object]:
+    """The signature, Killing and Jacobi entries of a built Lie algebra."""
+    return {
+        "signature": sig[0] - sig[1],
+        "killing": {"positive": sig[0], "negative": sig[1], "zero": sig[2]},
+        "jacobi": jacobi,
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     build = build_model(args.model)
-    sig = build.signature
     data = _lie_json(
         build.lie,
-        {
-            "model": args.model,
-            "signature": sig[0] - sig[1],
-            "killing": {"positive": sig[0], "negative": sig[1], "zero": sig[2]},
-            "jacobi": build.jacobi,
-        },
+        {"model": args.model, **_certificates(build.signature, build.jacobi)},
     )
     _emit(_dump(data), args.out, f"{args.model}.lie.json")
     return 0
@@ -206,15 +210,12 @@ def cmd_algebra(args: argparse.Namespace) -> int:
 
 def cmd_lie(args: argparse.Namespace) -> int:
     build = build_model(args.model)
-    sig = build.signature
     data = {
         "model": args.model,
         "name": build.lie.name,
         "dim": build.lie.dim,
         "description": build.spec.description,
-        "signature": sig[0] - sig[1],
-        "killing": {"positive": sig[0], "negative": sig[1], "zero": sig[2]},
-        "jacobi": build.jacobi,
+        **_certificates(build.signature, build.jacobi),
     }
     _emit(_dump(data), args.out, f"{args.model}.summary.json")
     return 0
@@ -231,15 +232,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
         sp = symmetric_composition(args.sp)
         L = magic_square(s, sp, eps).lie
         kind = f"magic({args.s},{args.sp},{args.eps})"
-    jac = certify_jacobi(L)
-    sig = killing_signature(L)
+    jacobi, _, sig = certify(L, None, kind)
     data = {
         "construction": kind,
         "name": L.name,
         "dim": L.dim,
-        "signature": sig[0] - sig[1],
-        "killing": {"positive": sig[0], "negative": sig[1], "zero": sig[2]},
-        "jacobi": jac,
+        **_certificates(sig, jacobi),
     }
     _emit(_dump(data), args.out, "construct.json")
     return 0
@@ -315,29 +313,23 @@ COMPACT_MODELS = ("e6m78", "f4m52")
 def cmd_satake(args: argparse.Namespace) -> int:
     name = args.model
     if name in COMPACT_MODELS:
-        diagram = compact_diagram(name)
-        if args.out is None:
-            _emit(diagram.render(args.format), None, "")
-        else:
-            _emit(diagram.to_json(), args.out, f"{name}.satake.json")
-            _emit(diagram.render_dot(), args.out, f"{name}.satake.dot")
-            _emit(diagram.render_ascii(), args.out, f"{name}.satake.txt")
-        return 0
-    key = _model_key(name)
-    res = run_satake(key)
-    label = res.preset_key
+        diagram, table, label = compact_diagram(name), None, name
+    else:
+        res = run_satake(_model_key(name))
+        diagram, table, label = res.diagram, res.table, res.preset_key
     if args.out is None:
-        _emit(res.diagram.render(args.format), None, "")
-        if args.format == "ascii":
-            _emit(res.table.render_ascii(), None, "")
-        elif args.format == "json":
-            _emit(_dump(res.table.to_json_dict()), None, "")
+        _emit(diagram.render(args.format), None, "")
+        if table is not None and args.format == "ascii":
+            _emit(table.render_ascii(), None, "")
+        elif table is not None and args.format == "json":
+            _emit(_dump(table.to_json_dict()), None, "")
         return 0
-    _emit(res.diagram.to_json(), args.out, f"{label}.satake.json")
-    _emit(res.diagram.render_dot(), args.out, f"{label}.satake.dot")
-    _emit(res.diagram.render_ascii(), args.out, f"{label}.satake.txt")
-    _emit(_dump(res.table.to_json_dict()), args.out, f"{label}.restricted.json")
-    _emit(res.table.render_ascii(), args.out, f"{label}.restricted.txt")
+    _emit(diagram.to_json(), args.out, f"{label}.satake.json")
+    _emit(diagram.render_dot(), args.out, f"{label}.satake.dot")
+    _emit(diagram.render_ascii(), args.out, f"{label}.satake.txt")
+    if table is not None:
+        _emit(_dump(table.to_json_dict()), args.out, f"{label}.restricted.json")
+        _emit(table.render_ascii(), args.out, f"{label}.restricted.txt")
     return 0
 
 

@@ -21,14 +21,12 @@ from .lie import LieAlgebra, int_coords, lane_scan, lie_from_fn
 from .linalg import (
     DenseVec,
     Echelon,
-    Matrix,
     SparseMatrix,
     SparseVec,
     SpanSolver,
     add_product,
     commutator,
     flatten,
-    to_dense,
     to_sparse,
 )
 from .scalars import TWO, ZERO, Scalar, sc
@@ -214,15 +212,16 @@ class DerivationModel:
     lie: LieAlgebra
     alg: AlbertAlgebra
     square: MagicSquareAlgebra
-    rho: List[Matrix]
+    rho: List[SparseMatrix]  # certified by check_rho_homomorphism
 
     @property
     def der_dim(self) -> int:
         return len(self.rho)
 
 
-def _rho_rows(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[SparseMatrix]:
-    """The action of g(S, R) on the Jordan algebra, basis by basis."""
+def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[SparseMatrix]:
+    """The action of g(S, R) on the Jordan algebra, basis by basis, as
+    sparse rows."""
     s = square.s
     if square.sp.dim != 1:
         raise ConstructionError("derivation model needs the S' = R square")
@@ -243,11 +242,6 @@ def _rho_rows(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[SparseMatr
             comm = commutator(lv, lE[(i + 1) % 3])
             out.append([{q: TWO * x for q, x in row.items()} for row in comm])
     return out
-
-
-def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[Matrix]:
-    """The action of g(S, R) on the Jordan algebra, as dense matrices."""
-    return [[to_dense(row, alg.dim) for row in m] for m in _rho_rows(square, alg)]
 
 
 def check_rho_homomorphism(square: MagicSquareAlgebra, R: List[SparseMatrix]) -> Dict[str, int]:
@@ -358,7 +352,7 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     r = symmetric_composition("R")
     square = magic_square(s, r, (1, 1, 1), triality_cached(s), triality_cached(r))
     alg = albert(s, (1, 1, 1))
-    R = _rho_rows(square, alg)
+    R = rho_images(square, alg)
     check_rho_homomorphism(square, R)
     nd = len(R)
     n27 = alg.dim
@@ -391,8 +385,7 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
         alg.table.labels[k] for k in range(3, n27)
     ]
     lie = lie_from_fn(f"Der({alg.table.name})+A0", labels, fn)
-    rho = [[to_dense(row, n27) for row in m] for m in R]
-    return DerivationModel(lie, alg, square, rho)
+    return DerivationModel(lie, alg, square, R)
 
 
 @dataclass(eq=False)

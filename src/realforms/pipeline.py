@@ -21,13 +21,7 @@ from .constructions import (
     psi_automorphism,
 )
 from .errors import ConstructionError, VerificationError
-from .lie import (
-    LieAlgebra,
-    certify_jacobi,
-    killing_form,
-    killing_signature,
-    sub_lie_algebra,
-)
+from .lie import LieAlgebra, certify_jacobi, killing_form, sub_lie_algebra
 from .linalg import SparseVec, combine, sylvester_signature
 from .rootspace import (
     Covector,
@@ -59,9 +53,6 @@ from .satake import (
 )
 from .scalars import HALF, ONE, Rat, Scalar, sc
 from .triality import triality_cached
-
-JORDAN_CHECK_SEED = 20260814
-
 
 # ---------------------------------------------------------------------------
 # model registry
@@ -103,6 +94,23 @@ MODELS: Dict[str, ModelSpec] = {
     ]
 }
 
+
+def certify(
+    lie: LieAlgebra, expected: Optional[int], what: str
+) -> Tuple[Dict[str, object], List[List[Scalar]], Tuple[int, int, int]]:
+    """The Jacobi certificate, the Killing form and its Sylvester signature
+    (positive, negative, zero) of `lie`.  When `expected` is given, the
+    form must be nondegenerate with positive - negative == expected."""
+    jacobi = certify_jacobi(lie)
+    killing = killing_form(lie)
+    sig = sylvester_signature(killing)
+    if expected is not None and (sig[0] - sig[1] != expected or sig[2]):
+        raise VerificationError(
+            f"{what}: Killing signature {sig} does not match expected {expected}"
+        )
+    return jacobi, killing, sig
+
+
 @dataclass(eq=False)
 class ModelBuild:
     spec: ModelSpec
@@ -110,7 +118,7 @@ class ModelBuild:
     obj: object  # MagicSquareAlgebra or DerivationModel
     signature: Tuple[int, int, int]
     jacobi: Dict[str, object]
-    killing: Optional[List[List[Scalar]]] = None  # set when certified
+    killing: List[List[Scalar]]
 
     @property
     def square(self) -> MagicSquareAlgebra:
@@ -119,7 +127,7 @@ class ModelBuild:
         return self.obj.square  # type: ignore[union-attr]
 
 
-def build_model(key: str, certify: bool = True) -> ModelBuild:
+def build_model(key: str) -> ModelBuild:
     if key not in MODELS:
         raise ConstructionError(
             f"unknown model {key!r}; known: {', '.join(sorted(MODELS))}"
@@ -131,23 +139,11 @@ def build_model(key: str, certify: bool = True) -> ModelBuild:
         obj: object = magic_square(
             s, sp, spec.eps, triality_cached(s), triality_cached(sp)
         )
-        lie = obj.lie  # type: ignore[union-attr]
     else:
         obj = derivation_model(symmetric_composition(spec.s_name))
-        lie = obj.lie  # type: ignore[union-attr]
-    jreport: Dict[str, object] = {}
-    sig = (0, 0, 0)
-    killing = None
-    if certify:
-        jreport = certify_jacobi(lie)
-        killing = killing_form(lie)
-        sig = sylvester_signature(killing)
-        if sig[0] - sig[1] != spec.signature or sig[2]:
-            raise VerificationError(
-                f"{key}: Killing signature {sig} does not match "
-                f"expected {spec.signature}"
-            )
-    return ModelBuild(spec, lie, obj, sig, jreport, killing)
+    lie = obj.lie  # type: ignore[attr-defined]
+    jacobi, killing, sig = certify(lie, spec.signature, key)
+    return ModelBuild(spec, lie, obj, sig, jacobi, killing)
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +182,14 @@ def signature_table() -> List[Dict[str, object]]:
         s = symmetric_composition(cell.s_name)
         sp = symmetric_composition(cell.sp_name)
         sq = magic_square(s, sp, cell.eps, triality_cached(s), triality_cached(sp))
-        certify_jacobi(sq.lie)
-        sig = killing_signature(sq.lie)
-        got = sig[0] - sig[1]
-        if got != cell.expected or sig[2]:
-            raise VerificationError(
-                f"signature cell ({cell.s_name},{cell.sp_name},{cell.eps}): "
-                f"{sig} vs expected {cell.expected}"
-            )
+        what = f"signature cell ({cell.s_name},{cell.sp_name},{cell.eps})"
+        sig = certify(sq.lie, cell.expected, what)[2]
         rows.append(
             {
                 "s": cell.s_name,
                 "sp": cell.sp_name,
                 "eps": list(cell.eps),
-                "signature": got,
+                "signature": sig[0] - sig[1],
                 "positive": sig[0],
                 "negative": sig[1],
                 "form": cell.form,

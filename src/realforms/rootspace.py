@@ -734,9 +734,17 @@ def verify_cartan_decomposition(
     p_basis: List[SparseVec],
     killing: Optional[List[List[Scalar]]] = None,
 ) -> Dict[str, object]:
-    """Certify g = t + p with [t,t], [p,p] in t, [t,p] in p, Killing
-    negative definite on t and positive definite on p.  Returns the report;
-    raises VerificationError on the first failed condition."""
+    """Certify g = t + p for real t and p with [t,t], [p,p] in t, [t,p] in
+    p, Killing negative definite on t and positive definite on p.  Returns
+    the report; raises VerificationError on the first failed condition.  A
+    basis vector with a non-real coordinate fails, with its index in t_basis
+    followed by p_basis as witness."""
+    for k, v in enumerate(t_basis + p_basis):
+        if not all(x.is_real() for x in v.values()):
+            part = "t" if k < len(t_basis) else "p"
+            raise VerificationError(
+                f"basis vector {k} ({part}) has a non-real coordinate", witness=k
+            )
     ech_t = Echelon()
     for v in t_basis:
         ech_t.add(v)

@@ -149,13 +149,15 @@ class SatakeDiagram:
 
     def render_ascii(self) -> str:
         lines: List[str] = []
-        order = _e6_chain_order(self)
+        order = _e6_order([(e.a, e.b) for e in self.edges], len(self.nodes))
         if order is not None:
-            chain, branch, center = order
+            branch = order[1]
+            chain = [order[0]] + order[2:]
             width = 6
             pos = {idx: width * k for k, idx in enumerate(chain)}
-            top = " " * pos[center] + self._mark(branch) + "  " + self.nodes[branch].label
-            stem = " " * pos[center] + "|"
+            # the stem is drawn over node index 2 (a3 in Bourbaki order)
+            top = " " * pos[2] + self._mark(branch) + "  " + self.nodes[branch].label
+            stem = " " * pos[2] + "|"
             row = ""
             for k, idx in enumerate(chain):
                 if k:
@@ -243,12 +245,21 @@ def _path_order(diag: SatakeDiagram) -> Optional[List[int]]:
     return order
 
 
-def _e6_chain_order(diag: SatakeDiagram):
-    """(5-chain, branch node, center index) when the graph is E6-shaped."""
-    if len(diag.nodes) != 6 or len(diag.edges) != 5:
+def _e6_order(edges: List[Tuple[int, int]], n: int) -> Optional[List[int]]:
+    """Node indices in Bourbaki order a1,...,a6 when the graph is E6-shaped,
+    else None.
+
+    a4 is the degree-3 node, a2 its leaf neighbor; of the two remaining
+    arms (a3,a1) and (a5,a6), orientation is fixed by the caller sorting
+    the returned candidates.
+    """
+    if n != 6 or len(edges) != 5:
         return None
-    adj = diag._adjacency()
-    deg3 = [k for k in range(6) if len(adj[k]) == 3]
+    adj: Dict[int, List[int]] = {k: [] for k in range(n)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    deg3 = [k for k in range(n) if len(adj[k]) == 3]
     if len(deg3) != 1:
         return None
     c = deg3[0]
@@ -265,39 +276,38 @@ def _e6_chain_order(diag: SatakeDiagram):
     if branch is None or len(arms) != 2:
         return None
     (m1, t1), (m2, t2) = arms
-    chain = [t1, m1, c, m2, t2]
-    return chain, branch, 2
+    return [t1, branch, m1, c, m2, t2]
 
 
 def e6_label_order(diag_edges: List[Tuple[int, int]], n: int) -> List[int]:
-    """Node indices in Bourbaki order a1,a2,...,a6 for an E6 shape.
-
-    a4 is the degree-3 node, a2 its leaf neighbor; of the two remaining
-    arms (a3,a1) and (a5,a6), orientation is fixed by the caller sorting
-    the returned candidates.
-    """
-    adj: Dict[int, List[int]] = {k: [] for k in range(n)}
-    for a, b in diag_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    deg3 = [k for k in range(n) if len(adj[k]) == 3]
-    if n != 6 or len(deg3) != 1:
+    """`_e6_order`, raising when the graph is not E6-shaped."""
+    order = _e6_order(diag_edges, n)
+    if order is None:
         raise VerificationError("diagram is not E6-shaped")
-    c = deg3[0]
-    branch = None
-    arms = []
-    for w in adj[c]:
-        if len(adj[w]) == 1:
-            branch = w
-        else:
-            arms.append((w, [x for x in adj[w] if x != c][0]))
-    (m1, t1), (m2, t2) = arms
-    # [a1, a2, a3, a4, a5, a6]
-    return [t1, branch, m1, c, m2, t2]
+    return order
 
 
 # ---------------------------------------------------------------------------
 # builders
+
+
+def _bonds(cm: List[List[int]]) -> List[SatakeEdge]:
+    """The Dynkin edges of a Cartan matrix, each arrow on the short root."""
+    n = len(cm)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            bond = cm[i][j] * cm[j][i]
+            if not bond:
+                continue
+            if bond not in (1, 2, 3):
+                raise VerificationError(f"bond multiplicity {bond}")
+            arrow_to = None
+            if bond > 1:
+                # larger |<a_j, a_i^vee>| means a_i is the shorter root
+                arrow_to = i if abs(cm[i][j]) > abs(cm[j][i]) else j
+            edges.append(SatakeEdge(i, j, bond, arrow_to))
+    return edges
 
 
 def build_satake(
@@ -320,19 +330,7 @@ def build_satake(
     nodes = [
         SatakeNode(labels[k], cov_is_zero(restrictions[k])) for k in range(n)
     ]
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bond = cm[i][j] * cm[j][i]
-            if not bond:
-                continue
-            if bond not in (1, 2, 3):
-                raise VerificationError(f"bond multiplicity {bond}")
-            arrow_to = None
-            if bond > 1:
-                # larger |<a_j, a_i^vee>| means a_i is the shorter root
-                arrow_to = i if abs(cm[i][j]) > abs(cm[j][i]) else j
-            edges.append(SatakeEdge(i, j, bond, arrow_to))
+    edges = _bonds(cm)
     arrows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -466,18 +464,7 @@ def build_restricted_table(
     for r in bbar:
         if r not in ind:
             raise VerificationError("restricted simple root is divisible")
-    cm = cartan_matrix(bbar, ind)
-    bonds = []
-    k = len(bbar)
-    for i in range(k):
-        for j in range(i + 1, k):
-            bond = cm[i][j] * cm[j][i]
-            if not bond:
-                continue
-            arrow_to = None
-            if bond > 1:
-                arrow_to = i if abs(cm[i][j]) > abs(cm[j][i]) else j
-            bonds.append(SatakeEdge(i, j, bond, arrow_to))
+    bonds = _bonds(cartan_matrix(bbar, ind))
     sigma_type = classify_restricted(sigma, bbar)
     return RestrictedTable(rows, bonds, sigma_type, sum(rmult.values()))
 

@@ -23,7 +23,7 @@ from realforms.algebras import (
 )
 from realforms.constructions import check_rho_homomorphism, rho_images
 from realforms.lie import check_killing_invariance, killing_form
-from realforms.linalg import sylvester_signature, to_sparse
+from realforms.linalg import sylvester_signature
 from realforms.pipeline import (
     MODELS,
     signature_table,
@@ -179,8 +179,7 @@ def test_criterion_7_dimension_oracles(get_build):
         square = get_build("f4m52").obj
         rho = rho_images(square, alb)
         assert len(rho) == 52
-        R = [[to_sparse(row) for row in m] for m in rho]
-        report = check_rho_homomorphism(square, R)
+        report = check_rho_homomorphism(square, rho)
         assert report["pairs"] == 52 * 51 // 2
 
 

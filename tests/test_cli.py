@@ -107,12 +107,12 @@ def test_unknown_model_exit_code(capsys):
 
 
 def test_verification_error_reports_witness(capsys, monkeypatch):
-    import realforms.cli as cli
+    import realforms.pipeline as pipeline
 
     def failing_jacobi(L):
         raise VerificationError(f"{L.name}: Jacobi fails", witness=(0, 1, 2))
 
-    monkeypatch.setattr(cli, "certify_jacobi", failing_jacobi)
+    monkeypatch.setattr(pipeline, "certify_jacobi", failing_jacobi)
     code, out, err = run(capsys, "construct", "--s", "pC", "--sp", "R")
     assert code == 2 and not out
     payload = json.loads(err)

@@ -1,8 +1,11 @@
 """Every name a source module imports is used in that module, every
-definition in the package is named somewhere else, and no source module
-relies on assert statements, which python -O strips."""
+definition in the package is named somewhere else, no source module
+relies on assert statements, which python -O strips, and every span the
+benchmark traces names a public function of the package."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -38,10 +41,10 @@ def test_no_unused_imports(path):
 
 def unreferenced_definitions():
     """(file, line, name) of each function, method and class defined in the
-    package whose name no other node in src/, tests/ or scripts/ uses."""
+    package whose name no other node in src/ or tests/ uses."""
     defined = []
     referenced = set()
-    for directory in ("src", "tests", "scripts"):
+    for directory in ("src", "tests"):
         for path in sorted((ROOT / directory).rglob("*.py")):
             tree = ast.parse(path.read_text())
             for node in ast.walk(tree):
@@ -77,3 +80,36 @@ def assert_statements():
 
 def test_no_assert_statements():
     assert assert_statements() == []
+
+
+def traced_spans(path: Path):
+    """The qualified names in the SPANS list of the benchmark's one-pass
+    runner, read from its source without importing it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets
+        ):
+            return [ast.literal_eval(e)[0] for e in node.value.elts]
+    raise AssertionError(f"no SPANS list in {path}")
+
+
+def test_traced_spans_are_public_functions():
+    """A span whose function is renamed or made private reads null in a
+    traced run, and a result with a null metric is malformed."""
+    path = ROOT / "perfbench" / "one_pass.py"
+    if not path.exists():
+        pytest.skip("no benchmark runner in this checkout")
+    bad = []
+    for qname in traced_spans(path):
+        layer, *attrs = qname.split(".")
+        module = importlib.import_module(f"realforms.{layer}")
+        obj = module
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not (
+            inspect.isfunction(obj)
+            and obj.__module__ == module.__name__
+            and not any(a.startswith("_") for a in attrs)
+        ):
+            bad.append(qname)
+    assert bad == []

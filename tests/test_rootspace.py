@@ -518,6 +518,22 @@ def test_verify_cartan_decomposition_rejects_swap():
         verify_cartan_decomposition(L, [h, add(e, f)], [sub(e, f)])
 
 
+def test_verify_cartan_decomposition_rejects_complex_basis():
+    """The compact form i*h, e - f, i(e + f) of sl2 as t with an empty p
+    passes every bracket and Killing condition, but sl2(R) has signature
+    (2, 1, 0): t must be real."""
+    L = sl2()
+    h, e, f = L.basis_vec(0), L.basis_vec(1), L.basis_vec(2)
+    ih = combine([(IUNIT, h)])
+    t = [ih, sub(e, f), combine([(IUNIT, add(e, f))])]
+    with pytest.raises(VerificationError, match="non-real") as info:
+        verify_cartan_decomposition(L, t, [])
+    assert info.value.witness == 0
+    with pytest.raises(VerificationError, match="non-real") as info:
+        verify_cartan_decomposition(L, [sub(e, f)], [add(e, f), ih])
+    assert info.value.witness == 2
+
+
 def test_verify_cartan_decomposition_rejects_non_subalgebra():
     L = sl2()
     h, e, f = L.basis_vec(0), L.basis_vec(1), L.basis_vec(2)
