@@ -1,6 +1,8 @@
 """Composition algebras and the 27-dimensional exceptional Jordan algebra.
 
-Everything is a structure-constant table over Q(sqrt3, i).  The unital
+Everything is a structure-constant table over Q(sqrt3, i), and every
+element, product, unit and conjugate is a zero-free sparse vector
+{index: Scalar}, the format of the rest of the package.  The unital
 algebras (R, R+R, C, split quaternions, H, octonions, split octonions)
 come from Cayley-Dickson doubling or an explicit split basis; their para
 twists x*y = conj(x) conj(y) and the Okubo algebras on traceless 3x3
@@ -13,96 +15,81 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ConstructionError, IOFormatError, VerificationError
 from .linalg import (
-    DenseVec,
+    Echelon,
     SparseMatrix,
+    SparseVec,
     SpanSolver,
     add_product,
+    combine,
     flatten,
-    mat_vec,
-    rank_of,
-    to_dense,
     to_sparse,
-    vadd,
-    vscale,
-    vsub,
-    vzero,
+    transpose,
 )
-from .scalars import HALF, IUNIT, OMEGA, ONE, ZERO, Scalar, sc
+from .scalars import HALF, IUNIT, OMEGA, ONE, TWO, ZERO, Scalar, sc
 
 
 @dataclass(eq=False)
 class AlgebraTable:
     """A finite-dimensional algebra with a bilinear form, as exact tables.
 
-    `sc[i][j]` is the coordinate vector of b_i b_j; `form[i][j]` is the
-    polar form n(b_i, b_j) (so n(x, x) = 2 n(x)).  `unit` and `invol` are
-    present only when the algebra has them; the unit need not be a basis
-    element (split octonions: 1 = e1 + e2).
+    Elements are zero-free sparse vectors {index: Scalar}.  `sc[i][j]` is
+    b_i b_j; `form[i][j]` is the polar form n(b_i, b_j) (so n(x, x) =
+    2 n(x)).  `unit` and `invol` are present only when the algebra has
+    them; `invol[j]` is conj(b_j), and the unit need not be a basis element
+    (split octonions: 1 = e1 + e2).
     """
 
     name: str
     labels: List[str]
-    sc: List[List[DenseVec]]
+    sc: List[List[SparseVec]]
     form: List[List[Scalar]]
-    unit: Optional[DenseVec] = None
-    invol: Optional[List[List[Scalar]]] = None
+    unit: Optional[SparseVec] = None
+    invol: Optional[List[SparseVec]] = None
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def basis_vec(self, i: int) -> DenseVec:
-        v = vzero(self.dim)
-        v[i] = ONE
-        return v
+    def basis_vec(self, i: int) -> SparseVec:
+        return {i: ONE}
 
-    def mul(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> DenseVec:
-        n = self.dim
-        out = vzero(n)
+    def mul(self, x: SparseVec, y: SparseVec) -> SparseVec:
         tab = self.sc
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for p, v in enumerate(tab[i][j]):
-                    if v:
-                        out[p] = out[p] + c * v
-        return out
+        return combine(
+            (xi * yj, tab[i][j]) for i, xi in x.items() for j, yj in y.items()
+        )
 
-    def polar(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
+    def polar(self, x: SparseVec, y: SparseVec) -> Scalar:
         acc = ZERO
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+        for i, xi in x.items():
             row = self.form[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
+            for j, yj in y.items():
+                if row[j]:
                     acc = acc + xi * row[j] * yj
         return acc
 
-    def norm(self, x: Sequence[Scalar]) -> Scalar:
+    def norm(self, x: SparseVec) -> Scalar:
         return self.polar(x, x) * HALF
 
-    def conj_vec(self, x: Sequence[Scalar]) -> DenseVec:
+    def conj_vec(self, x: SparseVec) -> SparseVec:
         if self.invol is None:
             raise ConstructionError(f"{self.name} carries no involution")
-        return mat_vec(self.invol, x)
+        return combine((c, self.invol[j]) for j, c in x.items())
 
-    def lmul_matrix(self, x: Sequence[Scalar]) -> List[DenseVec]:
-        """Matrix of y -> x y (columns indexed by basis)."""
-        cols = [self.mul(x, self.basis_vec(j)) for j in range(self.dim)]
-        return [[cols[j][p] for j in range(self.dim)] for p in range(self.dim)]
+    def lmul_matrix(self, x: SparseVec) -> SparseMatrix:
+        """Matrix of y -> x y (columns indexed by basis), as sparse rows."""
+        return transpose([self.mul(x, {j: ONE}) for j in range(self.dim)])
 
-    def rmul_matrix(self, x: Sequence[Scalar]) -> List[DenseVec]:
-        cols = [self.mul(self.basis_vec(j), x) for j in range(self.dim)]
-        return [[cols[j][p] for j in range(self.dim)] for p in range(self.dim)]
+    def rmul_matrix(self, x: SparseVec) -> SparseMatrix:
+        return transpose([self.mul({j: ONE}, x) for j in range(self.dim)])
+
+
+def _shift(v: SparseVec, off: int) -> SparseVec:
+    return {off + p: x for p, x in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +98,7 @@ class AlgebraTable:
 
 def _table_R() -> AlgebraTable:
     return AlgebraTable(
-        "R", ["1"], [[[ONE]]], [[sc(2)]], unit=[ONE], invol=[[ONE]]
+        "R", ["1"], [[{0: ONE}]], [[sc(2)]], unit={0: ONE}, invol=[{0: ONE}]
     )
 
 
@@ -129,34 +116,21 @@ def cayley_dickson(t: AlgebraTable, alpha, letter: str) -> AlgebraTable:
     labels = list(t.labels) + [
         letter if lab == "1" else lab + letter for lab in t.labels
     ]
-    tab = [[vzero(m) for _ in range(m)] for _ in range(m)]
-
-    def first(v: DenseVec) -> DenseVec:
-        return list(v) + [ZERO] * n
-
-    def second(v: DenseVec) -> DenseVec:
-        return [ZERO] * n + list(v)
-
-    e = [t.basis_vec(i) for i in range(n)]
-    ebar = [t.conj_vec(x) for x in e]
+    tab: List[List[SparseVec]] = [[{} for _ in range(m)] for _ in range(m)]
+    ebar = t.invol
     for i in range(n):
         for j in range(n):
-            tab[i][j] = first(t.sc[i][j])
-            tab[i][n + j] = second(t.mul(e[j], e[i]))
-            tab[n + i][j] = second(t.mul(e[i], ebar[j]))
-            tab[n + i][n + j] = first(vscale(al, t.mul(ebar[j], e[i])))
+            tab[i][j] = t.sc[i][j]
+            tab[i][n + j] = _shift(t.sc[j][i], n)
+            tab[n + i][j] = _shift(t.mul({i: ONE}, ebar[j]), n)
+            tab[n + i][n + j] = combine([(al, t.mul(ebar[j], {i: ONE}))])
     form = [[ZERO] * m for _ in range(m)]
     for i in range(n):
         for j in range(n):
             form[i][j] = t.form[i][j]
             form[n + i][n + j] = -al * t.form[i][j]
-    unit = first(t.unit)
-    invol = [[ZERO] * m for _ in range(m)]
-    for i in range(n):
-        for p in range(n):
-            invol[p][i] = t.invol[p][i]
-        invol[n + i][n + i] = -ONE
-    return AlgebraTable(f"CD({t.name},{al})", labels, tab, form, unit, invol)
+    invol = list(ebar) + [{n + i: -ONE} for i in range(n)]
+    return AlgebraTable(f"CD({t.name},{al})", labels, tab, form, t.unit, invol)
 
 
 def _split_octonions() -> AlgebraTable:
@@ -170,12 +144,10 @@ def _split_octonions() -> AlgebraTable:
     labels = ["e1", "e2", "u1", "u2", "u3", "v1", "v2", "v3"]
     idx = {lab: k for k, lab in enumerate(labels)}
     n = 8
-    tab = [[vzero(n) for _ in range(n)] for _ in range(n)]
+    tab: List[List[SparseVec]] = [[{} for _ in range(n)] for _ in range(n)]
 
     def put(a: str, b: str, target: str, coef: int) -> None:
-        v = vzero(n)
-        v[idx[target]] = sc(coef)
-        tab[idx[a]][idx[b]] = v
+        tab[idx[a]][idx[b]] = {idx[target]: sc(coef)}
 
     put("e1", "e1", "e1", 1)
     put("e2", "e2", "e2", 1)
@@ -198,18 +170,12 @@ def _split_octonions() -> AlgebraTable:
     for i in range(3):
         a, b = idx[f"u{i + 1}"], idx[f"v{i + 1}"]
         form[a][b] = form[b][a] = ONE
-    unit = vzero(n)
-    unit[idx["e1"]] = unit[idx["e2"]] = ONE
+    unit = {idx["e1"]: ONE, idx["e2"]: ONE}
     t = AlgebraTable("Os", labels, tab, form, unit=unit)
     # conj(x) = n(x, 1) 1 - x
-    invol = [[ZERO] * n for _ in range(n)]
-    for j in range(n):
-        tr = t.polar(t.basis_vec(j), unit)
-        col = [tr * u for u in unit]
-        col[j] = col[j] - ONE
-        for p in range(n):
-            invol[p][j] = col[p]
-    t.invol = invol
+    t.invol = [
+        combine([(t.polar({j: ONE}, unit), unit), (-ONE, {j: ONE})]) for j in range(n)
+    ]
     return t
 
 
@@ -254,35 +220,22 @@ def para(t: AlgebraTable) -> AlgebraTable:
     """Para twist x*y = conj(x) conj(y); same norm, no unit."""
     if t.invol is None:
         raise ConstructionError("para twist needs the involution")
-    n = t.dim
-    e = [t.conj_vec(t.basis_vec(i)) for i in range(n)]
-    tab = [[t.mul(e[i], e[j]) for j in range(n)] for i in range(n)]
+    e = t.invol
+    tab = [[t.mul(x, y) for y in e] for x in e]
     return AlgebraTable(
         "p" + t.name, list(t.labels), tab, [list(r) for r in t.form]
     )
 
 
-def _m(rows) -> List[List[Scalar]]:
-    return [[sc(x) for x in row] for row in rows]
-
-
-def _m_lin(*pairs):
-    out = [[ZERO] * 3 for _ in range(3)]
-    for coef, mat in pairs:
-        for r in range(3):
-            for c in range(3):
-                if mat[r][c]:
-                    out[r][c] = out[r][c] + coef * mat[r][c]
-    return out
-
-
-def _E(r, c):
-    m = [[ZERO] * 3 for _ in range(3)]
-    m[r][c] = ONE
+def _matrix(*entries) -> SparseMatrix:
+    """The 3x3 matrix with the given (value, row, column) entries."""
+    m: SparseMatrix = [{}, {}, {}]
+    for x, r, c in entries:
+        m[r][c] = x
     return m
 
 
-def _okubo_from_matrices(name: str, basis, labels) -> AlgebraTable:
+def _okubo_from_matrices(name: str, mats: List[SparseMatrix], labels) -> AlgebraTable:
     """Okubo product on a real span of traceless 3x3 matrices.
 
     x*y = w x y - w^2 y x - ((w - w^2)/3) tr(xy) I with w a primitive cube
@@ -291,7 +244,6 @@ def _okubo_from_matrices(name: str, basis, labels) -> AlgebraTable:
     w = OMEGA
     w2 = OMEGA * OMEGA
     third = (w - w2) / sc(3)
-    mats = [[to_sparse(row) for row in b] for b in basis]
 
     def tr_prod(x: SparseMatrix, y: SparseMatrix) -> Scalar:
         return sum((v * y[q].get(p, ZERO) for p, row in enumerate(x) for q, v in row.items()), ZERO)
@@ -316,7 +268,7 @@ def _okubo_from_matrices(name: str, basis, labels) -> AlgebraTable:
                 raise ConstructionError(f"{name}: product escapes the span")
             if not all(c.is_real() for c in coords.values()):
                 raise ConstructionError(f"{name}: non-real structure constant")
-            row.append(to_dense(coords, n))
+            row.append(coords)
         tab.append(row)
     form = [[-tr_prod(mats[i], mats[j]) for j in range(n)] for i in range(n)]
     for r in form:
@@ -329,14 +281,14 @@ def _okubo_from_matrices(name: str, basis, labels) -> AlgebraTable:
 def okubo_compact() -> AlgebraTable:
     i = IUNIT
     basis = [
-        _m_lin((i, _m([[1, 0, 0], [0, -1, 0], [0, 0, 0]]))),
-        _m_lin((i, _m([[0, 0, 0], [0, 1, 0], [0, 0, -1]]))),
-        _m_lin((ONE, _E(0, 1)), (-ONE, _E(1, 0))),
-        _m_lin((ONE, _E(0, 2)), (-ONE, _E(2, 0))),
-        _m_lin((ONE, _E(1, 2)), (-ONE, _E(2, 1))),
-        _m_lin((i, _E(0, 1)), (i, _E(1, 0))),
-        _m_lin((i, _E(0, 2)), (i, _E(2, 0))),
-        _m_lin((i, _E(1, 2)), (i, _E(2, 1))),
+        _matrix((i, 0, 0), (-i, 1, 1)),
+        _matrix((i, 1, 1), (-i, 2, 2)),
+        _matrix((ONE, 0, 1), (-ONE, 1, 0)),
+        _matrix((ONE, 0, 2), (-ONE, 2, 0)),
+        _matrix((ONE, 1, 2), (-ONE, 2, 1)),
+        _matrix((i, 0, 1), (i, 1, 0)),
+        _matrix((i, 0, 2), (i, 2, 0)),
+        _matrix((i, 1, 2), (i, 2, 1)),
     ]
     labels = ["ih1", "ih2", "x12", "x13", "x23", "y12", "y13", "y23"]
     return _okubo_from_matrices("Ok", basis, labels)
@@ -344,16 +296,15 @@ def okubo_compact() -> AlgebraTable:
 
 def okubo_split() -> AlgebraTable:
     i = IUNIT
-    two_i = i * sc(2)
     basis = [
-        _m_lin((two_i, _E(0, 0)), (-i, _E(1, 1)), (-i, _E(2, 2))),
-        _m_lin((ONE, _E(1, 1)), (-ONE, _E(2, 2))),
-        _m_lin((ONE, _E(1, 0)), (-ONE, _E(0, 2))),
-        _m_lin((i, _E(1, 0)), (i, _E(0, 2))),
-        _m_lin((ONE, _E(2, 0)), (-ONE, _E(0, 1))),
-        _m_lin((i, _E(2, 0)), (i, _E(0, 1))),
-        _m_lin((i, _E(2, 1))),
-        _m_lin((i, _E(1, 2))),
+        _matrix((i * TWO, 0, 0), (-i, 1, 1), (-i, 2, 2)),
+        _matrix((ONE, 1, 1), (-ONE, 2, 2)),
+        _matrix((ONE, 1, 0), (-ONE, 0, 2)),
+        _matrix((i, 1, 0), (i, 0, 2)),
+        _matrix((ONE, 2, 0), (-ONE, 0, 1)),
+        _matrix((i, 2, 0), (i, 0, 1)),
+        _matrix((i, 2, 1)),
+        _matrix((i, 1, 2)),
     ]
     labels = ["b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8"]
     return _okubo_from_matrices("Oks", basis, labels)
@@ -465,24 +416,26 @@ class AlbertAlgebra:
     def iota_index(self, i: int, b: int) -> int:
         return 3 + i * self.comp.dim + b
 
-    def iota_vec(self, i: int, x: Sequence[Scalar]) -> DenseVec:
-        v = vzero(self.dim)
-        off = 3 + i * self.comp.dim
-        for b, c in enumerate(x):
-            v[off + b] = c
-        return v
+    def iota_vec(self, i: int, x: SparseVec) -> SparseVec:
+        return _shift(x, 3 + i * self.comp.dim)
 
-    def trace(self, v: Sequence[Scalar]) -> Scalar:
-        return v[0] + v[1] + v[2]
+    def trace(self, v: SparseVec) -> Scalar:
+        return _diagonal_trace(v)
 
-    def zero_trace_basis(self) -> List[DenseVec]:
-        out = []
-        e = [self.table.basis_vec(a) for a in range(3)]
-        out.append(vsub(e[0], e[1]))
-        out.append(vsub(e[2], e[0]))
-        for k in range(3, self.dim):
-            out.append(self.table.basis_vec(k))
-        return out
+    def zero_trace_basis(self) -> List[SparseVec]:
+        return [{0: ONE, 1: -ONE}, {0: -ONE, 2: ONE}] + [
+            {k: ONE} for k in range(3, self.dim)
+        ]
+
+
+def _diagonal_trace(v: SparseVec) -> Scalar:
+    """The sum of the coordinates 0, 1, 2: the trace of a Jordan element
+    whose first three basis vectors are the diagonal idempotents."""
+    return sum((x for p, x in v.items() if p < 3), ZERO)
+
+
+def _trace_form(tab: List[List[SparseVec]]) -> List[List[Scalar]]:
+    return [[_diagonal_trace(v) for v in row] for row in tab]
 
 
 def albert(s: AlgebraTable, eps: Tuple[int, int, int]) -> AlbertAlgebra:
@@ -490,60 +443,43 @@ def albert(s: AlgebraTable, eps: Tuple[int, int, int]) -> AlbertAlgebra:
         raise ConstructionError("eps entries must be +-1")
     d = s.dim
     n = 3 + 3 * d
-    tab = [[vzero(n) for _ in range(n)] for _ in range(n)]
+    tab: List[List[SparseVec]] = [[{} for _ in range(n)] for _ in range(n)]
     eps_s = [sc(e) for e in eps]
 
     def iota(i: int, b: int) -> int:
         return 3 + i * d + b
 
     for a in range(3):
-        v = vzero(n)
-        v[a] = ONE
-        tab[a][a] = v
+        tab[a][a] = {a: ONE}
     for a in range(3):
         for i in range(3):
             if a == i:
                 continue
             for b in range(d):
-                v = vzero(n)
-                v[iota(i, b)] = HALF
-                tab[a][iota(i, b)] = v
-                tab[iota(i, b)][a] = list(v)
+                tab[a][iota(i, b)] = {iota(i, b): HALF}
+                tab[iota(i, b)][a] = {iota(i, b): HALF}
     for i in range(3):
         i1, i2 = (i + 1) % 3, (i + 2) % 3
         for b in range(d):
             for c in range(d):
                 # cross products land in the third slot
-                v = vzero(n)
-                prod = s.sc[b][c]
-                for p in range(d):
-                    if prod[p]:
-                        v[iota(i2, p)] = eps_s[i2] * prod[p]
+                v = {iota(i2, p): eps_s[i2] * x for p, x in s.sc[b][c].items()}
                 tab[iota(i, b)][iota(i1, c)] = v
-                tab[iota(i1, c)][iota(i, b)] = list(v)
+                tab[iota(i1, c)][iota(i, b)] = dict(v)
                 # same slot: lands on the complementary idempotents
-                w = vzero(n)
                 coef = sc(2) * eps_s[i1] * eps_s[i2] * s.form[b][c]
-                if coef:
-                    w[i1] = coef
-                    w[i2] = coef
-                tab[iota(i, b)][iota(i, c)] = w
-    form = [[ZERO] * n for _ in range(n)]
-    unit = vzero(n)
-    unit[0] = unit[1] = unit[2] = ONE
+                tab[iota(i, b)][iota(i, c)] = {i1: coef, i2: coef} if coef else {}
     tbl = AlgebraTable(f"A({s.name},{''.join('+' if e > 0 else '-' for e in eps)})",
                        [f"E{a}" for a in range(3)]
                        + [f"i{i}({s.labels[b]})" for i in range(3) for b in range(d)],
-                       tab, form, unit=unit)
-    for i in range(n):
-        for j in range(n):
-            form[i][j] = tbl.sc[i][j][0] + tbl.sc[i][j][1] + tbl.sc[i][j][2]
+                       tab, _trace_form(tab), unit={0: ONE, 1: ONE, 2: ONE})
     return AlbertAlgebra(tbl, s, tuple(eps))
 
 
 def check_jordan_sampled(alg: AlbertAlgebra, trials: int = 40, seed: int = 20260814):
     """Commutativity exactly on basis pairs; Jordan identity on seeded
-    random integer vectors ((x.x).(y.x) = ((x.x).y).x)."""
+    random integer vectors ((x.x).(y.x) = ((x.x).y).x).  A failure's
+    witness is the pair (x, y) as coordinate lists."""
     t = alg.table
     n = t.dim
     for i in range(n):
@@ -552,13 +488,14 @@ def check_jordan_sampled(alg: AlbertAlgebra, trials: int = 40, seed: int = 20260
                 raise VerificationError(f"{t.name}: not commutative at ({i},{j})")
     rng = random.Random(seed)
     for _ in range(trials):
-        x = [sc(rng.randint(-2, 2)) for _ in range(n)]
-        y = [sc(rng.randint(-2, 2)) for _ in range(n)]
+        xs = [sc(rng.randint(-2, 2)) for _ in range(n)]
+        ys = [sc(rng.randint(-2, 2)) for _ in range(n)]
+        x, y = to_sparse(xs), to_sparse(ys)
         xx = t.mul(x, x)
         lhs = t.mul(xx, t.mul(y, x))
         rhs = t.mul(t.mul(xx, y), x)
         if lhs != rhs:
-            raise VerificationError(f"{t.name}: Jordan identity fails", witness=(x, y))
+            raise VerificationError(f"{t.name}: Jordan identity fails", witness=(xs, ys))
     return {"pairs": n * (n + 1) // 2, "jordan_samples": trials, "seed": seed}
 
 
@@ -579,41 +516,42 @@ def h3_octonions() -> Tuple[AlgebraTable, AlgebraTable]:
     pairs = [(1, 2), (0, 2), (0, 1)]  # (2,3), (1,3), (1,2) zero-indexed
 
     def basis_matrix(k: int):
-        m = [[vzero(d) for _ in range(3)] for _ in range(3)]
+        m: List[List[SparseVec]] = [[{} for _ in range(3)] for _ in range(3)]
         if k < 3:
-            m[k][k] = list(o.unit)
+            m[k][k] = o.unit
             return m
         slot, b = divmod(k - 3, d)
         r, c = pairs[slot]
-        e = o.basis_vec(b)
-        m[r][c] = e
-        m[c][r] = o.conj_vec(e)
+        m[r][c] = {b: ONE}
+        m[c][r] = o.invol[b]
         return m
 
     def jordan(a, b):
-        out = [[vzero(d) for _ in range(3)] for _ in range(3)]
-        for r in range(3):
-            for c in range(3):
-                acc = vzero(d)
-                for k in range(3):
-                    acc = vadd(acc, o.mul(a[r][k], b[k][c]))
-                    acc = vadd(acc, o.mul(b[r][k], a[k][c]))
-                out[r][c] = vscale(HALF, acc)
-        return out
+        return [
+            [
+                combine(
+                    (HALF, p)
+                    for k in range(3)
+                    for p in (o.mul(a[r][k], b[k][c]), o.mul(b[r][k], a[k][c]))
+                )
+                for c in range(3)
+            ]
+            for r in range(3)
+        ]
 
-    def coords(m) -> DenseVec:
-        v = vzero(n)
+    def coords(m) -> SparseVec:
+        v: SparseVec = {}
         for a in range(3):
             entry = m[a][a]
-            if any(entry[1:]):
+            if entry.keys() - {0}:
                 raise ConstructionError("H3(O): non-real diagonal entry")
-            v[a] = entry[0]
+            if entry:
+                v[a] = entry[0]
         for slot, (r, c) in enumerate(pairs):
             upper = m[r][c]
             if m[c][r] != o.conj_vec(upper):
                 raise ConstructionError("H3(O): result is not hermitian")
-            for b in range(d):
-                v[3 + slot * d + b] = upper[b]
+            v.update(_shift(upper, 3 + slot * d))
         return v
 
     mats = [basis_matrix(k) for k in range(n)]
@@ -621,14 +559,8 @@ def h3_octonions() -> Tuple[AlgebraTable, AlgebraTable]:
     labels = ["F11", "F22", "F33"] + [
         f"s{slot}({o.labels[b]})" for slot in range(3) for b in range(d)
     ]
-    form = [[ZERO] * n for _ in range(n)]
-    unit = vzero(n)
-    unit[0] = unit[1] = unit[2] = ONE
-    t = AlgebraTable("H3(O)", labels, tab, form, unit=unit)
-    for i in range(n):
-        for j in range(n):
-            form[i][j] = tab[i][j][0] + tab[i][j][1] + tab[i][j][2]
-    return t, o
+    unit = {0: ONE, 1: ONE, 2: ONE}
+    return AlgebraTable("H3(O)", labels, tab, _trace_form(tab), unit=unit), o
 
 
 def albert_matrix_isomorphism() -> Dict[str, int]:
@@ -640,24 +572,21 @@ def albert_matrix_isomorphism() -> Dict[str, int]:
     alg = albert(symmetric_composition("pO"), (1, 1, 1))
     h3, o = h3_octonions()
     n = alg.dim
-    phi = [[ZERO] * n for _ in range(n)]  # columns = images
-    for a in range(3):
-        phi[a][a] = ONE
+    images: List[SparseVec] = [{a: ONE} for a in range(3)]  # image of b_k
     for i in range(3):
         for b in range(o.dim):
-            img = o.basis_vec(b) if i == 1 else o.conj_vec(o.basis_vec(b))
-            col = alg.iota_index(i, b)
-            for p, cval in enumerate(img):
-                if cval:
-                    phi[3 + i * o.dim + p][col] = cval * sc(2)
-    if rank_of(phi) != n:
+            img = {b: ONE} if i == 1 else o.invol[b]
+            images.append({3 + i * o.dim + p: TWO * x for p, x in img.items()})
+    ech = Echelon()
+    for v in images:
+        ech.add(v)
+    if ech.rank != n:
         raise VerificationError("Albert matrix map is not bijective")
-    cols = [[phi[p][j] for p in range(n)] for j in range(n)]
     checked = 0
     for i in range(n):
         for j in range(i, n):
-            lhs = mat_vec(phi, alg.table.sc[i][j])
-            rhs = h3.mul(cols[i], cols[j])
+            lhs = combine((c, images[k]) for k, c in alg.table.sc[i][j].items())
+            rhs = h3.mul(images[i], images[j])
             if lhs != rhs:
                 raise VerificationError(
                     f"Albert matrix map fails at ({alg.table.labels[i]}, "

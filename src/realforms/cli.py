@@ -58,7 +58,6 @@ class JobConfig:
     fmt: str = "ascii"
     out: Optional[str] = None
     only: List[str] = field(default_factory=list)
-    as_json: bool = False
 
     @classmethod
     def from_file(cls, path: str) -> "JobConfig":
@@ -174,8 +173,9 @@ def cmd_algebra(args: argparse.Namespace) -> int:
         checks["composition"] = check_composition(alg)
     elif name in SYMMETRIC_NAMES:
         alg = symmetric_composition(name)
-        checks["composition"] = check_composition(alg)
+        # check_symmetric runs the composition check; report its count once
         checks["symmetric"] = check_symmetric(alg)
+        checks["composition"] = {"tuples": checks["symmetric"]["tuples"]}
     elif name.startswith("albert"):
         # albert, albert:pO, or albert:pO:1,-1,1
         parts = name.split(":")
@@ -195,12 +195,10 @@ def cmd_algebra(args: argparse.Namespace) -> int:
         "dim": alg.dim,
         "labels": list(alg.labels),
         "products": {
-            f"{i},{j}": _sparse_str(
-                {k: x for k, x in enumerate(alg.sc[i][j]) if x}
-            )
+            f"{i},{j}": _sparse_str(alg.sc[i][j])
             for i in range(alg.dim)
             for j in range(alg.dim)
-            if any(alg.sc[i][j])
+            if alg.sc[i][j]
         },
         "checks": checks,
     }
@@ -225,6 +223,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     eps = _parse_eps(args.eps)
     s = symmetric_composition(args.s)
     if args.tits:
+        if args.sp != "R" or eps != (1, 1, 1):
+            raise ConstructionError(
+                "construct --tits takes only sp = R and eps = 1,1,1 "
+                f"(got sp = {args.sp}, eps = {args.eps})"
+            )
         model = derivation_model(s)
         L = model.lie
         kind = f"tits({args.s})"

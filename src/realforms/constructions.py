@@ -13,23 +13,23 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebras import AlbertAlgebra, AlgebraTable, albert, symmetric_composition
 from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra, int_coords, lane_scan, lie_from_fn
 from .linalg import (
-    DenseVec,
     Echelon,
     SparseMatrix,
     SparseVec,
     SpanSolver,
     add_product,
+    apply,
     commutator,
     flatten,
-    to_sparse,
+    transpose,
 )
-from .scalars import TWO, ZERO, Scalar, sc
+from .scalars import ONE, TWO, ZERO, Scalar, sc
 from .triality import TrialityAlgebra, triality, triality_cached
 
 
@@ -53,27 +53,20 @@ class MagicSquareAlgebra:
     def iota_index(self, blk: int, a: int, b: int) -> int:
         return self.iota_offset + blk * self.s.dim * self.sp.dim + a * self.sp.dim + b
 
-    def tri_s_vec(self, coords: Sequence[Scalar]) -> SparseVec:
-        return {k: c for k, c in enumerate(coords) if c}
-
-    def tri_sp_vec(self, coords: Sequence[Scalar]) -> SparseVec:
+    def tri_sp_vec(self, coords: SparseVec) -> SparseVec:
         off = self.tri_s.dim
-        return {off + k: c for k, c in enumerate(coords) if c}
+        return {off + k: c for k, c in coords.items()}
 
-    def iota_vec(self, blk: int, x: Sequence[Scalar], xp: Sequence[Scalar]) -> SparseVec:
+    def iota_vec(self, blk: int, x: SparseVec, xp: SparseVec) -> SparseVec:
         return {
             self.iota_index(blk, a, b): xa * xb
-            for a, xa in enumerate(x)
-            if xa
-            for b, xb in enumerate(xp)
-            if xb
+            for a, xa in x.items()
+            for b, xb in xp.items()
         }
 
     def t_s(self, a: int, b: int) -> SparseVec:
-        """t_{e_a, e_b} of the first factor, embedded."""
-        return self.tri_s_vec(
-            self.tri_s.t_element(self.s.basis_vec(a), self.s.basis_vec(b))
-        )
+        """t_{e_a, e_b} of the first factor, embedded (tri(S) comes first)."""
+        return self.tri_s.t_element({a: ONE}, {b: ONE})
 
 
 def magic_square(
@@ -101,8 +94,7 @@ def magic_square(
                 if a == b:
                     base.append({})
                 elif b > a:
-                    t = tri.t_element(tri.comp.basis_vec(a), tri.comp.basis_vec(b))
-                    base.append(to_sparse(t))
+                    base.append(tri.t_element({a: ONE}, {b: ONE}))
                 else:
                     base.append({p: -x for p, x in base[b * n + a].items()})
         out = [base]
@@ -128,15 +120,12 @@ def magic_square(
     def iota_index(blk: int, a: int, b: int) -> int:
         return off_iota + blk * ns * nsp + a * nsp + b
 
-    def place_tensor(out: SparseVec, blk: int, xs: DenseVec, xps: DenseVec, coef: Scalar):
-        for p, u in enumerate(xs):
-            if not u:
-                continue
+    def place_tensor(out: SparseVec, blk: int, xs: SparseVec, xps: SparseVec, coef: Scalar):
+        for p, u in xs.items():
             cu = coef * u
-            for q, w in enumerate(xps):
-                if w:
-                    k = iota_index(blk, p, q)
-                    out[k] = out.get(k, ZERO) + cu * w
+            for q, w in xps.items():
+                k = iota_index(blk, p, q)
+                out[k] = out.get(k, ZERO) + cu * w
 
     def fn(i: int, j: int) -> SparseVec:
         bi, bj = decode(i), decode(j)
@@ -235,10 +224,10 @@ def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[SparseMat
             for p, row in enumerate(di):
                 m[off + p] = {off + q: x for q, x in row.items()}
         out.append(m)
-    lE = [[to_sparse(row) for row in tab.lmul_matrix(tab.basis_vec(a))] for a in range(3)]
+    lE = [tab.lmul_matrix({a: ONE}) for a in range(3)]
     for i in range(3):
         for a in range(s.dim):
-            lv = [to_sparse(row) for row in tab.lmul_matrix(alg.iota_vec(i, s.basis_vec(a)))]
+            lv = tab.lmul_matrix(alg.iota_vec(i, {a: ONE}))
             comm = commutator(lv, lE[(i + 1) % 3])
             out.append([{q: TWO * x for q, x in row.items()} for row in comm])
     return out
@@ -277,14 +266,10 @@ def check_rho_homomorphism(square: MagicSquareAlgebra, R: List[SparseMatrix]) ->
     # cols[k][r + n*s]: integer coordinates of column r of D R_k times e_s
     cols: List[Dict[int, List[Tuple[int, int]]]] = []
     for m in R:
-        by_col: List[SparseVec] = [{} for _ in range(n)]
-        for p, row in enumerate(m):
-            for r, x in row.items():
-                by_col[r][p] = x
         cols.append(
             {
                 r + n * s: int_coords(v, s, den, n)
-                for r, v in enumerate(by_col)
+                for r, v in enumerate(transpose(m))
                 if v
                 for s in lanes
             }
@@ -357,22 +342,15 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     nd = len(R)
     n27 = alg.dim
     solver = SpanSolver(flatten(m) for m in R)
-    zb = alg.zero_trace_basis()
-    zs = [to_sparse(z) for z in zb]
+    zs = alg.zero_trace_basis()
     traceless = SpanSolver(zs)
-    lmuls = [[to_sparse(row) for row in alg.table.lmul_matrix(z)] for z in zb]
+    lmuls = [alg.table.lmul_matrix(z) for z in zs]
 
     def fn(i: int, j: int) -> SparseVec:
         if j < nd:
             return square.lie.bracket_basis(i, j)
         if i < nd:
-            z = zs[j - nd]
-            img: SparseVec = {}
-            for p, row in enumerate(R[i]):
-                x = sum((row[q] * c for q, c in z.items() if q in row), ZERO)
-                if x:
-                    img[p] = x
-            coords = traceless.coords_sparse(img)
+            coords = traceless.coords_sparse(apply(R[i], zs[j - nd]))
             if coords is None:
                 raise VerificationError("bracket left the traceless subspace")
             return {nd + k: x for k, x in coords.items()}

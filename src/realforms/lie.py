@@ -314,12 +314,9 @@ def derivation_rows(table) -> List[SparseVec]:
     for i, j in pairs:
         prod = sc_[i][j]
         for p in range(n):
-            row: SparseVec = {}
-            for q, v in enumerate(prod):
-                if v:
-                    row[p * n + q] = v
+            row: SparseVec = {p * n + q: v for q, v in prod.items()}
             for r in range(n):
-                for k, v in ((r * n + i, sc_[r][j][p]), (r * n + j, sc_[i][r][p])):
+                for k, v in ((r * n + i, sc_[r][j].get(p)), (r * n + j, sc_[i][r].get(p))):
                     if v:
                         row[k] = row.get(k, ZERO) - v
             row = {k: v for k, v in row.items() if v}

@@ -1,14 +1,15 @@
 """Exact linear algebra over Q(sqrt3, i).
 
-Vectors are either dense lists of Scalar or sparse dicts {index: Scalar}
-with zero entries absent.  Every matrix that goes into a product, a
-commutator or a span lookup is stored as a list of sparse rows from the
-point where it is built; `flatten` is the one map from such matrices to
-span vectors, and Lie algebra elements are zero-free sparse vectors
-throughout (`combine` forms their linear combinations).  Dense lists
-remain only at the edges: composition and Jordan algebra elements,
-`mat_mul`/`mat_vec`, nullspace output and Gram matrices, each converted
-once where it meets the sparse code.  Two kernels carry the package.
+Vectors are sparse dicts {index: Scalar} with zero entries absent:
+composition and Jordan algebra elements and structure constants, Lie
+algebra elements and nullspace vectors alike (`combine` forms their linear
+combinations).  Every matrix that goes into a product, a commutator or a
+span lookup is stored as a list of sparse rows from the point where it is
+built; `flatten` is the one map from such matrices to span vectors.  Dense
+lists remain only for Gram matrices, covectors (`to_sparse`,
+`SpanSolver.coords`) and a few small dense helpers (`mat_mul`, `mat_vec`,
+`rank_of`, `to_dense`) that no stage of the pipeline calls.  Two kernels
+carry the package.
 `add_product` is the only matrix product: it multiplies matrices stored
 as sparse rows, row by row (Gustavson's algorithm), and `mat_mul` and
 `commutator` wrap it.  An incremental reduced row echelon
@@ -39,18 +40,6 @@ def to_dense(v: SparseVec, n: int) -> DenseVec:
     for i, x in v.items():
         out[i] = x
     return out
-
-
-def vadd(u: Sequence[Scalar], v: Sequence[Scalar]) -> DenseVec:
-    return [x + y for x, y in zip(u, v)]
-
-
-def vsub(u: Sequence[Scalar], v: Sequence[Scalar]) -> DenseVec:
-    return [x - y for x, y in zip(u, v)]
-
-
-def vscale(c: Scalar, v: Sequence[Scalar]) -> DenseVec:
-    return [c * x for x in v]
 
 
 def combine(terms: Iterable[Tuple[Scalar, SparseVec]]) -> SparseVec:
@@ -222,8 +211,9 @@ def rank_of(vectors: Iterable[Sequence[Scalar]]) -> int:
     return ech.rank
 
 
-def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[DenseVec]:
-    """Basis of {x : R x = 0} for the matrix with the given sparse rows.
+def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
+    """Basis of {x : R x = 0} for the matrix with the given sparse rows,
+    as sparse vectors: one per free column f, with x[f] = 1.
 
     Rows are inserted smallest-support first, which keeps the intermediate
     fill-in low for the big derivation systems.
@@ -231,11 +221,9 @@ def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[DenseVec]:
     ech = Echelon()
     for row in sorted(rows, key=len):
         ech.add(row)
-    free = ech.free_columns(ncols)
-    basis: List[DenseVec] = []
-    for f in free:
-        x = [ZERO] * ncols
-        x[f] = ONE
+    basis: List[SparseVec] = []
+    for f in ech.free_columns(ncols):
+        x = {f: ONE}
         for r, p in enumerate(ech.pivcol):
             val = ech.rows[r].get(f)
             if val:
@@ -252,6 +240,16 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> DenseVec:
             if x and y:
                 acc = acc + x * y
         out.append(acc)
+    return out
+
+
+def apply(m: SparseMatrix, v: SparseVec) -> SparseVec:
+    """m v for a matrix stored as sparse rows and a sparse vector, zero-free."""
+    out: SparseVec = {}
+    for p, row in enumerate(m):
+        x = sum((row[q] * c for q, c in v.items() if q in row), ZERO)
+        if x:
+            out[p] = x
     return out
 
 
@@ -307,10 +305,24 @@ def flatten(*mats: SparseMatrix) -> SparseVec:
     }
 
 
-def matrix_rows(flat: Sequence[Scalar], n: int) -> SparseMatrix:
+def matrix_rows(flat: SparseVec, n: int) -> SparseMatrix:
     """The n x n matrix whose entries are `flat` in row-major order, as
     sparse rows: the inverse of `flatten` for one matrix."""
-    return [to_sparse(flat[p * n : (p + 1) * n]) for p in range(n)]
+    rows: SparseMatrix = [{} for _ in range(n)]
+    for k, x in flat.items():
+        p, q = divmod(k, n)
+        rows[p][q] = x
+    return rows
+
+
+def transpose(m: SparseMatrix) -> SparseMatrix:
+    """The transpose of a square matrix stored as sparse rows; also turns
+    a list of n sparse columns into the rows of their matrix."""
+    out: SparseMatrix = [{} for _ in m]
+    for p, row in enumerate(m):
+        for q, x in row.items():
+            out[q][p] = x
+    return out
 
 
 def sylvester_signature(gram) -> tuple:

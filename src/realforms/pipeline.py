@@ -280,9 +280,8 @@ def preset_cartan(build: ModelBuild) -> CartanSpec:
         ]
         # opposite orientation of the 2-dim factor: sigma_{e1,e0} throughout
         sigma = tri_sp.sigma_map(sp.basis_vec(1), sp.basis_vec(0))
-        zero2 = [[Scalar(0)] * 2 for _ in range(2)]
-        neg = [[-x for x in row] for row in sigma]
-        coords = tri_sp.coords_of_triple((zero2, sigma, neg))
+        neg = [{q: -x for q, x in row.items()} for row in sigma]
+        coords = tri_sp.coords_of_triple(([{}, {}], sigma, neg))
         hs.append(combine([(quarter, square.tri_sp_vec(coords))]))
         hs.append({square.iota_index(0, 0, 1): -HALF})
         hs.append({square.iota_index(0, 1, 0): -HALF})
@@ -297,7 +296,7 @@ def preset_cartan(build: ModelBuild) -> CartanSpec:
             square.t_s(4, 7),
         ]
         sigma = tri_sp.sigma_map(sp.basis_vec(0), sp.basis_vec(1))
-        neg2 = [[-(x + x) for x in row] for row in sigma]
+        neg2 = [{q: -(x + x) for q, x in row.items()} for row in sigma]
         for triple in ((sigma, sigma, neg2), (sigma, neg2, sigma)):
             coords = tri_sp.coords_of_triple(triple)
             hs.append(combine([(quarter, square.tri_sp_vec(coords))]))

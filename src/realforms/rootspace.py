@@ -285,8 +285,9 @@ def exact_eigenvalues(m: SparseMatrix, context: str = "") -> List[Scalar]:
 
 def eigen_split(
     m: SparseMatrix, context: str = ""
-) -> List[Tuple[Scalar, List[List[Scalar]]]]:
-    """(eigenvalue, kernel basis) pairs; dimensions must sum to dim."""
+) -> List[Tuple[Scalar, List[SparseVec]]]:
+    """(eigenvalue, kernel basis) pairs, the kernel vectors sparse;
+    dimensions must sum to dim."""
     n = len(m)
     if n == 0:
         return []
@@ -381,7 +382,7 @@ def root_decomposition(
             ctx = f"(h{hi + 1} of {name or L.name})"
             m = _restricted_matrix(L, h, basis, ctx)
             for lam, ker in eigen_split(m, ctx):
-                vecs = [combine(zip(coords, basis)) for coords in ker]
+                vecs = [combine((c, basis[k]) for k, c in coords.items()) for coords in ker]
                 nxt.append((prefix + [lam], vecs))
         layers = nxt
     spaces = []

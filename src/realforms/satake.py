@@ -155,9 +155,10 @@ class SatakeDiagram:
             chain = [order[0]] + order[2:]
             width = 6
             pos = {idx: width * k for k, idx in enumerate(chain)}
-            # the stem is drawn over node index 2 (a3 in Bourbaki order)
-            top = " " * pos[2] + self._mark(branch) + "  " + self.nodes[branch].label
-            stem = " " * pos[2] + "|"
+            # the stem joins a2 to the degree-3 node a4 (order[3])
+            hub = pos[order[3]]
+            top = " " * hub + self._mark(branch) + "  " + self.nodes[branch].label
+            stem = " " * hub + "|"
             row = ""
             for k, idx in enumerate(chain):
                 if k:

@@ -14,29 +14,27 @@ algebra; for S = R it vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .algebras import AlgebraTable
 from .errors import ConstructionError, VerificationError
 from .linalg import (
-    DenseVec,
-    Matrix,
     SparseMatrix,
     SparseVec,
     SpanSolver,
     add_product,
+    apply,
+    combine,
     commutator,
     flatten,
-    mat_mul,
     matrix_rows,
     nullspace,
-    to_dense,
-    to_sparse,
-    vadd,
-    vscale,
+    transpose,
 )
 from .lie import LieAlgebra, lie_from_fn
-from .scalars import HALF, ONE, ZERO, Scalar
+from .scalars import HALF, ONE, ZERO
+
+Triple = Tuple[SparseMatrix, SparseMatrix, SparseMatrix]
 
 
 def orthogonal_lie(s: AlgebraTable) -> List[SparseMatrix]:
@@ -63,7 +61,7 @@ def orthogonal_lie(s: AlgebraTable) -> List[SparseMatrix]:
 @dataclass(eq=False)
 class TrialityAlgebra:
     comp: AlgebraTable
-    basis: List[Tuple[SparseMatrix, SparseMatrix, SparseMatrix]]
+    basis: List[Triple]
     lie: LieAlgebra
     solver: SpanSolver
     theta_rows: SparseMatrix  # row k: coordinates of theta(b_k)
@@ -72,51 +70,44 @@ class TrialityAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords_of_triple(self, t: Tuple[Matrix, Matrix, Matrix]) -> DenseVec:
-        c = self.solver.coords_sparse(flatten(*([to_sparse(row) for row in m] for m in t)))
+    def coords_of_triple(self, t: Triple) -> SparseVec:
+        c = self.solver.coords_sparse(flatten(*t))
         if c is None:
             raise VerificationError(
                 f"tri({self.comp.name}): triple is not a triality element"
             )
-        return to_dense(c, self.dim)
+        return c
 
-    def component_maps(self, coords: SparseVec) -> Tuple[Matrix, Matrix, Matrix]:
+    def component_maps(self, coords: SparseVec) -> Triple:
         n = self.comp.dim
-        out = [[[ZERO] * n for _ in range(n)] for _ in range(3)]
-        for k, c in coords.items():
-            for slot in range(3):
-                for row, orow in zip(self.basis[k][slot], out[slot]):
-                    for q, x in row.items():
-                        orow[q] = orow[q] + c * x
-        return tuple(out)  # type: ignore[return-value]
+        return tuple(  # type: ignore[return-value]
+            [combine((c, self.basis[k][slot][p]) for k, c in coords.items()) for p in range(n)]
+            for slot in range(3)
+        )
 
-    def sigma_map(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Matrix:
+    def sigma_map(self, x: SparseVec, y: SparseVec) -> SparseMatrix:
         """s_{x,y}: z -> q(x,z) y - q(y,z) x."""
-        n = self.comp.dim
-        cols = []
-        for j in range(n):
-            ej = self.comp.basis_vec(j)
-            cols.append(
-                vadd(
-                    vscale(self.comp.polar(x, ej), y),
-                    vscale(-self.comp.polar(y, ej), x),
-                )
-            )
-        return [[cols[j][p] for j in range(n)] for p in range(n)]
+        polar = self.comp.polar
+        return transpose(
+            [
+                combine([(polar(x, {j: ONE}), y), (-polar(y, {j: ONE}), x)])
+                for j in range(self.comp.dim)
+            ]
+        )
 
-    def t_element(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> DenseVec:
+    def t_element(self, x: SparseVec, y: SparseVec) -> SparseVec:
         """Coordinates of t_{x,y} in the solved tri basis."""
-        n = self.comp.dim
-        half_q = self.comp.polar(x, y) * HALF
-        lx = self.comp.lmul_matrix(x)
-        ly = self.comp.lmul_matrix(y)
-        rx = self.comp.rmul_matrix(x)
-        d1 = [[-row[q] for q in range(n)] for row in mat_mul(rx, ly)]
-        d2 = [[-row[q] for q in range(n)] for row in mat_mul(lx, self.comp.rmul_matrix(y))]
-        if half_q:
-            for p in range(n):
-                d1[p][p] = d1[p][p] + half_q
-                d2[p][p] = d2[p][p] + half_q
+        comp = self.comp
+        half_q = comp.polar(x, y) * HALF
+
+        def shifted(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+            # half_q I - a b
+            acc: SparseMatrix = [{p: half_q} if half_q else {} for p in range(comp.dim)]
+            add_product(acc, a, b, -ONE)
+            return acc
+
+        d1 = shifted(comp.rmul_matrix(x), comp.lmul_matrix(y))
+        d2 = shifted(comp.lmul_matrix(x), comp.rmul_matrix(y))
         return self.coords_of_triple((self.sigma_map(x, y), d1, d2))
 
     def theta(self, coords: SparseVec, power: int = 1) -> SparseVec:
@@ -132,42 +123,35 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     n = s.dim
     orth = orthogonal_lie(s)
     no = len(orth)
-    # columns of each orthogonal basis matrix, as vectors
-    bcols = [[[row.get(i, ZERO) for row in m] for i in range(n)] for m in orth]
+    bcols = [transpose(m) for m in orth]  # bcols[k][i] = B_k e_i
     rows: List[SparseVec] = []
     for i in range(n):
-        ei = s.basis_vec(i)
         for j in range(n):
-            ej = s.basis_vec(j)
             prod = s.sc[i][j]
-            terms = []  # unknown index -> contribution vector
+            # row p: the coefficient of e_p in each unknown's contribution
+            by_p: List[SparseVec] = [{} for _ in range(n)]
             for k in range(no):
+                cols = bcols[k]
                 # d0 term: B_k applied to (e_i * e_j)
-                d0 = [sum((x * prod[q] for q, x in row.items()), ZERO) for row in orth[k]]
-                terms.append((k, d0))
+                for p, x in apply(orth[k], prod).items():
+                    by_p[p][k] = x
                 # d1 term: -(B_k e_i) * e_j
-                terms.append((no + k, vscale(-ONE, s.mul(bcols[k][i], ej))))
+                for p, x in s.mul(cols[i], {j: ONE}).items():
+                    by_p[p][no + k] = -x
                 # d2 term: -e_i * (B_k e_j)
-                terms.append((2 * no + k, vscale(-ONE, s.mul(ei, bcols[k][j]))))
-            for p in range(n):
-                row = {idx: vec[p] for idx, vec in terms if vec[p]}
-                if row:
-                    rows.append(row)
+                for p, x in s.mul({i: ONE}, cols[j]).items():
+                    by_p[p][2 * no + k] = -x
+            rows.extend(row for row in by_p if row)
     sols = nullspace(rows, 3 * no)
 
-    def unflatten(coefs: DenseVec) -> Tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-        mats = []
-        for slot in range(3):
-            m: SparseMatrix = [{} for _ in range(n)]
-            for k in range(no):
-                c = coefs[slot * no + k]
-                if not c:
-                    continue
-                for row_m, row in zip(m, orth[k]):
-                    for q, x in row.items():
-                        row_m[q] = row_m.get(q, ZERO) + c * x
-            mats.append([{q: x for q, x in row.items() if x} for row in m])
-        return tuple(mats)  # type: ignore[return-value]
+    def unflatten(coefs: SparseVec) -> Triple:
+        return tuple(  # type: ignore[return-value]
+            [
+                combine((c, orth[k - slot * no][p]) for k, c in coefs.items() if k // no == slot)
+                for p in range(n)
+            ]
+            for slot in range(3)
+        )
 
     basis = [unflatten(c) for c in sols]
     solver = SpanSolver(flatten(*t) for t in basis)

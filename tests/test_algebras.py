@@ -14,6 +14,7 @@ from realforms.algebras import (
     symmetric_composition,
 )
 from realforms.errors import VerificationError
+from realforms.linalg import combine, to_sparse
 from realforms.scalars import HALF, ONE, ZERO, sc
 
 
@@ -31,8 +32,8 @@ def test_quaternion_relations():
     h = hurwitz("H")
     i, j, k = h.basis_vec(1), h.basis_vec(2), h.basis_vec(3)
     assert h.mul(i, j) == k
-    assert h.mul(j, i) == [x * sc(-1) for x in k]
-    assert h.mul(i, i) == [x * sc(-1) for x in h.unit]
+    assert h.mul(j, i) == {p: x * sc(-1) for p, x in k.items()}
+    assert h.mul(i, i) == {p: x * sc(-1) for p, x in h.unit.items()}
     assert h.norm(k) == ONE
 
 
@@ -66,24 +67,24 @@ def test_split_octonion_idempotents():
     e1, e2 = t.basis_vec(0), t.basis_vec(1)
     assert t.mul(e1, e1) == e1
     assert t.mul(e2, e2) == e2
-    assert t.mul(e1, e2) == [ZERO] * 8
-    assert t.unit == [x + y for x, y in zip(e1, e2)]
+    assert t.mul(e1, e2) == {}
+    assert t.unit == combine([(ONE, e1), (ONE, e2)])
     u1, v1 = t.basis_vec(2), t.basis_vec(5)
     assert t.mul(e1, u1) == u1
-    assert t.mul(u1, e1) == [ZERO] * 8
-    assert t.mul(u1, v1) == [-x for x in e1]
+    assert t.mul(u1, e1) == {}
+    assert t.mul(u1, v1) == {p: -x for p, x in e1.items()}
     # isotropic norms, hyperbolic pairing
     assert t.norm(e1) == ZERO
     assert t.polar(e1, e2) == ONE
     assert t.conj_vec(e1) == e2
-    assert t.conj_vec(u1) == [-x for x in u1]
+    assert t.conj_vec(u1) == {p: -x for p, x in u1.items()}
 
 
 def test_split_octonion_cross_products():
     t = hurwitz("Os")
     u1, u2, v3 = t.basis_vec(2), t.basis_vec(3), t.basis_vec(7)
     assert t.mul(u1, u2) == v3
-    assert t.mul(u2, u1) == [-x for x in v3]
+    assert t.mul(u2, u1) == {p: -x for p, x in v3.items()}
 
 
 @pytest.mark.parametrize("name", ["pR", "pRR", "pC", "pO", "pOs"])
@@ -100,7 +101,7 @@ def test_para_split_idempotent_squares_across():
 def test_para_r_is_r():
     t = symmetric_composition("R")
     assert t.dim == 1
-    assert t.mul([ONE], [ONE]) == [ONE]
+    assert t.mul({0: ONE}, {0: ONE}) == {0: ONE}
     check_symmetric(t)
 
 
@@ -128,7 +129,7 @@ def test_okubo_has_no_left_unit():
     for j in range(8):
         for p in range(8):
             # sum_i x_i (b_i * b_j)_p = delta_jp
-            row = [t.sc[i][j][p] for i in range(8)]
+            row = [t.sc[i][j].get(p, ZERO) for i in range(8)]
             rows.append(row)
             aug.append(row + [ONE if p == j else ZERO])
     assert rank_of(aug) > rank_of(rows)
@@ -136,7 +137,7 @@ def test_okubo_has_no_left_unit():
 
 def test_composition_check_catches_corruption():
     t = hurwitz("C")
-    bad = [[list(v) for v in row] for row in t.sc]
+    bad = [[dict(v) for v in row] for row in t.sc]
     bad[1][1][0] = ONE  # i*i = +1 breaks the norm law
     broken = type(t)(t.name, t.labels, bad, t.form, t.unit, t.invol)
     with pytest.raises(VerificationError):
@@ -159,8 +160,8 @@ def test_albert_idempotent_action():
     e0 = t.basis_vec(alg.E_index(0))
     i0 = t.basis_vec(alg.iota_index(0, 3))
     i1 = t.basis_vec(alg.iota_index(1, 3))
-    assert t.mul(e0, i0) == [ZERO] * 27
-    assert t.mul(e0, i1) == [x * HALF for x in i1]
+    assert t.mul(e0, i0) == {}
+    assert t.mul(e0, i1) == {p: x * HALF for p, x in i1.items()}
 
 
 def test_albert_same_slot_product():
@@ -172,7 +173,7 @@ def test_albert_same_slot_product():
     out = t.mul(x, y)
     # 2 * q(e2, e2) = 4 on E1 + E2
     assert out[1] == sc(4) and out[2] == sc(4)
-    assert not any(out[3:])
+    assert not any(p >= 3 for p in out)
 
 
 @pytest.mark.parametrize(
@@ -191,8 +192,8 @@ def test_h3_octonions_is_jordan_sampled():
 
     rng = random.Random(11)
     for _ in range(10):
-        x = [sc(rng.randint(-2, 2)) for _ in range(27)]
-        y = [sc(rng.randint(-2, 2)) for _ in range(27)]
+        x = to_sparse([sc(rng.randint(-2, 2)) for _ in range(27)])
+        y = to_sparse([sc(rng.randint(-2, 2)) for _ in range(27)])
         xx = h3.mul(x, x)
         assert h3.mul(xx, h3.mul(y, x)) == h3.mul(h3.mul(xx, y), x)
 
@@ -200,3 +201,30 @@ def test_h3_octonions_is_jordan_sampled():
 def test_albert_matches_hermitian_matrices():
     report = albert_matrix_isomorphism()
     assert report["pairs"] == 27 * 28 // 2
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["R", "RR", "C", "Mat2", "H", "O", "Os"]
+    + ["pR", "pRR", "pC", "pMat2", "pH", "pO", "pOs", "Ok", "Oks"]
+    + ["albert:pO", "h3"],
+)
+def test_tables_are_zero_free_sparse(name):
+    """Every product, the unit and each conj(b_j) is a dict without zero
+    entries, so == on elements is vector equality."""
+    if name in HURWITZ_DIMS:
+        t = hurwitz(name)
+    elif name == "albert:pO":
+        t = albert(symmetric_composition("pO"), (1, 1, 1)).table
+    elif name == "h3":
+        t, _ = h3_octonions()
+    else:
+        t = symmetric_composition(name)
+    entries = [v for row in t.sc for v in row]
+    if t.unit is not None:
+        entries.append(t.unit)
+    entries += t.invol or []
+    assert len(entries) >= t.dim * t.dim
+    for v in entries:
+        assert isinstance(v, dict)
+        assert all(v.values())

@@ -242,6 +242,26 @@ def test_construct_without_s_is_usage_error(tmp_path, capsys):
         assert "usage:" in capsys.readouterr().err
 
 
+def test_construct_tits_rejects_sp_and_eps(tmp_path, capsys):
+    # the derivation model is built from S alone, with S' = R and +++ signs
+    cfg = tmp_path / "job.cfg"
+    for text, extra in (
+        ("", ("--sp", "pO")),
+        ("", ("--eps", "1,-1,1")),
+        ("sp = pC\n", ()),
+        ("eps = -1,1,1\n", ()),
+    ):
+        cfg.write_text(text)
+        code, out, err = run(
+            capsys, "--config", str(cfg), "construct", "--s", "pC", "--tits", *extra
+        )
+        assert code == 3 and not out
+        assert json.loads(err)["error"] == "ConstructionError"
+    code, out, _ = run(capsys, "construct", "--s", "pC", "--tits", "--sp", "R", "--eps", "1,1,1")
+    assert code == 0
+    assert json.loads(out)["construction"] == "tits(pC)"
+
+
 def test_config_cartan_reaches_roots(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("cartan = other\n")

@@ -18,7 +18,7 @@ from realforms.lie import (
     killing_form,
     killing_signature,
 )
-from realforms.linalg import combine, is_zero_vec, mat_vec, to_dense, vadd
+from realforms.linalg import apply, combine, is_zero_vec, mat_vec, to_dense
 from realforms.scalars import HALF, IUNIT, ONE, SQRT3, ZERO, sc
 
 
@@ -97,7 +97,7 @@ def test_iota_bracket_eigenvector_conventions(e6_indef_square):
     v = combine([
         (ONE, sq.iota_vec(0, e0s, e0p)),
         (sc(-1), sq.iota_vec(0, e1s, e1p)),
-        (ONE, sq.tri_s_vec(sq.tri_s.t_element(e0s, e1s))),
+        (ONE, sq.tri_s.t_element(e0s, e1s)),
         (ONE, sq.tri_sp_vec(sq.tri_sp.t_element(e0p, e1p))),
     ])
     assert sq.lie.bracket(h, v) == v
@@ -127,18 +127,18 @@ def test_albert_derivations_dimension():
 
 def test_rho_images_are_derivations(f4_square):
     alg = albert(symmetric_composition("pO"), (1, 1, 1))
-    rho = [[to_dense(row, alg.dim) for row in m] for m in rho_images(f4_square, alg)]
+    rho = rho_images(f4_square, alg)
     assert len(rho) == 52
     t = alg.table
     # spot-check the derivation property on a few images, all basis pairs
     for m in (rho[0], rho[17], rho[28], rho[40], rho[51]):
         for i in range(t.dim):
             bi = t.basis_vec(i)
-            dbi = mat_vec(m, bi)
+            dbi = apply(m, bi)
             for j in range(i, t.dim):
                 bj = t.basis_vec(j)
-                lhs = mat_vec(m, t.sc[i][j])
-                rhs = vadd(t.mul(dbi, bj), t.mul(bi, mat_vec(m, bj)))
+                lhs = apply(m, t.sc[i][j])
+                rhs = combine([(ONE, t.mul(dbi, bj)), (ONE, t.mul(bi, apply(m, bj)))])
                 assert lhs == rhs
 
 
@@ -253,4 +253,4 @@ def test_model78_derivations_kill_unit(model78):
     unit = alg.table.unit
     for m in (model78.rho[3], model78.rho[33]):
         m = [to_dense(row, alg.dim) for row in m]
-        assert is_zero_vec(mat_vec(m, unit))
+        assert is_zero_vec(mat_vec(m, to_dense(unit, alg.dim)))

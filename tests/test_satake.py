@@ -141,6 +141,19 @@ def test_ascii_compact_e6_two_rows():
     assert "|" in text  # branch stem
 
 
+def e6_stem_columns(text):
+    """Columns of the branch node, its stem and the label a4 in an E6
+    ascii diagram."""
+    top, stem, _, labels = text.splitlines()[:4]
+    return top.index("a2") - 3, stem.index("|"), labels.index("a4")
+
+
+def test_ascii_e6_stem_over_a4(get_satake):
+    # a2 joins the degree-3 node a4, the third node of the bottom row
+    for diag in (compact_satake("E6"), get_satake("e6m14").diagram):
+        assert e6_stem_columns(diag.render_ascii()) == (12, 12, 12)
+
+
 def test_ascii_f4_double_bond_arrow():
     text = compact_satake("F4").render_ascii()
     assert "==>" in text
