@@ -37,16 +37,16 @@ class AlgebraTable:
     """A finite-dimensional algebra with a bilinear form, as exact tables.
 
     Elements are zero-free sparse vectors {index: Scalar}.  `sc[i][j]` is
-    b_i b_j; `form[i][j]` is the polar form n(b_i, b_j) (so n(x, x) =
-    2 n(x)).  `unit` and `invol` are present only when the algebra has
-    them; `invol[j]` is conj(b_j), and the unit need not be a basis element
-    (split octonions: 1 = e1 + e2).
+    b_i b_j; `form` is the polar form n(b_i, b_j) (so n(x, x) = 2 n(x)) as
+    zero-free symmetric sparse rows.  `unit` and `invol` are present only
+    when the algebra has them; `invol[j]` is conj(b_j), and the unit need
+    not be a basis element (split octonions: 1 = e1 + e2).
     """
 
     name: str
     labels: List[str]
     sc: List[List[SparseVec]]
-    form: List[List[Scalar]]
+    form: SparseMatrix
     unit: Optional[SparseVec] = None
     invol: Optional[List[SparseVec]] = None
 
@@ -68,8 +68,9 @@ class AlgebraTable:
         for i, xi in x.items():
             row = self.form[i]
             for j, yj in y.items():
-                if row[j]:
-                    acc = acc + xi * row[j] * yj
+                f = row.get(j)
+                if f:
+                    acc = acc + xi * f * yj
         return acc
 
     def norm(self, x: SparseVec) -> Scalar:
@@ -98,7 +99,7 @@ def _shift(v: SparseVec, off: int) -> SparseVec:
 
 def _table_R() -> AlgebraTable:
     return AlgebraTable(
-        "R", ["1"], [[{0: ONE}]], [[sc(2)]], unit={0: ONE}, invol=[{0: ONE}]
+        "R", ["1"], [[{0: ONE}]], [{0: sc(2)}], unit={0: ONE}, invol=[{0: ONE}]
     )
 
 
@@ -124,11 +125,9 @@ def cayley_dickson(t: AlgebraTable, alpha, letter: str) -> AlgebraTable:
             tab[i][n + j] = _shift(t.sc[j][i], n)
             tab[n + i][j] = _shift(t.mul({i: ONE}, ebar[j]), n)
             tab[n + i][n + j] = combine([(al, t.mul(ebar[j], {i: ONE}))])
-    form = [[ZERO] * m for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            form[i][j] = t.form[i][j]
-            form[n + i][n + j] = -al * t.form[i][j]
+    form = [dict(row) for row in t.form] + [
+        _shift(combine([(-al, row)]), n) for row in t.form
+    ]
     invol = list(ebar) + [{n + i: -ONE} for i in range(n)]
     return AlgebraTable(f"CD({t.name},{al})", labels, tab, form, t.unit, invol)
 
@@ -165,7 +164,7 @@ def _split_octonions() -> AlgebraTable:
         put(f"u{j + 1}", u, f"v{k + 1}", -1)
         put(v, f"v{j + 1}", f"u{k + 1}", 1)
         put(f"v{j + 1}", v, f"u{k + 1}", -1)
-    form = [[ZERO] * n for _ in range(n)]
+    form: SparseMatrix = [{} for _ in range(n)]
     form[idx["e1"]][idx["e2"]] = form[idx["e2"]][idx["e1"]] = ONE
     for i in range(3):
         a, b = idx[f"u{i + 1}"], idx[f"v{i + 1}"]
@@ -223,7 +222,7 @@ def para(t: AlgebraTable) -> AlgebraTable:
     e = t.invol
     tab = [[t.mul(x, y) for y in e] for x in e]
     return AlgebraTable(
-        "p" + t.name, list(t.labels), tab, [list(r) for r in t.form]
+        "p" + t.name, list(t.labels), tab, [dict(r) for r in t.form]
     )
 
 
@@ -270,9 +269,11 @@ def _okubo_from_matrices(name: str, mats: List[SparseMatrix], labels) -> Algebra
                 raise ConstructionError(f"{name}: non-real structure constant")
             row.append(coords)
         tab.append(row)
-    form = [[-tr_prod(mats[i], mats[j]) for j in range(n)] for i in range(n)]
+    form = [
+        {j: x for j, m in enumerate(mats) if (x := -tr_prod(mi, m))} for mi in mats
+    ]
     for r in form:
-        for x in r:
+        for x in r.values():
             if not x.is_real():
                 raise ConstructionError(f"{name}: non-real form entry")
     return AlgebraTable(name, labels, tab, form)
@@ -359,7 +360,7 @@ def check_composition(t: AlgebraTable) -> Dict[str, int]:
                     lhs = t.polar(prods[i][j], prods[k][l]) + t.polar(
                         prods[i][l], prods[k][j]
                     )
-                    if lhs != F[i][k] * F[j][l]:
+                    if lhs != F[i].get(k, ZERO) * F[j].get(l, ZERO):
                         raise VerificationError(
                             f"{t.name}: composition law fails at "
                             f"({t.labels[i]},{t.labels[j]},{t.labels[k]},{t.labels[l]})"
@@ -434,8 +435,8 @@ def _diagonal_trace(v: SparseVec) -> Scalar:
     return sum((x for p, x in v.items() if p < 3), ZERO)
 
 
-def _trace_form(tab: List[List[SparseVec]]) -> List[List[Scalar]]:
-    return [[_diagonal_trace(v) for v in row] for row in tab]
+def _trace_form(tab: List[List[SparseVec]]) -> SparseMatrix:
+    return [{j: x for j, v in enumerate(row) if (x := _diagonal_trace(v))} for row in tab]
 
 
 def albert(s: AlgebraTable, eps: Tuple[int, int, int]) -> AlbertAlgebra:
@@ -467,8 +468,10 @@ def albert(s: AlgebraTable, eps: Tuple[int, int, int]) -> AlbertAlgebra:
                 tab[iota(i, b)][iota(i1, c)] = v
                 tab[iota(i1, c)][iota(i, b)] = dict(v)
                 # same slot: lands on the complementary idempotents
-                coef = sc(2) * eps_s[i1] * eps_s[i2] * s.form[b][c]
-                tab[iota(i, b)][iota(i, c)] = {i1: coef, i2: coef} if coef else {}
+                q = s.form[b].get(c)
+                if q:
+                    coef = sc(2) * eps_s[i1] * eps_s[i2] * q
+                    tab[iota(i, b)][iota(i, c)] = {i1: coef, i2: coef}
     tbl = AlgebraTable(f"A({s.name},{''.join('+' if e > 0 else '-' for e in eps)})",
                        [f"E{a}" for a in range(3)]
                        + [f"i{i}({s.labels[b]})" for i in range(3) for b in range(d)],

@@ -39,7 +39,7 @@ from .pipeline import (
     signature_table,
     table_rows,
 )
-from .rootspace import root_decomposition, restricted_multiplicities
+from .rootspace import cov_key, root_decomposition, restricted_multiplicities
 from .scalars import Scalar
 
 HURWITZ_NAMES = ("R", "RR", "C", "Mat2", "H", "O", "Os")
@@ -277,7 +277,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
             "a_indices": list(cartan.a_idx),
             "multiplicities": [
                 {"restriction": [x.to_str() for x in r], "m": m}
-                for r, m in sorted(rmult.items(), key=lambda kv: _cov_sort(kv[0]))
+                for r, m in sorted(rmult.items(), key=lambda kv: cov_key(kv[0]))
             ],
             "mult_sum": sum(rmult.values()),
         }
@@ -306,16 +306,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cov_sort(cov) -> tuple:
-    return tuple(x.key() for x in cov)
-
-
-COMPACT_MODELS = ("e6m78", "f4m52")
-
-
 def cmd_satake(args: argparse.Namespace) -> int:
     name = args.model
-    if name in COMPACT_MODELS:
+    spec = MODELS.get(name)
+    if spec is not None and spec.compact_type is not None:
         diagram, table, label = compact_diagram(name), None, name
     else:
         res = run_satake(_model_key(name))

@@ -30,7 +30,7 @@ from .linalg import (
     transpose,
 )
 from .scalars import ONE, TWO, ZERO, Scalar, sc
-from .triality import TrialityAlgebra, triality, triality_cached
+from .triality import TrialityAlgebra, triality_cached
 
 
 @dataclass(eq=False)
@@ -70,16 +70,12 @@ class MagicSquareAlgebra:
 
 
 def magic_square(
-    s: AlgebraTable,
-    sp: AlgebraTable,
-    eps: Tuple[int, int, int],
-    tri_s: Optional[TrialityAlgebra] = None,
-    tri_sp: Optional[TrialityAlgebra] = None,
+    s: AlgebraTable, sp: AlgebraTable, eps: Tuple[int, int, int]
 ) -> MagicSquareAlgebra:
     if any(e * e != 1 for e in eps):
         raise ConstructionError("eps entries must be +-1")
-    tri_s = tri_s if tri_s is not None else triality(s)
-    tri_sp = tri_sp if tri_sp is not None else triality(sp)
+    tri_s = triality_cached(s)
+    tri_sp = triality_cached(sp)
     ns, nsp = s.dim, sp.dim
     nts, ntsp = tri_s.dim, tri_sp.dim
     off_iota = nts + ntsp
@@ -150,12 +146,12 @@ def magic_square(
         if blki == blkj:
             i1, i2 = (blki + 1) % 3, (blki + 2) % 3
             coef = eps_s[i1] * eps_s[i2]
-            qp = sp.form[b][d]
+            qp = sp.form[b].get(d)
             if qp:
                 cc = coef * qp
                 for p, v in ts_pow[blki][a * ns + c].items():
                     out[p] = out.get(p, ZERO) + cc * v
-            q = s.form[a][c]
+            q = s.form[a].get(c)
             if q:
                 cc = coef * q
                 for p, v in tsp_pow[blki][b * nsp + d].items():
@@ -335,7 +331,7 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     if s is None:
         s = symmetric_composition("pO")
     r = symmetric_composition("R")
-    square = magic_square(s, r, (1, 1, 1), triality_cached(s), triality_cached(r))
+    square = magic_square(s, r, (1, 1, 1))
     alg = albert(s, (1, 1, 1))
     R = rho_images(square, alg)
     check_rho_homomorphism(square, R)

@@ -32,7 +32,6 @@ from .linalg import (
     matrix_rows,
     nullspace,
     sylvester_signature,
-    to_sparse,
 )
 from .scalars import IUNIT, ONE, SQRT3, ZERO, Scalar
 
@@ -220,9 +219,10 @@ def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
     return {"method": "sparse", "triples": n * (n - 1) * (n - 2) // 6}
 
 
-def killing_form(L: LieAlgebra) -> List[List[Scalar]]:
+def killing_form(L: LieAlgebra) -> SparseMatrix:
     """K[i][j] = trace(ad b_i ad b_j) = sum_{q,p} A_i[q][p] A_j[p][q], exact,
-    where A_i[q][p] is coordinate q of [b_i, b_p].
+    where A_i[q][p] is coordinate q of [b_i, b_p], as zero-free symmetric
+    sparse rows with increasing keys.
 
     One scatter pass over the bracket table: an index keyed by position
     q*n + p lists the (i, A_i[q][p]) read straight from `brk` and its
@@ -236,16 +236,16 @@ def killing_form(L: LieAlgebra) -> List[List[Scalar]]:
         for q, x in v.items():
             index.setdefault(q * n + j, []).append((i, x))
             index.setdefault(q * n + i, []).append((j, -x))
-    out = [[ZERO] * n for _ in range(n)]
+    upper: SparseMatrix = [{} for _ in range(n)]  # K[i][j] for j >= i
     for pos, col in index.items():
         q, p = divmod(pos, n)
         if q == p:
             # A_i[q][q] A_j[q][q]: each unordered pair once
             for a, x in col:
-                row = out[a]
+                row = upper[a]
                 for b, w in col:
                     if b >= a:
-                        row[b] = row[b] + x * w
+                        row[b] = row.get(b, ZERO) + x * w
         elif q < p:
             # A_i[q][p] A_j[p][q] and A_i[p][q] A_j[q][p] give the same
             # products; they land in K[i][j] and K[j][i], one of them stored
@@ -253,15 +253,17 @@ def killing_form(L: LieAlgebra) -> List[List[Scalar]]:
                 for b, w in col:
                     t = x * w
                     if a < b:
-                        out[a][b] = out[a][b] + t
+                        upper[a][b] = upper[a].get(b, ZERO) + t
                     elif a > b:
-                        out[b][a] = out[b][a] + t
+                        upper[b][a] = upper[b].get(a, ZERO) + t
                     else:
-                        out[a][a] = out[a][a] + t + t
-    for i in range(n):
-        row = out[i]
-        for j in range(i + 1, n):
-            out[j][i] = row[j]
+                        upper[a][a] = upper[a].get(a, ZERO) + t + t
+    out: SparseMatrix = [{} for _ in range(n)]
+    for i, row in enumerate(upper):
+        for j in sorted(row):
+            x = row[j]
+            if x:
+                out[i][j] = out[j][i] = x
     return out
 
 
@@ -276,7 +278,7 @@ def check_killing_invariance(L: LieAlgebra) -> Dict[str, object]:
     m = ad(b_i)^T K holds k([b_i, b_j], b_k).
     """
     n = L.dim
-    k_rows = [to_sparse(row) for row in killing_form(L)]
+    k_rows = killing_form(L)
     ad = L.ad
     for i in range(n):
         m: List[SparseVec] = [{} for _ in range(n)]

@@ -3,13 +3,12 @@
 Vectors are sparse dicts {index: Scalar} with zero entries absent:
 composition and Jordan algebra elements and structure constants, Lie
 algebra elements and nullspace vectors alike (`combine` forms their linear
-combinations).  Every matrix that goes into a product, a commutator or a
-span lookup is stored as a list of sparse rows from the point where it is
-built; `flatten` is the one map from such matrices to span vectors.  Dense
-lists remain only for Gram matrices, covectors (`to_sparse`,
-`SpanSolver.coords`) and a few small dense helpers (`mat_mul`, `mat_vec`,
-`rank_of`, `to_dense`) that no stage of the pipeline calls.  Two kernels
-carry the package.
+combinations).  Every matrix is stored as a list of zero-free sparse rows
+from the point where it is built, Gram matrices (polar forms, Killing
+forms) included; `flatten` is the one map from such matrices to span
+vectors.  Root covectors stay tuples, since they key root sets, and
+`to_sparse` reads them.  The one dense helper left is `mat_mul`, which no
+stage of the pipeline calls.  Two kernels carry the package.
 `add_product` is the only matrix product: it multiplies matrices stored
 as sparse rows, row by row (Gustavson's algorithm), and `mat_mul` and
 `commutator` wrap it.  An incremental reduced row echelon
@@ -50,14 +49,6 @@ def combine(terms: Iterable[Tuple[Scalar, SparseVec]]) -> SparseVec:
             for q, x in v.items():
                 acc[q] = acc.get(q, ZERO) + c * x
     return {q: x for q, x in acc.items() if x}
-
-
-def vzero(n: int) -> DenseVec:
-    return [ZERO] * n
-
-
-def is_zero_vec(v: Sequence[Scalar]) -> bool:
-    return not any(v)
 
 
 class Echelon:
@@ -176,9 +167,9 @@ class SpanSolver:
     """Coordinates of vectors relative to a fixed spanning list.
 
     Feed sparse basis vectors with `add`; then `coords_sparse(v)` returns
-    c with v = sum c[k] * basis[k], or None if v is outside the span, and
-    `coords` does the same for dense v and c.  Dependent basis vectors are
-    tolerated (their coordinate just stays unused).
+    c with v = sum c[k] * basis[k], or None if v is outside the span.
+    Dependent basis vectors are tolerated (their coordinate just stays
+    unused).
     """
 
     def __init__(self, basis: Iterable[SparseVec] = ()):
@@ -198,17 +189,6 @@ class SpanSolver:
         if w:
             return None
         return {k: -val for k, val in combo.items()}  # type: ignore[union-attr]
-
-    def coords(self, v: Sequence[Scalar]) -> Optional[List[Scalar]]:
-        c = self.coords_sparse(to_sparse(v))
-        return None if c is None else to_dense(c, self.ech.ninserted)
-
-
-def rank_of(vectors: Iterable[Sequence[Scalar]]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.add(to_sparse(v))
-    return ech.rank
 
 
 def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
@@ -230,17 +210,6 @@ def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
                 x[p] = -val
         basis.append(x)
     return basis
-
-
-def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> DenseVec:
-    out = []
-    for row in m:
-        acc = ZERO
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
 
 
 def apply(m: SparseMatrix, v: SparseVec) -> SparseVec:
@@ -325,63 +294,66 @@ def transpose(m: SparseMatrix) -> SparseMatrix:
     return out
 
 
-def sylvester_signature(gram) -> tuple:
-    """(n_plus, n_minus, n_zero) of a symmetric real matrix, by congruence.
+def sylvester_signature(gram: SparseMatrix) -> Tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero) of a symmetric real matrix stored as
+    zero-free sparse rows, by congruence.
 
-    Symmetric pivoting with exact signs; when every remaining diagonal
-    entry vanishes, a row+column addition manufactures a nonzero one
-    (always possible in characteristic 0).
+    Symmetric pivoting with exact signs: a nonzero diagonal entry d =
+    g[p][p], taken from a shortest row, counts by its sign, and the
+    remaining block becomes its Schur complement g[m][c] - g[m][p] g[p][c]
+    / d, which changes only the rows in the support of row p.  When every
+    remaining diagonal entry vanishes, a row+column addition manufactures a
+    nonzero one (always possible in characteristic 0).
     """
-    g = [list(row) for row in gram]
-    n = len(g)
-    active = list(range(n))
+    g = [dict(row) for row in gram]
+    active = list(range(len(g)))
     plus = minus = 0
     while active:
+        # the nonzero diagonal entry with the shortest row: the least fill-in
         pivot = None
-        nice = None
         for k in active:
-            x = g[k][k]
-            if x:
-                if pivot is None:
-                    pivot = k
-                if x.is_rational() and abs(x.a) in (1, 2) or x == ONE or x == -ONE:
-                    nice = k
+            if k in g[k] and (pivot is None or len(g[k]) < len(g[pivot])):
+                pivot = k
+                if len(g[k]) == 1:
                     break
-        if nice is not None:
-            pivot = nice
         if pivot is None:
-            hit = None
-            for i in active:
-                for j in active:
-                    if i != j and g[i][j]:
-                        hit = (i, j)
-                        break
-                if hit:
-                    break
-            if hit is None:
+            i = next((k for k in active if g[k]), None)
+            if i is None:
                 break  # remaining block is zero
-            i, j = hit
-            for s in (ONE, -ONE):
-                if g[i][i] + s * (g[i][j] + g[j][i]) + s * s * g[j][j]:
-                    break
-            for c in range(n):
-                g[i][c] = g[i][c] + s * g[j][c]
-            for r in range(n):
-                g[r][i] = g[r][i] + s * g[r][j]
+            # congruence by I + E_ij: row i += row j, then column i +=
+            # column j; the new diagonal entry is 2 g[i][j] != 0
+            j = min(g[i])
+            touched = g[i].keys() | g[j].keys()
+            r = dict(g[i])
+            for c, x in g[j].items():
+                r[c] = r.get(c, ZERO) + x
+            r[i] = r.get(i, ZERO) + r[j]
+            g[i] = {c: x for c, x in r.items() if x}
+            for c in touched - {i}:
+                x = g[i].get(c)
+                if x:
+                    g[c][i] = x
+                else:
+                    g[c].pop(i, None)
             continue
-        d = g[pivot][pivot]
+        row_p = g[pivot]
+        d = row_p[pivot]
         if d.sign() > 0:
             plus += 1
         else:
             minus += 1
         active.remove(pivot)
-        for m in active:
-            coef = g[m][pivot]
-            if not coef:
+        for m, coef in row_p.items():
+            if m == pivot:
                 continue
             f = coef / d
-            for c in range(n):
-                g[m][c] = g[m][c] - f * g[pivot][c]
-            for r in range(n):
-                g[r][m] = g[r][m] - f * g[r][pivot]
-    return plus, minus, n - plus - minus
+            row_m = g[m]
+            del row_m[pivot]
+            for c, x in row_p.items():
+                if c != pivot:
+                    nv = row_m.get(c, ZERO) - f * x
+                    if nv:
+                        row_m[c] = nv
+                    else:
+                        row_m.pop(c, None)
+    return plus, minus, len(g) - plus - minus

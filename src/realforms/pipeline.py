@@ -22,7 +22,7 @@ from .constructions import (
 )
 from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra, certify_jacobi, killing_form, sub_lie_algebra
-from .linalg import SparseVec, combine, sylvester_signature
+from .linalg import SparseMatrix, SparseVec, combine, sylvester_signature
 from .rootspace import (
     Covector,
     RootDatum,
@@ -52,7 +52,6 @@ from .satake import (
     e6_label_order,
 )
 from .scalars import HALF, ONE, Rat, Scalar, sc
-from .triality import triality_cached
 
 # ---------------------------------------------------------------------------
 # model registry
@@ -97,10 +96,11 @@ MODELS: Dict[str, ModelSpec] = {
 
 def certify(
     lie: LieAlgebra, expected: Optional[int], what: str
-) -> Tuple[Dict[str, object], List[List[Scalar]], Tuple[int, int, int]]:
-    """The Jacobi certificate, the Killing form and its Sylvester signature
-    (positive, negative, zero) of `lie`.  When `expected` is given, the
-    form must be nondegenerate with positive - negative == expected."""
+) -> Tuple[Dict[str, object], SparseMatrix, Tuple[int, int, int]]:
+    """The Jacobi certificate, the Killing form (zero-free symmetric sparse
+    rows) and its Sylvester signature (positive, negative, zero) of `lie`.
+    When `expected` is given, the form must be nondegenerate with
+    positive - negative == expected."""
     jacobi = certify_jacobi(lie)
     killing = killing_form(lie)
     sig = sylvester_signature(killing)
@@ -118,7 +118,7 @@ class ModelBuild:
     obj: object  # MagicSquareAlgebra or DerivationModel
     signature: Tuple[int, int, int]
     jacobi: Dict[str, object]
-    killing: List[List[Scalar]]
+    killing: SparseMatrix
 
     @property
     def square(self) -> MagicSquareAlgebra:
@@ -136,9 +136,7 @@ def build_model(key: str) -> ModelBuild:
     if spec.kind == "magic":
         s = symmetric_composition(spec.s_name)
         sp = symmetric_composition(spec.sp_name)
-        obj: object = magic_square(
-            s, sp, spec.eps, triality_cached(s), triality_cached(sp)
-        )
+        obj: object = magic_square(s, sp, spec.eps)
     else:
         obj = derivation_model(symmetric_composition(spec.s_name))
     lie = obj.lie  # type: ignore[attr-defined]
@@ -181,7 +179,7 @@ def signature_table() -> List[Dict[str, object]]:
     for cell in SIGNATURE_CELLS:
         s = symmetric_composition(cell.s_name)
         sp = symmetric_composition(cell.sp_name)
-        sq = magic_square(s, sp, cell.eps, triality_cached(s), triality_cached(sp))
+        sq = magic_square(s, sp, cell.eps)
         what = f"signature cell ({cell.s_name},{cell.sp_name},{cell.eps})"
         sig = certify(sq.lie, cell.expected, what)[2]
         rows.append(

@@ -35,6 +35,7 @@ from .linalg import (
     SparseVec,
     SpanSolver,
     add_product,
+    apply,
     combine,
     nullspace,
     sylvester_signature,
@@ -142,19 +143,6 @@ def poly_squarefree(p: Poly) -> Poly:
 
 def minimal_polynomial(m: SparseMatrix) -> Poly:
     n = len(m)
-
-    def apply(v: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for p, row in enumerate(m):
-            acc = ZERO
-            for q, c in row.items():
-                x = v.get(q)
-                if x:
-                    acc = acc + c * x
-            if acc:
-                out[p] = acc
-        return out
-
     total = Echelon()
     minpoly: Poly = [ONE]
     for start in range(n):
@@ -166,7 +154,7 @@ def minimal_polynomial(m: SparseMatrix) -> Poly:
         ech.add(e)
         total.add(e)
         while True:
-            nxt = apply(seq[-1])
+            nxt = apply(m, seq[-1])
             w, combo = ech.residual(nxt)
             if not w:
                 # monic annihilator: x^k + sum combo[j] x^j
@@ -573,11 +561,12 @@ def verify_simple_basis(roots: set, simple: List[Covector]) -> Dict[str, int]:
 
 def _integer_coords(solver: SpanSolver, root: Covector) -> List[int]:
     """Coordinates of root over the solver's simple roots; all integers."""
-    coords = solver.coords(list(root))
+    coords = solver.coords_sparse(to_sparse(root))
     if coords is None:
         raise VerificationError(f"root {root} outside the simple span")
     out = []
-    for c in coords:
+    for k in range(solver.ech.ninserted):
+        c = coords.get(k, ZERO)
         if not c.is_rational() or c.a.denominator != 1:
             raise VerificationError(f"non-integer simple coordinates for {root}")
         out.append(c.a.numerator)
@@ -733,7 +722,7 @@ def verify_cartan_decomposition(
     L: LieAlgebra,
     t_basis: List[SparseVec],
     p_basis: List[SparseVec],
-    killing: Optional[List[List[Scalar]]] = None,
+    killing: Optional[SparseMatrix] = None,
 ) -> Dict[str, object]:
     """Certify g = t + p for real t and p with [t,t], [p,p] in t, [t,p] in
     p, Killing negative definite on t and positive definite on p.  Returns
@@ -771,13 +760,16 @@ def verify_cartan_decomposition(
                     raise VerificationError(f"bracket condition {name} fails")
     if killing is None:
         killing = killing_form(L)
-    k_rows = [to_sparse(row) for row in killing]
 
-    def gram(vs: List[SparseVec]) -> List[List[Scalar]]:
+    def gram(vs: List[SparseVec]) -> SparseMatrix:
         kv: SparseMatrix = [{} for _ in vs]
-        add_product(kv, vs, k_rows)  # row i: v_i^T K
+        add_product(kv, vs, killing)  # row i: v_i^T K
         return [
-            [sum((x * w[q] for q, x in row.items() if q in w), ZERO) for w in vs]
+            {
+                j: x
+                for j, w in enumerate(vs)
+                if (x := sum((y * w[q] for q, y in row.items() if q in w), ZERO))
+            }
             for row in kv
         ]
 

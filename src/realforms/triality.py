@@ -44,14 +44,12 @@ def orthogonal_lie(s: AlgebraTable) -> List[SparseMatrix]:
     rows: List[SparseVec] = []
     for i in range(n):
         for j in range(i, n):
-            row: SparseVec = {}
-            for p in range(n):
-                if q[p][j]:
-                    k = p * n + i
-                    row[k] = row.get(k, ZERO) + q[p][j]
-                if q[i][p]:
-                    k = p * n + j
-                    row[k] = row.get(k, ZERO) + q[i][p]
+            # entry (i, j) of D^t Q + Q D: sum_p D[p][i] Q[p][j] + Q[i][p] D[p][j],
+            # with D[p][c] the unknown p n + c and Q[p][j] = Q[j][p]
+            row: SparseVec = {p * n + i: x for p, x in q[j].items()}
+            for p, x in q[i].items():
+                k = p * n + j
+                row[k] = row.get(k, ZERO) + x
             row = {k: v for k, v in row.items() if v}
             if row:
                 rows.append(row)

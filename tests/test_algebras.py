@@ -14,7 +14,7 @@ from realforms.algebras import (
     symmetric_composition,
 )
 from realforms.errors import VerificationError
-from realforms.linalg import combine, to_sparse
+from realforms.linalg import SpanSolver, combine, to_sparse
 from realforms.scalars import HALF, ONE, ZERO, sc
 
 
@@ -43,9 +43,7 @@ def test_octonion_labels_and_products():
     il = o.mul(o.basis_vec(1), o.basis_vec(4))
     assert il == o.basis_vec(5)
     # polar form is twice the identity on this basis
-    for a in range(8):
-        for b in range(8):
-            assert o.form[a][b] == (sc(2) if a == b else ZERO)
+    assert o.form == [{a: sc(2)} for a in range(8)]
 
 
 def test_octonions_not_associative():
@@ -122,17 +120,15 @@ def test_okubo_split_is_symmetric_composition():
 
 def test_okubo_has_no_left_unit():
     # x*y = y for all y is unsolvable: rank grows when the system is augmented
-    from realforms.linalg import rank_of
-
     t = okubo_compact()
     rows, aug = [], []
     for j in range(8):
         for p in range(8):
-            # sum_i x_i (b_i * b_j)_p = delta_jp
-            row = [t.sc[i][j].get(p, ZERO) for i in range(8)]
+            # sum_i x_i (b_i * b_j)_p = delta_jp, the right side in column 8
+            row = {i: t.sc[i][j][p] for i in range(8) if p in t.sc[i][j]}
             rows.append(row)
-            aug.append(row + [ONE if p == j else ZERO])
-    assert rank_of(aug) > rank_of(rows)
+            aug.append({**row, 8: ONE} if p == j else row)
+    assert SpanSolver(aug).rank > SpanSolver(rows).rank
 
 
 def test_composition_check_catches_corruption():

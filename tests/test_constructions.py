@@ -18,7 +18,7 @@ from realforms.lie import (
     killing_form,
     killing_signature,
 )
-from realforms.linalg import apply, combine, is_zero_vec, mat_vec, to_dense
+from realforms.linalg import apply, combine, to_dense
 from realforms.scalars import HALF, IUNIT, ONE, SQRT3, ZERO, sc
 
 
@@ -73,8 +73,9 @@ def test_killing_form_invariance_sampled(e6_indef_square):
         acc = ZERO
         for i, xi in x.items():
             for j, yj in y.items():
-                if k[i][j]:
-                    acc = acc + xi * k[i][j] * yj
+                kij = k[i].get(j)
+                if kij:
+                    acc = acc + xi * kij * yj
         return acc
 
     def element():
@@ -252,5 +253,4 @@ def test_model78_derivations_kill_unit(model78):
     alg = model78.alg
     unit = alg.table.unit
     for m in (model78.rho[3], model78.rho[33]):
-        m = [to_dense(row, alg.dim) for row in m]
-        assert is_zero_vec(mat_vec(m, to_dense(unit, alg.dim)))
+        assert apply(m, unit) == {}

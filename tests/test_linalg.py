@@ -1,20 +1,20 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from realforms.linalg import (
     Echelon,
     SpanSolver,
+    add_product,
+    apply,
     commutator,
-    is_zero_vec,
     mat_mul,
-    mat_vec,
     nullspace,
-    rank_of,
     sylvester_signature,
     to_dense,
     to_sparse,
+    transpose,
 )
 from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Scalar, sc
 
@@ -23,13 +23,17 @@ def v(*xs):
     return [sc(x) for x in xs]
 
 
+def rank(rows):
+    return SpanSolver(map(to_sparse, rows)).rank
+
+
 def test_rank_hand_cases():
-    assert rank_of([v(1, 0), v(0, 1)]) == 2
-    assert rank_of([v(1, 2), v(2, 4)]) == 1
-    assert rank_of([v(0, 0)]) == 0
+    assert rank([v(1, 0), v(0, 1)]) == 2
+    assert rank([v(1, 2), v(2, 4)]) == 1
+    assert rank([v(0, 0)]) == 0
     # sqrt3 is irrational, so (1, r3) and (r3, 3) are dependent
-    assert rank_of([[ONE, SQRT3], [SQRT3, sc(3)]]) == 1
-    assert rank_of([[ONE, SQRT3], [SQRT3, sc(2)]]) == 2
+    assert rank([[ONE, SQRT3], [SQRT3, sc(3)]]) == 1
+    assert rank([[ONE, SQRT3], [SQRT3, sc(2)]]) == 2
 
 
 def test_echelon_membership():
@@ -40,32 +44,38 @@ def test_echelon_membership():
     assert not ech.contains(to_sparse(v(0, 0, 1)))
 
 
+def zero_free(x):
+    return all(x.values())
+
+
 def test_span_solver_coords():
-    basis = [v(1, 1, 0), v(0, 1, 1), v(1, 0, 0)]
-    sol = SpanSolver(map(to_sparse, basis))
-    target = v(3, 1, -2)
-    coords = sol.coords(target)
-    assert coords is not None
-    recon = [ZERO, ZERO, ZERO]
-    for c, b in zip(coords, basis):
-        recon = [r + c * x for r, x in zip(recon, b)]
-    assert recon == target
-    assert sol.coords_sparse(to_sparse(target)) == to_sparse(coords)
-    assert sol.coords_sparse(to_sparse(v(0, 0, 0))) == {}
-    outside = SpanSolver(map(to_sparse, basis[:2]))
+    basis = [to_sparse(v(1, 1, 0)), to_sparse(v(0, 1, 1)), to_sparse(v(1, 0, 0))]
+    sol = SpanSolver(basis)
+    target = to_sparse(v(3, 1, -2))
+    coords = sol.coords_sparse(target)
+    assert coords is not None and zero_free(coords)
+    recon = {}
+    for k, c in coords.items():
+        for q, x in basis[k].items():
+            recon[q] = recon.get(q, ZERO) + c * x
+    assert {q: x for q, x in recon.items() if x} == target
+    assert sol.coords_sparse({}) == {}
+    outside = SpanSolver(basis[:2])
     assert outside.coords_sparse(to_sparse(v(1, 0, 0))) is None
 
 
 def test_span_solver_rejects_outside():
     sol = SpanSolver(map(to_sparse, [v(1, 0, 0), v(0, 1, 0)]))
-    assert sol.coords(v(0, 0, 1)) is None
+    assert sol.coords_sparse({2: ONE}) is None
 
 
 def test_span_solver_tolerates_dependent_basis():
     sol = SpanSolver(map(to_sparse, [v(1, 1), v(2, 2), v(0, 1)]))
-    coords = sol.coords(v(3, 4))
-    assert coords is not None
-    assert coords[0] * v(1, 1)[0] + coords[1] * v(2, 2)[0] + coords[2] * ZERO == sc(3)
+    coords = sol.coords_sparse(to_sparse(v(3, 4)))
+    assert coords is not None and zero_free(coords)
+    c = [coords.get(k, ZERO) for k in range(3)]
+    assert c[0] + c[1] * sc(2) == sc(3)
+    assert c[0] + c[1] * sc(2) + c[2] == sc(4)
 
 
 def test_nullspace_hand_case():
@@ -74,20 +84,23 @@ def test_nullspace_hand_case():
     basis = nullspace(rows, 3)
     assert len(basis) == 1
     b = basis[0]
-    assert b[0] + b[1] + b[2] == ZERO
-    assert b[0] - b[2] == ZERO
-    assert not is_zero_vec(b)
+    assert b and zero_free(b)
+    x, y, z = (b.get(k, ZERO) for k in range(3))
+    assert x + y + z == ZERO
+    assert x - z == ZERO
+    assert apply(rows, b) == {}
 
 
 def test_nullspace_annihilates_random_matrix():
     rng = random.Random(7)
     rows = []
     for _ in range(6):
-        rows.append([sc(rng.randint(-3, 3)) for _ in range(9)])
-    ns = nullspace([to_sparse(r) for r in rows], 9)
-    assert rank_of(rows) + len(ns) == 9
+        rows.append(to_sparse([sc(rng.randint(-3, 3)) for _ in range(9)]))
+    ns = nullspace(rows, 9)
+    assert SpanSolver(rows).rank + len(ns) == 9
     for x in ns:
-        assert is_zero_vec(mat_vec(rows, to_dense(x, 9)))
+        assert x and zero_free(x)
+        assert apply(rows, x) == {}
 
 
 def test_mat_mul_identity():
@@ -145,51 +158,81 @@ def test_commutator_matches_naive_loop(n):
 
 
 def test_signature_diagonal():
-    g = [v(2, 0, 0), v(0, -3, 0), v(0, 0, 0)]
+    g = [{0: sc(2)}, {1: sc(-3)}, {}]
     assert sylvester_signature(g) == (1, 1, 1)
 
 
 def test_signature_hyperbolic_plane():
     # all-zero diagonal forces the row+column trick
-    g = [v(0, 1), v(1, 0)]
+    g = [{1: ONE}, {0: ONE}]
     assert sylvester_signature(g) == (1, 1, 0)
 
 
 def test_signature_sqrt3_entries():
     # diag(sqrt3 - 2, sqrt3 - 1): one negative, one positive
-    g = [[SQRT3 - sc(2), ZERO], [ZERO, SQRT3 - ONE]]
+    g = [{0: SQRT3 - sc(2)}, {1: SQRT3 - ONE}]
     assert sylvester_signature(g) == (1, 1, 0)
 
 
-def test_signature_congruence_invariance():
-    rng = random.Random(3)
-    diag = [1, 1, -1, -1, -1, 0]
-    n = len(diag)
-    g = [[sc(diag[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-    # congruate by a random unimodular integer matrix
-    p = [[sc(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(12):
+def test_signature_leaves_input_unchanged():
+    g = [{1: ONE, 2: sc(2)}, {0: ONE}, {0: sc(2), 2: -ONE}]
+    copy = [dict(row) for row in g]
+    assert sylvester_signature(g) == (1, 2, 0)
+    assert g == copy
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(-2, 2), max_size=6),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 16),
+)
+def test_signature_congruence_invariance(diag, hyperbolic, seed, steps):
+    # diag(diag) plus `hyperbolic` blocks [[0, 1], [1, 0]], each of which
+    # contributes one positive and one negative direction
+    n = len(diag) + 2 * hyperbolic
+    assume(n > 0)
+    g = [{i: sc(d)} if d else {} for i, d in enumerate(diag)]
+    for _ in range(hyperbolic):
+        k = len(g)
+        g += [{k + 1: ONE}, {k: ONE}]
+    expected = (
+        sum(d > 0 for d in diag) + hyperbolic,
+        sum(d < 0 for d in diag) + hyperbolic,
+        diag.count(0),
+    )
+    # congruate by a random unimodular integer matrix p: p g p^T; with no
+    # steps the all-zero diagonal of the hyperbolic blocks stays, and the
+    # row+column step runs
+    rng = random.Random(seed)
+    p = [{i: ONE} for i in range(n)]
+    for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
         c = sc(rng.randint(-2, 2))
-        for k in range(n):
-            p[i][k] = p[i][k] + c * p[j][k]
-    pt = [list(row) for row in zip(*p)]
-    g2 = mat_mul(mat_mul(p, g), pt)
-    assert sylvester_signature(g2) == (2, 3, 1)
+        if i != j and c:
+            for k, x in p[j].items():
+                p[i][k] = p[i].get(k, ZERO) + c * x
+            p[i] = {k: x for k, x in p[i].items() if x}
+    pg = [{} for _ in range(n)]
+    add_product(pg, p, g)
+    g2 = [{} for _ in range(n)]
+    add_product(g2, pg, transpose(p))
+    g2 = [{k: x for k, x in row.items() if x} for row in g2]
+    assert sylvester_signature(g2) == expected
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=6))
 def test_rank_bounded_and_nullity(rows_int):
-    rows = [[sc(x) for x in row] for row in rows_int]
-    r = rank_of(rows)
+    rows = [to_sparse([sc(x) for x in row]) for row in rows_int]
+    r = SpanSolver(rows).rank
     assert r <= min(len(rows), 4)
-    ns = nullspace([to_sparse(row) for row in rows], 4)
+    ns = nullspace(rows, 4)
     assert r + len(ns) == 4
     for x in ns:
-        assert is_zero_vec(mat_vec(rows, to_dense(x, 4)))
+        assert x and zero_free(x)
+        assert apply(rows, x) == {}
 
 
 @settings(deadline=None, max_examples=40)

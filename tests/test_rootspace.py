@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from realforms.cli import _jsonable
 from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import LieAlgebra, lie_from_fn
-from realforms.linalg import combine, to_sparse, vzero
+from realforms.linalg import combine, to_sparse
 from realforms.rootspace import (
     RootDatum,
     RootSpace,
@@ -384,7 +384,7 @@ def test_simple_coords_rejects_fractions():
 
 def _dummy_datum(roots, dims=None):
     spaces = [
-        RootSpace(c, [vzero(1) for _ in range((dims or {}).get(c, 1))])
+        RootSpace(c, [{} for _ in range((dims or {}).get(c, 1))])
         for c in sorted(roots, key=cov_key)
     ]
     return RootDatum(None, [], spaces, RootSpace(None, []))

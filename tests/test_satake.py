@@ -1,7 +1,6 @@
 import pytest
 
 from realforms.errors import IOFormatError, VerificationError
-from realforms.linalg import vzero
 from realforms.rootspace import RootDatum, RootSpace, cov_key, cov_neg
 from realforms.satake import (
     RestrictedRow,
@@ -23,7 +22,7 @@ def cov(*xs):
 
 def _datum(roots):
     spaces = [
-        RootSpace(c, [vzero(1)]) for c in sorted(roots, key=cov_key)
+        RootSpace(c, [{}]) for c in sorted(roots, key=cov_key)
     ]
     return RootDatum(None, [], spaces, RootSpace(None, []))
 
