@@ -178,6 +178,7 @@ def _split_octonions() -> AlgebraTable:
     return t
 
 
+HURWITZ_NAMES = ("R", "RR", "C", "Mat2", "H", "O", "Os")
 _HURWITZ_CACHE: Dict[str, AlgebraTable] = {}
 
 
@@ -320,6 +321,7 @@ _SYMMETRIC: Dict[str, str] = {
     "pO": "O",
     "pOs": "Os",
 }
+SYMMETRIC_NAMES = tuple(_SYMMETRIC) + ("Ok", "Oks")
 
 
 def symmetric_composition(name: str) -> AlgebraTable:
@@ -418,7 +420,7 @@ class AlbertAlgebra:
         return 3 + i * self.comp.dim + b
 
     def iota_vec(self, i: int, x: SparseVec) -> SparseVec:
-        return _shift(x, 3 + i * self.comp.dim)
+        return _shift(x, self.iota_index(i, 0))
 
     def trace(self, v: SparseVec) -> Scalar:
         return _diagonal_trace(v)
@@ -579,7 +581,7 @@ def albert_matrix_isomorphism() -> Dict[str, int]:
     for i in range(3):
         for b in range(o.dim):
             img = {b: ONE} if i == 1 else o.invol[b]
-            images.append({3 + i * o.dim + p: TWO * x for p, x in img.items()})
+            images.append({alg.iota_index(i, p): TWO * x for p, x in img.items()})
     ech = Echelon()
     for v in images:
         ech.add(v)

@@ -13,10 +13,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .algebras import (
+    HURWITZ_NAMES,
+    SYMMETRIC_NAMES,
     albert,
     check_composition,
     check_jordan_sampled,
@@ -42,58 +43,35 @@ from .pipeline import (
 from .rootspace import cov_key, root_decomposition, restricted_multiplicities
 from .scalars import Scalar
 
-HURWITZ_NAMES = ("R", "RR", "C", "Mat2", "H", "O", "Os")
-SYMMETRIC_NAMES = ("pR", "pRR", "pC", "pMat2", "pH", "pO", "pOs", "Ok", "Oks")
+_CONFIG_KEYS = ("model", "s", "sp", "eps", "cartan", "format", "out", "only")
 
 
-@dataclass
-class JobConfig:
-    """One batch job: what to build, which Cartan data, where output goes."""
-
-    model: Optional[str] = None
-    s_name: Optional[str] = None
-    sp_name: Optional[str] = None
-    eps: Optional[Tuple[int, int, int]] = None
-    cartan: Optional[str] = None
-    fmt: str = "ascii"
-    out: Optional[str] = None
-    only: List[str] = field(default_factory=list)
-
-    @classmethod
-    def from_file(cls, path: str) -> "JobConfig":
-        """key = value lines; '#' comments; eps as comma triple."""
-        cfg = cls()
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise IOFormatError(f"cannot read config {path}: {exc}") from exc
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise IOFormatError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key == "model":
-                cfg.model = val
-            elif key == "s":
-                cfg.s_name = val
-            elif key == "sp":
-                cfg.sp_name = val
-            elif key == "eps":
-                cfg.eps = _parse_eps(val)
-            elif key == "cartan":
-                cfg.cartan = val
-            elif key == "format":
-                cfg.fmt = val
-            elif key == "out":
-                cfg.out = val
-            elif key == "only":
-                cfg.only = [v.strip() for v in val.split(",") if v.strip()]
-            else:
-                raise IOFormatError(f"{path}:{lineno}: unknown key {key!r}")
-        return cfg
+def read_config(path: str) -> Dict[str, object]:
+    """The options of a job file, keyed by their argparse names: key = value
+    lines and '#' comments; eps is checked and written as 1,-1,1, and only
+    is split at commas."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise IOFormatError(f"cannot read config {path}: {exc}") from exc
+    cfg: Dict[str, object] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise IOFormatError(f"{path}:{lineno}: expected key = value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise IOFormatError(f"{path}:{lineno}: unknown key {key!r}")
+        if key == "eps":
+            cfg[key] = ",".join(map(str, _parse_eps(val)))
+        elif key == "only":
+            cfg[key] = [v.strip() for v in val.split(",") if v.strip()]
+        else:
+            cfg[key] = val
+    return cfg
 
 
 def _parse_eps(text: str) -> Tuple[int, int, int]:
@@ -249,11 +227,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def _model_key(name: Optional[str]) -> str:
     if name is None:
         raise ConstructionError("no model named (pass one or set it in --config)")
-    if name in PRESET_MODEL:
-        return PRESET_MODEL[name]
-    if name in MODELS:
-        return name
-    raise ConstructionError(f"unknown model {name!r}")
+    key = PRESET_MODEL.get(name, name)
+    if key not in MODELS:
+        raise ConstructionError(f"unknown model {name!r}")
+    return key
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
@@ -450,37 +427,17 @@ def make_parser() -> argparse.ArgumentParser:
     return top
 
 
-_DEFAULTS = (
-    ("format", "ascii"),
-    ("sp", "R"),
-    ("eps", "1,1,1"),
-    ("cartan", "preset"),
-)
+_DEFAULTS = {"format": "ascii", "sp": "R", "eps": "1,1,1", "cartan": "preset"}
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill options the command line left unset from --config, then from
     _DEFAULTS: command line arguments win over config values."""
-    if getattr(args, "config", None):
-        cfg = JobConfig.from_file(args.config)
-        eps = None if cfg.eps is None else ",".join(map(str, cfg.eps))
-        for attr, val in (
-            ("model", cfg.model),
-            ("out", cfg.out),
-            ("format", cfg.fmt),
-            ("s", cfg.s_name),
-            ("sp", cfg.sp_name),
-            ("eps", eps),
-            ("cartan", cfg.cartan),
-        ):
+    cfg = read_config(args.config) if args.config else {}
+    for source in (cfg, _DEFAULTS):
+        for attr, val in source.items():
             if hasattr(args, attr) and getattr(args, attr) is None:
-                if val is not None:
-                    setattr(args, attr, val)
-        if hasattr(args, "only") and cfg.only and not args.only:
-            args.only = cfg.only
-    for attr, default in _DEFAULTS:
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, default)
+                setattr(args, attr, val)
     return args
 
 

@@ -50,8 +50,13 @@ class MagicSquareAlgebra:
     def iota_offset(self) -> int:
         return self.tri_s.dim + self.tri_sp.dim
 
+    def iota_block(self, blk: int) -> range:
+        """The basis indices of iota_blk(S x S')."""
+        d = self.s.dim * self.sp.dim
+        return range(self.iota_offset + blk * d, self.iota_offset + (blk + 1) * d)
+
     def iota_index(self, blk: int, a: int, b: int) -> int:
-        return self.iota_offset + blk * self.s.dim * self.sp.dim + a * self.sp.dim + b
+        return self.iota_block(blk)[a * self.sp.dim + b]
 
     def tri_sp_vec(self, coords: SparseVec) -> SparseVec:
         off = self.tri_s.dim
@@ -216,7 +221,7 @@ def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[SparseMat
     for d in square.tri_s.basis:
         m: SparseMatrix = [{} for _ in range(n)]
         for i, di in enumerate(d):
-            off = 3 + i * s.dim
+            off = alg.iota_index(i, 0)
             for p, row in enumerate(di):
                 m[off + p] = {off + q: x for q, x in row.items()}
         out.append(m)

@@ -206,10 +206,6 @@ class CartanSpec:
     hs: List[SparseVec]
     a_idx: Tuple[int, ...]
 
-    @property
-    def t_idx(self) -> Tuple[int, ...]:
-        return tuple(k for k in range(len(self.hs)) if k not in self.a_idx)
-
 
 def _covs(rows: Sequence[Sequence[str]]) -> List[Covector]:
     return [tuple(sc(x) for x in row) for row in rows]
@@ -243,7 +239,9 @@ PRESET_SIMPLE: Dict[str, List[Covector]] = {
     ]),
 }
 
-PRESET_MODEL: Dict[str, str] = {"EIV": "e6m26", "EIII": "e6m14", "EII": "e6p2"}
+PRESET_MODEL: Dict[str, str] = {
+    m.satake_preset: m.key for m in MODELS.values() if m.satake_preset
+}
 
 
 def _check_commuting(L: LieAlgebra, hs: List[SparseVec], label: str) -> None:
@@ -264,11 +262,12 @@ def preset_cartan(build: ModelBuild) -> CartanSpec:
     quarter = Scalar(Rat(1, 4))
     square: MagicSquareAlgebra = build.square
     if key == "EIV":
+        der = build.obj.der_dim  # type: ignore[attr-defined]
         hs = [
             combine([(HALF, square.t_s(a, b))])
             for a, b in ((0, 1), (2, 3), (4, 5), (6, 7))
         ]
-        hs += [{52: Scalar(-1)}, {53: Scalar(-1)}]  # E1 - E0, E0 - E2
+        hs += [{der: Scalar(-1)}, {der + 1: Scalar(-1)}]  # E1 - E0, E0 - E2
         a_idx: Tuple[int, ...] = (4, 5)
     elif key == "EIII":
         tri_sp = square.tri_sp
@@ -374,8 +373,7 @@ def _relabel_auto(
 
 
 def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
-    if key in PRESET_MODEL:
-        key = PRESET_MODEL[key]
+    key = PRESET_MODEL.get(key, key)
     if build is None:
         build = build_model(key)
     cartan = preset_cartan(build)
@@ -495,10 +493,7 @@ def assemble_eii_cartan_decomposition(
     if phi_type != "F4":
         raise VerificationError(f"g0 system classified as {phi_type}")
 
-    iota_ranges = [
-        range(square.iota_index(blk, 0, 0), square.iota_index(blk, ns - 1, 1) + 1)
-        for blk in range(3)
-    ]
+    iota_ranges = [square.iota_block(blk) for blk in range(3)]
 
     def block_of(space) -> Optional[int]:
         support = set(space.basis[0])
@@ -543,29 +538,33 @@ def assemble_eii_cartan_decomposition(
 
 
 def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) -> Dict[str, object]:
-    if key in PRESET_MODEL:
-        key = PRESET_MODEL[key]
+    key = PRESET_MODEL.get(key, key)
     if build is None:
         build = build_model(key)
     L = build.lie
     if key == "e6m26":
-        t_basis = _block_vectors(L, range(52))
-        p_basis = _block_vectors(L, range(52, 78))
+        der = build.obj.der_dim  # type: ignore[attr-defined]
+        t_basis = _block_vectors(L, range(der))
+        p_basis = _block_vectors(L, range(der, L.dim))
         extras: Dict[str, object] = {"t": "derivation block", "p": "traceless Jordan block"}
     elif key == "e6m14":
         square: MagicSquareAlgebra = build.obj  # type: ignore[assignment]
-        off = square.iota_offset
-        d = square.s.dim * square.sp.dim
-        t_idx = list(range(off)) + list(range(off + d, off + 2 * d))
-        p_idx = list(range(off, off + d)) + list(range(off + 2 * d, off + 3 * d))
-        t_basis = _block_vectors(L, t_idx)
-        p_basis = _block_vectors(L, p_idx)
+        iota0, iota1, iota2 = (square.iota_block(blk) for blk in range(3))
+        t_basis = _block_vectors(L, [*range(square.iota_offset), *iota1])
+        p_basis = _block_vectors(L, [*iota0, *iota2])
         extras = {"t": "tri + tri' + iota_1", "p": "iota_0 + iota_2"}
     elif key == "e6p2":
         t_basis, p_basis, extras = assemble_eii_cartan_decomposition(build)
     else:
         raise ConstructionError(f"no Cartan decomposition recipe for {key}")
     report = verify_cartan_decomposition(L, t_basis, p_basis, killing=build.killing)
+    sig = build.signature[0] - build.signature[1]
+    if report["signature"] != sig:
+        raise VerificationError(
+            f"{key}: Cartan decomposition signature {report['signature']} "
+            f"differs from the Killing signature {sig}",
+            witness=(report["signature"], sig),
+        )
     report.update(extras)
     return report
 

@@ -41,7 +41,7 @@ from .linalg import (
     sylvester_signature,
     to_sparse,
 )
-from .scalars import ONE, ZERO, Rat, Scalar
+from .scalars import HALF, ONE, ZERO, Rat, Scalar
 
 Covector = Tuple[Scalar, ...]
 Poly = List[Scalar]  # coefficients, low degree first
@@ -232,9 +232,6 @@ def exact_eigenvalues(m: SparseMatrix, context: str = "") -> List[Scalar]:
     the grid) and VerificationError carries p's coefficients as witness.
     """
     poly = poly_squarefree(minimal_polynomial(m))
-    if poly[-1] != ONE:
-        inv = poly[-1].inverse()
-        poly = [c * inv for c in poly]
     deg = len(poly) - 1
     grid = 2 * math.lcm(*(c.as_ints()[4] for c in poly))
     emb_plus, emb_minus = _embedded(poly, _SQRT3), _embedded(poly, -_SQRT3)
@@ -660,8 +657,7 @@ def is_nonreduced(sigma: set) -> bool:
 
 
 def indivisible_roots(sigma: set) -> set:
-    half = Scalar(Rat(1, 2))
-    return {lam for lam in sigma if cov_scale(half, lam) not in sigma}
+    return {lam for lam in sigma if cov_scale(HALF, lam) not in sigma}
 
 
 def classify_restricted(sigma: set, simple: List[Covector]) -> str:

@@ -413,10 +413,6 @@ def sc(x) -> Scalar:
     return Scalar.of(x)
 
 
-def half(n: int = 1) -> Scalar:
-    return Scalar(Rat(n, 2))
-
-
 ZERO = Scalar(0)
 ONE = Scalar(1)
 TWO = Scalar(2)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from realforms.cli import JobConfig, main
+from realforms.cli import main, read_config
 from realforms.errors import IOFormatError, VerificationError
 
 
@@ -277,7 +277,7 @@ def test_config_cartan_reaches_roots(tmp_path, capsys):
     assert "only --cartan preset" in json.loads(err)["message"]
 
 
-def test_jobconfig_parser(tmp_path):
+def test_read_config_parser(tmp_path):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(
         "model = e6m14   # trailing comment\n"
@@ -286,25 +286,39 @@ def test_jobconfig_parser(tmp_path):
         "only = e6m26, e6p6\n"
         "out = /tmp/somewhere\n"
     )
-    job = JobConfig.from_file(str(cfg))
-    assert job.model == "e6m14"
-    assert job.eps == (1, -1, 1)
-    assert job.only == ["e6m26", "e6p6"]
-    assert job.out == "/tmp/somewhere"
+    job = read_config(str(cfg))
+    assert job["model"] == "e6m14"
+    assert job["eps"] == "1,-1,1"
+    assert job["only"] == ["e6m26", "e6p6"]
+    assert job["out"] == "/tmp/somewhere"
 
 
-def test_jobconfig_rejects_unknown_key(tmp_path):
+def test_read_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("solver = magic\n")
     with pytest.raises(IOFormatError, match="unknown key"):
-        JobConfig.from_file(str(cfg))
+        read_config(str(cfg))
 
 
-def test_jobconfig_rejects_bare_line(tmp_path):
+def test_read_config_rejects_bare_line(tmp_path):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("just some words\n")
     with pytest.raises(IOFormatError, match="expected key = value"):
-        JobConfig.from_file(str(cfg))
+        read_config(str(cfg))
+
+
+def test_config_eps_is_normalised_and_checked_on_read(tmp_path, capsys):
+    # construct prints the eps option itself, so a config's +1 and spaces
+    # must not reach the output; a bad eps fails even commands without eps
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("eps = +1, -1, +1\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "construct", "--s", "pC", "--sp", "pO")
+    assert code == 0
+    assert json.loads(out)["construction"] == "magic(pC,pO,1,-1,1)"
+    cfg.write_text("eps = 1,1\n")
+    code, _, err = run(capsys, "--config", str(cfg), "satake", "e6m14")
+    assert code == 3
+    assert json.loads(err)["error"] == "ConstructionError"
 
 
 # ---------------------------------------------------------------------------

@@ -39,29 +39,87 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+def bound_names(fn) -> set:
+    """The names a function or lambda binds itself: its parameters and the
+    names it assigns (outside nested functions and classes), less those it
+    declares global or nonlocal."""
+    a = fn.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+    bound = {p.arg for p in params if p}
+    declared = set()
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+class References(ast.NodeVisitor):
+    """The names a module uses: names, attributes, imported names and
+    string constants.  A name that an enclosing function binds is a local
+    variable there, so it is no use of a definition that shares its name."""
+
+    def __init__(self):
+        self.names = set()
+        self.scopes = []
+
+    def visit_FunctionDef(self, node):
+        # decorators, defaults and annotations belong to the enclosing scope
+        outer = node.decorator_list + [node.args] + ([node.returns] if node.returns else [])
+        for child in outer:
+            self.visit(child)
+        self.scopes.append(bound_names(node))
+        for stmt in node.body:
+            self.visit(stmt)
+        self.scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self.visit(node.args)
+        self.scopes.append(bound_names(node))
+        self.visit(node.body)
+        self.scopes.pop()
+
+    def visit_Name(self, node):
+        if not any(node.id in scope for scope in self.scopes):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self.names.add(node.name.split(".")[-1])
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            self.names.add(node.value)
+
+
 def unreferenced_definitions():
     """(file, line, name) of each function, method and class defined in the
-    package whose name no other node in src/ or tests/ uses."""
+    package whose name no other node in src/ or tests/ uses; a local
+    variable that shares the name is no use."""
     defined = []
-    referenced = set()
+    refs = References()
     for directory in ("src", "tests"):
         for path in sorted((ROOT / directory).rglob("*.py")):
             tree = ast.parse(path.read_text())
+            refs.visit(tree)
+            if path.parent != SRC:
+                continue
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    referenced.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    referenced.add(node.name.split(".")[-1])
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    referenced.add(node.value)
-                elif path.parent == SRC and isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     if not (node.name.startswith("__") and node.name.endswith("__")):
                         defined.append((path.name, node.lineno, node.name))
-    return [d for d in defined if d[2] not in referenced]
+    return [d for d in defined if d[2] not in refs.names]
 
 
 def test_no_unreferenced_definitions():

@@ -4,15 +4,18 @@ Everything here leans on the session fixtures in conftest, so the
 expensive magic-square builds and root decompositions happen once.
 """
 
+import dataclasses
+
 import pytest
 
 from realforms.constructions import psi_automorphism
-from realforms.errors import ConstructionError
+from realforms.errors import ConstructionError, VerificationError
 from realforms.linalg import combine
 from realforms.pipeline import (
     MODELS,
     PRESET_MODEL,
     PRESET_SIMPLE,
+    cartan_decomposition_report,
     compact_diagram,
     preset_cartan,
     table_rows,
@@ -205,6 +208,14 @@ def test_cartan_decomposition_eii(get_cartan_report):
     assert report["phi_positive"] == 24
     assert report["phi_positive_per_block"] == [4, 4, 4]
     assert report["signature"] == 2
+
+
+def test_cartan_decomposition_checks_killing_signature(get_build):
+    build = get_build("e6m14")
+    wrong = dataclasses.replace(build, signature=(46, 32, 0))
+    with pytest.raises(VerificationError, match="signature -14 differs .* 14") as exc:
+        cartan_decomposition_report("e6m14", wrong)
+    assert exc.value.witness == (-14, 14)
 
 
 def test_cartan_decomposition_unknown_model(get_build):
