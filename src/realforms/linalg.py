@@ -12,9 +12,13 @@ stage of the pipeline calls.  Two kernels carry the package.
 `add_product` is the only matrix product: it multiplies matrices stored
 as sparse rows, row by row (Gustavson's algorithm), and `mat_mul` and
 `commutator` wrap it.  An incremental reduced row echelon
-form serves everything else (membership, coordinates, nullspaces, ranks).
-No pivoting heuristics are needed for correctness since the arithmetic is
-exact, but rows are kept fully reduced so nullspace extraction is direct.
+form gives nullspaces and ranks, and `SpanSolver` gives membership and
+coordinates over a list that is not a nullspace basis.  A `nullspace`
+basis needs no solver: each vector is 1 at its own free column and 0 at
+the others, so coordinates are the entries at the free columns (read off
+this way by the triality layer).  No pivoting heuristics are needed for
+correctness since the arithmetic is exact, but rows are kept fully
+reduced so nullspace extraction is direct.
 """
 
 from __future__ import annotations
@@ -193,7 +197,9 @@ class SpanSolver:
 
 def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
     """Basis of {x : R x = 0} for the matrix with the given sparse rows,
-    as sparse vectors: one per free column f, with x[f] = 1.
+    as sparse vectors: one per free column f, with x[f] = 1 and no entry
+    at any other free column.  Every other entry sits at a pivot column
+    left of f, so f is the largest index of x.
 
     Rows are inserted smallest-support first, which keeps the intermediate
     fill-in low for the big derivation systems.

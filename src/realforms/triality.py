@@ -9,19 +9,27 @@ theta(d0, d1, d2) = (d2, d0, d1) and is spanned by the maps
 with s_{x,y}(z) = q(x,z) y - q(y,z) x.  For an 8-dimensional S this is a
 form of so(8); for the 2-dimensional paras it is a 2-dimensional abelian
 algebra; for S = R it vanishes.
+
+Everything is computed in coordinates over the basis B_k of so(q).  That
+basis and the basis b_k of tri(S) (coefficient vectors over so(q)^3) are
+both `nullspace` bases, so each vector is 1 at its own free column and 0
+at the others: the coordinates of a vector in their span are its entries
+at the free columns, and `_read_off` certifies membership by recombining
+them exactly.  The brackets of tri(S) come slot by slot from the
+structure constants of so(q), theta rotates the three coefficient slots,
+and neither needs an echelon form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebras import AlgebraTable
 from .errors import ConstructionError, VerificationError
 from .linalg import (
     SparseMatrix,
     SparseVec,
-    SpanSolver,
     add_product,
     apply,
     combine,
@@ -56,12 +64,43 @@ def orthogonal_lie(s: AlgebraTable) -> List[SparseMatrix]:
     return [matrix_rows(vec, n) for vec in nullspace(rows, n * n)]
 
 
+def _free_columns(vecs: List[SparseVec], name: str) -> List[int]:
+    """The free column of each vector of a `nullspace` basis, certifying
+    that the basis is independent.
+
+    Every pivot of the echelon lies left of the free columns it meets, so
+    the free column of a basis vector is its largest index.  Independence
+    is then the identity on the free columns: each vector is 1 at its own
+    free column and has no entry at any other.
+    """
+    free = [max(v) for v in vecs]
+    cols = set(free)
+    if len(cols) != len(vecs) or any(
+        v[f] != ONE or len(cols.intersection(v)) != 1 for v, f in zip(vecs, free)
+    ):
+        raise ConstructionError(f"tri({name}): dependent solution basis")
+    return free
+
+
+def _read_off(vecs: List[SparseVec], free: List[int], v: SparseVec) -> Optional[SparseVec]:
+    """Coordinates c of v over a certified nullspace basis with free columns
+    `free`: c[k] is the entry of v at free[k].  None unless sum c[k] vecs[k]
+    equals v exactly, that is, unless v lies in the span."""
+    c = {k: v[f] for k, f in enumerate(free) if v.get(f)}
+    if combine((x, vecs[k]) for k, x in c.items()) != {q: x for q, x in v.items() if x}:
+        return None
+    return c
+
+
 @dataclass(eq=False)
 class TrialityAlgebra:
     comp: AlgebraTable
-    basis: List[Triple]
+    orth: List[SparseVec]  # basis B_k of so(q), flattened n x n matrices
+    orth_free: List[int]  # free column of each B_k
+    coefs: List[SparseVec]  # row k: b_k over so(q)^3, index slot * len(orth) + j
+    free: List[int]  # free column of each row of coefs
+    basis: List[Triple]  # b_k as triples of matrices
     lie: LieAlgebra
-    solver: SpanSolver
     theta_rows: SparseMatrix  # row k: coordinates of theta(b_k)
 
     @property
@@ -69,10 +108,23 @@ class TrialityAlgebra:
         return len(self.basis)
 
     def coords_of_triple(self, t: Triple) -> SparseVec:
-        c = self.solver.coords_sparse(flatten(*t))
+        """Coordinates of a triple of skew maps in the tri basis: each
+        component is read off over so(q), then the triple over the b_k."""
+        name = self.comp.name
+        no = len(self.orth)
+        coefs: SparseVec = {}
+        for slot, m in enumerate(t):
+            c = _read_off(self.orth, self.orth_free, flatten(m))
+            if c is None:
+                raise VerificationError(
+                    f"tri({name}): triple is not a triality element", witness={"slot": slot}
+                )
+            coefs.update((slot * no + j, x) for j, x in c.items())
+        c = _read_off(self.coefs, self.free, coefs)
         if c is None:
             raise VerificationError(
-                f"tri({self.comp.name}): triple is not a triality element"
+                f"tri({name}): triple is not a triality element",
+                witness={"coefs": {str(j): x.to_str() for j, x in coefs.items()}},
             )
         return c
 
@@ -121,6 +173,20 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     n = s.dim
     orth = orthogonal_lie(s)
     no = len(orth)
+    oflat = [flatten(m) for m in orth]
+    ofree = _free_columns(oflat, s.name)
+    # structure constants of so(q): so_brk[k][l] = coordinates of [B_k, B_l]
+    so_brk: List[List[SparseVec]] = [[{} for _ in range(no)] for _ in range(no)]
+    for k in range(no):
+        for l in range(k + 1, no):
+            c = _read_off(oflat, ofree, flatten(commutator(orth[k], orth[l])))
+            if c is None:
+                raise VerificationError(
+                    f"tri({s.name}): so(q) commutator escapes the span",
+                    witness={"pair": [k, l]},
+                )
+            so_brk[k][l] = c
+            so_brk[l][k] = {m: -x for m, x in c.items()}
     bcols = [transpose(m) for m in orth]  # bcols[k][i] = B_k e_i
     rows: List[SparseVec] = []
     for i in range(n):
@@ -141,37 +207,47 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
                     by_p[p][2 * no + k] = -x
             rows.extend(row for row in by_p if row)
     sols = nullspace(rows, 3 * no)
-
-    def unflatten(coefs: SparseVec) -> Triple:
-        return tuple(  # type: ignore[return-value]
-            [
-                combine((c, orth[k - slot * no][p]) for k, c in coefs.items() if k // no == slot)
-                for p in range(n)
-            ]
-            for slot in range(3)
-        )
-
-    basis = [unflatten(c) for c in sols]
-    solver = SpanSolver(flatten(*t) for t in basis)
-    if solver.rank != len(basis):
-        raise ConstructionError(f"tri({s.name}): dependent solution basis")
+    free = _free_columns(sols, s.name)
+    # slots[k][slot]: the so(q) coordinates of component `slot` of b_k
+    slots: List[List[SparseVec]] = [[{}, {}, {}] for _ in sols]
+    for c, sl in zip(sols, slots):
+        for q, x in c.items():
+            sl[q // no][q % no] = x
 
     def brk(i: int, j: int) -> SparseVec:
-        c = solver.coords_sparse(flatten(*map(commutator, basis[i], basis[j])))
+        # slot by slot, [sum x_k B_k, sum y_l B_l] = sum x_k y_l [B_k, B_l]
+        acc: SparseVec = {}
+        for slot, (a, b) in enumerate(zip(slots[i], slots[j])):
+            off = slot * no
+            for k, x in a.items():
+                row = so_brk[k]
+                for l, y in b.items():
+                    xy = x * y
+                    for m, z in row[l].items():
+                        q = off + m
+                        acc[q] = acc.get(q, ZERO) + xy * z
+        c = _read_off(sols, free, acc)
         if c is None:
-            raise VerificationError(f"tri({s.name}): bracket escapes the span")
+            raise VerificationError(
+                f"tri({s.name}): bracket escapes the span", witness={"pair": [i, j]}
+            )
         return c
 
-    lie = lie_from_fn(
-        f"tri({s.name})", [f"t{k}" for k in range(len(basis))], brk
-    )
+    lie = lie_from_fn(f"tri({s.name})", [f"t{k}" for k in range(len(sols))], brk)
     theta_rows = []
-    for t in basis:
-        c = solver.coords_sparse(flatten(t[2], t[0], t[1]))
-        if c is None:
-            raise VerificationError(f"tri({s.name}): theta leaves the span")
-        theta_rows.append(c)
-    return TrialityAlgebra(s, basis, lie, solver, theta_rows)
+    for k, c in enumerate(sols):
+        # theta(d0, d1, d2) = (d2, d0, d1): slot s of b_k moves to slot s + 1
+        row = _read_off(sols, free, {(q // no + 1) % 3 * no + q % no: x for q, x in c.items()})
+        if row is None:
+            raise VerificationError(f"tri({s.name}): theta leaves the span", witness={"index": k})
+        theta_rows.append(row)
+    basis = [
+        tuple(  # type: ignore[misc]
+            [combine((x, orth[j][p]) for j, x in sl.items()) for p in range(n)] for sl in slot3
+        )
+        for slot3 in slots
+    ]
+    return TrialityAlgebra(s, oflat, ofree, sols, free, basis, lie, theta_rows)
 
 
 _TRI_CACHE: Dict[str, TrialityAlgebra] = {}

@@ -1,10 +1,16 @@
+import ast
+import inspect
+import json
+
 import pytest
 
+import realforms.triality as triality_mod
 from realforms.algebras import symmetric_composition
+from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import certify_jacobi, killing_signature
-from realforms.linalg import SpanSolver, apply, combine
+from realforms.linalg import SpanSolver, apply, combine, commutator, flatten, nullspace
 from realforms.scalars import HALF, ONE, ZERO, sc
-from realforms.triality import orthogonal_lie, triality
+from realforms.triality import _free_columns, _read_off, orthogonal_lie, triality
 
 
 def test_orthogonal_dimensions():
@@ -105,7 +111,126 @@ def test_tri_pc_beta_description():
 
     # (b0 d, b1 d, b2 d) is a triality element iff b0 + b1 + b2 = 0
     tri.coords_of_triple((scaled(ONE), scaled(ONE), scaled(sc(-2))))
-    from realforms.errors import VerificationError
-
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="not a triality element") as err:
         tri.coords_of_triple((scaled(ONE), scaled(ONE), scaled(ONE)))
+    # the witness is the triple over so(q)^3, the vector outside the solutions
+    assert err.value.witness == {"coefs": {"0": "2", "1": "2", "2": "2"}}
+
+
+# ---------------------------------------------------------------------------
+# oracle: the bracket table and theta recomputed on the flattened triples
+
+
+@pytest.mark.parametrize("name", ["pO", "pOs", "Ok", "Oks", "pC", "pRR", "pH"])
+def test_tables_match_span_solver_oracle(name):
+    tri = triality(symmetric_composition(name))
+    solver = SpanSolver(flatten(*t) for t in tri.basis)
+    assert solver.rank == tri.dim
+    for i in range(tri.dim):
+        for j in range(i + 1, tri.dim):
+            triple = [commutator(a, b) for a, b in zip(tri.basis[i], tri.basis[j])]
+            assert tri.lie.brk.get((i, j), {}) == solver.coords_sparse(flatten(*triple))
+    for k, t in enumerate(tri.basis):
+        assert tri.theta_rows[k] == solver.coords_sparse(flatten(t[2], t[0], t[1]))
+
+
+def test_read_off_certifies_membership():
+    tri = triality(symmetric_composition("Ok"))
+    b0, b3 = tri.orth[0], tri.orth[3]
+    inside = combine([(ONE, b0), (sc(2), b3)])
+    assert _read_off(tri.orth, tri.orth_free, inside) == {0: ONE, 3: sc(2)}
+    # the identity map is not skew: its entries at the free columns are 0
+    identity = flatten([{p: ONE} for p in range(8)])
+    assert _read_off(tri.orth, tri.orth_free, identity) is None
+    # same entries as b0 at every free column, one more entry elsewhere
+    pivot = min(b0)
+    outside = dict(b0)
+    outside[pivot] = b0[pivot] + ONE
+    assert _read_off(tri.orth, tri.orth_free, outside) is None
+
+
+def test_free_columns_certify_independence():
+    rows = [{0: ONE, 1: ONE, 2: sc(-1)}, {1: ONE, 3: sc(2)}]
+    basis = nullspace(rows, 4)
+    assert _free_columns(basis, "x") == [2, 3]
+    for bad in (basis + [basis[0]], basis + [combine([(ONE, basis[0]), (ONE, basis[1])])]):
+        with pytest.raises(ConstructionError, match="dependent solution basis"):
+            _free_columns(bad, "x")
+    with pytest.raises(ConstructionError):
+        _free_columns([combine([(sc(2), basis[0])])], "x")
+
+
+# ---------------------------------------------------------------------------
+# mutations: each failure of triality() is reached and carries a witness
+
+
+def _patch_tri_nullspace(monkeypatch, edit):
+    """Apply `edit` to the solutions of the triality system: the second
+    nullspace that triality() computes, after the one of so(q)."""
+    calls = []
+
+    def patched(rows, ncols):
+        calls.append(ncols)
+        sols = nullspace(rows, ncols)
+        return edit(sols) if len(calls) == 2 else sols
+
+    monkeypatch.setattr(triality_mod, "nullspace", patched)
+
+
+def test_so_q_commutator_outside_its_span_is_witnessed(monkeypatch):
+    real = orthogonal_lie
+    monkeypatch.setattr(triality_mod, "orthogonal_lie", lambda s: real(s)[:-1])
+    with pytest.raises(VerificationError, match=r"so\(q\) commutator escapes") as err:
+        triality(symmetric_composition("pO"))
+    k, l = err.value.witness["pair"]
+    assert 0 <= k < l < 27
+    json.dumps(err.value.witness)
+
+
+def test_bracket_outside_the_span_is_witnessed(monkeypatch):
+    _patch_tri_nullspace(monkeypatch, lambda sols: sols[:-1])
+    with pytest.raises(VerificationError, match="bracket escapes the span") as err:
+        triality(symmetric_composition("pO"))
+    i, j = err.value.witness["pair"]
+    assert 0 <= i < j < 27
+    json.dumps(err.value.witness)
+
+
+def test_theta_outside_the_span_is_witnessed(monkeypatch):
+    # one of the two solutions for pC: abelian, but no line is theta-stable
+    _patch_tri_nullspace(monkeypatch, lambda sols: sols[:1])
+    with pytest.raises(VerificationError, match="theta leaves the span") as err:
+        triality(symmetric_composition("pC"))
+    assert err.value.witness == {"index": 0}
+
+
+def test_dependent_solutions_fail_the_independence_certificate(monkeypatch):
+    _patch_tri_nullspace(monkeypatch, lambda sols: sols + [sols[0]])
+    with pytest.raises(ConstructionError, match=r"tri\(pC\): dependent solution basis"):
+        triality(symmetric_composition("pC"))
+
+
+def test_non_skew_component_is_witnessed_by_its_slot():
+    s = symmetric_composition("pC")
+    tri = triality(s)
+    sig = tri.sigma_map(s.basis_vec(0), s.basis_vec(1))
+    identity = [{0: ONE}, {1: ONE}]
+    for slot in range(3):
+        triple = [sig, sig, sig]
+        triple[slot] = identity
+        with pytest.raises(VerificationError, match="not a triality element") as err:
+            tri.coords_of_triple(tuple(triple))
+        assert err.value.witness == {"slot": slot}
+
+
+def test_every_verification_error_carries_a_witness():
+    tree = ast.parse(inspect.getsource(triality_mod))
+    raises = [
+        node.exc
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "VerificationError"
+    ]
+    assert len(raises) == 5
+    assert all(any(kw.arg == "witness" for kw in call.keywords) for call in raises)
