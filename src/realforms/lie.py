@@ -6,23 +6,30 @@ constants and the sqrt3 constants of the Okubo-built algebras, and nothing
 can overflow.  The Killing form is one scatter pass over the bracket table
 in Scalar arithmetic that touches only nonzero products; Killing
 invariance runs in Scalar arithmetic over the ad table.  The Jacobi
-certificate runs on Python ints: it clears the table's denominators and
-writes each constant in integer coordinates over the Q-basis 1, sqrt3, i,
-i sqrt3 of Q(sqrt3, i) (`lane_scan`, `int_coords`; the rho certificate of
-`constructions` uses the same coordinates).  Each check is exhaustive over
-basis tuples and raises VerificationError with the failing tuple as
-witness.
+certificate is a proof in two parts.  `generating_set` picks basis indices
+S whose span, closed under the ad(b_s) for s in S, is all of L; this step
+only evaluates brackets.  The Jacobi sum is then evaluated on the triples
+that contain an index of S, which shows that each ad(b_s) is a
+derivation; the x with ad(x) a derivation form a subalgebra, so every
+basis triple satisfies the identity.  The sums run on Python ints: the
+table's denominators are cleared and each constant is written in integer
+coordinates over the Q-basis 1, sqrt3, i, i sqrt3 of Q(sqrt3, i)
+(`lane_scan`, `int_coords`; the rho certificate of `constructions` uses
+the same coordinates).  Every check raises VerificationError with a
+witness: the failing basis tuple, or the index or pair at which a span
+certificate fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from math import gcd, lcm
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import VerificationError
 from .linalg import (
+    Echelon,
     SparseMatrix,
     SparseVec,
     SpanSolver,
@@ -33,7 +40,7 @@ from .linalg import (
     nullspace,
     sylvester_signature,
 )
-from .scalars import IUNIT, ONE, SQRT3, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 @dataclass(eq=False)
@@ -113,7 +120,14 @@ def _add_bracket(
 IntEntry = Tuple[int, Tuple[Tuple[int, int], ...]]
 IntRow = Dict[int, IntEntry]
 
-_BASIS = (ONE, SQRT3, IUNIT, IUNIT * SQRT3)  # the Q-basis e_0..e_3 of Q(sqrt3, i)
+# multiplication by e_s on the integer parts (a, b, c, d) of a + b sqrt3 +
+# (c + d sqrt3) i, for the Q-basis e_0..e_3 = 1, sqrt3, i, i sqrt3 of F
+_TIMES_BASIS = (
+    lambda a, b, c, d: (a, b, c, d),
+    lambda a, b, c, d: (3 * b, a, 3 * d, c),
+    lambda a, b, c, d: (-c, -d, a, b),
+    lambda a, b, c, d: (-3 * d, -c, 3 * b, a),
+)
 
 
 def lane_scan(values: Iterable[Scalar]) -> Tuple[int, List[int]]:
@@ -123,23 +137,39 @@ def lane_scan(values: Iterable[Scalar]) -> Tuple[int, List[int]]:
     one of them."""
     den = 1
     used = {0}
-    for c in values:
-        *num, d = c.as_ints()
-        den = lcm(den, d)
-        used.update(u for u, x in enumerate(num) if x)
+    for x in values:
+        _, b, c, d, m = x.as_ints()
+        if den % m:
+            den = lcm(den, m)
+        if b:
+            used.add(1)
+        if c:
+            used.add(2)
+        if d:
+            used.add(3)
     return den, sorted(used)
 
 
 def int_coords(v: SparseVec, s: int, den: int, n: int) -> List[Tuple[int, int]]:
     """The nonzero integer coordinates of den * e_s * v for v in F^n, each
     keyed q + n*u for coordinate u of entry q; den must clear v's
-    denominators."""
-    e_s = _BASIS[s]
+    denominators.  Multiplying by e_s permutes and scales the integer parts
+    of each entry, so no Scalar product is formed."""
+    times = _TIMES_BASIS[s]
+    n2, n3 = 2 * n, 3 * n
     out: List[Tuple[int, int]] = []
-    for q, c in v.items():
-        *num, d = (c * e_s).as_ints()
-        f = den // d
-        out.extend((q + n * u, x * f) for u, x in enumerate(num) if x)
+    for q, x in v.items():
+        a, b, c, d, m = x.as_ints()
+        f = den // m
+        a, b, c, d = times(a, b, c, d)
+        if a:
+            out.append((q, a * f))
+        if b:
+            out.append((q + n, b * f))
+        if c:
+            out.append((q + n2, c * f))
+        if d:
+            out.append((q + n3, d * f))
     return out
 
 
@@ -183,10 +213,95 @@ def _add_int_bracket(
                 acc[q] = acc.get(q, 0) + m * w
 
 
+def _stride_order(n: int) -> List[int]:
+    """0, p, 2p, ... mod n for the least p >= 0.618 n coprime to n: a
+    golden-ratio stride, which visits every index once and spreads the
+    early ones over the blocks of a constructed basis."""
+    p = -(-618 * n // 1000)
+    while gcd(p, n) != 1:
+        p += 1
+    return [k * p % n for k in range(n)]
+
+
+def _ad_apply(ad_x: Dict[int, SparseVec], v: SparseVec) -> SparseVec:
+    """[x, v] from the ad row of x; entries that cancel stay as zeros."""
+    acc: Dict[int, Scalar] = {}
+    _add_bracket(acc, v, ad_x)
+    return acc
+
+
+def generating_set(L: LieAlgebra) -> List[int]:
+    """Basis indices S such that span{b_s : s in S}, closed under ad(b_s)
+    for s in S, is all of L.
+
+    Indices are tried in `_stride_order`; an index joins S when b_s lies
+    outside the closure of the earlier ones, and the closure is then
+    extended with `Echelon` over F.  Only brackets of the table are
+    evaluated; the Jacobi identity is never used.  The greedy choice
+    always ends with the closure equal to L, at worst with S the whole
+    basis.  ad rows are built for the indices of S alone, so `L.ad` is
+    neither read nor built.
+    """
+    n = L.dim
+    ech = Echelon()
+    gens: List[int] = []
+    ads: List[Dict[int, SparseVec]] = []
+    spanning: List[SparseVec] = []  # the vectors that raised the rank
+    for g in _stride_order(n):
+        if ech.rank == n:
+            break
+        if ech.contains({g: ONE}):
+            continue
+        gens.append(g)
+        ad_g = {p: L.bracket_basis(g, p) for p in range(n)}
+        ads.append(ad_g)
+        queue = [{g: ONE}] + [_ad_apply(ad_g, w) for w in spanning]
+        while queue and ech.rank < n:
+            w = queue.pop()
+            if ech.add(w):
+                spanning.append(w)
+                queue.extend(_ad_apply(ad_s, w) for ad_s in ads)
+    return gens
+
+
+def _failing_pairs(
+    iad: List[IntRow], s: int, others: Sequence[int]
+) -> Iterator[Tuple[int, int]]:
+    """The pairs j < k of `others`, in lexicographic order, on which the
+    Jacobi sum [b_s,[b_j,b_k]] + [b_j,[b_k,b_s]] + [b_k,[b_s,b_j]] of the
+    table `iad` is nonzero."""
+    iad_s = iad[s]
+    for a, j in enumerate(others):
+        iad_j = iad[j]
+        v_sj = iad_s.get(j)
+        for k in others[a + 1 :]:
+            iad_k = iad[k]
+            v_jk = iad_j.get(k)
+            v_ks = iad_k.get(s)
+            if not (v_sj or v_jk or v_ks):
+                continue
+            acc: Dict[int, int] = {}
+            _add_int_bracket(acc, v_jk, iad_s)
+            _add_int_bracket(acc, v_ks, iad_j)
+            _add_int_bracket(acc, v_sj, iad_k)
+            if any(acc.values()):
+                yield j, k
+
+
 def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
     """[b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]] = 0 on every
     basis triple i < j < k, exactly.  Raises with the first failing triple,
     in lexicographic order, as witness.
+
+    The sum is evaluated only on the triples that contain an index of
+    S = `generating_set(L)`: these vanish exactly when ad(b_s) is a
+    derivation for each s in S.  That proves every triple.  The x with
+    ad(x) a derivation form a subspace T, and T is closed under brackets:
+    if ad(x) is a derivation then ad([x, y]) = [ad(x), ad(y)], and the
+    commutator of two derivations is one.  So T contains the closure of
+    span(S) under the ad(b_s), which `generating_set` showed to be L.
+    Antisymmetry holds by construction of the i < j table.  When a sum is
+    nonzero, the full lexicographic scan finds the witness.
 
     The sums run on Python ints over the table of _integer_ad.  A Jacobi
     sum of D*L is D^2 times that of L, and F -> Q^4 is a Q-linear
@@ -194,28 +309,23 @@ def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
     Jacobi sum of L does.
     """
     n = L.dim
+    gens = generating_set(L)
     iad = _integer_ad(L)
-    for i in range(n):
-        iad_i = iad[i]
-        for j in range(i + 1, n):
-            iad_j = iad[j]
-            v_ij = iad_i.get(j)
-            for k in range(j + 1, n):
-                iad_k = iad[k]
-                v_jk = iad_j.get(k)
-                v_ki = iad_k.get(i)
-                if not (v_ij or v_jk or v_ki):
-                    continue
-                acc: Dict[int, int] = {}
-                _add_int_bracket(acc, v_jk, iad_i)
-                _add_int_bracket(acc, v_ki, iad_j)
-                _add_int_bracket(acc, v_ij, iad_k)
-                if any(acc.values()):
-                    raise VerificationError(
-                        f"{L.name}: Jacobi fails on "
-                        f"({L.labels[i]}, {L.labels[j]}, {L.labels[k]})",
-                        witness=(i, j, k),
-                    )
+    done = set()
+    for s in gens:
+        done.add(s)
+        others = [x for x in range(n) if x not in done]
+        if next(_failing_pairs(iad, s, others), None) is not None:
+            i, (j, k) = next(
+                (i, pair)
+                for i in range(n)
+                for pair in _failing_pairs(iad, i, range(i + 1, n))
+            )
+            raise VerificationError(
+                f"{L.name}: Jacobi fails on "
+                f"({L.labels[i]}, {L.labels[j]}, {L.labels[k]})",
+                witness=(i, j, k),
+            )
     return {"method": "sparse", "triples": n * (n - 1) * (n - 2) // 6}
 
 
@@ -334,16 +444,27 @@ def derivations(table) -> List[SparseMatrix]:
     return [matrix_rows(vec, n) for vec in nullspace(derivation_rows(table), n * n)]
 
 
+def _independent_solver(name: str, what: str, vectors: Iterable[SparseVec]) -> SpanSolver:
+    """A SpanSolver over `vectors`; raises, with the index of the first
+    vector in the span of the earlier ones as witness, if they are
+    dependent."""
+    solver = SpanSolver()
+    for k, v in enumerate(vectors):
+        if not solver.add(v):
+            raise VerificationError(f"{name}: {what} is dependent", witness={"index": k})
+    return solver
+
+
 def derivation_lie_algebra(name: str, mats: List[SparseMatrix]) -> LieAlgebra:
     """Close a list of matrices under commutator brackets (must span one)."""
-    solver = SpanSolver(flatten(m) for m in mats)
-    if solver.rank != len(mats):
-        raise VerificationError(f"{name}: derivation basis is dependent")
+    solver = _independent_solver(name, "derivation basis", (flatten(m) for m in mats))
 
     def comm(i: int, j: int) -> SparseVec:
         coords = solver.coords_sparse(flatten(commutator(mats[i], mats[j])))
         if coords is None:
-            raise VerificationError(f"{name}: commutator escapes the span")
+            raise VerificationError(
+                f"{name}: commutator escapes the span", witness={"pair": [i, j]}
+            )
         return coords
 
     labels = [f"D{k}" for k in range(len(mats))]
@@ -354,15 +475,14 @@ def sub_lie_algebra(
     L: LieAlgebra, vectors: List[SparseVec], name: str, labels: Optional[List[str]] = None
 ) -> LieAlgebra:
     """The Lie algebra on a bracket-closed independent spanning list."""
-    solver = SpanSolver(vectors)
-    if solver.rank != len(vectors):
-        raise VerificationError(f"{name}: spanning list is dependent")
+    solver = _independent_solver(name, "spanning list", vectors)
 
     def fn(i: int, j: int) -> SparseVec:
         coords = solver.coords_sparse(L.bracket(vectors[i], vectors[j]))
         if coords is None:
             raise VerificationError(
-                f"{name}: bracket of elements {i}, {j} leaves the span"
+                f"{name}: bracket of elements {i}, {j} leaves the span",
+                witness={"pair": [i, j]},
             )
         return coords
 

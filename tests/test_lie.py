@@ -1,3 +1,6 @@
+import ast
+import inspect
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realforms.algebras import hurwitz, symmetric_composition
+import realforms.lie as lie_mod
 from realforms.constructions import magic_square
 from realforms.errors import VerificationError
 from realforms.lie import (
@@ -12,11 +16,15 @@ from realforms.lie import (
     certify_jacobi,
     derivation_lie_algebra,
     derivations,
+    generating_set,
+    int_coords,
     killing_form,
     killing_signature,
     lie_from_fn,
     sub_lie_algebra,
 )
+from realforms.linalg import Echelon
+from realforms.pipeline import MODELS
 from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Scalar, sc
 from realforms.triality import triality_cached
 
@@ -308,8 +316,46 @@ def test_sub_lie_algebra_borel_of_sl2():
 
 def test_sub_lie_algebra_rejects_unclosed_span():
     L = sl2()
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="bracket of elements 0, 1 leaves") as info:
         sub_lie_algebra(L, [L.basis_vec(1), L.basis_vec(2)], "ef")
+    assert json.loads(json.dumps(info.value.witness)) == {"pair": [0, 1]}
+
+
+def test_sub_lie_algebra_rejects_dependent_list():
+    L = sl2()
+    h, e = L.basis_vec(0), L.basis_vec(1)
+    with pytest.raises(VerificationError, match="hh: spanning list is dependent") as info:
+        sub_lie_algebra(L, [h, e, {0: sc(2)}], "hh")
+    assert json.loads(json.dumps(info.value.witness)) == {"index": 2}
+
+
+def test_derivation_lie_algebra_rejects_dependent_basis():
+    mats = derivations(hurwitz("H"))
+    with pytest.raises(VerificationError, match="derivation basis is dependent") as info:
+        derivation_lie_algebra("Der(H)", mats + [mats[0]])
+    assert json.loads(json.dumps(info.value.witness)) == {"index": 3}
+
+
+def test_derivation_lie_algebra_rejects_unclosed_span():
+    # E12 and E21 of gl2: their commutator diag(1, -1) is outside the span
+    e12 = [{1: ONE}, {}]
+    e21 = [{}, {0: ONE}]
+    with pytest.raises(VerificationError, match="commutator escapes the span") as info:
+        derivation_lie_algebra("ef", [e12, e21])
+    assert json.loads(json.dumps(info.value.witness)) == {"pair": [0, 1]}
+
+
+def test_every_verification_error_carries_a_witness():
+    tree = ast.parse(inspect.getsource(lie_mod))
+    raises = [
+        node.exc
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "VerificationError"
+    ]
+    assert len(raises) == 5
+    assert all(any(kw.arg == "witness" for kw in call.keywords) for call in raises)
 
 
 def test_killing_invariance_sl2_and_so3():
@@ -332,3 +378,187 @@ def test_killing_invariance_flags_non_lie_table():
     bad = lie_from_fn("bad", ["x", "y", "z"], fn)
     with pytest.raises(VerificationError, match="Killing invariance"):
         check_killing_invariance(bad)
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi proof on a generating set
+
+
+def _corrupted(L: LieAlgebra, pair, delta=ONE) -> LieAlgebra:
+    """A copy of L with delta added to coordinate pair[0] of [b_j, b_k]."""
+    brk = dict(L.brk)
+    v = dict(brk.get(pair, {}))
+    v[pair[0]] = v.get(pair[0], ZERO) + delta
+    brk[pair] = {p: x for p, x in v.items() if x}
+    return LieAlgebra(L.name, L.labels, brk)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: triality_cached(symmetric_composition("pO")).lie,
+        lambda: magic_square(
+            symmetric_composition("pO"), symmetric_composition("pC"), (1, -1, 1)
+        ).lie,
+    ],
+    ids=["tri(pO)", "e6m14"],
+)
+def test_defect_away_from_the_generators_is_caught(make):
+    L = make()
+    gens = generating_set(L)
+    j, k = [q for q in range(L.dim) if q not in gens][-2:]
+    bad = _corrupted(L, (j, k))
+    # the defect sits at a pair of non-generators of the table certified
+    assert generating_set(bad) == gens
+    expected = naive_jacobi_witness(bad)
+    assert expected is not None
+    assert jacobi_witness(bad) == expected
+
+
+def naive_closure_rank(L: LieAlgebra, gens) -> int:
+    """The dimension of the smallest subspace that contains the b_s for s
+    in gens and is closed under their ad(b_s), by fixed-point iteration
+    over L.bracket."""
+    vectors = [L.basis_vec(s) for s in gens]
+    while True:
+        ech = Echelon()
+        for v in vectors:
+            ech.add(v)
+        new = [
+            w
+            for s in gens
+            for v in vectors
+            if (w := L.bracket(L.basis_vec(s), v)) and not ech.contains(w)
+        ]
+        if not new:
+            return ech.rank
+        vectors += new
+
+
+@settings(deadline=None, max_examples=60)
+@given(antisymmetric_tables(max_dim=6))
+def test_generating_set_closure_is_the_whole_algebra(L):
+    gens = generating_set(L)
+    assert len(set(gens)) == len(gens)
+    assert naive_closure_rank(L, gens) == L.dim
+
+
+def test_generating_set_closure_on_tri_po():
+    L = triality_cached(symmetric_composition("pO")).lie
+    assert naive_closure_rank(L, generating_set(L)) == L.dim
+
+
+def test_jacobi_does_not_build_ad():
+    L = triality_cached(symmetric_composition("pO")).lie
+    L = LieAlgebra(L.name, L.labels, L.brk)
+    certify_jacobi(L)
+    assert "ad" not in vars(L)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_abelian_table_needs_the_whole_basis(n):
+    L = LieAlgebra("abelian", [f"b{k}" for k in range(n)], {})
+    assert sorted(generating_set(L)) == list(range(n))
+    assert certify_jacobi(L) == {"method": "sparse", "triples": n * (n - 1) * (n - 2) // 6}
+
+
+def test_whole_basis_generators_still_find_the_witness():
+    # in stride order 0, 3, 2, 1 each b_g lies outside the closure of the
+    # earlier ones, so S is the whole basis; [b2, b3] = b3 breaks Jacobi
+    # on (0, 1, 3) and (0, 2, 3)
+    brk = {(0, 1): {1: ONE, 2: ONE}, (0, 2): {2: ONE}, (2, 3): {3: ONE}}
+    L = LieAlgebra("t", ["b0", "b1", "b2", "b3"], brk)
+    assert sorted(generating_set(L)) == [0, 1, 2, 3]
+    assert naive_jacobi_witness(L) == (0, 1, 3)
+    assert jacobi_witness(L) == (0, 1, 3)
+
+
+_SIMPLE = [sl2, so3, sl2_scaled, lambda: sl2_scaled(IUNIT)]
+
+
+@st.composite
+def genuine_lie_algebras(draw):
+    """A direct sum of small Lie algebras (sl2, so3, their scaled forms and
+    abelian lines), written in a random basis: permuted, with each new
+    basis vector the old one plus a small multiple of a later one."""
+    parts = draw(st.lists(st.sampled_from(_SIMPLE + [None]), min_size=1, max_size=3))
+    brk, n = {}, 0
+    for make in parts:
+        if make is None:
+            n += 1
+            continue
+        for (i, j), v in make().brk.items():
+            brk[(n + i, n + j)] = {n + p: x for p, x in v.items()}
+        n += 3
+    L = LieAlgebra("sum", [f"b{k}" for k in range(n)], brk)
+    order = draw(st.permutations(range(n)))
+    vectors = []
+    for a, k in enumerate(order):
+        v = {k: ONE}
+        if a + 1 < n:
+            c = draw(st.sampled_from([ZERO, ONE, sc(-2), SQRT3, sc("1/2")]))
+            if c:
+                v[order[a + 1]] = c
+        vectors.append(v)
+    return sub_lie_algebra(L, vectors, "sum'")
+
+
+@settings(deadline=None, max_examples=40)
+@given(genuine_lie_algebras())
+def test_genuine_lie_algebras_pass(L):
+    n = L.dim
+    assert certify_jacobi(L) == {"method": "sparse", "triples": n * (n - 1) * (n - 2) // 6}
+    assert naive_jacobi_witness(L) is None
+
+
+@settings(deadline=None, max_examples=40)
+@given(genuine_lie_algebras(), st.data())
+def test_corrupted_genuine_lie_algebras_match_naive_loop(L, data):
+    if L.dim < 3:
+        return
+    j, k = sorted(data.draw(st.lists(st.integers(0, L.dim - 1), min_size=2, max_size=2, unique=True)))
+    delta = data.draw(st.sampled_from([ONE, SQRT3, sc("1/3")]))
+    bad = _corrupted(L, (j, k), delta)
+    assert jacobi_witness(bad) == naive_jacobi_witness(bad)
+
+
+# |S| for each registry model: the restricted scan evaluates
+# C(n,3) - C(n-|S|,3) triples, so a basis order that drives |S| up shows here
+GENERATORS = {
+    "f4m52": 6, "f4m20": 6, "f4p4": 9, "e6m78": 6,
+    "e6m14": 6, "e6p2": 8, "e6p6": 8, "e6m26": 6,
+}
+
+
+@pytest.mark.parametrize("key", sorted(MODELS))
+def test_generating_set_size_per_model(get_build, key):
+    assert len(generating_set(get_build(key).lie)) <= GENERATORS[key]
+
+
+def test_generating_set_size_okubo():
+    L = magic_square(symmetric_composition("Ok"), symmetric_composition("R"), (1, 1, 1)).lie
+    assert len(generating_set(L)) <= 5
+
+
+_parts = st.integers(-20, 20)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.dictionaries(
+        st.integers(0, 3),
+        st.builds(Scalar, _small, _small, _small, _small).filter(bool),
+        max_size=4,
+    ),
+    st.integers(0, 3),
+)
+def test_int_coords_match_scalar_product(v, s):
+    basis = (ONE, SQRT3, IUNIT, IUNIT * SQRT3)
+    den = 1
+    for x in v.values():
+        den = den * x.as_ints()[4]
+    want = []
+    for q, x in v.items():
+        *num, d = (x * basis[s]).as_ints()
+        want.extend((q + 4 * u, y * (den // d)) for u, y in enumerate(num) if y)
+    assert sorted(int_coords(v, s, den, 4)) == sorted(want)
