@@ -40,7 +40,7 @@ from .pipeline import (
     signature_table,
     table_rows,
 )
-from .rootspace import cov_key, root_decomposition, restricted_multiplicities
+from .rootspace import cov_key, restricted_multiplicities, root_decomposition, split_indices
 from .scalars import Scalar
 
 _CONFIG_KEYS = ("model", "s", "sp", "eps", "cartan", "format", "out", "only")
@@ -247,11 +247,12 @@ def cmd_roots(args: argparse.Namespace) -> int:
     build = build_model(key)
     cartan = preset_cartan(build)
     datum = root_decomposition(build.lie, cartan.hs, name=key)
+    a_idx = split_indices(datum)
     if args.action == "restricted":
-        rmult = restricted_multiplicities(datum, cartan.a_idx)
+        rmult = restricted_multiplicities(datum, a_idx)
         data = {
             "model": key,
-            "a_indices": list(cartan.a_idx),
+            "a_indices": list(a_idx),
             "multiplicities": [
                 {"restriction": [x.to_str() for x in r], "m": m}
                 for r, m in sorted(rmult.items(), key=lambda kv: cov_key(kv[0]))
@@ -273,7 +274,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     data = {
         "model": key,
         "cartan": cartan.label,
-        "a_indices": list(cartan.a_idx),
+        "a_indices": list(a_idx),
         "roots": len(datum.spaces),
         "zero_dim": datum.zero.dim,
         "spaces": spaces,
@@ -287,16 +288,20 @@ def cmd_satake(args: argparse.Namespace) -> int:
     name = args.model
     spec = MODELS.get(name)
     if spec is not None and spec.compact_type is not None:
-        diagram, table, label = compact_diagram(name), None, name
+        diagram, table, checks, label = compact_diagram(name), None, None, name
     else:
         res = run_satake(_model_key(name))
-        diagram, table, label = res.diagram, res.table, res.preset_key
+        diagram, table, checks = res.diagram, res.table, res.checks
+        label = res.preset_key
     if args.out is None:
+        if args.format == "json":
+            restricted = None if table is None else table.to_json_dict()
+            doc = {"diagram": diagram.to_json_dict(), "restricted": restricted, "checks": checks}
+            _emit(_dump(doc), None, "")
+            return 0
         _emit(diagram.render(args.format), None, "")
         if table is not None and args.format == "ascii":
             _emit(table.render_ascii(), None, "")
-        elif table is not None and args.format == "json":
-            _emit(_dump(table.to_json_dict()), None, "")
         return 0
     _emit(diagram.to_json(), args.out, f"{label}.satake.json")
     _emit(diagram.render_dot(), args.out, f"{label}.satake.dot")
@@ -316,16 +321,13 @@ def cmd_table(args: argparse.Namespace) -> int:
     lines = []
     for r in rows:
         head = f"{r['satake']:<5} {r['key']:<6}"
-        if not r.get("computed", True):
-            lines.append(f"{head} {r['note']}")
-            continue
         arrows = ", ".join(f"{a}~{b}" for a, b in r["arrows"]) or "none"
         lines.append(
             f"{head} sigma={r['sigma_type']:<4} black={r['black_nodes']} "
             f"arrows=[{arrows}] mult_sum={r['mult_sum']}"
         )
         for row in r["rows"]:
-            mem = "~".join(row.get("members", [row["label"]]))
+            mem = "~".join(row["members"])
             lines.append(f"    {row['label']:<3} ({mem}): m={row['m']} m2={row['m2']}")
     _emit("\n".join(lines) + "\n", args.out, "table.txt")
     return 0

@@ -219,10 +219,16 @@ def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
 
 
 def apply(m: SparseMatrix, v: SparseVec) -> SparseVec:
-    """m v for a matrix stored as sparse rows and a sparse vector, zero-free."""
+    """m v for a matrix stored as sparse rows and a sparse vector, zero-free.
+
+    Each nonempty row meets v by walking the shorter of the two.
+    """
     out: SparseVec = {}
     for p, row in enumerate(m):
-        x = sum((row[q] * c for q, c in v.items() if q in row), ZERO)
+        if not row:
+            continue
+        short, other = (row, v) if len(row) <= len(v) else (v, row)
+        x = sum((c * other[q] for q, c in short.items() if q in other), ZERO)
         if x:
             out[p] = x
     return out

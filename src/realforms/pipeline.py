@@ -2,10 +2,11 @@
 
 The registry covers the twelve signature-table cells through eight named
 models (the epsilon-twisted cells that repeat a signature reuse the same
-construction).  For the three noncompact e6 models with published root
-data the module ships preset Cartan generators and simple systems, runs
-the exact decomposition, and assembles diagrams and restricted tables,
-cross-checking an independently derived adapted basis against the preset.
+construction).  For the four noncompact e6 models the module ships a
+recipe for commuting Cartan generators, runs the exact decomposition,
+derives the split part and the sigma-order simple system from it, and
+prints the diagram and restricted table of that derived system.  The
+published simple systems of EIV, EIII and EII only check it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .rootspace import (
     simple_coords,
     simple_from_positive,
     sl2_triple,
+    split_indices,
     verify_cartan_decomposition,
     verify_simple_basis,
 )
@@ -86,7 +88,7 @@ MODELS: Dict[str, ModelSpec] = {
         ModelSpec("e6p2", "magic", "pOs", "pC", (1, 1, 1), 2,
                   "e6(2), Satake type EII", satake_preset="EII"),
         ModelSpec("e6p6", "magic", "pOs", "pRR", (1, 1, 1), 6,
-                  "e6(6), the split form (Satake type EI)"),
+                  "e6(6), the split form (Satake type EI)", satake_preset="EI"),
         ModelSpec("e6m26", "tits", "pO", "", (1, 1, 1), -26,
                   "e6(-26), Satake type EIV (derivation model)",
                   satake_preset="EIV"),
@@ -204,7 +206,6 @@ def signature_table() -> List[Dict[str, object]]:
 class CartanSpec:
     label: str
     hs: List[SparseVec]
-    a_idx: Tuple[int, ...]
 
 
 def _covs(rows: Sequence[Sequence[str]]) -> List[Covector]:
@@ -268,7 +269,6 @@ def preset_cartan(build: ModelBuild) -> CartanSpec:
             for a, b in ((0, 1), (2, 3), (4, 5), (6, 7))
         ]
         hs += [{der: Scalar(-1)}, {der + 1: Scalar(-1)}]  # E1 - E0, E0 - E2
-        a_idx: Tuple[int, ...] = (4, 5)
     elif key == "EIII":
         tri_sp = square.tri_sp
         sp = square.sp
@@ -282,8 +282,8 @@ def preset_cartan(build: ModelBuild) -> CartanSpec:
         hs.append(combine([(quarter, square.tri_sp_vec(coords))]))
         hs.append({square.iota_index(0, 0, 1): -HALF})
         hs.append({square.iota_index(0, 1, 0): -HALF})
-        a_idx = (4, 5)
-    elif key == "EII":
+    elif key in ("EII", "EI"):
+        # tri(S') is tri(pC) for EII and tri(pRR) for EI
         tri_sp = square.tri_sp
         sp = square.sp
         hs = [
@@ -297,11 +297,10 @@ def preset_cartan(build: ModelBuild) -> CartanSpec:
         for triple in ((sigma, sigma, neg2), (sigma, neg2, sigma)):
             coords = tri_sp.coords_of_triple(triple)
             hs.append(combine([(quarter, square.tri_sp_vec(coords))]))
-        a_idx = (0, 1, 2, 3)
     else:
         raise ConstructionError(f"unknown preset {key!r}")
     _check_commuting(build.lie, hs, key)
-    return CartanSpec(key, hs, a_idx)
+    return CartanSpec(key, hs)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +312,11 @@ class SatakeResult:
     build: ModelBuild
     cartan: CartanSpec
     datum: RootDatum
+    a_idx: Tuple[int, ...]
     simple: List[Covector]
-    labels: List[str]
     delta_type: str
-    delta0_roots: int
-    delta0_type: str
     diagram: SatakeDiagram
     table: RestrictedTable
-    auto_simple: List[Covector]
-    auto_diagram: SatakeDiagram
-    auto_table: RestrictedTable
     checks: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -335,88 +329,73 @@ def _delta0_data(
 ) -> Tuple[int, str]:
     """Size and type of the compact subsystem (roots vanishing on the
     split part), classified through the black simple roots."""
-    delta0 = {
-        s.covector
-        for s in datum.spaces
-        if cov_is_zero(restrict_covector(s.covector, a_idx))
-    }
-    black = [
-        s for s in simple if cov_is_zero(restrict_covector(s, a_idx))
-    ]
+    delta0 = {c for c in datum.root_set() if cov_is_zero(restrict_covector(c, a_idx))}
     if not delta0:
-        if black:
-            raise VerificationError("black simple roots but empty compact system")
         return 0, "empty"
+    black = [s for s in simple if s in delta0]
     verify_simple_basis(delta0, black)
     return len(delta0), classify_cartan_matrix(cartan_matrix(black, delta0))
 
 
-def _relabel_auto(
-    datum: RootDatum, a_idx: Sequence[int], auto: List[Covector]
-) -> Tuple[List[Covector], List[str]]:
-    """Order an auto-derived E6 simple system in Bourbaki label order."""
-    roots = datum.root_set()
-    cm = cartan_matrix(auto, roots)
-    edges = [
-        (i, j)
-        for i in range(len(auto))
-        for j in range(i + 1, len(auto))
-        if cm[i][j]
-    ]
-    order = e6_label_order(edges, len(auto))
-    ordered = [auto[k] for k in order]
+def _bourbaki_order(simple: List[Covector], cm: List[List[int]]) -> List[Covector]:
+    """An E6 simple system with Cartan matrix cm, in Bourbaki label order."""
+    n = len(simple)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if cm[i][j]]
+    ordered = [simple[k] for k in e6_label_order(edges, n)]
     # two Bourbaki orders exist (arm swap); pick deterministically
     alt = [ordered[k] for k in (5, 1, 4, 3, 2, 0)]
-    if tuple(cov_key(c) for c in alt) < tuple(cov_key(c) for c in ordered):
-        ordered = alt
-    return ordered, [f"a{k + 1}" for k in range(len(auto))]
+    return min(ordered, alt, key=lambda o: tuple(cov_key(c) for c in o))
+
+
+def _satake_pair(
+    datum: RootDatum, a_idx: Sequence[int], simple: List[Covector], sig: int
+) -> Tuple[SatakeDiagram, RestrictedTable]:
+    """The Satake diagram (which certifies `simple` as a simple system of
+    the roots) and the restricted table of one simple system."""
+    diagram = build_satake(datum, a_idx, simple, meta={"signature": sig})
+    return diagram, build_restricted_table(datum, a_idx, simple)
 
 
 def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
+    """Satake data of the sigma-order simple system of the certified root
+    decomposition.  A published simple system, where the model has one,
+    is only a cross-check: same diagram and table up to relabelling."""
     key = PRESET_MODEL.get(key, key)
     if build is None:
         build = build_model(key)
     cartan = preset_cartan(build)
     datum = root_decomposition(build.lie, cartan.hs, name=key)
+    wide = [s for s in datum.spaces if s.dim != 1]
+    if wide:
+        raise VerificationError(
+            f"{key}: some root space is not 1-dimensional",
+            witness={"covector": [x.to_str() for x in wide[0].covector],
+                     "dim": wide[0].dim},
+        )
     if len(datum.spaces) != 72 or datum.zero.dim != 6:
         raise VerificationError(
             f"{key}: expected 72 roots and a 6-dim zero space, got "
-            f"{len(datum.spaces)} and {datum.zero.dim}"
+            f"{len(datum.spaces)} and {datum.zero.dim}",
+            witness={"roots": len(datum.spaces), "zero_dim": datum.zero.dim},
         )
-    if any(s.dim != 1 for s in datum.spaces):
-        raise VerificationError(f"{key}: some root space is not 1-dimensional")
     roots = datum.root_set()
-    simple = PRESET_SIMPLE[cartan.label]
-    for s in simple:
-        if s not in roots:
-            raise VerificationError(f"{key}: preset simple root {s} not a root")
-    basis_report = verify_simple_basis(roots, simple)
-    labels = [f"a{k + 1}" for k in range(6)]
-    delta_type = classify_cartan_matrix(cartan_matrix(simple, roots))
+    a_idx = split_indices(datum)
+    adapted = adapted_simple_system(datum, a_idx)
+    cm = cartan_matrix(adapted, roots)
+    delta_type = classify_cartan_matrix(cm)
     if delta_type != "E6":
-        raise VerificationError(f"{key}: root system classified as {delta_type}")
-    d0_count, d0_type = _delta0_data(datum, cartan.a_idx, simple)
+        raise VerificationError(
+            f"{key}: root system classified as {delta_type}",
+            witness={"type": delta_type},
+        )
+    simple = _bourbaki_order(adapted, cm)
     sig = build.signature[0] - build.signature[1]
-    maximal = certify_maximally_noncompact(datum, cartan.a_idx, build.lie.dim, sig)
-    diagram = build_satake(
-        datum, cartan.a_idx, simple, labels, {"signature": sig}
-    )
-    table = build_restricted_table(datum, cartan.a_idx, simple, labels)
-    auto = adapted_simple_system(datum, cartan.a_idx)
-    auto_ordered, auto_labels = _relabel_auto(datum, cartan.a_idx, auto)
-    auto_diagram = build_satake(
-        datum, cartan.a_idx, auto_ordered, auto_labels, {"signature": sig}
-    )
-    auto_table = build_restricted_table(
-        datum, cartan.a_idx, auto_ordered, auto_labels
-    )
-    if auto_diagram.canonical_key() != diagram.canonical_key():
-        raise VerificationError(f"{key}: adapted basis diagram differs from preset")
-    if auto_table.canonical_key() != table.canonical_key():
-        raise VerificationError(f"{key}: adapted basis table differs from preset")
+    diagram, table = _satake_pair(datum, a_idx, simple, sig)
+    d0_count, d0_type = _delta0_data(datum, a_idx, simple)
     checks: Dict[str, object] = {
         "roots": len(datum.spaces),
-        "positive_roots": basis_report["positive"],
+        # build_satake certified `simple`, so half of the roots are positive
+        "positive_roots": len(roots) // 2,
         "delta0_roots": d0_count,
         "delta0_type": d0_type,
         "black_nodes": len(diagram.filled_indices()),
@@ -426,25 +405,38 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         ],
         "sigma_type": table.sigma_type,
         "mult_sum": table.mult_sum,
-        "real_rank": len(cartan.a_idx),
+        "real_rank": len(a_idx),
         "rank_identity": 6
-        == len(cartan.a_idx)
-        + len(diagram.arrows)
-        + len(diagram.filled_indices()),
-        "auto_matches_preset": True,
-        "maximally_noncompact": maximal,
+        == len(a_idx) + len(diagram.arrows) + len(diagram.filled_indices()),
+        "maximally_noncompact": certify_maximally_noncompact(
+            datum, a_idx, build.lie.dim, sig
+        ),
     }
+    preset = PRESET_SIMPLE.get(cartan.label)
+    if preset is not None:
+        for k, s in enumerate(preset):
+            if s not in roots:
+                raise VerificationError(
+                    f"{key}: preset simple root {s} not a root",
+                    witness={"index": k, "covector": [x.to_str() for x in s]},
+                )
+        pair = _satake_pair(datum, a_idx, preset, sig)
+        for what, mine, theirs in zip(("diagram", "table"), (diagram, table), pair):
+            if mine.canonical_key() != theirs.canonical_key():
+                raise VerificationError(
+                    f"{key}: adapted basis {what} differs from preset",
+                    witness={"derived": mine.to_json_dict(),
+                             "preset": theirs.to_json_dict()},
+                )
+        checks["auto_matches_preset"] = True
     if cartan.label == "EIII":
         top = highest_root(roots, simple)
-        coords = simple_coords(top, simple)
-        rmult = restricted_multiplicities(datum, cartan.a_idx)
-        checks["highest_root_coords"] = coords
-        checks["highest_root_restricted_mult"] = rmult[
-            restrict_covector(top, cartan.a_idx)
-        ]
+        checks["highest_root_coords"] = simple_coords(top, simple)
+        checks["highest_root_restricted_mult"] = restricted_multiplicities(
+            datum, a_idx
+        )[restrict_covector(top, a_idx)]
     return SatakeResult(
-        build, cartan, datum, simple, labels, delta_type, d0_count, d0_type,
-        diagram, table, auto, auto_diagram, auto_table, checks,
+        build, cartan, datum, a_idx, simple, delta_type, diagram, table, checks
     )
 
 
@@ -573,33 +565,17 @@ def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) ->
 # the combined table
 
 
-EI_STATIC_ROW: Dict[str, object] = {
-    "key": "e6p6",
-    "satake": "EI",
-    "computed": False,
-    "note": "not computed (static reference)",
-    "black_nodes": 0,
-    "arrows": [],
-    "sigma_type": "E6",
-    "rows": [{"label": f"a{k}", "m": 1, "m2": 0} for k in (1, 2, 3, 4, 5, 6)],
-}
-
-
 def table_rows(only: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
-    all_keys = ["e6p2", "e6m14", "e6m26"]
-    static_key = "e6p6"
+    all_keys = ["e6p2", "e6m14", "e6m26", "e6p6"]
     if only:
-        bad = [k for k in only if k not in all_keys and k != static_key]
+        bad = [k for k in only if k not in all_keys]
         if bad:
             raise ConstructionError(
-                f"table covers {', '.join(all_keys + [static_key])}; "
-                f"cannot run {', '.join(bad)}"
+                f"table covers {', '.join(all_keys)}; cannot run {', '.join(bad)}"
             )
         keys = [k for k in all_keys if k in only]
-        include_static = static_key in only
     else:
         keys = all_keys
-        include_static = True
     rows: List[Dict[str, object]] = []
     for res in map(run_satake, keys):
         rows.append(
@@ -619,8 +595,6 @@ def table_rows(only: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
                 "rank_identity": res.checks["rank_identity"],
             }
         )
-    if include_static:
-        rows.append(dict(EI_STATIC_ROW))
     return rows
 
 

@@ -602,6 +602,21 @@ def restrict_covector(cov: Covector, a_idx: Sequence[int]) -> Covector:
     return tuple(out)
 
 
+def split_indices(datum: RootDatum) -> Tuple[int, ...]:
+    """The k whose h_k takes a real value on every root: the split part a.
+    Every other h_k must take only imaginary values (the compact torus)."""
+    split = []
+    for k in range(len(datum.hs)):
+        values = [s.covector[k] for s in datum.spaces]
+        if all(x.is_real() for x in values):
+            split.append(k)
+        elif any(x.real() for x in values):
+            raise VerificationError(
+                f"h{k + 1} is neither split nor compact", witness={"h": k}
+            )
+    return tuple(split)
+
+
 def strip_torus_part(cov: Covector, a_idx: Sequence[int]) -> Covector:
     """The non-split components, divided by i (they must be imaginary)."""
     out = []

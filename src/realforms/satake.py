@@ -315,13 +315,13 @@ def build_satake(
     datum: RootDatum,
     a_idx: Sequence[int],
     simple: List[Covector],
-    labels: Optional[List[str]] = None,
     meta: Optional[Dict[str, int]] = None,
 ) -> SatakeDiagram:
+    """The diagram of `simple`, first certified a simple system of the roots."""
     roots = datum.root_set()
     verify_simple_basis(roots, simple)
     n = len(simple)
-    labels = labels or [f"a{k + 1}" for k in range(n)]
+    labels = [f"a{k + 1}" for k in range(n)]
     cm = cartan_matrix(simple, roots)
     for row in cm:
         for v in row:
@@ -427,10 +427,9 @@ def build_restricted_table(
     datum: RootDatum,
     a_idx: Sequence[int],
     simple: List[Covector],
-    labels: Optional[List[str]] = None,
 ) -> RestrictedTable:
     n = len(simple)
-    labels = labels or [f"a{k + 1}" for k in range(n)]
+    labels = [f"a{k + 1}" for k in range(n)]
     rmult = restricted_multiplicities(datum, a_idx)
     sigma = set(rmult)
     # group white simple roots by equal restriction, ordered by first member

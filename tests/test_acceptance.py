@@ -96,7 +96,7 @@ def test_criterion_3_eiii(get_satake):
         assert c["black_nodes"] == 3
         assert c["arrows"] == [("a1", "a6")]
         assert c["sigma_type"] == "BC2"
-        rmult = restricted_multiplicities(res.datum, res.cartan.a_idx)
+        rmult = restricted_multiplicities(res.datum, res.a_idx)
         assert rmult[cov("1/2", "1/2")] == 8
         assert rmult[cov(1, 1)] == 1
         assert rmult[cov(-1, 0)] == 6

@@ -65,8 +65,20 @@ def test_satake_compact_json(capsys):
     code, out, _ = run(capsys, "satake", "e6m78", "--format", "json")
     data = json.loads(out)
     assert code == 0
-    assert data["meta"]["signature"] == -78
-    assert all(n["filled"] for n in data["nodes"])
+    assert data["diagram"]["meta"]["signature"] == -78
+    assert all(n["filled"] for n in data["diagram"]["nodes"])
+    assert data["restricted"] is None and data["checks"] is None
+
+
+@pytest.mark.parametrize("model", ["e6m14", "e6m26", "e6p2", "e6p6", "e6m78"])
+def test_satake_json_is_one_document(capsys, model):
+    code, out, _ = run(capsys, "satake", model, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"diagram", "restricted", "checks"}
+    if model != "e6m78":
+        assert data["checks"]["rank_identity"] is True
+        assert data["restricted"]["mult_sum"] == data["checks"]["mult_sum"]
 
 
 def test_satake_deterministic_output(capsys):
@@ -85,12 +97,22 @@ def test_satake_out_dir(tmp_path, capsys):
     assert json.loads(text)["meta"]["signature"] == -52
 
 
-def test_table_static_only(capsys):
+def test_table_ei_row_only(capsys):
     code, out, _ = run(capsys, "table", "--only", "e6p6", "--json")
     rows = json.loads(out)["rows"]
     assert code == 0
     assert len(rows) == 1
-    assert rows[0]["note"] == "not computed (static reference)"
+    assert rows[0]["computed"] is True and rows[0]["sigma_type"] == "E6"
+    assert [r["members"] for r in rows[0]["rows"]] == [[f"a{k}"] for k in range(1, 7)]
+
+
+def test_roots_restricted_ei_alias(capsys):
+    # e6(6) is split: every Cartan generator is real on every root
+    code, out, _ = run(capsys, "roots", "restricted", "--model", "EI")
+    data = json.loads(out)
+    assert code == 0
+    assert data["model"] == "e6p6" and data["a_indices"] == [0, 1, 2, 3, 4, 5]
+    assert data["mult_sum"] == 72
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +204,7 @@ def test_config_supplies_model_and_format(tmp_path, capsys):
     cfg.write_text("# satake job\nmodel = e6m78\nformat = json\n")
     code, out, _ = run(capsys, "--config", str(cfg), "satake")
     assert code == 0
-    assert json.loads(out)["meta"]["signature"] == -78
+    assert json.loads(out)["diagram"]["meta"]["signature"] == -78
 
 
 def test_config_cli_argument_wins(tmp_path, capsys):
@@ -338,7 +360,7 @@ GOLDEN_SHA256 = {
     ("roots", "decompose", "--model", "e6m26"):
         "193f682ee7f90e6e3eda126594acc5bb34435d004223188c708d60fa143fcf85",
     ("satake", "e6p2", "--format", "json"):
-        "8738b95a73820966f1ee216713aeb891d3604391d707245a9d3e6b16d602bcef",
+        "67ba60a4ef34e291ed60160a5de55182904d18c9ad96e222a0a5897804afb7b7",
     ("roots", "verify-cartan-decomp", "--model", "e6p2"):
         "397d96734dcb43b017074942224313b985c1ecda3d88fcbe5d53c57d6c18ffaa",
 }

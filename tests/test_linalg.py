@@ -145,6 +145,17 @@ def test_mat_mul_zero_and_empty():
     assert mat_mul([], [[ONE, ONE]]) == []
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (4, 4), (7, 3), (3, 9), (5, 0)])
+def test_apply_matches_dense_product(m, n):
+    # rows and vectors of every density, empty rows included
+    rng = random.Random(31 * m + n)
+    for _ in range(10):
+        a = rand_matrix(rng, m, n)
+        x = [rng.choice(ENTRIES) for _ in range(n)]
+        want = to_sparse([sum((r * y for r, y in zip(row, x)), ZERO) for row in a])
+        assert apply([to_sparse(row) for row in a], to_sparse(x)) == want
+
+
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_commutator_matches_naive_loop(n):
     rng = random.Random(n)

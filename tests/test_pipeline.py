@@ -4,10 +4,14 @@ Everything here leans on the session fixtures in conftest, so the
 expensive magic-square builds and root decompositions happen once.
 """
 
+import ast
 import dataclasses
+import inspect
+import json
 
 import pytest
 
+from realforms import pipeline
 from realforms.constructions import psi_automorphism
 from realforms.errors import ConstructionError, VerificationError
 from realforms.linalg import combine
@@ -15,21 +19,27 @@ from realforms.pipeline import (
     MODELS,
     PRESET_MODEL,
     PRESET_SIMPLE,
+    CartanSpec,
     cartan_decomposition_report,
     compact_diagram,
     preset_cartan,
+    run_satake,
     table_rows,
 )
 from realforms.rootspace import (
     cov_is_zero,
     cov_neg,
+    cov_scale,
+    highest_root,
     restrict_covector,
     restricted_multiplicities,
     root_decomposition,
     sl2_triple,
+    split_indices,
     verify_simple_basis,
 )
-from realforms.scalars import sc
+from realforms.satake import SatakeNode
+from realforms.scalars import ONE, sc
 
 
 def cov(*xs):
@@ -41,17 +51,17 @@ def cov(*xs):
 
 
 def test_preset_names_resolve():
-    assert set(PRESET_MODEL) == {"EIV", "EIII", "EII"}
+    assert PRESET_MODEL == {"EIV": "e6m26", "EIII": "e6m14", "EII": "e6p2", "EI": "e6p6"}
     assert set(PRESET_SIMPLE) == {"EIV", "EIII", "EII"}
     for simple in PRESET_SIMPLE.values():
         assert len(simple) == 6
 
 
 @pytest.mark.parametrize("key,na", [("e6m26", 2), ("e6m14", 2), ("e6p2", 4)])
-def test_preset_cartan_shape(get_build, key, na):
+def test_preset_cartan_shape(get_build, get_satake, key, na):
     cartan = preset_cartan(get_build(key))
     assert len(cartan.hs) == 6
-    assert len(cartan.a_idx) == na
+    assert len(get_satake(key).a_idx) == na
     L = get_build(key).lie
     for i in range(6):
         for j in range(i + 1, 6):
@@ -71,7 +81,7 @@ def test_scaled_cartan_decomposes(get_build, factor):
 
 def test_preset_cartan_rejects_other_models(get_build):
     with pytest.raises(ConstructionError):
-        preset_cartan(get_build("e6p6"))
+        preset_cartan(get_build("e6m78"))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +119,7 @@ def test_eiii_invariants(get_satake):
 
 def test_eiii_multiplicity_values(get_satake):
     res = get_satake("EIII")
-    rmult = restricted_multiplicities(res.datum, res.cartan.a_idx)
+    rmult = restricted_multiplicities(res.datum, res.a_idx)
     assert rmult[cov("1/2", "1/2")] == 8
     assert rmult[cov(1, 1)] == 1
     assert rmult[cov(-1, 0)] == 6
@@ -152,21 +162,171 @@ def test_auto_simple_is_adapted(get_satake):
     for name in ("EIV", "EIII", "EII"):
         res = get_satake(name)
         roots = res.datum.root_set()
-        verify_simple_basis(roots, res.auto_simple)
+        verify_simple_basis(roots, res.simple)
         zero_restr = sum(
             1
-            for s in res.auto_simple
-            if cov_is_zero(restrict_covector(s, res.cartan.a_idx))
+            for s in res.simple
+            if cov_is_zero(restrict_covector(s, res.a_idx))
         )
         assert zero_restr == res.checks["black_nodes"]
 
 
-@pytest.mark.parametrize("name,dim_p", [("EIV", 26), ("EIII", 32), ("EII", 40)])
+@pytest.mark.parametrize(
+    "name,dim_p", [("EIV", 26), ("EIII", 32), ("EII", 40), ("EI", 42)]
+)
 def test_split_part_is_maximal(get_satake, name, dim_p):
     # real rank + mult_sum / 2 = (dim g + signature) / 2 = dim p
     res = get_satake(name)
     assert res.checks["maximally_noncompact"] == {"dim_p": dim_p}
     assert res.checks["real_rank"] + res.table.mult_sum // 2 == dim_p
+
+
+def test_ei_invariants(get_satake):
+    # the split form: every root real on all six h, nothing compact
+    res = get_satake("EI")
+    c = res.checks
+    assert res.preset_key == "EI" and res.delta_type == "E6"
+    assert c["roots"] == 72 and res.datum.zero.dim == 6
+    assert (c["delta0_type"], c["delta0_roots"]) == ("empty", 0)
+    assert (c["black_nodes"], c["arrows"]) == (0, [])
+    assert c["sigma_type"] == "E6" and c["mult_sum"] == 72
+    assert [(r.m, r.m2) for r in res.table.rows] == [(1, 0)] * 6
+    assert "auto_matches_preset" not in c  # no published system to compare
+
+
+# ---------------------------------------------------------------------------
+# the derived split part and its failure witnesses
+
+
+@pytest.mark.parametrize(
+    "name,a_idx",
+    [("EIV", (4, 5)), ("EIII", (4, 5)), ("EII", (0, 1, 2, 3)), ("EI", tuple(range(6)))],
+)
+def test_split_indices(get_satake, name, a_idx):
+    res = get_satake(name)
+    assert split_indices(res.datum) == a_idx
+    assert res.a_idx == a_idx
+
+
+def test_split_indices_rejects_mixed_generator(get_build):
+    # h1 is compact and h5 split on e6m14, so h1 + h5 is neither
+    build = get_build("e6m14")
+    hs = preset_cartan(build).hs
+    mixed = [combine([(ONE, hs[0]), (ONE, hs[4])])] + hs[1:]
+    datum = root_decomposition(build.lie, mixed, name="mixed e6m14")
+    with pytest.raises(VerificationError, match="h1 is neither split nor compact") as exc:
+        split_indices(datum)
+    assert exc.value.witness == {"h": 0}
+
+
+def _raises_witnessed(key, build, match):
+    with pytest.raises(VerificationError, match=match) as exc:
+        run_satake(key, build)
+    json.dumps(exc.value.witness)
+    return exc.value.witness
+
+
+def test_run_satake_rejects_five_generators(get_build, monkeypatch):
+    # without h1 two roots of e6m14 coincide on the other five
+    real = pipeline.preset_cartan
+    monkeypatch.setattr(
+        pipeline, "preset_cartan", lambda b: CartanSpec("EIII", real(b).hs[1:])
+    )
+    w = _raises_witnessed("e6m14", get_build("e6m14"), "not 1-dimensional")
+    assert w == {"covector": ["-1*i", "0", "0", "0", "0"], "dim": 2}
+
+
+def test_run_satake_rejects_lost_root_space(get_build, monkeypatch):
+    real = pipeline.root_decomposition
+
+    def lossy(*args, **kwargs):
+        datum = real(*args, **kwargs)
+        return dataclasses.replace(datum, spaces=datum.spaces[:-1])
+
+    monkeypatch.setattr(pipeline, "root_decomposition", lossy)
+    w = _raises_witnessed("e6m26", get_build("e6m26"), "expected 72 roots")
+    assert w == {"roots": 71, "zero_dim": 6}
+
+
+def test_run_satake_rejects_non_e6_system(get_build, get_satake, monkeypatch):
+    # alpha2 swapped for minus the highest root: the extended diagram
+    # without alpha2 is A5 + A1
+    res = get_satake("EIV")
+    roots = res.datum.root_set()
+    bad = list(res.simple)
+    bad[1] = cov_neg(highest_root(roots, res.simple))
+    monkeypatch.setattr(pipeline, "adapted_simple_system", lambda datum, a_idx: bad)
+    w = _raises_witnessed("e6m26", res.build, "root system classified as")
+    assert w["type"] != "E6"
+
+
+@pytest.mark.parametrize("name", ["EIV", "EIII", "EII"])
+def test_preset_root_that_is_not_a_root(get_build, monkeypatch, name):
+    preset = list(PRESET_SIMPLE[name])
+    preset[2] = cov_scale(sc(2), preset[2])
+    monkeypatch.setitem(PRESET_SIMPLE, name, preset)
+    w = _raises_witnessed(
+        PRESET_MODEL[name], get_build(PRESET_MODEL[name]), "preset simple root .* not a root"
+    )
+    assert w == {"index": 2, "covector": [x.to_str() for x in preset[2]]}
+
+
+@pytest.mark.parametrize("name", ["EIV", "EIII", "EII"])
+def test_preset_with_another_root_fails(get_build, monkeypatch, name):
+    # -alpha_3 is a root, but the system is no longer simple
+    preset = list(PRESET_SIMPLE[name])
+    preset[2] = cov_neg(preset[2])
+    monkeypatch.setitem(PRESET_SIMPLE, name, preset)
+    with pytest.raises(VerificationError, match="mixed-sign simple coordinates"):
+        run_satake(PRESET_MODEL[name], get_build(PRESET_MODEL[name]))
+
+
+def test_preset_diagram_mismatch(get_build, monkeypatch):
+    # every simple system that passes the certificates of build_satake
+    # gives the same diagram, so the mismatch is injected after them
+    real = pipeline.build_satake
+
+    def flip_preset(datum, a_idx, simple, **kwargs):
+        diagram = real(datum, a_idx, simple, **kwargs)
+        if simple is PRESET_SIMPLE["EIII"]:
+            diagram.nodes[0] = SatakeNode("a1", not diagram.nodes[0].filled)
+        return diagram
+
+    monkeypatch.setattr(pipeline, "build_satake", flip_preset)
+    w = _raises_witnessed("e6m14", get_build("e6m14"), "diagram differs from preset")
+    assert w["derived"]["nodes"][0]["filled"] != w["preset"]["nodes"][0]["filled"]
+
+
+def test_preset_table_mismatch(get_build, monkeypatch):
+    real = pipeline.build_restricted_table
+
+    def bump_preset(datum, a_idx, simple, *args):
+        table = real(datum, a_idx, simple, *args)
+        if simple is PRESET_SIMPLE["EIII"]:
+            table.rows[0].m += 1
+        return table
+
+    monkeypatch.setattr(pipeline, "build_restricted_table", bump_preset)
+    w = _raises_witnessed("e6m14", get_build("e6m14"), "table differs from preset")
+    assert w["preset"]["rows"][0]["m"] == w["derived"]["rows"][0]["m"] + 1
+
+
+def _verification_raises(fn):
+    tree = ast.parse(inspect.getsource(fn).lstrip())
+    return [
+        node.exc
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "VerificationError"
+    ]
+
+
+@pytest.mark.parametrize("fn,count", [(run_satake, 5), (split_indices, 1)])
+def test_every_satake_verification_error_carries_a_witness(fn, count):
+    raises = _verification_raises(fn)
+    assert len(raises) == count
+    assert all(any(kw.arg == "witness" for kw in call.keywords) for call in raises)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +422,16 @@ def test_psi_sample_action(get_build):
 # combined table
 
 
-def test_table_static_row_only():
+def test_table_ei_row_is_computed():
     rows = table_rows(only=["e6p6"])
     assert len(rows) == 1
     row = rows[0]
-    assert row["computed"] is False
-    assert row["note"] == "not computed (static reference)"
-    assert row["sigma_type"] == "E6"
-    assert [r["m"] for r in row["rows"]] == [1] * 6
+    assert row["computed"] is True and "note" not in row
+    assert (row["satake"], row["signature"]) == ("EI", 6)
+    assert row["sigma_type"] == "E6" and row["mult_sum"] == 72
+    assert (row["black_nodes"], row["arrows"]) == (0, [])
+    assert [(r["m"], r["m2"]) for r in row["rows"]] == [(1, 0)] * 6
+    assert row["rank_identity"] is True
 
 
 def test_table_rejects_unknown_key():
