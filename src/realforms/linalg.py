@@ -11,19 +11,18 @@ vectors.  Root covectors stay tuples, since they key root sets, and
 stage of the pipeline calls.  Two kernels carry the package.
 `add_product` is the only matrix product: it multiplies matrices stored
 as sparse rows, row by row (Gustavson's algorithm), and `mat_mul` and
-`commutator` wrap it.  An incremental reduced row echelon
-form gives nullspaces and ranks, and `SpanSolver` gives membership and
-coordinates over a list that is not a nullspace basis.  A `nullspace`
-basis needs no solver: each vector is 1 at its own free column and 0 at
-the others, so coordinates are the entries at the free columns (read off
-this way by the triality layer).  No pivoting heuristics are needed for
-correctness since the arithmetic is exact, but rows are kept fully
-reduced so nullspace extraction is direct.
+`commutator` wrap it.  The one coordinate reader is a fully reduced basis
+(`Echelon`): the coordinates of v over its rows are v's entries at the
+pivot columns, certified by subtracting those multiples and finding
+nothing left.  `add` grows such a basis, `nullspace` reads kernels off it
+and returns one, `Echelon.reduced` takes a `nullspace` basis as it is,
+and `SpanSolver` maps the coordinates through what each row is as a
+combination of a spanning list.  The arithmetic is exact, so no pivoting
+heuristics are needed.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
@@ -55,116 +54,108 @@ def combine(terms: Iterable[Tuple[Scalar, SparseVec]]) -> SparseVec:
     return {q: x for q, x in acc.items() if x}
 
 
-class Echelon:
-    """Incremental RREF over sparse rows.
+def _sub_scaled(acc: SparseVec, x: Scalar, v: SparseVec) -> None:
+    """acc -= x v in place, for x != 0 and v zero-free; entries that
+    cancel are dropped."""
+    for q, y in v.items():
+        nv = acc.get(q, ZERO) - x * y
+        if nv:
+            acc[q] = nv
+        else:
+            del acc[q]
 
-    `add` feeds one vector; the stored rows stay fully reduced (each pivot
-    column is zero in every other row).  With `track=True` each row also
-    carries its expression as a combination of the inserted vectors, which
-    is what SpanSolver uses to produce coordinates.
+
+class Echelon:
+    """A fully reduced basis over sparse rows: row r is 1 at its pivot
+    column, and every other row is 0 there; `piv` maps each pivot column
+    to its row, in row order.
+
+    `add` feeds one vector and keeps the rows fully reduced.  With
+    `track=True` each row also carries its expression as a combination of
+    the inserted vectors, which is what SpanSolver uses to produce
+    coordinates.
     """
 
     def __init__(self, track: bool = False):
         self.rows: List[SparseVec] = []
-        self.pivcol: List[int] = []
         self.piv: Dict[int, int] = {}
         self.track = track
         self.combos: List[SparseVec] = []
         self.ninserted = 0
 
+    @classmethod
+    def reduced(cls, vecs: Sequence[SparseVec]) -> Optional["Echelon"]:
+        """The basis vecs as it is, pivoted at the largest index of each
+        vector; None unless that makes it fully reduced, which certifies
+        that vecs is independent.  A `nullspace` basis passes: its pivots
+        are its free columns."""
+        ech = cls()
+        for v in vecs:
+            p = max(v, default=None)
+            if p is None or v[p] != ONE or p in ech.piv:
+                return None
+            ech.piv[p] = len(ech.rows)
+            ech.rows.append(dict(v))
+        if any(len(ech.piv.keys() & v.keys()) != 1 for v in ech.rows):
+            return None
+        return ech
+
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: SparseVec, combo: Optional[SparseVec]) -> None:
-        # Process columns in increasing order; eliminating a pivot only
-        # touches columns >= it, so each column is handled at most once.
-        heap = list(v.keys())
-        heapq.heapify(heap)
-        seen = set()
-        while heap:
-            c = heapq.heappop(heap)
-            if c in seen:
-                continue
-            seen.add(c)
-            coef = v.get(c)
-            if not coef:
-                v.pop(c, None)
-                continue
-            r = self.piv.get(c)
-            if r is None:
-                continue
-            for col, val in self.rows[r].items():
-                nv = v.get(col, ZERO) - coef * val
-                if nv:
-                    v[col] = nv
-                    if col not in seen:
-                        heapq.heappush(heap, col)
-                else:
-                    v.pop(col, None)
-            if combo is not None:
-                for k, val in self.combos[r].items():
-                    nv = combo.get(k, ZERO) - coef * val
-                    if nv:
-                        combo[k] = nv
-                    else:
-                        combo.pop(k, None)
+    def _reduce(self, w: SparseVec) -> List[Tuple[int, Scalar]]:
+        """Reduce the zero-free w in place to its remainder; returns the
+        (row, multiple) pairs subtracted.  The rows are fully reduced, so
+        eliminating one pivot leaves w unchanged at every other pivot
+        column: the multiples are w's own entries there, and one pass
+        subtracts them all."""
+        piv = self.piv
+        mults = [(piv[c], x) for c, x in w.items() if c in piv]
+        for r, x in mults:
+            _sub_scaled(w, x, self.rows[r])
+        return mults
 
-    def residual(self, v: SparseVec):
-        """Reduced copy of v, plus the tracking combo (None if untracked)."""
-        w = dict(v)
-        combo: Optional[SparseVec] = {} if self.track else None
-        self._reduce(w, combo)
-        return w, combo
+    def coords(self, v: SparseVec) -> Optional[SparseVec]:
+        """c with v = sum c[r] rows[r], or None if v is outside the span."""
+        w = {c: x for c, x in v.items() if x}
+        mults = self._reduce(w)
+        return None if w else dict(sorted(mults))
 
     def contains(self, v: SparseVec) -> bool:
-        w, _ = self.residual(v)
-        return not w
+        return self.coords(v) is not None
 
     def add(self, v: SparseVec) -> bool:
         """Insert a vector; returns True if it increased the rank."""
         idx = self.ninserted
         self.ninserted += 1
-        w = dict(v)
-        combo: Optional[SparseVec] = {idx: ONE} if self.track else None
-        self._reduce(w, combo)
+        w = {c: x for c, x in v.items() if x}
+        mults = self._reduce(w)
         if not w:
             return False
         p = min(w)
         lead = w[p]
+        if self.track:
+            combo = {idx: ONE}
+            for r, x in mults:
+                _sub_scaled(combo, x, self.combos[r])
         if lead != ONE:
             inv = lead.inverse()
             w = {c: inv * x for c, x in w.items()}
-            if combo is not None:
+            if self.track:
                 combo = {k: inv * x for k, x in combo.items()}
         # knock the new pivot column out of every older row
         for r, row in enumerate(self.rows):
             coef = row.get(p)
-            if not coef:
-                continue
-            for col, val in w.items():
-                nv = row.get(col, ZERO) - coef * val
-                if nv:
-                    row[col] = nv
-                else:
-                    row.pop(col, None)
-            if self.track:
-                rc = self.combos[r]
-                for k, val in combo.items():  # type: ignore[union-attr]
-                    nv = rc.get(k, ZERO) - coef * val
-                    if nv:
-                        rc[k] = nv
-                    else:
-                        rc.pop(k, None)
+            if coef:
+                _sub_scaled(row, coef, w)
+                if self.track:
+                    _sub_scaled(self.combos[r], coef, combo)
+        self.piv[p] = len(self.rows)
         self.rows.append(w)
-        self.pivcol.append(p)
-        self.piv[p] = len(self.rows) - 1
-        if combo is not None:
+        if self.track:
             self.combos.append(combo)
         return True
-
-    def free_columns(self, ncols: int) -> List[int]:
-        return [c for c in range(ncols) if c not in self.piv]
 
 
 class SpanSolver:
@@ -189,17 +180,19 @@ class SpanSolver:
         return self.ech.rank
 
     def coords_sparse(self, v: SparseVec) -> Optional[SparseVec]:
-        w, combo = self.ech.residual(v)
-        if w:
+        """The row coordinates of v mapped through the rows' combinations."""
+        c = self.ech.coords(v)
+        if c is None:
             return None
-        return {k: -val for k, val in combo.items()}  # type: ignore[union-attr]
+        return combine((x, self.ech.combos[r]) for r, x in c.items())
 
 
 def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
     """Basis of {x : R x = 0} for the matrix with the given sparse rows,
     as sparse vectors: one per free column f, with x[f] = 1 and no entry
     at any other free column.  Every other entry sits at a pivot column
-    left of f, so f is the largest index of x.
+    left of f, so f is the largest index of x, and the basis is fully
+    reduced there (`Echelon.reduced`).
 
     Rows are inserted smallest-support first, which keeps the intermediate
     fill-in low for the big derivation systems.
@@ -208,9 +201,11 @@ def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
     for row in sorted(rows, key=len):
         ech.add(row)
     basis: List[SparseVec] = []
-    for f in ech.free_columns(ncols):
+    for f in range(ncols):
+        if f in ech.piv:
+            continue
         x = {f: ONE}
-        for r, p in enumerate(ech.pivcol):
+        for p, r in ech.piv.items():
             val = ech.rows[r].get(f)
             if val:
                 x[p] = -val

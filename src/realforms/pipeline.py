@@ -23,7 +23,7 @@ from .constructions import (
 )
 from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra, certify_jacobi, killing_form, sub_lie_algebra
-from .linalg import SparseMatrix, SparseVec, combine, sylvester_signature
+from .linalg import Echelon, SparseMatrix, SparseVec, combine, sylvester_signature, to_sparse
 from .rootspace import (
     Covector,
     RootDatum,
@@ -378,6 +378,16 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
             f"{len(datum.spaces)} and {datum.zero.dim}",
             witness={"roots": len(datum.spaces), "zero_dim": datum.zero.dim},
         )
+    covectors = Echelon()
+    for s in datum.spaces:
+        covectors.add(to_sparse(s.covector))
+    if not len(cartan.hs) == datum.zero.dim == covectors.rank:
+        raise VerificationError(
+            f"{key}: {len(cartan.hs)} Cartan generators, but the zero space has "
+            f"dim {datum.zero.dim} and the roots span {covectors.rank}",
+            witness={"generators": len(cartan.hs), "zero_dim": datum.zero.dim,
+                     "root_rank": covectors.rank},
+        )
     roots = datum.root_set()
     a_idx = split_indices(datum)
     adapted = adapted_simple_system(datum, a_idx)
@@ -469,7 +479,7 @@ def assemble_eii_cartan_decomposition(
     sub_lie_algebra(L, g0_basis, "g0")  # closure certificate
     cartan = preset_cartan(build)
     hs0 = cartan.hs[:4]
-    datum0 = root_decomposition(L, hs0, subspace=g0_basis, name="g0")
+    datum0 = root_decomposition(L, hs0, subspace=g0_idx, name="g0")
     if datum0.zero.dim != 4 or len(datum0.spaces) != 48:
         raise VerificationError(
             f"g0 decomposition: {len(datum0.spaces)} roots, zero dim {datum0.zero.dim}"

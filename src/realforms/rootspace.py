@@ -2,8 +2,10 @@
 
 Commuting ad-semisimple elements h_1..h_r are diagonalized sequentially:
 each current invariant subspace is split into eigenspaces of the next
-operator.  Lie algebra elements, root vectors and restricted matrices are
-zero-free sparse vectors and rows throughout.  Eigenvalues are found
+operator.  Every such basis is fully reduced, so ad(h) is restricted to
+it by reading coordinates off its pivot columns (`Echelon.reduced`), with
+no elimination.  Lie algebra elements, root vectors and restricted
+matrices are zero-free sparse vectors and rows throughout.  Eigenvalues are found
 exactly: the minimal polynomial of the restricted matrix comes from Krylov
 sequences.  If D clears the denominators of its monic squarefree part, every
 root in the field has coordinates over 1, sqrt3, i, i sqrt3 in Z/(2D), since
@@ -142,6 +144,8 @@ def poly_squarefree(p: Poly) -> Poly:
 
 
 def minimal_polynomial(m: SparseMatrix) -> Poly:
+    """The lcm of the monic annihilators of the Krylov sequences e, m e,
+    m^2 e, ... of unit vectors e, until their spans fill the space."""
     n = len(m)
     total = Echelon()
     minpoly: Poly = [ONE]
@@ -149,24 +153,22 @@ def minimal_polynomial(m: SparseMatrix) -> Poly:
         e = {start: ONE}
         if total.contains(e):
             continue
-        ech = Echelon(track=True)
-        seq = [e]
-        ech.add(e)
+        krylov = SpanSolver([e])
         total.add(e)
+        last = e
         while True:
-            nxt = apply(m, seq[-1])
-            w, combo = ech.residual(nxt)
-            if not w:
-                # monic annihilator: x^k + sum combo[j] x^j
-                ann = [ZERO] * (len(seq) + 1)
-                ann[len(seq)] = ONE
-                for j, c in combo.items():  # type: ignore[union-attr]
-                    ann[j] = c
-                minpoly = poly_lcm(minpoly, poly_normalize(ann))
+            last = apply(m, last)
+            coords = krylov.coords_sparse(last)
+            if coords is not None:
+                # monic annihilator: x^k - sum coords[j] x^j
+                k = krylov.rank
+                ann = [ZERO] * k + [ONE]
+                for j, c in coords.items():
+                    ann[j] = -c
+                minpoly = poly_lcm(minpoly, ann)
                 break
-            seq.append(nxt)
-            ech.add(nxt)
-            total.add(nxt)
+            krylov.add(last)
+            total.add(last)
         if total.rank == n:
             break
     return minpoly
@@ -290,13 +292,16 @@ def eigen_split(
             shifted.append(r)
         ker = nullspace(shifted, n)
         if not ker:
-            raise VerificationError(f"spurious eigenvalue {lam} {context}")
+            raise VerificationError(
+                f"spurious eigenvalue {lam} {context}", witness={"eigenvalue": lam.to_str()}
+            )
         out.append((lam, ker))
         covered += len(ker)
     if covered != n:
         raise VerificationError(
             f"operator is not semisimple over the field {context}: "
-            f"eigenspaces cover {covered} of {n}"
+            f"eigenspaces cover {covered} of {n}",
+            witness={"covered": covered, "dim": n},
         )
     return out
 
@@ -336,17 +341,20 @@ class RootDatum:
 
 
 def _restricted_matrix(
-    L: LieAlgebra, h: SparseVec, basis: List[SparseVec], context: str
+    L: LieAlgebra, hs: List[SparseVec], hi: int, basis: List[SparseVec], context: str
 ) -> SparseMatrix:
-    """ad(h) on the span of basis, as sparse rows in basis coordinates."""
-    solver = SpanSolver(basis)
-    if solver.rank != len(basis):
+    """ad(hs[hi]) on the span of a fully reduced basis, as sparse rows in
+    basis coordinates."""
+    ech = Echelon.reduced(basis)
+    if ech is None:
         raise ConstructionError(f"dependent subspace basis {context}")
     rows: SparseMatrix = [{} for _ in basis]
     for j, b in enumerate(basis):
-        c = solver.coords_sparse(L.bracket(h, b))
+        c = ech.coords(L.bracket(hs[hi], b))
         if c is None:
-            raise VerificationError(f"subspace is not ad-invariant {context}")
+            raise VerificationError(
+                f"subspace is not ad-invariant {context}", witness={"h": hi, "index": j}
+            )
         for p, x in c.items():
             rows[p][j] = x
     return rows
@@ -355,17 +363,25 @@ def _restricted_matrix(
 def root_decomposition(
     L: LieAlgebra,
     hs: List[SparseVec],
-    subspace: Optional[List[SparseVec]] = None,
+    subspace: Optional[Sequence[int]] = None,
     name: str = "",
 ) -> RootDatum:
-    if subspace is None:
-        subspace = [L.basis_vec(k) for k in range(L.dim)]
-    layers: List[Tuple[List[Scalar], List[SparseVec]]] = [([], subspace)]
-    for hi, h in enumerate(hs):
+    """The simultaneous eigenspaces of the ad(h), h in hs, on L or on the
+    span of the basis vectors with indices `subspace`.  Each layer, from
+    the unit vectors on, is fully reduced at the largest index of each
+    vector: an eigenvector is a `nullspace` vector in layer coordinates,
+    so it is 1 at the pivot of the layer vector it extends and 0 at the
+    pivots of the others."""
+    idx = range(L.dim) if subspace is None else sorted(subspace)
+    if not set(idx) <= set(range(L.dim)):
+        raise ConstructionError(f"subspace index outside {name or L.name}")
+    start = [L.basis_vec(k) for k in idx]
+    layers: List[Tuple[List[Scalar], List[SparseVec]]] = [([], start)]
+    for hi in range(len(hs)):
         nxt: List[Tuple[List[Scalar], List[SparseVec]]] = []
         for prefix, basis in layers:
             ctx = f"(h{hi + 1} of {name or L.name})"
-            m = _restricted_matrix(L, h, basis, ctx)
+            m = _restricted_matrix(L, hs, hi, basis, ctx)
             for lam, ker in eigen_split(m, ctx):
                 vecs = [combine((c, basis[k]) for k, c in coords.items()) for coords in ker]
                 nxt.append((prefix + [lam], vecs))
@@ -382,7 +398,7 @@ def root_decomposition(
         zero = RootSpace(tuple([ZERO] * len(hs)), [])
     spaces.sort(key=lambda s: tuple(x.key() for x in s.covector))
     datum = RootDatum(L, hs, spaces, zero)
-    if datum.total_dim() != len(subspace):
+    if datum.total_dim() != len(idx):
         raise VerificationError("decomposition lost dimensions")
     return datum
 
@@ -539,39 +555,61 @@ def classify_cartan_matrix(c: List[List[int]]) -> str:
     return "+".join(names)
 
 
+def _simple_witness(root: Covector, simple: List[Covector]) -> Dict[str, object]:
+    """A root and the simple system it failed against, as strings."""
+    return {
+        "covector": [x.to_str() for x in root],
+        "simple": [[x.to_str() for x in s] for s in simple],
+    }
+
+
 def verify_simple_basis(roots: set, simple: List[Covector]) -> Dict[str, int]:
     """Each root must be an integer combination of the claimed simple roots
-    with coefficients all of one sign."""
+    with coefficients all of one sign.  A failure carries the simple
+    system, and the root where there is one, as witness."""
     dim = len(simple[0])
     solver = SpanSolver(map(to_sparse, simple))
     positives = 0
     for cov in roots:
-        signs = {1 if c > 0 else -1 for c in _integer_coords(solver, cov) if c}
+        signs = {1 if c > 0 else -1 for c in _integer_coords(solver, simple, cov) if c}
         if len(signs) != 1:
-            raise VerificationError(f"mixed-sign simple coordinates for {cov}")
+            raise VerificationError(
+                f"mixed-sign simple coordinates for {cov}",
+                witness=_simple_witness(cov, simple),
+            )
         if signs == {1}:
             positives += 1
     if 2 * positives != len(roots):
-        raise VerificationError("positive roots are not half of all roots")
+        raise VerificationError(
+            "positive roots are not half of all roots",
+            witness={"positive": positives, "roots": len(roots),
+                     "simple": [[x.to_str() for x in s] for s in simple]},
+        )
     return {"roots": len(roots), "positive": positives, "rank_used": dim}
 
 
-def _integer_coords(solver: SpanSolver, root: Covector) -> List[int]:
-    """Coordinates of root over the solver's simple roots; all integers."""
+def _integer_coords(solver: SpanSolver, simple: List[Covector], root: Covector) -> List[int]:
+    """Coordinates of root over the simple roots, which the solver spans;
+    all integers."""
     coords = solver.coords_sparse(to_sparse(root))
     if coords is None:
-        raise VerificationError(f"root {root} outside the simple span")
+        raise VerificationError(
+            f"root {root} outside the simple span", witness=_simple_witness(root, simple)
+        )
     out = []
-    for k in range(solver.ech.ninserted):
+    for k in range(len(simple)):
         c = coords.get(k, ZERO)
         if not c.is_rational() or c.a.denominator != 1:
-            raise VerificationError(f"non-integer simple coordinates for {root}")
+            raise VerificationError(
+                f"non-integer simple coordinates for {root}",
+                witness=_simple_witness(root, simple),
+            )
         out.append(c.a.numerator)
     return out
 
 
 def simple_coords(root: Covector, simple: List[Covector]) -> List[int]:
-    return _integer_coords(SpanSolver(map(to_sparse, simple)), root)
+    return _integer_coords(SpanSolver(map(to_sparse, simple)), simple, root)
 
 
 def highest_root(roots: set, simple: List[Covector]) -> Covector:
@@ -579,7 +617,7 @@ def highest_root(roots: set, simple: List[Covector]) -> Covector:
     best = None
     best_height = None
     for cov in roots:
-        h = sum(_integer_coords(solver, cov))
+        h = sum(_integer_coords(solver, simple, cov))
         if best is None or h > best_height:
             best, best_height = cov, h
     for s in simple:

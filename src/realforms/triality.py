@@ -12,22 +12,23 @@ algebra; for S = R it vanishes.
 
 Everything is computed in coordinates over the basis B_k of so(q).  That
 basis and the basis b_k of tri(S) (coefficient vectors over so(q)^3) are
-both `nullspace` bases, so each vector is 1 at its own free column and 0
-at the others: the coordinates of a vector in their span are its entries
-at the free columns, and `_read_off` certifies membership by recombining
-them exactly.  The brackets of tri(S) come slot by slot from the
-structure constants of so(q), theta rotates the three coefficient slots,
-and neither needs an echelon form.
+both `nullspace` bases, hence fully reduced at their free columns:
+`Echelon.reduced` certifies them independent as they are, and its
+`coords` reads the coordinates of a vector in their span off those
+columns and certifies membership by recombining exactly.  The brackets of
+tri(S) come slot by slot from the structure constants of so(q), theta
+rotates the three coefficient slots, and no elimination is run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebras import AlgebraTable
 from .errors import ConstructionError, VerificationError
 from .linalg import (
+    Echelon,
     SparseMatrix,
     SparseVec,
     add_product,
@@ -64,41 +65,20 @@ def orthogonal_lie(s: AlgebraTable) -> List[SparseMatrix]:
     return [matrix_rows(vec, n) for vec in nullspace(rows, n * n)]
 
 
-def _free_columns(vecs: List[SparseVec], name: str) -> List[int]:
-    """The free column of each vector of a `nullspace` basis, certifying
-    that the basis is independent.
-
-    Every pivot of the echelon lies left of the free columns it meets, so
-    the free column of a basis vector is its largest index.  Independence
-    is then the identity on the free columns: each vector is 1 at its own
-    free column and has no entry at any other.
-    """
-    free = [max(v) for v in vecs]
-    cols = set(free)
-    if len(cols) != len(vecs) or any(
-        v[f] != ONE or len(cols.intersection(v)) != 1 for v, f in zip(vecs, free)
-    ):
+def _reduced(vecs: List[SparseVec], name: str) -> Echelon:
+    """The `nullspace` basis vecs as a reduced basis; raises unless it
+    is independent."""
+    ech = Echelon.reduced(vecs)
+    if ech is None:
         raise ConstructionError(f"tri({name}): dependent solution basis")
-    return free
-
-
-def _read_off(vecs: List[SparseVec], free: List[int], v: SparseVec) -> Optional[SparseVec]:
-    """Coordinates c of v over a certified nullspace basis with free columns
-    `free`: c[k] is the entry of v at free[k].  None unless sum c[k] vecs[k]
-    equals v exactly, that is, unless v lies in the span."""
-    c = {k: v[f] for k, f in enumerate(free) if v.get(f)}
-    if combine((x, vecs[k]) for k, x in c.items()) != {q: x for q, x in v.items() if x}:
-        return None
-    return c
+    return ech
 
 
 @dataclass(eq=False)
 class TrialityAlgebra:
     comp: AlgebraTable
-    orth: List[SparseVec]  # basis B_k of so(q), flattened n x n matrices
-    orth_free: List[int]  # free column of each B_k
-    coefs: List[SparseVec]  # row k: b_k over so(q)^3, index slot * len(orth) + j
-    free: List[int]  # free column of each row of coefs
+    orth: Echelon  # row k: B_k of so(q), a flattened n x n matrix
+    coefs: Echelon  # row k: b_k over so(q)^3, index slot * orth.rank + j
     basis: List[Triple]  # b_k as triples of matrices
     lie: LieAlgebra
     theta_rows: SparseMatrix  # row k: coordinates of theta(b_k)
@@ -111,16 +91,16 @@ class TrialityAlgebra:
         """Coordinates of a triple of skew maps in the tri basis: each
         component is read off over so(q), then the triple over the b_k."""
         name = self.comp.name
-        no = len(self.orth)
+        no = self.orth.rank
         coefs: SparseVec = {}
         for slot, m in enumerate(t):
-            c = _read_off(self.orth, self.orth_free, flatten(m))
+            c = self.orth.coords(flatten(m))
             if c is None:
                 raise VerificationError(
                     f"tri({name}): triple is not a triality element", witness={"slot": slot}
                 )
             coefs.update((slot * no + j, x) for j, x in c.items())
-        c = _read_off(self.coefs, self.free, coefs)
+        c = self.coefs.coords(coefs)
         if c is None:
             raise VerificationError(
                 f"tri({name}): triple is not a triality element",
@@ -173,13 +153,12 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     n = s.dim
     orth = orthogonal_lie(s)
     no = len(orth)
-    oflat = [flatten(m) for m in orth]
-    ofree = _free_columns(oflat, s.name)
+    oech = _reduced([flatten(m) for m in orth], s.name)
     # structure constants of so(q): so_brk[k][l] = coordinates of [B_k, B_l]
     so_brk: List[List[SparseVec]] = [[{} for _ in range(no)] for _ in range(no)]
     for k in range(no):
         for l in range(k + 1, no):
-            c = _read_off(oflat, ofree, flatten(commutator(orth[k], orth[l])))
+            c = oech.coords(flatten(commutator(orth[k], orth[l])))
             if c is None:
                 raise VerificationError(
                     f"tri({s.name}): so(q) commutator escapes the span",
@@ -207,7 +186,7 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
                     by_p[p][2 * no + k] = -x
             rows.extend(row for row in by_p if row)
     sols = nullspace(rows, 3 * no)
-    free = _free_columns(sols, s.name)
+    ech = _reduced(sols, s.name)
     # slots[k][slot]: the so(q) coordinates of component `slot` of b_k
     slots: List[List[SparseVec]] = [[{}, {}, {}] for _ in sols]
     for c, sl in zip(sols, slots):
@@ -226,7 +205,7 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
                     for m, z in row[l].items():
                         q = off + m
                         acc[q] = acc.get(q, ZERO) + xy * z
-        c = _read_off(sols, free, acc)
+        c = ech.coords(acc)
         if c is None:
             raise VerificationError(
                 f"tri({s.name}): bracket escapes the span", witness={"pair": [i, j]}
@@ -237,7 +216,7 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     theta_rows = []
     for k, c in enumerate(sols):
         # theta(d0, d1, d2) = (d2, d0, d1): slot s of b_k moves to slot s + 1
-        row = _read_off(sols, free, {(q // no + 1) % 3 * no + q % no: x for q, x in c.items()})
+        row = ech.coords({(q // no + 1) % 3 * no + q % no: x for q, x in c.items()})
         if row is None:
             raise VerificationError(f"tri({s.name}): theta leaves the span", witness={"index": k})
         theta_rows.append(row)
@@ -247,7 +226,7 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
         )
         for slot3 in slots
     ]
-    return TrialityAlgebra(s, oflat, ofree, sols, free, basis, lie, theta_rows)
+    return TrialityAlgebra(s, oech, ech, basis, lie, theta_rows)
 
 
 _TRI_CACHE: Dict[str, TrialityAlgebra] = {}

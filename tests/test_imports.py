@@ -1,7 +1,9 @@
 """Every name a source module imports is used in that module, every
 definition in the package is named somewhere else, no source module
-relies on assert statements, which python -O strips, and every span the
-benchmark traces names a public function of the package."""
+relies on assert statements, which python -O strips, every span the
+benchmark traces names a public function of the package, and every
+`VerificationError` of the certified modules and functions carries a
+witness."""
 
 import ast
 import importlib
@@ -9,6 +11,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from realforms import lie, pipeline, rootspace, triality
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "realforms"
@@ -171,3 +175,38 @@ def test_traced_spans_are_public_functions():
         ):
             bad.append(qname)
     assert bad == []
+
+
+def verification_raises(obj):
+    """The `raise VerificationError(...)` calls in the source of a module
+    or function."""
+    tree = ast.parse(inspect.getsource(obj).lstrip())
+    return [
+        node.exc
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "VerificationError"
+    ]
+
+
+@pytest.mark.parametrize(
+    "obj,count",
+    [
+        (triality, 5),
+        (lie, 5),
+        (pipeline.run_satake, 6),
+        (rootspace.split_indices, 1),
+        (rootspace._restricted_matrix, 1),
+        (rootspace.eigen_split, 2),
+        (rootspace.verify_simple_basis, 2),
+        (rootspace._integer_coords, 2),
+    ],
+    ids=lambda x: getattr(x, "__name__", str(x)).rpartition(".")[2],
+)
+def test_every_verification_error_carries_a_witness(obj, count):
+    """Each site is also reached by a mutation test in the test module of
+    its layer; the count pins the set of sites those tests cover."""
+    raises = verification_raises(obj)
+    assert len(raises) == count
+    assert all(any(kw.arg == "witness" for kw in call.keywords) for call in raises)

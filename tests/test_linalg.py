@@ -8,6 +8,7 @@ from realforms.linalg import (
     SpanSolver,
     add_product,
     apply,
+    combine,
     commutator,
     mat_mul,
     nullspace,
@@ -166,6 +167,69 @@ def test_commutator_matches_naive_loop(n):
         sa, sb = [to_sparse(r) for r in a], [to_sparse(r) for r in b]
         assert commutator(sa, sb) == [to_sparse(r) for r in expected]
         assert commutator(sa, sa) == [{} for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# the one coordinate reader: a fully reduced basis read at its pivots
+
+
+NCOLS = 5
+SPARSE_VECS = st.dictionaries(st.integers(0, NCOLS - 1), st.sampled_from(ENTRIES), max_size=NCOLS)
+
+
+@st.composite
+def spanning_lists(draw):
+    """Random sparse vectors over Q(sqrt3, i), explicit zeros included,
+    followed by combinations of them, which are dependent."""
+    base = draw(st.lists(SPARSE_VECS, max_size=4))
+    combos = draw(st.lists(st.lists(st.sampled_from(ENTRIES), min_size=len(base),
+                                    max_size=len(base)), max_size=3))
+    dependent = [combine(zip(cs, base)) for cs in combos]
+    order = draw(st.permutations(range(len(base) + len(dependent))))
+    vecs = base + dependent
+    return [vecs[k] for k in order]
+
+
+@settings(deadline=None, max_examples=80)
+@given(spanning_lists(), SPARSE_VECS)
+def test_echelon_coords_recombine_and_decide_rank(vecs, extra):
+    ech = Echelon()
+    for v in vecs + [extra]:
+        c = ech.coords(v)
+        if c is not None:
+            assert zero_free(c)
+            assert combine((x, ech.rows[r]) for r, x in c.items()) == combine([(ONE, v)])
+        assert (c is None) == ech.add(v)
+        assert ech.contains(v)
+
+
+@settings(deadline=None, max_examples=80)
+@given(spanning_lists(), st.lists(st.sampled_from(ENTRIES), max_size=7), SPARSE_VECS)
+def test_span_solver_coords_recombine_over_dependent_list(vecs, cs, extra):
+    sol = SpanSolver(vecs)
+    target = combine(zip(cs, vecs))
+    coords = sol.coords_sparse(target)
+    assert coords is not None and zero_free(coords)
+    assert combine((x, vecs[k]) for k, x in coords.items()) == target
+    # a vector has coordinates exactly when it does not raise the rank
+    ech = Echelon()
+    for v in vecs:
+        ech.add(v)
+    coords = sol.coords_sparse(extra)
+    assert (coords is None) == ech.add(extra)
+    if coords is not None:
+        assert combine((x, vecs[k]) for k, x in coords.items()) == combine([(ONE, extra)])
+
+
+def test_reduced_certifies_independence():
+    rows = [{0: ONE, 1: ONE, 2: sc(-1)}, {1: ONE, 3: sc(2)}]
+    basis = nullspace(rows, 4)
+    assert list(Echelon.reduced(basis).piv) == [2, 3]
+    for bad in (basis + [basis[0]], basis + [combine([(ONE, basis[0]), (ONE, basis[1])])]):
+        assert Echelon.reduced(bad) is None
+    assert Echelon.reduced([combine([(sc(2), basis[0])])]) is None
+    # independent, and 1 at a new largest index, but not 0 at the pivot of b0
+    assert Echelon.reduced(basis + [{2: ONE, 4: ONE}]) is None
 
 
 def test_signature_diagonal():

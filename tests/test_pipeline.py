@@ -4,9 +4,7 @@ Everything here leans on the session fixtures in conftest, so the
 expensive magic-square builds and root decompositions happen once.
 """
 
-import ast
 import dataclasses
-import inspect
 import json
 
 import pytest
@@ -34,6 +32,7 @@ from realforms.rootspace import (
     restrict_covector,
     restricted_multiplicities,
     root_decomposition,
+    simple_coords,
     sl2_triple,
     split_indices,
     verify_simple_basis,
@@ -236,6 +235,20 @@ def test_run_satake_rejects_five_generators(get_build, monkeypatch):
     assert w == {"covector": ["-1*i", "0", "0", "0", "0"], "dim": 2}
 
 
+def test_run_satake_rejects_generators_of_rank_five(get_build, monkeypatch):
+    # without h4 the 72 roots of e6m14 stay distinct on the other five, and
+    # the zero space stays 6-dimensional
+    real = pipeline.preset_cartan
+
+    def drop_h4(build):
+        hs = real(build).hs
+        return CartanSpec("EIII", hs[:3] + hs[4:])
+
+    monkeypatch.setattr(pipeline, "preset_cartan", drop_h4)
+    w = _raises_witnessed("e6m14", get_build("e6m14"), "5 Cartan generators")
+    assert w == {"generators": 5, "zero_dim": 6, "root_rank": 5}
+
+
 def test_run_satake_rejects_lost_root_space(get_build, monkeypatch):
     real = pipeline.root_decomposition
 
@@ -277,8 +290,44 @@ def test_preset_with_another_root_fails(get_build, monkeypatch, name):
     preset = list(PRESET_SIMPLE[name])
     preset[2] = cov_neg(preset[2])
     monkeypatch.setitem(PRESET_SIMPLE, name, preset)
-    with pytest.raises(VerificationError, match="mixed-sign simple coordinates"):
+    with pytest.raises(VerificationError, match="mixed-sign simple coordinates") as exc:
         run_satake(PRESET_MODEL[name], get_build(PRESET_MODEL[name]))
+    # the witness names the system that failed: the edited preset
+    assert exc.value.witness["simple"] == _strs(preset)
+
+
+def _strs(covs):
+    return [[x.to_str() for x in c] for c in covs]
+
+
+@pytest.mark.parametrize(
+    "mutation,match",
+    [
+        ("negate", "mixed-sign simple coordinates"),
+        ("drop", "outside the simple span"),
+        ("double", "non-integer simple coordinates"),
+        ("positive", "positive roots are not half"),
+    ],
+)
+def test_simple_basis_failures_carry_the_system(get_satake, mutation, match):
+    roots = get_satake("EIII").datum.root_set()
+    simple = list(PRESET_SIMPLE["EIII"])
+    if mutation == "negate":
+        simple[2] = cov_neg(simple[2])
+    elif mutation == "drop":
+        simple = simple[:5]
+    elif mutation == "double":
+        simple[2] = cov_scale(sc(2), simple[2])
+    else:
+        roots = {c for c in roots if sum(simple_coords(c, simple)) > 0}
+    with pytest.raises(VerificationError, match=match) as exc:
+        verify_simple_basis(roots, simple)
+    w = json.loads(json.dumps(exc.value.witness))
+    assert w.pop("simple") == _strs(simple)
+    if mutation == "positive":
+        assert w == {"positive": 36, "roots": 36}
+    else:
+        assert tuple(sc(x) for x in w["covector"]) in roots
 
 
 def test_preset_diagram_mismatch(get_build, monkeypatch):
@@ -309,24 +358,6 @@ def test_preset_table_mismatch(get_build, monkeypatch):
     monkeypatch.setattr(pipeline, "build_restricted_table", bump_preset)
     w = _raises_witnessed("e6m14", get_build("e6m14"), "table differs from preset")
     assert w["preset"]["rows"][0]["m"] == w["derived"]["rows"][0]["m"] + 1
-
-
-def _verification_raises(fn):
-    tree = ast.parse(inspect.getsource(fn).lstrip())
-    return [
-        node.exc
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Raise)
-        and isinstance(node.exc, ast.Call)
-        and getattr(node.exc.func, "id", None) == "VerificationError"
-    ]
-
-
-@pytest.mark.parametrize("fn,count", [(run_satake, 5), (split_indices, 1)])
-def test_every_satake_verification_error_carries_a_witness(fn, count):
-    raises = _verification_raises(fn)
-    assert len(raises) == count
-    assert all(any(kw.arg == "witness" for kw in call.keywords) for call in raises)
 
 
 # ---------------------------------------------------------------------------

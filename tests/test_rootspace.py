@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realforms.rootspace as rootspace_mod
 from realforms.cli import _jsonable
 from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import LieAlgebra, lie_from_fn
@@ -271,9 +272,40 @@ def test_root_decomposition_so3_imaginary_roots():
 
 def test_root_decomposition_rejects_noncartan():
     L = sl2()
-    # e is nilpotent, not semisimple
-    with pytest.raises(VerificationError):
+    # e is nilpotent, not semisimple: ad(e) has the one eigenvalue 0 and
+    # a 1-dimensional kernel
+    with pytest.raises(VerificationError, match="not semisimple") as exc:
         root_decomposition(L, [L.basis_vec(1)], name="bad")
+    assert exc.value.witness == {"covered": 1, "dim": 3}
+
+
+def test_root_decomposition_rejects_non_invariant_layer():
+    # e has weight 2 under h, so ad(e) moves each h-eigenspace to another
+    L = sl2()
+    with pytest.raises(VerificationError, match="not ad-invariant") as exc:
+        root_decomposition(L, [L.basis_vec(0), L.basis_vec(1)], name="bad")
+    assert exc.value.witness == {"h": 1, "index": 0}
+
+
+def test_eigen_split_rejects_spurious_eigenvalue(monkeypatch):
+    real = rootspace_mod.exact_eigenvalues
+    monkeypatch.setattr(
+        rootspace_mod, "exact_eigenvalues", lambda m, context="": real(m, context) + [sc(5)]
+    )
+    with pytest.raises(VerificationError, match="spurious eigenvalue 5") as exc:
+        eigen_split(rows([[ONE, ZERO], [ZERO, sc(2)]]))
+    assert exc.value.witness == {"eigenvalue": "5"}
+
+
+def test_root_decomposition_of_a_subspace():
+    L = sl2()
+    datum = root_decomposition(L, [L.basis_vec(0)], subspace=[2, 1], name="e, f")
+    assert datum.root_set() == pm(cov(2))
+    assert [s.basis for s in datum.spaces] == [[{2: ONE}], [{1: ONE}]]
+    with pytest.raises(ConstructionError, match="dependent subspace basis"):
+        root_decomposition(L, [L.basis_vec(0)], subspace=[0, 1, 1], name="bad")
+    with pytest.raises(ConstructionError, match="subspace index outside bad"):
+        root_decomposition(L, [L.basis_vec(0)], subspace=[1, 3], name="bad")
 
 
 def test_sl2_triple_normalization():
