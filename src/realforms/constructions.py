@@ -367,50 +367,37 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     return DerivationModel(lie, alg, square, R)
 
 
-@dataclass(eq=False)
-class SignedPermutation:
-    """A map sending basis vector k to sign[k] * basis vector perm[k]."""
-
-    perm: List[int]
-    sign: List[int]
-
-    def apply_sparse(self, v: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        return {
-            self.perm[k]: (x if self.sign[k] > 0 else -x) for k, x in v.items()
-        }
+def _by_label(alg: AlgebraTable, images: Dict[str, str]) -> List[Tuple[int, Scalar]]:
+    """A signed permutation of the basis of alg given by label, as
+    (image index, sign) per basis index: images[a] = "b" or "-b" sends e_a
+    to e_b or -e_b, and unlisted labels are fixed."""
+    idx = {lab: k for k, lab in enumerate(alg.labels)}
+    phi = [(k, ONE) for k in range(alg.dim)]
+    for a, b in images.items():
+        phi[idx[a]] = (idx[b.lstrip("-")], -ONE if b.startswith("-") else ONE)
+    return phi
 
 
-def psi_automorphism(square: MagicSquareAlgebra, i: int) -> SignedPermutation:
-    """The order-4 automorphism fixing tri + tri', negating iota_i, and
-    rotating the 2-dimensional second tensor slot of the other blocks
-    (e_0 -> -e_1, e_1 -> e_0).  Requires dim S' = 2."""
-    if square.sp.dim != 2:
-        raise ConstructionError("second factor must be 2-dimensional")
-    if i not in (0, 1, 2):
-        raise ConstructionError("block index must be 0, 1 or 2")
-    n = square.dim
-    perm = list(range(n))
-    sign = [1] * n
-    ns = square.s.dim
-    for blk in range(3):
-        for a in range(ns):
-            for b in range(2):
-                k = square.iota_index(blk, a, b)
-                if blk == i:
-                    sign[k] = -1
-                else:
-                    perm[k] = square.iota_index(blk, a, 1 - b)
-                    sign[k] = -1 if b == 0 else 1
-    psi = SignedPermutation(perm, sign)
-    L = square.lie
-    for p in range(n):
-        for q in range(p + 1, n):
-            lhs = psi.apply_sparse(L.bracket_basis(p, q))
-            rhs_raw = L.bracket_basis(perm[p], perm[q])
-            s = sign[p] * sign[q]
-            rhs = {k: (v if s > 0 else -v) for k, v in rhs_raw.items()}
-            if lhs != rhs:
-                raise VerificationError(
-                    f"psi_{i} fails multiplicativity on basis pair ({p}, {q})"
-                )
-    return psi
+def induced_automorphism(
+    square: MagicSquareAlgebra,
+    phi: Dict[str, str],
+    phi_p: Dict[str, str],
+    signs: Tuple[int, int, int],
+) -> SparseMatrix:
+    """Row k: the image of basis vector k under the map of g(S, S')
+    induced by signed permutations phi of S and phi' of S' (by label, as
+    in `_by_label`) and a sign c_i on each iota block (Elduque, The magic
+    square and symmetric compositions, Rev. Mat. Iberoam. 20 (2004)):
+    d -> phi d phi^-1 slot by slot on tri(S), likewise on tri(S'), and
+    iota_i(x (x) x') -> c_i iota_i(phi x (x) phi' x').  It is an
+    automorphism when phi and phi' are isometric automorphisms and
+    c_0 c_1 c_2 = 1; a phi that does not preserve tri raises while its
+    rows are read."""
+    f, fp = _by_label(square.s, phi), _by_label(square.sp, phi_p)
+    rows = [square.tri_s.conjugate(k, f) for k in range(square.tri_s.dim)]
+    rows += [square.tri_sp_vec(square.tri_sp.conjugate(k, fp)) for k in range(square.tri_sp.dim)]
+    for blk, c in enumerate(signs):
+        for a, sa in f:
+            for b, sb in fp:
+                rows.append({square.iota_index(blk, a, b): sc(c) * sa * sb})
+    return rows

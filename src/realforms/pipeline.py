@@ -6,7 +6,10 @@ construction).  For the four noncompact e6 models the module ships a
 recipe for commuting Cartan generators, runs the exact decomposition,
 derives the split part and the sigma-order simple system from it, and
 prints the diagram and restricted table of that derived system.  The
-published simple systems of EIV, EIII and EII only check it.
+published simple systems of EIV, EIII and EII only check it.  Each of
+these models also names a Cartan involution theta; its +1 and -1
+eigenspaces are certified as a Cartan decomposition g = t + p, and each
+Cartan generator is checked to lie in t or in p.
 """
 
 from __future__ import annotations
@@ -18,12 +21,21 @@ from .algebras import symmetric_composition
 from .constructions import (
     MagicSquareAlgebra,
     derivation_model,
+    induced_automorphism,
     magic_square,
-    psi_automorphism,
 )
 from .errors import ConstructionError, VerificationError
-from .lie import LieAlgebra, certify_jacobi, killing_form, sub_lie_algebra
-from .linalg import Echelon, SparseMatrix, SparseVec, combine, sylvester_signature, to_sparse
+from .lie import LieAlgebra, certify_jacobi, killing_form
+from .linalg import (
+    Echelon,
+    SparseMatrix,
+    SparseVec,
+    combine,
+    nullspace,
+    sylvester_signature,
+    to_sparse,
+    transpose,
+)
 from .rootspace import (
     Covector,
     RootDatum,
@@ -34,13 +46,10 @@ from .rootspace import (
     cov_is_zero,
     cov_key,
     highest_root,
-    lex_sign,
     restrict_covector,
     restricted_multiplicities,
     root_decomposition,
     simple_coords,
-    simple_from_positive,
-    sl2_triple,
     split_indices,
     verify_cartan_decomposition,
     verify_simple_basis,
@@ -108,7 +117,8 @@ def certify(
     sig = sylvester_signature(killing)
     if expected is not None and (sig[0] - sig[1] != expected or sig[2]):
         raise VerificationError(
-            f"{what}: Killing signature {sig} does not match expected {expected}"
+            f"{what}: Killing signature {sig} does not match expected {expected}",
+            witness={"signature": list(sig), "expected": expected},
         )
     return jacobi, killing, sig
 
@@ -451,115 +461,55 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
 
 
 # ---------------------------------------------------------------------------
-# Cartan decompositions for the three pipeline models
+# Cartan decompositions: t and p are the +1 and -1 eigenspaces of theta
+
+# theta on g(S, S'), per model: a signed permutation phi of S and phi' of
+# S' by label (`constructions.induced_automorphism`; unlisted labels are
+# fixed) and the signs c_i of the iota blocks.  The derivation model takes
+# theta of its square on Der and -1 on A0.  phi on pOs fixes the unit
+# e1 + e2 and swaps the u_i with the v_i: its +1 eigenspace {1, u_i + v_i}
+# is norm-positive and its -1 eigenspace norm-negative.
+_SWAP_OS = {"e1": "e2", "e2": "e1", "u1": "v1", "v1": "u1",
+            "u2": "v2", "v2": "u2", "u3": "v3", "v3": "u3"}
+CARTAN_THETA: Dict[str, Tuple[Dict[str, str], Dict[str, str], Tuple[int, int, int]]] = {
+    "e6m26": ({}, {}, (1, 1, 1)),
+    "e6m14": ({}, {}, (-1, 1, -1)),
+    "e6p2": (_SWAP_OS, {}, (1, 1, 1)),
+    "e6p6": (_SWAP_OS, {"u": "-u"}, (1, 1, 1)),
+}
 
 
-def _block_vectors(lie: LieAlgebra, idx: Sequence[int]) -> List[SparseVec]:
-    return [lie.basis_vec(k) for k in idx]
-
-
-def assemble_eii_cartan_decomposition(
-    build: ModelBuild,
-) -> Tuple[List[SparseVec], List[SparseVec], Dict[str, object]]:
-    """The split-f4 based assembly of t (dim 38) and p (dim 40 = 4 + 36).
-
-    The 52-dimensional subalgebra g0 on the first tensor slot is split;
-    its sl2 triples and the Psi rotations generate everything outside the
-    Cartan directions.
-    """
-    if build.spec.key != "e6p2":
-        raise ConstructionError("assembly is specific to the e6p2 model")
-    square: MagicSquareAlgebra = build.obj  # type: ignore[assignment]
-    L = build.lie
-    ns = square.s.dim
-    g0_idx = list(range(square.tri_s.dim)) + [
-        square.iota_index(blk, a, 0) for blk in range(3) for a in range(ns)
-    ]
-    g0_basis = _block_vectors(L, g0_idx)
-    sub_lie_algebra(L, g0_basis, "g0")  # closure certificate
-    cartan = preset_cartan(build)
-    hs0 = cartan.hs[:4]
-    datum0 = root_decomposition(L, hs0, subspace=g0_idx, name="g0")
-    if datum0.zero.dim != 4 or len(datum0.spaces) != 48:
-        raise VerificationError(
-            f"g0 decomposition: {len(datum0.spaces)} roots, zero dim {datum0.zero.dim}"
-        )
-    phi = datum0.root_set()
-    # every g0 root is real on hs0: lex_sign raises otherwise
-    split = tuple(range(len(hs0)))
-    positive = [c for c in sorted(phi, key=cov_key) if lex_sign(c, split) > 0]
-    if len(positive) != 24:
-        raise VerificationError("expected 24 positive g0 roots")
-    simple0 = simple_from_positive(positive)
-    phi_type = classify_cartan_matrix(cartan_matrix(simple0, phi))
-    if phi_type != "F4":
-        raise VerificationError(f"g0 system classified as {phi_type}")
-
-    iota_ranges = [square.iota_block(blk) for blk in range(3)]
-
-    def block_of(space) -> Optional[int]:
-        support = set(space.basis[0])
-        for blk, rng in enumerate(iota_ranges):
-            if support <= set(rng):
-                return blk
-        if support <= set(range(square.tri_s.dim)):
-            return None
-        raise VerificationError("root vector not confined to one block")
-
-    pos_by_block: Dict[Optional[int], List[Covector]] = {None: [], 0: [], 1: [], 2: []}
-    for cov in positive:
-        pos_by_block[block_of(datum0.space_of(cov))].append(cov)
-    block_counts = [len(pos_by_block[b]) for b in (0, 1, 2)]
-    if block_counts != [4, 4, 4]:
-        raise VerificationError(f"positive short roots per block: {block_counts}")
-
-    psis = [psi_automorphism(square, i) for i in range(3)]
-    off = square.tri_s.dim
-    t_basis = [L.basis_vec(off), L.basis_vec(off + 1)]  # tri(pC)
-    p_basis = list(hs0)
-    for cov in positive:
-        e, f, _h = sl2_triple(datum0, cov)
-        minus = combine([(ONE, e), (-ONE, f)])
-        plus = combine([(ONE, e), (ONE, f)])
-        t_basis.append(minus)
-        p_basis.append(plus)
-        blk = block_of(datum0.space_of(cov))
-        if blk is not None:
-            rot = psis[(blk + 1) % 3]
-            t_basis.append(rot.apply_sparse(minus))
-            p_basis.append(rot.apply_sparse(plus))
-    extras = {
-        "phi_type": phi_type,
-        "phi_positive": len(positive),
-        "phi_positive_per_block": block_counts,
-        "dim_t": len(t_basis),
-        "dim_p": len(p_basis),
-        "dim_p_outside_cartan": len(p_basis) - len(hs0),
-    }
-    return t_basis, p_basis, extras
+def cartan_involution(build: ModelBuild) -> SparseMatrix:
+    """Row k: theta(b_k), from the model's entry of CARTAN_THETA."""
+    key = build.spec.key
+    if key not in CARTAN_THETA:
+        raise ConstructionError(f"no Cartan decomposition recipe for {key}")
+    rows = induced_automorphism(build.square, *CARTAN_THETA[key])
+    # the rows past the square's are A0 of the derivation model
+    rows += [{k: -ONE} for k in range(len(rows), build.lie.dim)]
+    return rows
 
 
 def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) -> Dict[str, object]:
+    """Certify t = ker(theta - 1) and p = ker(theta + 1) as a Cartan
+    decomposition (`verify_cartan_decomposition`) whose signature is the
+    certified Killing signature.  Each preset Cartan generator h_k must
+    satisfy theta h = h or theta h = -h; `cartan_in_p` lists the k with
+    theta h_k = -h_k."""
     key = PRESET_MODEL.get(key, key)
     if build is None:
         build = build_model(key)
     L = build.lie
-    if key == "e6m26":
-        der = build.obj.der_dim  # type: ignore[attr-defined]
-        t_basis = _block_vectors(L, range(der))
-        p_basis = _block_vectors(L, range(der, L.dim))
-        extras: Dict[str, object] = {"t": "derivation block", "p": "traceless Jordan block"}
-    elif key == "e6m14":
-        square: MagicSquareAlgebra = build.obj  # type: ignore[assignment]
-        iota0, iota1, iota2 = (square.iota_block(blk) for blk in range(3))
-        t_basis = _block_vectors(L, [*range(square.iota_offset), *iota1])
-        p_basis = _block_vectors(L, [*iota0, *iota2])
-        extras = {"t": "tri + tri' + iota_1", "p": "iota_0 + iota_2"}
-    elif key == "e6p2":
-        t_basis, p_basis, extras = assemble_eii_cartan_decomposition(build)
-    else:
-        raise ConstructionError(f"no Cartan decomposition recipe for {key}")
-    report = verify_cartan_decomposition(L, t_basis, p_basis, killing=build.killing)
+    theta = cartan_involution(build)
+    cols = transpose(theta)  # row i: entry i of every theta(b_k)
+
+    def eigenspace(lam: Scalar) -> List[SparseVec]:
+        rows = [combine([(ONE, row), (-lam, {i: ONE})]) for i, row in enumerate(cols)]
+        return nullspace(rows, L.dim)
+
+    report = verify_cartan_decomposition(
+        L, eigenspace(ONE), eigenspace(-ONE), killing=build.killing
+    )
     sig = build.signature[0] - build.signature[1]
     if report["signature"] != sig:
         raise VerificationError(
@@ -567,7 +517,18 @@ def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) ->
             f"differs from the Killing signature {sig}",
             witness=(report["signature"], sig),
         )
-    report.update(extras)
+    in_p = []
+    for k, h in enumerate(preset_cartan(build).hs):
+        image = combine((x, theta[q]) for q, x in h.items())
+        if image == combine([(-ONE, h)]):
+            in_p.append(k)
+        elif image != h:
+            raise VerificationError(
+                f"{key}: Cartan generator h{k + 1} lies in neither t nor p",
+                witness={"h": k},
+            )
+    report["cartan_in_p"] = in_p
+    report["dim_p_outside_cartan"] = report["dim_p"] - len(in_p)
     return report
 
 

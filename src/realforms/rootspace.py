@@ -330,12 +330,6 @@ class RootDatum:
     def root_set(self) -> set:
         return {s.covector for s in self.spaces}
 
-    def space_of(self, cov: Covector) -> RootSpace:
-        for s in self.spaces:
-            if s.covector == cov:
-                return s
-        raise KeyError(f"no root space for {cov}")
-
     def total_dim(self) -> int:
         return self.zero.dim + sum(s.dim for s in self.spaces)
 
@@ -777,26 +771,30 @@ def verify_cartan_decomposition(
     p, Killing negative definite on t and positive definite on p.  Returns
     the report; raises VerificationError on the first failed condition.  A
     basis vector with a non-real coordinate fails, with its index in t_basis
-    followed by p_basis as witness."""
+    followed by p_basis as witness; the other failures name the dependent
+    vector, the dimensions, the failing bracket pair or the signature."""
     for k, v in enumerate(t_basis + p_basis):
         if not all(x.is_real() for x in v.values()):
             part = "t" if k < len(t_basis) else "p"
             raise VerificationError(
                 f"basis vector {k} ({part}) has a non-real coordinate", witness=k
             )
-    ech_t = Echelon()
-    for v in t_basis:
-        ech_t.add(v)
-    ech_p = Echelon()
-    for v in p_basis:
-        ech_p.add(v)
-    if ech_t.rank != len(t_basis) or ech_p.rank != len(p_basis):
-        raise VerificationError("dependent vectors in t or p")
+    ech_t, ech_p = Echelon(), Echelon()
+    for part, vecs, ech in (("t", t_basis, ech_t), ("p", p_basis, ech_p)):
+        for k, v in enumerate(vecs):
+            if not ech.add(v):
+                raise VerificationError(
+                    "dependent vectors in t or p", witness={"part": part, "index": k}
+                )
     total = Echelon()
     for v in t_basis + p_basis:
         total.add(v)
     if total.rank != L.dim or len(t_basis) + len(p_basis) != L.dim:
-        raise VerificationError("t + p is not a direct sum decomposition")
+        raise VerificationError(
+            "t + p is not a direct sum decomposition",
+            witness={"dim_t": len(t_basis), "dim_p": len(p_basis),
+                     "rank": total.rank, "dim": L.dim},
+        )
     for name, left, right, target in (
         ("[t,t] in t", t_basis, t_basis, ech_t),
         ("[t,p] in p", t_basis, p_basis, ech_p),
@@ -804,9 +802,12 @@ def verify_cartan_decomposition(
     ):
         for i, u in enumerate(left):
             start = i + 1 if left is right else 0
-            for v in right[start:]:
-                if not target.contains(L.bracket(u, v)):
-                    raise VerificationError(f"bracket condition {name} fails")
+            for j in range(start, len(right)):
+                if not target.contains(L.bracket(u, right[j])):
+                    raise VerificationError(
+                        f"bracket condition {name} fails",
+                        witness={"condition": name, "pair": [i, j]},
+                    )
     if killing is None:
         killing = killing_form(L)
 
@@ -825,9 +826,13 @@ def verify_cartan_decomposition(
     sig_t = sylvester_signature(gram(t_basis))
     sig_p = sylvester_signature(gram(p_basis))
     if sig_t != (0, len(t_basis), 0):
-        raise VerificationError(f"Killing form not negative definite on t: {sig_t}")
+        raise VerificationError(
+            f"Killing form not negative definite on t: {sig_t}", witness={"signature": list(sig_t)}
+        )
     if sig_p != (len(p_basis), 0, 0):
-        raise VerificationError(f"Killing form not positive definite on p: {sig_p}")
+        raise VerificationError(
+            f"Killing form not positive definite on p: {sig_p}", witness={"signature": list(sig_p)}
+        )
     return {
         "dim_t": len(t_basis),
         "dim_p": len(p_basis),
@@ -835,32 +840,3 @@ def verify_cartan_decomposition(
         "killing_on_t": sig_t,
         "killing_on_p": sig_p,
     }
-
-
-# ---------------------------------------------------------------------------
-# sl2 triples
-
-
-def sl2_triple(
-    datum: RootDatum, cov: Covector
-) -> Tuple[SparseVec, SparseVec, SparseVec]:
-    """(e, f, h) with [e,f] = h, [h,e] = 2e, [h,f] = -2f for a
-    one-dimensional root space."""
-    L = datum.lie
-    space = datum.space_of(cov)
-    opp = datum.space_of(cov_neg(cov))
-    if space.dim != 1 or opp.dim != 1:
-        raise ConstructionError("sl2 normalization needs 1-dimensional spaces")
-    e = space.basis[0]
-    f0 = opp.basis[0]
-    coords = SpanSolver(datum.hs).coords_sparse(L.bracket(e, f0))
-    if coords is None:
-        raise VerificationError("[e, f] left the Cartan span")
-    val = sum((c * cov[k] for k, c in coords.items()), ZERO)
-    if not val:
-        raise VerificationError("root vanishes on [e, f]")
-    f = combine([(Scalar(2) / val, f0)])
-    h = L.bracket(e, f)
-    if L.bracket(h, e) != combine([(Scalar(2), e)]):
-        raise VerificationError("sl2 normalization failed")
-    return e, f, h

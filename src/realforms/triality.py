@@ -41,7 +41,7 @@ from .linalg import (
     transpose,
 )
 from .lie import LieAlgebra, lie_from_fn
-from .scalars import HALF, ONE, ZERO
+from .scalars import HALF, ONE, ZERO, Scalar
 
 Triple = Tuple[SparseMatrix, SparseMatrix, SparseMatrix]
 
@@ -107,6 +107,20 @@ class TrialityAlgebra:
                 witness={"coefs": {str(j): x.to_str() for j, x in coefs.items()}},
             )
         return c
+
+    def conjugate(self, k: int, phi: List[Tuple[int, Scalar]]) -> SparseVec:
+        """Coordinates of (phi d0 phi^-1, phi d1 phi^-1, phi d2 phi^-1) for
+        the basis triple b_k, where phi(e_a) = s e_b for (b, s) = phi[a].
+        Raises, through `coords_of_triple`, when the conjugate leaves tri."""
+
+        def conj(m: SparseMatrix) -> SparseMatrix:
+            out: SparseMatrix = [{} for _ in m]
+            for p, row in enumerate(m):
+                pp, sp = phi[p]
+                out[pp] = {phi[q][0]: sp * phi[q][1] * x for q, x in row.items()}
+            return out
+
+        return self.coords_of_triple(tuple(map(conj, self.basis[k])))  # type: ignore[arg-type]
 
     def component_maps(self, coords: SparseVec) -> Triple:
         n = self.comp.dim

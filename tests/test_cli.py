@@ -346,7 +346,7 @@ def test_config_eps_is_normalised_and_checked_on_read(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # golden output: sha256 of the stdout of two e6 builds, of the two Okubo
 # algebras (whose constants carry sqrt3 and i), and of a root decomposition,
-# a Satake table and a Cartan decomposition report; a change to the scalar
+# a Satake table and two Cartan decomposition reports; a change to the scalar
 # or vector representation or to the renderer must not move a byte
 
 
@@ -362,7 +362,9 @@ GOLDEN_SHA256 = {
     ("satake", "e6p2", "--format", "json"):
         "67ba60a4ef34e291ed60160a5de55182904d18c9ad96e222a0a5897804afb7b7",
     ("roots", "verify-cartan-decomp", "--model", "e6p2"):
-        "397d96734dcb43b017074942224313b985c1ecda3d88fcbe5d53c57d6c18ffaa",
+        "1e48b483e045c6452442ef64c123ca6b9f7625d77ce6757efeae88eb665d7e55",
+    ("roots", "verify-cartan-decomp", "--model", "e6p6"):
+        "b9fa262adde652e21cadcfa262923b3e569511e67057f981ce53c36ba99b6333",
 }
 
 

@@ -7,6 +7,7 @@ from realforms.algebras import albert, symmetric_composition
 from realforms.constructions import (
     check_rho_homomorphism,
     derivation_model,
+    induced_automorphism,
     magic_square,
     rho_images,
 )
@@ -254,3 +255,12 @@ def test_model78_derivations_kill_unit(model78):
     unit = alg.table.unit
     for m in (model78.rho[3], model78.rho[33]):
         assert apply(m, unit) == {}
+
+
+def test_induced_automorphism_rejects_a_non_automorphism(get_build):
+    # e1 <-> u1, e2 <-> v1 preserves the norm of pOs but not its product,
+    # so conjugating tri(pOs) by it leaves tri
+    square = get_build("e6p2").square
+    swap = {"e1": "u1", "u1": "e1", "e2": "v1", "v1": "e2"}
+    with pytest.raises(VerificationError, match="not a triality element"):
+        induced_automorphism(square, swap, {}, (1, 1, 1))

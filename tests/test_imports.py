@@ -195,11 +195,12 @@ def verification_raises(obj):
     [
         (triality, 5),
         (lie, 5),
-        (pipeline.run_satake, 6),
+        (pipeline, 9),
         (rootspace.split_indices, 1),
         (rootspace._restricted_matrix, 1),
         (rootspace.eigen_split, 2),
         (rootspace.verify_simple_basis, 2),
+        (rootspace.verify_cartan_decomposition, 6),
         (rootspace._integer_coords, 2),
     ],
     ids=lambda x: getattr(x, "__name__", str(x)).rpartition(".")[2],

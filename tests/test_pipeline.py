@@ -10,7 +10,6 @@ import json
 import pytest
 
 from realforms import pipeline
-from realforms.constructions import psi_automorphism
 from realforms.errors import ConstructionError, VerificationError
 from realforms.linalg import combine
 from realforms.pipeline import (
@@ -33,7 +32,6 @@ from realforms.rootspace import (
     restricted_multiplicities,
     root_decomposition,
     simple_coords,
-    sl2_triple,
     split_indices,
     verify_simple_basis,
 )
@@ -361,19 +359,6 @@ def test_preset_table_mismatch(get_build, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sl2 normalization inside a big algebra
-
-
-def test_sl2_triples_eiv(get_satake):
-    res = get_satake("EIV")
-    L = res.build.lie
-    alpha = res.simple[1]
-    e, f, h = sl2_triple(res.datum, alpha)
-    assert L.bracket(h, e) == combine([(sc(2), e)])
-    assert L.bracket(h, f) == combine([(sc(-2), f)])
-
-
-# ---------------------------------------------------------------------------
 # Cartan decompositions
 
 
@@ -395,10 +380,24 @@ def test_cartan_decomposition_eii(get_cartan_report):
     report = get_cartan_report("e6p2")
     assert (report["dim_t"], report["dim_p"]) == (38, 40)
     assert report["dim_p_outside_cartan"] == 36
-    assert report["phi_type"] == "F4"
-    assert report["phi_positive"] == 24
-    assert report["phi_positive_per_block"] == [4, 4, 4]
+    assert report["cartan_in_p"] == [0, 1, 2, 3]
     assert report["signature"] == 2
+
+
+def test_cartan_decomposition_ei(get_cartan_report):
+    report = get_cartan_report("e6p6")
+    assert (report["dim_t"], report["dim_p"]) == (36, 42)
+    assert report["signature"] == 6
+    assert report["killing_on_t"] == (0, 36, 0)
+    assert report["killing_on_p"] == (42, 0, 0)
+    assert report["cartan_in_p"] == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("name", ["EIV", "EIII", "EII", "EI"])
+def test_cartan_in_p_is_the_derived_split_part(get_satake, get_cartan_report, name):
+    # theta h = -h exactly on the h_k that split_indices reads off the roots
+    key = PRESET_MODEL[name]
+    assert get_cartan_report(key)["cartan_in_p"] == list(get_satake(key).a_idx)
 
 
 def test_cartan_decomposition_checks_killing_signature(get_build):
@@ -409,44 +408,32 @@ def test_cartan_decomposition_checks_killing_signature(get_build):
     assert exc.value.witness == (-14, 14)
 
 
+def test_cartan_generator_in_neither_t_nor_p_is_witnessed(monkeypatch, get_build):
+    # h1 lies in t and h5 in p for e6m14, so h1 + h5 is in neither
+    def mixed(build):
+        spec = preset_cartan(build)
+        spec.hs[0] = combine([(ONE, spec.hs[0]), (ONE, spec.hs[4])])
+        return spec
+
+    monkeypatch.setattr(pipeline, "preset_cartan", mixed)
+    with pytest.raises(VerificationError, match="h1 lies in neither t nor p") as exc:
+        cartan_decomposition_report("e6m14", get_build("e6m14"))
+    assert exc.value.witness == {"h": 0}
+
+
+def test_certify_wrong_signature_is_witnessed(get_build):
+    with pytest.raises(VerificationError, match="does not match expected 14") as exc:
+        pipeline.certify(get_build("e6m14").lie, 14, "e6m14")
+    assert json.loads(json.dumps(exc.value.witness)) == {
+        "signature": [32, 46, 0], "expected": 14
+    }
+
+
 def test_cartan_decomposition_unknown_model(get_build):
     from realforms.pipeline import cartan_decomposition_report
 
     with pytest.raises(ConstructionError):
         cartan_decomposition_report("e6m78")
-
-
-# ---------------------------------------------------------------------------
-# the Psi rotations
-
-
-def test_psi_squares(get_build):
-    # Psi_1 is -id on its own block, so it squares to +id there and on the
-    # tri part, and to -id on the two rotated blocks
-    build = get_build("e6p2")
-    square = build.obj
-    psi = psi_automorphism(square, 1)
-    ns, nsp = square.s.dim, square.sp.dim
-    block1 = range(
-        square.iota_index(1, 0, 0), square.iota_index(1, ns - 1, nsp - 1) + 1
-    )
-    for k in range(build.lie.dim):
-        v = build.lie.basis_vec(k)
-        twice = psi.apply_sparse(psi.apply_sparse(v))
-        if k < square.iota_offset or k in block1:
-            assert twice == v
-        else:
-            assert twice == combine([(sc(-1), v)])
-
-
-def test_psi_sample_action(get_build):
-    build = get_build("e6p2")
-    square = build.obj
-    psi = psi_automorphism(square, 1)
-    src = square.iota_index(0, 3, 0)
-    dst = square.iota_index(0, 3, 1)
-    got = psi.apply_sparse(build.lie.basis_vec(src))
-    assert got == combine([(sc(-1), build.lie.basis_vec(dst))])
 
 
 # ---------------------------------------------------------------------------

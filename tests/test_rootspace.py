@@ -1,8 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realforms.rootspace as rootspace_mod
+from realforms import pipeline
 from realforms.cli import _jsonable
 from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import LieAlgebra, lie_from_fn
@@ -35,7 +38,6 @@ from realforms.rootspace import (
     restricted_multiplicities,
     root_decomposition,
     simple_coords,
-    sl2_triple,
     strip_torus_part,
     verify_cartan_decomposition,
     verify_simple_basis,
@@ -308,15 +310,6 @@ def test_root_decomposition_of_a_subspace():
         root_decomposition(L, [L.basis_vec(0)], subspace=[1, 3], name="bad")
 
 
-def test_sl2_triple_normalization():
-    L = sl2()
-    datum = root_decomposition(L, [L.basis_vec(0)], name="sl2")
-    e, f, h = sl2_triple(datum, cov(2))
-    assert L.bracket(e, f) == h
-    assert L.bracket(h, e) == combine([(sc(2), e)])
-    assert L.bracket(h, f) == combine([(sc(-2), f)])
-
-
 # ---------------------------------------------------------------------------
 # Cartan matrices and classification
 
@@ -572,6 +565,57 @@ def test_verify_cartan_decomposition_rejects_non_subalgebra():
     # t = span(e) is a subalgebra but [t, p] leaves p
     with pytest.raises(VerificationError):
         verify_cartan_decomposition(L, [e], [h, f])
+
+
+def test_verify_cartan_decomposition_rejects_compact_p():
+    # the rotation by pi about x is an involution of so3, but the Killing
+    # form is negative on its -1 eigenspace too
+    L = so3()
+    with pytest.raises(VerificationError, match="not positive definite on p") as info:
+        verify_cartan_decomposition(L, [L.basis_vec(0)], [L.basis_vec(1), L.basis_vec(2)])
+    assert info.value.witness == {"signature": [0, 2, 0]}
+
+
+# mutations of the certified e6p2 decomposition (t and p the eigenspaces
+# of theta) reach each remaining failure, with a JSON witness
+
+
+@pytest.mark.parametrize(
+    "mutate,match,witness",
+    [
+        (lambda t, p: (t + t[:1], p), "dependent vectors", {"part": "t", "index": 38}),
+        (
+            lambda t, p: (t, p[1:]),
+            "not a direct sum",
+            {"dim_t": 38, "dim_p": 39, "rank": 77, "dim": 78},
+        ),
+        (
+            lambda t, p: (t + p[:1], p[1:]),
+            r"\[t,t\] in t fails",
+            {"condition": "[t,t] in t", "pair": [0, 38]},
+        ),
+    ],
+    ids=["duplicated t vector", "p vector dropped", "p vector moved into t"],
+)
+def test_verify_cartan_decomposition_mutations_are_witnessed(
+    monkeypatch, get_build, mutate, match, witness
+):
+    def mutated(L, t, p, killing):
+        return verify_cartan_decomposition(L, *mutate(t, p), killing=killing)
+
+    monkeypatch.setattr(pipeline, "verify_cartan_decomposition", mutated)
+    with pytest.raises(VerificationError, match=match) as info:
+        pipeline.cartan_decomposition_report("e6p2", get_build("e6p2"))
+    assert json.loads(json.dumps(info.value.witness)) == witness
+
+
+def test_indefinite_grading_is_witnessed(monkeypatch, get_build):
+    # e6m14's block signs on e6p2: an automorphism of order 2 whose Killing
+    # form is indefinite on t, so not a Cartan involution
+    monkeypatch.setitem(pipeline.CARTAN_THETA, "e6p2", ({}, {}, (-1, 1, -1)))
+    with pytest.raises(VerificationError, match="not negative definite on t") as info:
+        pipeline.cartan_decomposition_report("e6p2", get_build("e6p2"))
+    assert info.value.witness == {"signature": [24, 22, 0]}
 
 
 # ---------------------------------------------------------------------------
