@@ -35,7 +35,6 @@ from .pipeline import (
     cartan_decomposition_report,
     certify,
     compact_diagram,
-    preset_cartan,
     run_satake,
     signature_table,
     table_rows,
@@ -43,7 +42,7 @@ from .pipeline import (
 from .rootspace import cov_key, restricted_multiplicities, root_decomposition, split_indices
 from .scalars import Scalar
 
-_CONFIG_KEYS = ("model", "s", "sp", "eps", "cartan", "format", "out", "only")
+_CONFIG_KEYS = ("model", "s", "sp", "eps", "format", "out", "only")
 
 
 def read_config(path: str) -> Dict[str, object]:
@@ -235,8 +234,6 @@ def _model_key(name: Optional[str]) -> str:
 
 def cmd_roots(args: argparse.Namespace) -> int:
     key = _model_key(args.model)
-    if args.cartan != "preset":
-        raise ConstructionError("only --cartan preset is supported")
     if args.action == "verify-cartan-decomp":
         rep = cartan_decomposition_report(key)
         rep2 = {
@@ -245,8 +242,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
         _emit(_dump(rep2), args.out, f"{key}.cartan-decomp.json")
         return 0
     build = build_model(key)
-    cartan = preset_cartan(build)
-    datum = root_decomposition(build.lie, cartan.hs, name=key)
+    datum = root_decomposition(build.lie, build.cartan.hs, name=key)
     a_idx = split_indices(datum)
     if args.action == "restricted":
         rmult = restricted_multiplicities(datum, a_idx)
@@ -273,7 +269,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
         )
     data = {
         "model": key,
-        "cartan": cartan.label,
+        "cartan": build.spec.satake_preset,
         "a_indices": list(a_idx),
         "roots": len(datum.spaces),
         "zero_dim": datum.zero.dim,
@@ -402,7 +398,6 @@ def make_parser() -> argparse.ArgumentParser:
         "action", choices=("decompose", "restricted", "verify-cartan-decomp")
     )
     p.add_argument("--model", default=None, help="model key (or set in --config)")
-    p.add_argument("--cartan", default=None, help="preset (the default)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_roots)
 
@@ -429,7 +424,7 @@ def make_parser() -> argparse.ArgumentParser:
     return top
 
 
-_DEFAULTS = {"format": "ascii", "sp": "R", "eps": "1,1,1", "cartan": "preset"}
+_DEFAULTS = {"format": "ascii", "sp": "R", "eps": "1,1,1"}
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:

@@ -1,20 +1,20 @@
-"""Named models, Cartan presets, and the end-to-end Satake pipelines.
+"""Named models, their Cartan involutions, and the end-to-end Satake pipelines.
 
 The registry covers the twelve signature-table cells through eight named
 models (the epsilon-twisted cells that repeat a signature reuse the same
-construction).  For the four noncompact e6 models the module ships a
-recipe for commuting Cartan generators, runs the exact decomposition,
-derives the split part and the sigma-order simple system from it, and
-prints the diagram and restricted table of that derived system.  The
-published simple systems of EIV, EIII and EII only check it.  Each of
-these models also names a Cartan involution theta; its +1 and -1
-eigenspaces are certified as a Cartan decomposition g = t + p, and each
-Cartan generator is checked to lie in t or in p.
+construction).  Each of the four noncompact e6 models names a Cartan
+involution theta.  Its +1 and -1 eigenspaces t and p are certified as a
+Cartan decomposition g = t + p, and the Cartan subalgebra is read off
+them: a maximal abelian a in p, certified by z_p(a) = a, then a maximal
+torus t_h of z_t(a).  The Satake pass decomposes g under hs = a + t_h,
+checks that the split part of the roots is exactly a, derives the
+sigma-order simple system and prints its diagram and restricted table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import symmetric_composition
@@ -41,7 +41,6 @@ from .rootspace import (
     RootDatum,
     adapted_simple_system,
     cartan_matrix,
-    certify_maximally_noncompact,
     classify_cartan_matrix,
     cov_is_zero,
     cov_key,
@@ -62,7 +61,7 @@ from .satake import (
     compact_satake,
     e6_label_order,
 )
-from .scalars import HALF, ONE, Rat, Scalar, sc
+from .scalars import ONE, Scalar
 
 # ---------------------------------------------------------------------------
 # model registry
@@ -104,6 +103,11 @@ MODELS: Dict[str, ModelSpec] = {
     ]
 }
 
+# the classical Satake labels, accepted as aliases of the model keys
+PRESET_MODEL: Dict[str, str] = {
+    m.satake_preset: m.key for m in MODELS.values() if m.satake_preset
+}
+
 
 def certify(
     lie: LieAlgebra, expected: Optional[int], what: str
@@ -137,6 +141,13 @@ class ModelBuild:
         if isinstance(self.obj, MagicSquareAlgebra):
             return self.obj
         return self.obj.square  # type: ignore[union-attr]
+
+    @cached_property
+    def cartan(self) -> "CartanData":
+        """t, p and hs of the model's Cartan involution, computed on first
+        use and shared by the Satake pass, the Cartan decomposition report
+        and `roots`."""
+        return _cartan_data(self)
 
 
 def build_model(key: str) -> ModelBuild:
@@ -209,118 +220,12 @@ def signature_table() -> List[Dict[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# Cartan presets
-
-
-@dataclass(eq=False)
-class CartanSpec:
-    label: str
-    hs: List[SparseVec]
-
-
-def _covs(rows: Sequence[Sequence[str]]) -> List[Covector]:
-    return [tuple(sc(x) for x in row) for row in rows]
-
-
-# simple systems as values on (h1..h6), verified against the decomposition
-PRESET_SIMPLE: Dict[str, List[Covector]] = {
-    "EIV": _covs([
-        ("1/2*i", "-1/2*i", "-1/2*i", "-1/2*i", "1/2", "-1"),
-        ("i", "i", "0", "0", "0", "0"),
-        ("-i", "i", "0", "0", "0", "0"),
-        ("0", "-i", "i", "0", "0", "0"),
-        ("0", "0", "-i", "i", "0", "0"),
-        ("0", "0", "0", "-i", "1/2", "1/2"),
-    ]),
-    "EIII": _covs([
-        ("-1/2*i", "-1/2*i", "-1/2*i", "-1/2*i", "-1/2", "1/2"),
-        ("-i", "0", "0", "0", "1", "0"),
-        ("0", "i", "i", "0", "0", "0"),
-        ("i", "-i", "0", "0", "0", "0"),
-        ("0", "i", "-i", "0", "0", "0"),
-        ("-1/2*i", "-1/2*i", "1/2*i", "1/2*i", "-1/2", "1/2"),
-    ]),
-    "EII": _covs([
-        ("1/2", "-1/2", "-1/2", "-1/2", "i", "-1/2*i"),
-        ("0", "1", "-1", "0", "0", "0"),
-        ("0", "0", "0", "1", "-1/2*i", "-1/2*i"),
-        ("0", "0", "1", "-1", "0", "0"),
-        ("0", "0", "0", "1", "1/2*i", "1/2*i"),
-        ("1/2", "-1/2", "-1/2", "-1/2", "-i", "1/2*i"),
-    ]),
-}
-
-PRESET_MODEL: Dict[str, str] = {
-    m.satake_preset: m.key for m in MODELS.values() if m.satake_preset
-}
-
-
-def _check_commuting(L: LieAlgebra, hs: List[SparseVec], label: str) -> None:
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            if L.bracket(hs[i], hs[j]):
-                raise ConstructionError(
-                    f"{label}: h{i + 1} and h{j + 1} do not commute"
-                )
-
-
-def preset_cartan(build: ModelBuild) -> CartanSpec:
-    key = build.spec.satake_preset
-    if key is None:
-        raise ConstructionError(
-            f"model {build.spec.key} has no Cartan preset"
-        )
-    quarter = Scalar(Rat(1, 4))
-    square: MagicSquareAlgebra = build.square
-    if key == "EIV":
-        der = build.obj.der_dim  # type: ignore[attr-defined]
-        hs = [
-            combine([(HALF, square.t_s(a, b))])
-            for a, b in ((0, 1), (2, 3), (4, 5), (6, 7))
-        ]
-        hs += [{der: Scalar(-1)}, {der + 1: Scalar(-1)}]  # E1 - E0, E0 - E2
-    elif key == "EIII":
-        tri_sp = square.tri_sp
-        sp = square.sp
-        hs = [
-            combine([(HALF, square.t_s(a, b))]) for a, b in ((2, 3), (4, 5), (6, 7))
-        ]
-        # opposite orientation of the 2-dim factor: sigma_{e1,e0} throughout
-        sigma = tri_sp.sigma_map(sp.basis_vec(1), sp.basis_vec(0))
-        neg = [{q: -x for q, x in row.items()} for row in sigma]
-        coords = tri_sp.coords_of_triple(([{}, {}], sigma, neg))
-        hs.append(combine([(quarter, square.tri_sp_vec(coords))]))
-        hs.append({square.iota_index(0, 0, 1): -HALF})
-        hs.append({square.iota_index(0, 1, 0): -HALF})
-    elif key in ("EII", "EI"):
-        # tri(S') is tri(pC) for EII and tri(pRR) for EI
-        tri_sp = square.tri_sp
-        sp = square.sp
-        hs = [
-            square.t_s(0, 1),
-            square.t_s(2, 5),
-            square.t_s(3, 6),
-            square.t_s(4, 7),
-        ]
-        sigma = tri_sp.sigma_map(sp.basis_vec(0), sp.basis_vec(1))
-        neg2 = [{q: -(x + x) for q, x in row.items()} for row in sigma]
-        for triple in ((sigma, sigma, neg2), (sigma, neg2, sigma)):
-            coords = tri_sp.coords_of_triple(triple)
-            hs.append(combine([(quarter, square.tri_sp_vec(coords))]))
-    else:
-        raise ConstructionError(f"unknown preset {key!r}")
-    _check_commuting(build.lie, hs, key)
-    return CartanSpec(key, hs)
-
-
-# ---------------------------------------------------------------------------
 # Satake pipeline
 
 
 @dataclass(eq=False)
 class SatakeResult:
     build: ModelBuild
-    cartan: CartanSpec
     datum: RootDatum
     a_idx: Tuple[int, ...]
     simple: List[Covector]
@@ -330,8 +235,8 @@ class SatakeResult:
     checks: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def preset_key(self) -> str:
-        return self.cartan.label
+    def preset_key(self) -> Optional[str]:
+        return self.build.spec.satake_preset
 
 
 def _delta0_data(
@@ -357,23 +262,13 @@ def _bourbaki_order(simple: List[Covector], cm: List[List[int]]) -> List[Covecto
     return min(ordered, alt, key=lambda o: tuple(cov_key(c) for c in o))
 
 
-def _satake_pair(
-    datum: RootDatum, a_idx: Sequence[int], simple: List[Covector], sig: int
-) -> Tuple[SatakeDiagram, RestrictedTable]:
-    """The Satake diagram (which certifies `simple` as a simple system of
-    the roots) and the restricted table of one simple system."""
-    diagram = build_satake(datum, a_idx, simple, meta={"signature": sig})
-    return diagram, build_restricted_table(datum, a_idx, simple)
-
-
 def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
-    """Satake data of the sigma-order simple system of the certified root
-    decomposition.  A published simple system, where the model has one,
-    is only a cross-check: same diagram and table up to relabelling."""
+    """Satake data of the sigma-order simple system of the root
+    decomposition under the model's hs = a + t_h."""
     key = PRESET_MODEL.get(key, key)
     if build is None:
         build = build_model(key)
-    cartan = preset_cartan(build)
+    cartan = build.cartan
     datum = root_decomposition(build.lie, cartan.hs, name=key)
     wide = [s for s in datum.spaces if s.dim != 1]
     if wide:
@@ -400,6 +295,12 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         )
     roots = datum.root_set()
     a_idx = split_indices(datum)
+    if a_idx != tuple(range(len(cartan.a))):
+        raise VerificationError(
+            f"{key}: the roots are real on h_k for k in {list(a_idx)}, "
+            f"not on the {len(cartan.a)} vectors of a",
+            witness={"split_indices": list(a_idx), "a": list(range(len(cartan.a)))},
+        )
     adapted = adapted_simple_system(datum, a_idx)
     cm = cartan_matrix(adapted, roots)
     delta_type = classify_cartan_matrix(cm)
@@ -410,7 +311,8 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         )
     simple = _bourbaki_order(adapted, cm)
     sig = build.signature[0] - build.signature[1]
-    diagram, table = _satake_pair(datum, a_idx, simple, sig)
+    diagram = build_satake(datum, a_idx, simple, meta={"signature": sig})
+    table = build_restricted_table(datum, a_idx, simple)
     d0_count, d0_type = _delta0_data(datum, a_idx, simple)
     checks: Dict[str, object] = {
         "roots": len(datum.spaces),
@@ -428,35 +330,16 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         "real_rank": len(a_idx),
         "rank_identity": 6
         == len(a_idx) + len(diagram.arrows) + len(diagram.filled_indices()),
-        "maximally_noncompact": certify_maximally_noncompact(
-            datum, a_idx, build.lie.dim, sig
-        ),
+        "maximally_noncompact": cartan.maximally_noncompact,
     }
-    preset = PRESET_SIMPLE.get(cartan.label)
-    if preset is not None:
-        for k, s in enumerate(preset):
-            if s not in roots:
-                raise VerificationError(
-                    f"{key}: preset simple root {s} not a root",
-                    witness={"index": k, "covector": [x.to_str() for x in s]},
-                )
-        pair = _satake_pair(datum, a_idx, preset, sig)
-        for what, mine, theirs in zip(("diagram", "table"), (diagram, table), pair):
-            if mine.canonical_key() != theirs.canonical_key():
-                raise VerificationError(
-                    f"{key}: adapted basis {what} differs from preset",
-                    witness={"derived": mine.to_json_dict(),
-                             "preset": theirs.to_json_dict()},
-                )
-        checks["auto_matches_preset"] = True
-    if cartan.label == "EIII":
+    if build.spec.satake_preset == "EIII":
         top = highest_root(roots, simple)
         checks["highest_root_coords"] = simple_coords(top, simple)
         checks["highest_root_restricted_mult"] = restricted_multiplicities(
             datum, a_idx
         )[restrict_covector(top, a_idx)]
     return SatakeResult(
-        build, cartan, datum, a_idx, simple, delta_type, diagram, table, checks
+        build, datum, a_idx, simple, delta_type, diagram, table, checks
     )
 
 
@@ -490,25 +373,91 @@ def cartan_involution(build: ModelBuild) -> SparseMatrix:
     return rows
 
 
-def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) -> Dict[str, object]:
-    """Certify t = ker(theta - 1) and p = ker(theta + 1) as a Cartan
-    decomposition (`verify_cartan_decomposition`) whose signature is the
-    certified Killing signature.  Each preset Cartan generator h_k must
-    satisfy theta h = h or theta h = -h; `cartan_in_p` lists the k with
-    theta h_k = -h_k."""
-    key = PRESET_MODEL.get(key, key)
-    if build is None:
-        build = build_model(key)
+@dataclass(eq=False)
+class CartanData:
+    """The eigenspaces t (+1) and p (-1) of theta, and the theta-stable
+    Cartan subalgebra hs = a + t_h read off them: a is maximal abelian in
+    p, and t_h is a maximal abelian subalgebra of z_t(a)."""
+
+    t: List[SparseVec]
+    p: List[SparseVec]
+    a: List[SparseVec]
+    t_h: List[SparseVec]
+    maximally_noncompact: Dict[str, int]
+
+    @property
+    def hs(self) -> List[SparseVec]:
+        return self.a + self.t_h
+
+
+def _centraliser(L: LieAlgebra, xs: List[SparseVec], basis: List[SparseVec]) -> List[SparseVec]:
+    """A basis of the elements of span(basis) that commute with every x in
+    xs: one nullspace over the coordinates of `basis`."""
+    rows: Dict[Tuple[int, int], SparseVec] = {}
+    for j, x in enumerate(xs):
+        for k, b in enumerate(basis):
+            for q, v in L.bracket(x, b).items():
+                rows.setdefault((j, q), {})[k] = v
+    return [
+        combine((c, basis[k]) for k, c in vec.items())
+        for vec in nullspace(rows.values(), len(basis))
+    ]
+
+
+def _maximal_abelian(L: LieAlgebra, basis: List[SparseVec]) -> List[SparseVec]:
+    """A maximal abelian subspace of span(basis), grown greedily: each step
+    adds the sparsest vector of its centraliser that lies outside it."""
+    hs: List[SparseVec] = []
+    span = Echelon()
+    while True:
+        fresh = [v for v in _centraliser(L, hs, basis) if not span.contains(v)]
+        if not fresh:
+            return hs
+        hs.append(min(fresh, key=len))
+        span.add(hs[-1])
+
+
+def certify_maximal_abelian(
+    L: LieAlgebra, a: List[SparseVec], p: List[SparseVec]
+) -> Dict[str, int]:
+    """Certify that the abelian a is maximal abelian in p: its centraliser
+    z_p(a) has the dimension of a, so it is a (Knapp, Lie Groups Beyond an
+    Introduction, VI.6)."""
+    z = _centraliser(L, a, p)
+    if len(z) != len(a):
+        raise VerificationError(
+            f"a is not maximal abelian in p: dim z_p(a) = {len(z)}, dim a = {len(a)}",
+            witness={"dim_a": len(a), "dim_z_p_a": len(z)},
+        )
+    return {"dim_p": len(p), "dim_z_p_a": len(z)}
+
+
+def _cartan_data(build: ModelBuild) -> CartanData:
     L = build.lie
-    theta = cartan_involution(build)
-    cols = transpose(theta)  # row i: entry i of every theta(b_k)
+    cols = transpose(cartan_involution(build))  # row i: entry i of every theta(b_k)
 
     def eigenspace(lam: Scalar) -> List[SparseVec]:
         rows = [combine([(ONE, row), (-lam, {i: ONE})]) for i, row in enumerate(cols)]
         return nullspace(rows, L.dim)
 
+    t, p = eigenspace(ONE), eigenspace(-ONE)
+    a = _maximal_abelian(L, p)
+    certificate = certify_maximal_abelian(L, a, p)
+    t_h = _maximal_abelian(L, _centraliser(L, a, t))
+    return CartanData(t, p, a, t_h, certificate)
+
+
+def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) -> Dict[str, object]:
+    """Certify t = ker(theta - 1) and p = ker(theta + 1) as a Cartan
+    decomposition (`verify_cartan_decomposition`) whose signature is the
+    certified Killing signature.  hs lists a first, so `cartan_in_p`, the
+    k with h_k in p, is 0, ..., dim a - 1."""
+    key = PRESET_MODEL.get(key, key)
+    if build is None:
+        build = build_model(key)
+    cartan = build.cartan
     report = verify_cartan_decomposition(
-        L, eigenspace(ONE), eigenspace(-ONE), killing=build.killing
+        build.lie, cartan.t, cartan.p, killing=build.killing
     )
     sig = build.signature[0] - build.signature[1]
     if report["signature"] != sig:
@@ -517,18 +466,8 @@ def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) ->
             f"differs from the Killing signature {sig}",
             witness=(report["signature"], sig),
         )
-    in_p = []
-    for k, h in enumerate(preset_cartan(build).hs):
-        image = combine((x, theta[q]) for q, x in h.items())
-        if image == combine([(-ONE, h)]):
-            in_p.append(k)
-        elif image != h:
-            raise VerificationError(
-                f"{key}: Cartan generator h{k + 1} lies in neither t nor p",
-                witness={"h": k},
-            )
-    report["cartan_in_p"] = in_p
-    report["dim_p_outside_cartan"] = report["dim_p"] - len(in_p)
+    report["cartan_in_p"] = list(range(len(cartan.a)))
+    report["dim_p_outside_cartan"] = report["dim_p"] - len(cartan.a)
     return report
 
 

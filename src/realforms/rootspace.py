@@ -614,9 +614,12 @@ def highest_root(roots: set, simple: List[Covector]) -> Covector:
         h = sum(_integer_coords(solver, simple, cov))
         if best is None or h > best_height:
             best, best_height = cov, h
-    for s in simple:
+    for k, s in enumerate(simple):
         if cov_add(best, s) in roots:
-            raise VerificationError("highest root is not maximal")
+            raise VerificationError(
+                "highest root is not maximal",
+                witness={**_simple_witness(best, simple), "index": k},
+            )
     return best
 
 
@@ -629,7 +632,10 @@ def restrict_covector(cov: Covector, a_idx: Sequence[int]) -> Covector:
     for k in a_idx:
         x = cov[k]
         if not x.is_real():
-            raise VerificationError("restriction to the split part is not real")
+            raise VerificationError(
+                "restriction to the split part is not real",
+                witness={"covector": [y.to_str() for y in cov], "h": k},
+            )
         out.append(x)
     return tuple(out)
 
@@ -657,7 +663,10 @@ def strip_torus_part(cov: Covector, a_idx: Sequence[int]) -> Covector:
             continue
         x = cov[k]
         if x.real():
-            raise VerificationError("compact-part component is not imaginary")
+            raise VerificationError(
+                "compact-part component is not imaginary",
+                witness={"covector": [y.to_str() for y in cov], "h": k},
+            )
         out.append(x.imag())
     return tuple(out)
 
@@ -672,31 +681,6 @@ def restricted_multiplicities(
             continue
         out[r] = out.get(r, 0) + s.dim
     return out
-
-
-def certify_maximally_noncompact(
-    datum: RootDatum, a_idx: Sequence[int], dim: int, signature: int
-) -> Dict[str, int]:
-    """Certify that the split part a is maximal abelian in p.
-
-    Every h must have real coordinates, so that it lies in the real form.
-    The eigenvalues on a are real, so a lies in p for some Cartan
-    involution, and dim p = dim Z_p(a) + sum over positive restricted roots
-    of their multiplicities.  Since Z_p(a) contains a, a is maximal abelian
-    in p exactly when real rank + mult_sum / 2 = dim p, and the certified
-    Killing signature gives dim p = (dim g + signature) / 2 (Knapp, Lie
-    Groups Beyond an Introduction, ch. VI).
-    """
-    for k, h in enumerate(datum.hs):
-        if not all(x.is_real() for x in h.values()):
-            raise VerificationError(f"h{k + 1} has non-real coordinates")
-    mult_sum = sum(restricted_multiplicities(datum, a_idx).values())
-    if 2 * len(a_idx) + mult_sum != dim + signature:
-        raise VerificationError(
-            f"split part is not maximal abelian in p: real rank {len(a_idx)} "
-            f"+ {mult_sum}/2 differs from dim p = ({dim} + {signature})/2"
-        )
-    return {"dim_p": (dim + signature) // 2}
 
 
 def is_nonreduced(sigma: set) -> bool:

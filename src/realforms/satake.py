@@ -284,7 +284,10 @@ def e6_label_order(diag_edges: List[Tuple[int, int]], n: int) -> List[int]:
     """`_e6_order`, raising when the graph is not E6-shaped."""
     order = _e6_order(diag_edges, n)
     if order is None:
-        raise VerificationError("diagram is not E6-shaped")
+        raise VerificationError(
+            "diagram is not E6-shaped",
+            witness={"edges": [list(e) for e in diag_edges], "nodes": n},
+        )
     return order
 
 
@@ -323,10 +326,13 @@ def build_satake(
     n = len(simple)
     labels = [f"a{k + 1}" for k in range(n)]
     cm = cartan_matrix(simple, roots)
-    for row in cm:
-        for v in row:
+    for i, row in enumerate(cm):
+        for j, v in enumerate(row):
             if v not in (2, 0, -1, -2, -3):
-                raise VerificationError(f"Cartan integer {v} out of range")
+                raise VerificationError(
+                    f"Cartan integer {v} out of range",
+                    witness={"entry": [i, j], "value": v},
+                )
     restrictions = [restrict_covector(s, a_idx) for s in simple]
     nodes = [
         SatakeNode(labels[k], cov_is_zero(restrictions[k])) for k in range(n)
@@ -343,7 +349,9 @@ def build_satake(
     real_rank = len(a_idx)
     if n != real_rank + len(arrows) + black:
         raise VerificationError(
-            f"rank identity fails: {n} != {real_rank} + {len(arrows)} + {black}"
+            f"rank identity fails: {n} != {real_rank} + {len(arrows)} + {black}",
+            witness={"rank": n, "real_rank": real_rank,
+                     "arrows": len(arrows), "black": black},
         )
     full_meta = {"real_rank": real_rank}
     if meta:

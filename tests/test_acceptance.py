@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from conftest import ACCEPTANCE_LINES
+from test_pipeline import published_pair
 
 from realforms.algebras import (
     albert,
@@ -97,9 +98,9 @@ def test_criterion_3_eiii(get_satake):
         assert c["arrows"] == [("a1", "a6")]
         assert c["sigma_type"] == "BC2"
         rmult = restricted_multiplicities(res.datum, res.a_idx)
-        assert rmult[cov("1/2", "1/2")] == 8
-        assert rmult[cov(1, 1)] == 1
-        assert rmult[cov(-1, 0)] == 6
+        assert rmult[cov(1, 1)] == 8
+        assert rmult[cov(2, 2)] == 1
+        assert rmult[cov(-2, 0)] == 6
         assert c["mult_sum"] == 60
         assert c["highest_root_coords"] == [1, 2, 2, 3, 2, 1]
         assert c["highest_root_restricted_mult"] == 1
@@ -236,5 +237,6 @@ def test_criterion_8_property_suites(get_build, get_satake):
                         continue
                     c = cartan_integer(beta, alpha, roots)
                     assert c in (-3, -2, -1, 0, 1, 2, 3)
-            # the derived adapted basis reproduced the preset diagram
-            assert res.checks["auto_matches_preset"] is True
+            # the derived adapted basis reproduced the published diagram
+            diagram, _ = published_pair(res.build, name)
+            assert res.diagram.canonical_key() == diagram.canonical_key()

@@ -284,19 +284,19 @@ def test_construct_tits_rejects_sp_and_eps(tmp_path, capsys):
     assert json.loads(out)["construction"] == "tits(pC)"
 
 
-def test_config_cartan_reaches_roots(tmp_path, capsys):
+def test_cartan_option_and_config_key_are_gone(tmp_path, capsys):
+    # hs is read off theta, so roots takes no Cartan choice
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "verify-cartan-decomp", "--model", "e6m14", "--cartan", "preset"])
+    assert exc.value.code == 1
+    assert "--cartan" in capsys.readouterr().err
     cfg = tmp_path / "job.cfg"
-    cfg.write_text("cartan = other\n")
-    code, _, err = run(
+    cfg.write_text("cartan = preset\n")
+    code, out, err = run(
         capsys, "--config", str(cfg), "roots", "restricted", "--model", "e6m14"
     )
-    assert code == 3
-    assert "only --cartan preset" in json.loads(err)["message"]
-    code, _, err = run(
-        capsys, "roots", "verify-cartan-decomp", "--model", "e6m14", "--cartan", "other"
-    )
-    assert code == 3
-    assert "only --cartan preset" in json.loads(err)["message"]
+    assert code == 4 and not out
+    assert "unknown key 'cartan'" in json.loads(err)["message"]
 
 
 def test_read_config_parser(tmp_path):
@@ -358,9 +358,9 @@ GOLDEN_SHA256 = {
     ("construct", "--s", "Ok", "--sp", "R"):
         "9054889b84aad8bf882a0ace8c903ce026edbc8691939a7b5b313c1b79bb771b",
     ("roots", "decompose", "--model", "e6m26"):
-        "193f682ee7f90e6e3eda126594acc5bb34435d004223188c708d60fa143fcf85",
+        "e9b53e52f8c9309ebfa1fd300e49351b88f51c2cba15cf10ab33b51113924821",
     ("satake", "e6p2", "--format", "json"):
-        "67ba60a4ef34e291ed60160a5de55182904d18c9ad96e222a0a5897804afb7b7",
+        "5f34b3f9dc0420b9eecc9f64b8d7df9171e1f1150a737cd26cfa9dc03a1e961a",
     ("roots", "verify-cartan-decomp", "--model", "e6p2"):
         "1e48b483e045c6452442ef64c123ca6b9f7625d77ce6757efeae88eb665d7e55",
     ("roots", "verify-cartan-decomp", "--model", "e6p6"):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from realforms import lie, pipeline, rootspace, triality
+from realforms import lie, pipeline, rootspace, satake, triality
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "realforms"
@@ -195,8 +195,13 @@ def verification_raises(obj):
     [
         (triality, 5),
         (lie, 5),
-        (pipeline, 9),
+        (pipeline, 8),
+        (satake.e6_label_order, 1),
+        (satake.build_satake, 2),
         (rootspace.split_indices, 1),
+        (rootspace.restrict_covector, 1),
+        (rootspace.strip_torus_part, 1),
+        (rootspace.highest_root, 1),
         (rootspace._restricted_matrix, 1),
         (rootspace.eigen_split, 2),
         (rootspace.verify_simple_basis, 2),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -15,7 +16,6 @@ from realforms.rootspace import (
     RootSpace,
     adapted_simple_system,
     cartan_integer,
-    certify_maximally_noncompact,
     cartan_matrix,
     classify_cartan_matrix,
     classify_restricted,
@@ -394,6 +394,19 @@ def test_highest_root_g2():
     assert top == cov(2, 3)
 
 
+def test_highest_root_not_maximal_is_witnessed():
+    # with -alpha listed as a third simple root, alpha + beta has the
+    # largest height, and alpha + beta - alpha = beta is a root
+    simple = [cov(1, 0), cov(0, 1), cov(-1, 0)]
+    with pytest.raises(VerificationError, match="highest root is not maximal") as exc:
+        highest_root(A2, simple)
+    assert exc.value.witness == {
+        "covector": ["1", "1"],
+        "simple": [["1", "0"], ["0", "1"], ["-1", "0"]],
+        "index": 2,
+    }
+
+
 def test_simple_coords_rejects_fractions():
     simple = [cov(1, 0), cov(0, 1)]
     assert simple_coords(cov(2, -3), simple) == [2, -3]
@@ -419,10 +432,12 @@ def test_restrict_and_strip():
     c = cov(1, "i", "2*i")
     assert restrict_covector(c, (0,)) == cov(1)
     assert strip_torus_part(c, (0,)) == cov(1, 2)
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="split part is not real") as exc:
         restrict_covector(c, (1,))
-    with pytest.raises(VerificationError):
+    assert exc.value.witness == {"covector": ["1", "1*i", "2*i"], "h": 1}
+    with pytest.raises(VerificationError, match="not imaginary") as exc:
         strip_torus_part(cov(1, 1), (0,))
+    assert exc.value.witness == {"covector": ["1", "1"], "h": 1}
 
 
 def test_restricted_multiplicities_fold():
@@ -488,21 +503,6 @@ def test_adapted_simple_system_g2_without_split_part():
     report = verify_simple_basis(roots, simple)
     assert (report["roots"], report["positive"]) == (12, 6)
     assert classify_cartan_matrix(cartan_matrix(simple, roots)) == "G2"
-
-
-def test_maximally_noncompact_certificate():
-    # sl3(R) with its diagonal Cartan subalgebra: dim 8, Killing signature
-    # 5 - 3 = 2, so dim p = 5 = real rank 2 + 6 roots / 2
-    datum = _dummy_datum(A2)
-    datum.hs = [{0: ONE}, {1: ONE}]
-    assert certify_maximally_noncompact(datum, (0, 1), 8, 2) == {"dim_p": 5}
-    # a one-dimensional split part is abelian in p but not maximal
-    with pytest.raises(VerificationError, match="not maximal abelian"):
-        certify_maximally_noncompact(datum, (0,), 8, 2)
-    # an h with a non-real coordinate is not in the real form
-    datum.hs = [{0: IUNIT}, {1: ONE}]
-    with pytest.raises(VerificationError, match="non-real"):
-        certify_maximally_noncompact(datum, (0, 1), 8, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +613,9 @@ def test_indefinite_grading_is_witnessed(monkeypatch, get_build):
     # e6m14's block signs on e6p2: an automorphism of order 2 whose Killing
     # form is indefinite on t, so not a Cartan involution
     monkeypatch.setitem(pipeline.CARTAN_THETA, "e6p2", ({}, {}, (-1, 1, -1)))
+    fresh = dataclasses.replace(get_build("e6p2"))  # no memoised t and p
     with pytest.raises(VerificationError, match="not negative definite on t") as info:
-        pipeline.cartan_decomposition_report("e6p2", get_build("e6p2"))
+        pipeline.cartan_decomposition_report("e6p2", fresh)
     assert info.value.witness == {"signature": [24, 22, 0]}
 
 

@@ -201,8 +201,11 @@ def test_e6_label_order_identity_shape():
 
 
 def test_e6_label_order_rejects_path():
-    with pytest.raises(VerificationError, match="E6"):
+    with pytest.raises(VerificationError, match="E6") as exc:
         e6_label_order([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 6)
+    assert exc.value.witness == {
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], "nodes": 6
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +231,20 @@ def test_build_satake_arrow_pair():
 
 
 def test_build_satake_rank_identity_guard():
-    # both roots restrict to zero but a_idx claims a split direction
-    roots = pm(cov(0, "i"), cov(0, "2*i"))
-    with pytest.raises(VerificationError):
-        build_satake(_datum(roots), (0,), [cov(0, "i"), cov(0, "2*i")])
+    # both roots of A1 + A1 restrict to zero but a_idx claims a split
+    # direction
+    roots = pm(cov(0, "i", 0), cov(0, 0, "i"))
+    with pytest.raises(VerificationError, match="rank identity fails") as exc:
+        build_satake(_datum(roots), (0,), [cov(0, "i", 0), cov(0, 0, "i")])
+    assert exc.value.witness == {"rank": 2, "real_rank": 1, "arrows": 0, "black": 2}
+
+
+def test_build_satake_rejects_cartan_integer_out_of_range():
+    # a beta + k alpha string of five roots gives <beta, alpha^vee> = -4
+    roots = pm(cov(1, 0), *(cov(k, 1) for k in range(5)))
+    with pytest.raises(VerificationError, match="Cartan integer -4 out of range") as exc:
+        build_satake(_datum(roots), (0, 1), [cov(1, 0), cov(0, 1)])
+    assert exc.value.witness == {"entry": [0, 1], "value": -4}
 
 
 # ---------------------------------------------------------------------------
