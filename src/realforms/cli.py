@@ -84,9 +84,9 @@ def _emit(text: str, out: Optional[str], filename: str) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, filename)
     try:
+        os.makedirs(out, exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:

@@ -11,13 +11,12 @@ algebra yields the 78-dimensional model used for the rank-2 real form.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebras import AlbertAlgebra, AlgebraTable, albert, symmetric_composition
 from .errors import ConstructionError, VerificationError
-from .lie import LieAlgebra, int_coords, lane_scan, lie_from_fn
+from .lie import LieAlgebra, certify_jacobi, lie_from_fn
 from .linalg import (
     Echelon,
     SparseMatrix,
@@ -235,99 +234,46 @@ def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[SparseMat
 
 
 def check_rho_homomorphism(square: MagicSquareAlgebra, R: List[SparseMatrix]) -> Dict[str, int]:
-    """[rho b_i, rho b_j] = sum_m c^m_ij rho b_m on all basis pairs i < j,
-    exactly, and rho injective; R holds the images as sparse rows.  Raises
-    with the first failing pair, in lexicographic order, as witness.
+    """[rho b_i, rho b_j] = rho [b_i, b_j] on all basis pairs i < j,
+    exactly, and rho injective; R holds the images as sparse rows.
 
-    The sums run on Python ints.  D clears the denominators of the images
-    and D_c those of the structure constants, so the identity holds exactly
-    when D_c [D R_i, D R_j] = D sum_m (D_c c^m_ij) D R_m.  Each F-entry is
-    written in integer coordinates over the Q-basis 1, sqrt3, i, i sqrt3
-    (`lie.int_coords`), which turns an F-linear map on F^n into a Q-linear
-    map on Q^4n; column r + n*s of it is column r times e_s.  Columns are
-    kept for s = 0 and for each e_s that occurs in an image or a constant:
-    only those are reached by the coordinates of a lane-0 column or by the
-    product with c^m_ij.  An F-linear map is determined by its lane-0
-    columns (column r times 1), so only those of the two sides are
-    compared.  For each left index i the products are scattered into every
-    j > i at once, through a row index (for R_i R_j) and a column index
-    (for R_j R_i) of the realified images.
+    A linear rho: g -> gl(V) is a representation exactly when the split
+    extension g + V, with V an abelian ideal and [x, v] = rho(x) v, is a
+    Lie algebra (Jacobson, Lie Algebras, 1962, ch. I), so this is
+    `certify_jacobi` on g + A.  Its Jacobi sum is ([rho b_i, rho b_j] -
+    rho [b_i, b_j]) e_q on (b_i, b_j, e_q), that of g on (b_i, b_j, b_k),
+    and 0 on a triple with two indices in A; so it also certifies g.
+
+    Witnesses: the index of the first dependent image, else the first two
+    indices (i, j) of the first failing triple.  When that triple is
+    (i, j, nb + q), (i, j) is the first failing pair in lexicographic
+    order; when it lies in g, the message names it.
     """
-    nb = len(R)
-    n = len(R[0])
+    nb, n = len(R), len(R[0])
     ech = Echelon()
-    for m in R:
-        ech.add(flatten(m))
-    if ech.rank != nb:
-        raise VerificationError("derivation images are dependent")
-    brk = square.lie.brk
-    den, lanes_r = lane_scan(x for m in R for row in m for x in row.values())
-    den_c, lanes_c = lane_scan(c for v in brk.values() for c in v.values())
-    lanes = sorted(set(lanes_r) | set(lanes_c))
-    # cols[k][r + n*s]: integer coordinates of column r of D R_k times e_s
-    cols: List[Dict[int, List[Tuple[int, int]]]] = []
-    for m in R:
-        cols.append(
-            {
-                r + n * s: int_coords(v, s, den, n)
-                for r, v in enumerate(transpose(m))
-                if v
-                for s in lanes
-            }
-        )
-    # rows[key]: (j, q, D_c w) for each lane-0 entry w of D R_j in row key;
-    # col_js[key], col_vs[key]: each j in increasing order whose D R_j has
-    # column key, and that column
-    rows: Dict[int, List[Tuple[int, int, int]]] = {}
-    col_js: Dict[int, List[int]] = {}
-    col_vs: Dict[int, List[List[Tuple[int, int]]]] = {}
-    for j, cj in enumerate(cols):
-        for key, col in cj.items():
-            col_js.setdefault(key, []).append(j)
-            col_vs.setdefault(key, []).append(col)
-        for q in range(n):
-            for key, w in cj.get(q, ()):
-                rows.setdefault(key, []).append((j, q, den_c * w))
-    for i in range(nb):
-        ci = cols[i]
-        # acc[j] keyed k*n + q: coordinate k of lane-0 column q, for j > i
-        acc: List[Dict[int, int]] = [{} for _ in range(nb)]
-        # + D_c (D R_i)(D R_j)
-        for key, col in ci.items():
-            for j, q, w in rows.get(key, ()):
-                if j > i:
-                    a = acc[j]
-                    for k, x in col:
-                        t = k * n + q
-                        a[t] = a.get(t, 0) + w * x
-        # - D_c (D R_j)(D R_i)
-        for q in range(n):
-            for key, x in ci.get(q, ()):
-                js = col_js.get(key)
-                if js:
-                    xc = den_c * x
-                    start = bisect_right(js, i)
-                    for j, col in zip(js[start:], col_vs[key][start:]):
-                        a = acc[j]
-                        for k, y in col:
-                            t = k * n + q
-                            a[t] = a.get(t, 0) - xc * y
-        for j in range(i + 1, nb):
-            a = acc[j]
-            # - D sum_m (D_c c^m_ij) (D R_m)
-            for m, c in brk.get((i, j), {}).items():
-                cm = cols[m]
-                for u, g in int_coords({0: c}, 0, den_c, 1):
-                    g *= den
-                    for q in range(n):
-                        for k, y in cm.get(q + n * u, ()):
-                            t = k * n + q
-                            a[t] = a.get(t, 0) - g * y
-            if any(a.values()):
-                raise VerificationError(
-                    f"action map fails to be a homomorphism at pair ({i}, {j})",
-                    witness=(i, j),
-                )
+    for k, m in enumerate(R):
+        if not ech.add(flatten(m)):
+            raise VerificationError("derivation images are dependent", witness={"index": k})
+
+    cols = [transpose(m) for m in R]  # cols[i][q] = rho(b_i) e_q
+
+    def fn(i: int, j: int) -> SparseVec:
+        if j < nb:
+            return square.lie.bracket_basis(i, j)
+        if i < nb:
+            return {nb + p: x for p, x in cols[i][j - nb].items()}
+        return {}
+
+    labels = list(square.lie.labels) + [f"e{q}" for q in range(n)]
+    extension = lie_from_fn(f"{square.lie.name}+A", labels, fn)
+    try:
+        certify_jacobi(extension)
+    except VerificationError as exc:
+        i, j, k = exc.witness
+        where = f"at pair ({i}, {j})" if k >= nb else f"(g fails Jacobi on ({i}, {j}, {k}))"
+        raise VerificationError(
+            f"action map fails to be a homomorphism {where}", witness=(i, j)
+        ) from exc
     return {"pairs": nb * (nb - 1) // 2}
 
 

@@ -14,10 +14,10 @@ derivation; the x with ad(x) a derivation form a subalgebra, so every
 basis triple satisfies the identity.  The sums run on Python ints: the
 table's denominators are cleared and each constant is written in integer
 coordinates over the Q-basis 1, sqrt3, i, i sqrt3 of Q(sqrt3, i)
-(`lane_scan`, `int_coords`; the rho certificate of `constructions` uses
-the same coordinates).  Every check raises VerificationError with a
-witness: the failing basis tuple, or the index or pair at which a span
-certificate fails.
+(`int_coords`).  The rho certificate of `constructions` is this one on
+the split extension g + A, which also certifies that g satisfies Jacobi.
+Every check raises VerificationError with a witness: the failing basis
+tuple, or the index or pair at which a span certificate fails.
 """
 
 from __future__ import annotations
@@ -130,26 +130,6 @@ _TIMES_BASIS = (
 )
 
 
-def lane_scan(values: Iterable[Scalar]) -> Tuple[int, List[int]]:
-    """(D, lanes) for elements of F = Q(sqrt3, i): D is the lcm of their
-    denominators, and lanes lists, in increasing order, 0 and each s such
-    that the basis element e_s of e_0..e_3 = 1, sqrt3, i, i sqrt3 occurs in
-    one of them."""
-    den = 1
-    used = {0}
-    for x in values:
-        _, b, c, d, m = x.as_ints()
-        if den % m:
-            den = lcm(den, m)
-        if b:
-            used.add(1)
-        if c:
-            used.add(2)
-        if d:
-            used.add(3)
-    return den, sorted(used)
-
-
 def int_coords(v: SparseVec, s: int, den: int, n: int) -> List[Tuple[int, int]]:
     """The nonzero integer coordinates of den * e_s * v for v in F^n, each
     keyed q + n*u for coordinate u of entry q; den must clear v's
@@ -186,7 +166,18 @@ def _integer_ad(L: LieAlgebra) -> List[IntRow]:
     column iad[j][k] itself (s = 0).
     """
     n = L.dim
-    den, lanes = lane_scan(c for v in L.brk.values() for c in v.values())
+    den, lanes = 1, {0}
+    for v in L.brk.values():
+        for x in v.values():
+            _, b, c, d, m = x.as_ints()
+            if den % m:
+                den = lcm(den, m)
+            if b:
+                lanes.add(1)
+            if c:
+                lanes.add(2)
+            if d:
+                lanes.add(3)
     iad: List[IntRow] = [{} for _ in range(n)]
     for (i, j), v in L.brk.items():
         for s in lanes:

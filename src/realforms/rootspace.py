@@ -543,7 +543,9 @@ def classify_cartan_matrix(c: List[List[int]]) -> str:
                 name = cand_name
                 break
         if name is None:
-            raise VerificationError(f"unrecognized Cartan matrix component (rank {k})")
+            raise VerificationError(
+                f"unrecognized Cartan matrix component (rank {k})", witness=sub
+            )
         names.append(name)
     names.sort(key=lambda s: (-int(s[1:]), s[0]))
     return "+".join(names)
@@ -702,7 +704,8 @@ def classify_restricted(sigma: set, simple: List[Covector]) -> str:
             name = "BC" + name[1:]
         else:
             raise VerificationError(
-                f"nonreduced system with indivisible type {name}"
+                f"nonreduced system with indivisible type {name}",
+                witness={"type": name, "simple": [[x.to_str() for x in c] for c in simple]},
             )
     return name
 

@@ -305,7 +305,9 @@ def _bonds(cm: List[List[int]]) -> List[SatakeEdge]:
             if not bond:
                 continue
             if bond not in (1, 2, 3):
-                raise VerificationError(f"bond multiplicity {bond}")
+                raise VerificationError(
+                    f"bond multiplicity {bond}", witness={"pair": [i, j], "bond": bond}
+                )
             arrow_to = None
             if bond > 1:
                 # larger |<a_j, a_i^vee>| means a_i is the shorter root

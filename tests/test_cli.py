@@ -97,6 +97,16 @@ def test_satake_out_dir(tmp_path, capsys):
     assert json.loads(text)["meta"]["signature"] == -52
 
 
+def test_out_on_an_existing_file_exit_code(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, out, err = run(capsys, "algebra", "pC", "--out", str(target))
+    assert code == 4 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "IOFormatError"
+    assert payload["exit_code"] == 4
+
+
 def test_table_ei_row_only(capsys):
     code, out, _ = run(capsys, "table", "--only", "e6p6", "--json")
     rows = json.loads(out)["rows"]
@@ -357,6 +367,8 @@ GOLDEN_SHA256 = {
     ("algebra", "Oks"): "b7f821f4cf7a9e18f425c4b87aea8961b47ae53c8055316d685d5aa165f3ca14",
     ("construct", "--s", "Ok", "--sp", "R"):
         "9054889b84aad8bf882a0ace8c903ce026edbc8691939a7b5b313c1b79bb771b",
+    ("construct", "--s", "Ok", "--tits"):
+        "d8fe6a28f197b9fbf981f4c1affa774a167111d34d17df8e917607f20dc9a741",
     ("roots", "decompose", "--model", "e6m26"):
         "e9b53e52f8c9309ebfa1fd300e49351b88f51c2cba15cf10ab33b51113924821",
     ("satake", "e6p2", "--format", "json"):

@@ -155,6 +155,16 @@ def test_rho_homomorphism_catches_corruption():
     assert info.value.witness == (0, 1)
 
 
+def test_rho_homomorphism_rejects_dependent_images():
+    s = symmetric_composition("pC")
+    square = magic_square(s, symmetric_composition("R"), (1, 1, 1))
+    R = rho_images(square, albert(s, (1, 1, 1)))
+    R[5] = [dict(row) for row in R[2]]
+    with pytest.raises(VerificationError, match="dependent") as info:
+        check_rho_homomorphism(square, R)
+    assert info.value.witness == {"index": 5}
+
+
 def naive_rho_witness(square, R):
     """The first pair i < j, in lexicographic order, on which
     [R_i, R_j] - sum_m c^m_ij R_m is nonzero, from dense Scalar matrices;

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from realforms import lie, pipeline, rootspace, satake, triality
+from realforms import constructions, lie, pipeline, rootspace, satake, triality
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "realforms"
@@ -198,6 +198,10 @@ def verification_raises(obj):
         (pipeline, 8),
         (satake.e6_label_order, 1),
         (satake.build_satake, 2),
+        (satake._bonds, 1),
+        (constructions.check_rho_homomorphism, 2),
+        (rootspace.classify_cartan_matrix, 1),
+        (rootspace.classify_restricted, 1),
         (rootspace.split_indices, 1),
         (rootspace.restrict_covector, 1),
         (rootspace.strip_torus_part, 1),

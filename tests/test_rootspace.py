@@ -363,8 +363,10 @@ def test_classify_f4_c3():
 
 
 def test_classify_rejects_garbage():
-    with pytest.raises(VerificationError, match="unrecognized"):
-        classify_cartan_matrix([[2, -4], [-4, 2]])
+    # A1 + a rank-2 component with product 16: the witness is the component
+    with pytest.raises(VerificationError, match="unrecognized") as exc:
+        classify_cartan_matrix([[2, 0, 0], [0, 2, -4], [0, -4, 2]])
+    assert exc.value.witness == [[2, -4], [-4, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +464,15 @@ def test_classify_restricted_bc2():
         cov(1, 0), cov(0, 1), cov(1, 1), cov(1, -1), cov(2, 0), cov(0, 2)
     )
     assert classify_restricted(bc2, [cov(1, -1), cov(0, 1)]) == "BC2"
+
+
+def test_nonreduced_system_of_type_a2_is_witnessed():
+    # A2 with one root doubled is nonreduced, but BC_n has a B_n indivisible part
+    sigma = A2 | pm(cov(2, 0))
+    assert is_nonreduced(sigma)
+    with pytest.raises(VerificationError, match="indivisible type A2") as exc:
+        classify_restricted(sigma, [cov(1, 0), cov(0, 1)])
+    assert exc.value.witness == {"type": "A2", "simple": [["1", "0"], ["0", "1"]]}
 
 
 def test_adapted_simple_system_mixed():

@@ -247,6 +247,14 @@ def test_build_satake_rejects_cartan_integer_out_of_range():
     assert exc.value.witness == {"entry": [0, 1], "value": -4}
 
 
+def test_build_satake_rejects_bond_multiplicity_four():
+    # alpha and beta strings of three roots each give a_12 = a_21 = -2
+    roots = pm(cov(1, 0), cov(0, 1), cov(1, 1), cov(2, 1), cov(1, 2))
+    with pytest.raises(VerificationError, match="bond multiplicity 4") as exc:
+        build_satake(_datum(roots), (0, 1), [cov(1, 0), cov(0, 1)])
+    assert exc.value.witness == {"pair": [0, 1], "bond": 4}
+
+
 # ---------------------------------------------------------------------------
 # restricted tables
 
