@@ -52,7 +52,7 @@ def read_config(path: str) -> Dict[str, object]:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOFormatError(f"cannot read config {path}: {exc}") from exc
     cfg: Dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -233,7 +233,9 @@ def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[SparseMat
     return out
 
 
-def check_rho_homomorphism(square: MagicSquareAlgebra, R: List[SparseMatrix]) -> Dict[str, int]:
+def check_rho_homomorphism(
+    square: MagicSquareAlgebra, R: List[SparseMatrix], images: Optional[SpanSolver] = None
+) -> Dict[str, int]:
     """[rho b_i, rho b_j] = rho [b_i, b_j] on all basis pairs i < j,
     exactly, and rho injective; R holds the images as sparse rows.
 
@@ -244,13 +246,17 @@ def check_rho_homomorphism(square: MagicSquareAlgebra, R: List[SparseMatrix]) ->
     rho [b_i, b_j]) e_q on (b_i, b_j, e_q), that of g on (b_i, b_j, b_k),
     and 0 on a triple with two indices in A; so it also certifies g.
 
+    Injectivity is certified by eliminating the flattened images, into
+    `images` when the caller passes an empty SpanSolver: it then reads
+    coordinates over the images with no second elimination.
+
     Witnesses: the index of the first dependent image, else the first two
     indices (i, j) of the first failing triple.  When that triple is
     (i, j, nb + q), (i, j) is the first failing pair in lexicographic
     order; when it lies in g, the message names it.
     """
     nb, n = len(R), len(R[0])
-    ech = Echelon()
+    ech = Echelon() if images is None else images.ech
     for k, m in enumerate(R):
         if not ech.add(flatten(m)):
             raise VerificationError("derivation images are dependent", witness={"index": k})
@@ -285,10 +291,10 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     square = magic_square(s, r, (1, 1, 1))
     alg = albert(s, (1, 1, 1))
     R = rho_images(square, alg)
-    check_rho_homomorphism(square, R)
+    solver = SpanSolver()
+    check_rho_homomorphism(square, R, solver)
     nd = len(R)
     n27 = alg.dim
-    solver = SpanSolver(flatten(m) for m in R)
     zs = alg.zero_trace_basis()
     traceless = SpanSolver(zs)
     lmuls = [alg.table.lmul_matrix(z) for z in zs]

@@ -14,10 +14,18 @@ derivation; the x with ad(x) a derivation form a subalgebra, so every
 basis triple satisfies the identity.  The sums run on Python ints: the
 table's denominators are cleared and each constant is written in integer
 coordinates over the Q-basis 1, sqrt3, i, i sqrt3 of Q(sqrt3, i)
-(`int_coords`).  The rho certificate of `constructions` is this one on
-the split extension g + A, which also certifies that g satisfies Jacobi.
-Every check raises VerificationError with a witness: the failing basis
-tuple, or the index or pair at which a span certificate fails.
+(`int_coords`).
+
+The generating-set argument serves three certificates: `certify_jacobi`;
+the rho certificate of `constructions`, which is `certify_jacobi` on the
+split extension g + A and so also certifies that g satisfies Jacobi; and
+`closed_subalgebra`, which proves a subspace T of a Lie algebra closed
+under the bracket: the x in T with [x, T] inside T form a subalgebra, by
+the Jacobi identity of the ambient algebra, so certifying the brackets
+of the generators certifies every bracket.  `triality` builds so(q) and
+tri(S) with it.  Every check raises VerificationError with a witness:
+the failing basis tuple, or the index or pair at which a span
+certificate fails.
 """
 
 from __future__ import annotations
@@ -253,6 +261,58 @@ def generating_set(L: LieAlgebra) -> List[int]:
                 spanning.append(w)
                 queue.extend(_ad_apply(ad_s, w) for ad_s in ads)
     return gens
+
+
+def closed_subalgebra(
+    name: str,
+    labels: List[str],
+    read: Callable[[int, int], SparseVec],
+    coords: Callable[[int, int], Optional[SparseVec]],
+    what: str,
+) -> LieAlgebra:
+    """The table of the span T of basis elements b_k of a Lie algebra,
+    certified closed under the bracket.
+
+    read(i, j) gives the coordinates of [b_i, b_j] as they are when the
+    bracket lies in T: for a fully reduced basis of T, its entries at the
+    pivot columns.  coords(i, j) gives them certified, or None when
+    [b_i, b_j] leaves T.  The table is built from `read`, and `coords` is
+    called only on the rows g of S = `generating_set(table)`, once for
+    each p != g, and must agree there.
+
+    That proves every entry.  N = {x in T : [x, T] lies in T} is a
+    subalgebra, by the Jacobi identity of the ambient algebra: for x, y in
+    N and z in T, [[x, y], z] = [x, [y, z]] - [y, [x, z]] lies in T.  N
+    contains S, and the rows of S are certified, so the closure of
+    span(S) under the ad(b_s) that `generating_set` found to be all of T
+    is the true one.  Hence N = T: every bracket lies in T, and every
+    entry read is exact.  On a failure the pairs i < j are scanned in
+    lexicographic order, and the first on which `coords` fails or
+    disagrees with `read` is the witness.
+    """
+    n = len(labels)
+    table = lie_from_fn(name, labels, read)
+    bad = next(
+        (
+            (g, p)
+            for g in generating_set(table)
+            for p in range(n)
+            if p != g and coords(g, p) != table.bracket_basis(g, p)
+        ),
+        None,
+    )
+    if bad is not None:
+        i, j = next(
+            (
+                (i, j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if coords(i, j) != table.bracket_basis(i, j)
+            ),
+            tuple(sorted(bad)),
+        )
+        raise VerificationError(f"{what} escapes the span", witness={"pair": [i, j]})
+    return table
 
 
 def _failing_pairs(

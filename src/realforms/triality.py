@@ -13,10 +13,19 @@ algebra; for S = R it vanishes.
 Everything is computed in coordinates over the basis B_k of so(q).  That
 basis and the basis b_k of tri(S) (coefficient vectors over so(q)^3) are
 both `nullspace` bases, hence fully reduced at their free columns:
-`Echelon.reduced` certifies them independent as they are, and its
-`coords` reads the coordinates of a vector in their span off those
-columns and certifies membership by recombining exactly.  The brackets of
-tri(S) come slot by slot from the structure constants of so(q), theta
+`Echelon.reduced` certifies them independent as they are.  The
+coordinates of a vector in their span are its entries at those pivot
+columns, and `coords` certifies membership by recombining exactly.
+
+Both bracket tables are read off the pivot columns alone and certified
+by `lie.closed_subalgebra`: so(q) inside gl(n), then tri(S) inside
+so(q)^3, whose brackets come slot by slot from the structure constants
+of so(q).  Only the rows of a generating set are recombined (7 of 28 for
+pO and Ok, 9 for pOs); the subspace of elements whose brackets stay in
+the span is a subalgebra, by the Jacobi identity of the ambient algebra,
+and contains that generating set, so every pair is certified.  For
+dim S = 8 every pivot of the b_k lies in the third slot, where b_k is a
+unit vector, so each entry read is one lookup in the so(q) table.  theta
 rotates the three coefficient slots, and no elimination is run.
 """
 
@@ -40,7 +49,7 @@ from .linalg import (
     nullspace,
     transpose,
 )
-from .lie import LieAlgebra, lie_from_fn
+from .lie import LieAlgebra, closed_subalgebra
 from .scalars import HALF, ONE, ZERO, Scalar
 
 Triple = Tuple[SparseMatrix, SparseMatrix, SparseMatrix]
@@ -163,24 +172,31 @@ class TrialityAlgebra:
         return out
 
 
+def _at_pivots(ech: Echelon, v: SparseVec) -> SparseVec:
+    """v's entries at the pivot columns of ech, keyed by row: the
+    coordinates of v whenever v lies in the span."""
+    piv = ech.piv
+    return {piv[c]: x for c, x in v.items() if c in piv}
+
+
 def triality(s: AlgebraTable) -> TrialityAlgebra:
     n = s.dim
+    name = f"tri({s.name})"
     orth = orthogonal_lie(s)
     no = len(orth)
     oech = _reduced([flatten(m) for m in orth], s.name)
-    # structure constants of so(q): so_brk[k][l] = coordinates of [B_k, B_l]
-    so_brk: List[List[SparseVec]] = [[{} for _ in range(no)] for _ in range(no)]
-    for k in range(no):
-        for l in range(k + 1, no):
-            c = oech.coords(flatten(commutator(orth[k], orth[l])))
-            if c is None:
-                raise VerificationError(
-                    f"tri({s.name}): so(q) commutator escapes the span",
-                    witness={"pair": [k, l]},
-                )
-            so_brk[k][l] = c
-            so_brk[l][k] = {m: -x for m, x in c.items()}
     bcols = [transpose(m) for m in orth]  # bcols[k][i] = B_k e_i
+
+    def so_brk(k: int, l: int) -> SparseVec:
+        return flatten(commutator(orth[k], orth[l]))
+
+    # the structure constants of so(q): so_ad[k][l] = coordinates of [B_k, B_l]
+    so_ad = closed_subalgebra(
+        f"so(q) of {s.name}", [f"B{k}" for k in range(no)],
+        lambda k, l: _at_pivots(oech, so_brk(k, l)),
+        lambda k, l: oech.coords(so_brk(k, l)),
+        f"{name}: so(q) commutator",
+    ).ad
     rows: List[SparseVec] = []
     for i in range(n):
         for j in range(n):
@@ -207,32 +223,46 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
         for q, x in c.items():
             sl[q // no][q % no] = x
 
-    def brk(i: int, j: int) -> SparseVec:
-        # slot by slot, [sum x_k B_k, sum y_l B_l] = sum x_k y_l [B_k, B_l]
+    # pivots[slot]: {m: row} for the pivot columns slot * no + m of the b_k
+    pivots: List[Dict[int, int]] = [{}, {}, {}]
+    for q, r in ech.piv.items():
+        pivots[q // no][q % no] = r
+
+    def brk(i: int, j: int, cols: List[Dict[int, int]]) -> SparseVec:
+        # slot by slot, [sum x_k B_k, sum y_l B_l] = sum x_k y_l [B_k, B_l];
+        # entry slot * no + m lands at key cols[slot][m], others are dropped
         acc: SparseVec = {}
         for slot, (a, b) in enumerate(zip(slots[i], slots[j])):
-            off = slot * no
+            keys = cols[slot]
+            if not keys:
+                continue
             for k, x in a.items():
-                row = so_brk[k]
+                row = so_ad[k]
                 for l, y in b.items():
-                    xy = x * y
-                    for m, z in row[l].items():
-                        q = off + m
-                        acc[q] = acc.get(q, ZERO) + xy * z
-        c = ech.coords(acc)
-        if c is None:
-            raise VerificationError(
-                f"tri({s.name}): bracket escapes the span", witness={"pair": [i, j]}
-            )
-        return c
+                    col = row.get(l)
+                    if col:
+                        xy = x * y
+                        for m, z in col.items():
+                            q = keys.get(m)
+                            if q is not None:
+                                acc[q] = acc.get(q, ZERO) + xy * z
+        return acc
 
-    lie = lie_from_fn(f"tri({s.name})", [f"t{k}" for k in range(len(sols))], brk)
+    # the full bracket over so(q)^3: every entry keeps its own index
+    every = [{m: slot * no + m for m in range(no)} for slot in range(3)]
+    lie = closed_subalgebra(
+        name,
+        [f"t{k}" for k in range(len(sols))],
+        lambda i, j: brk(i, j, pivots),
+        lambda i, j: ech.coords(brk(i, j, every)),
+        f"{name}: bracket",
+    )
     theta_rows = []
     for k, c in enumerate(sols):
         # theta(d0, d1, d2) = (d2, d0, d1): slot s of b_k moves to slot s + 1
         row = ech.coords({(q // no + 1) % 3 * no + q % no: x for q, x in c.items()})
         if row is None:
-            raise VerificationError(f"tri({s.name}): theta leaves the span", witness={"index": k})
+            raise VerificationError(f"{name}: theta leaves the span", witness={"index": k})
         theta_rows.append(row)
     basis = [
         tuple(  # type: ignore[misc]

@@ -339,6 +339,17 @@ def test_read_config_rejects_bare_line(tmp_path):
         read_config(str(cfg))
 
 
+def test_config_that_is_not_utf8_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "--config", str(cfg), "satake")
+    assert code == 4 and not out
+    error = json.loads(err)
+    assert error["error"] == "IOFormatError"
+    assert error["message"].startswith(f"cannot read config {cfg}:")
+    assert error["witness"] is None
+
+
 def test_config_eps_is_normalised_and_checked_on_read(tmp_path, capsys):
     # construct prints the eps option itself, so a config's +1 and spaces
     # must not reach the output; a bad eps fails even commands without eps

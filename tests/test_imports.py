@@ -193,8 +193,8 @@ def verification_raises(obj):
 @pytest.mark.parametrize(
     "obj,count",
     [
-        (triality, 5),
-        (lie, 5),
+        (triality, 3),
+        (lie, 6),
         (pipeline, 8),
         (satake.e6_label_order, 1),
         (satake.build_satake, 2),

@@ -11,6 +11,7 @@ from realforms.errors import VerificationError
 from realforms.lie import (
     LieAlgebra,
     certify_jacobi,
+    closed_subalgebra,
     derivation_lie_algebra,
     derivations,
     generating_set,
@@ -339,6 +340,49 @@ def test_derivation_lie_algebra_rejects_unclosed_span():
     e21 = [{}, {0: ONE}]
     with pytest.raises(VerificationError, match="commutator escapes the span") as info:
         derivation_lie_algebra("ef", [e12, e21])
+    assert json.loads(json.dumps(info.value.witness)) == {"pair": [0, 1]}
+
+
+def closure_of(L: LieAlgebra, vectors, name):
+    """closed_subalgebra on the span of vectors in L, which must be a
+    reduced basis: read takes a bracket's entries at the pivot columns,
+    coords certifies them by recombination."""
+    ech = Echelon.reduced(vectors)
+    calls = []
+
+    def read(i, j):
+        v = L.bracket(vectors[i], vectors[j])
+        return {ech.piv[c]: x for c, x in v.items() if c in ech.piv}
+
+    def coords(i, j):
+        calls.append((i, j))
+        return ech.coords(L.bracket(vectors[i], vectors[j]))
+
+    labels = [f"x{k}" for k in range(len(vectors))]
+    return closed_subalgebra(name, labels, read, coords, f"{name}: bracket"), calls
+
+
+def test_closed_subalgebra_borel_of_sl2():
+    L = sl2()
+    sub, calls = closure_of(L, [L.basis_vec(0), L.basis_vec(1)], "borel")
+    assert sub.brk == {(0, 1): {1: sc(2)}}
+    # ad(h) fixes the line of h, so both generate, and each row is certified
+    assert generating_set(sub) == [0, 1]
+    assert calls == [(0, 1), (1, 0)]
+
+
+def test_closed_subalgebra_of_sl2_is_sl2():
+    L = sl2()
+    sub, calls = closure_of(L, [L.basis_vec(k) for k in range(3)], "all")
+    assert sub.brk == L.brk
+    assert len(calls) == 2 * len(generating_set(sub))
+
+
+def test_closed_subalgebra_rejects_unclosed_span():
+    # [e, f] = h: its entry at the pivot columns of span{e, f} reads 0
+    L = sl2()
+    with pytest.raises(VerificationError, match=r"^ef: bracket escapes the span") as info:
+        closure_of(L, [L.basis_vec(1), L.basis_vec(2)], "ef")
     assert json.loads(json.dumps(info.value.witness)) == {"pair": [0, 1]}
 
 

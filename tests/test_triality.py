@@ -5,7 +5,7 @@ import pytest
 import realforms.triality as triality_mod
 from realforms.algebras import symmetric_composition
 from realforms.errors import ConstructionError, VerificationError
-from realforms.lie import certify_jacobi, killing_signature
+from realforms.lie import certify_jacobi, generating_set, killing_signature
 from realforms.linalg import SpanSolver, apply, combine, commutator, flatten, nullspace
 from realforms.scalars import HALF, ONE, ZERO, sc
 from realforms.triality import orthogonal_lie, triality
@@ -132,6 +132,48 @@ def test_tables_match_span_solver_oracle(name):
         assert tri.theta_rows[k] == solver.coords_sparse(flatten(t[2], t[0], t[1]))
 
 
+def _record_closures(monkeypatch):
+    """Record the (what, read, coords) of each closed_subalgebra call of
+    triality(); coords calls are counted per `what`."""
+    seen, calls = [], {}
+    real = triality_mod.closed_subalgebra
+
+    def recording(name, labels, read, coords, what):
+        def counted(i, j):
+            calls[what] = calls.get(what, 0) + 1
+            return coords(i, j)
+
+        seen.append((what, len(labels), read, coords))
+        return real(name, labels, read, counted, what)
+
+    monkeypatch.setattr(triality_mod, "closed_subalgebra", recording)
+    return seen, calls
+
+
+@pytest.mark.parametrize("name", ["pO", "pOs", "Ok", "pC"])
+def test_pivot_reads_match_certified_coordinates(monkeypatch, name):
+    """On every pair, the bracket read off the pivot columns equals its
+    coordinates certified by recombination, for so(q) and for tri(S)."""
+    seen, _ = _record_closures(monkeypatch)
+    triality(symmetric_composition(name))
+    assert [what for what, *_ in seen] == [
+        f"tri({name}): so(q) commutator",
+        f"tri({name}): bracket",
+    ]
+    for _, dim, read, coords in seen:
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                assert {q: x for q, x in read(i, j).items() if x} == coords(i, j)
+
+
+def test_bracket_certified_on_the_generating_rows_only(monkeypatch):
+    _, calls = _record_closures(monkeypatch)
+    tri = triality(symmetric_composition("pO"))
+    gens = generating_set(tri.lie)
+    assert len(gens) == 7
+    assert calls["tri(pO): bracket"] == len(gens) * (tri.dim - 1) == 189
+
+
 def test_coords_certify_membership():
     tri = triality(symmetric_composition("Ok"))
     b0, b3 = tri.orth.rows[0], tri.orth.rows[3]
@@ -164,13 +206,17 @@ def _patch_tri_nullspace(monkeypatch, edit):
     monkeypatch.setattr(triality_mod, "nullspace", patched)
 
 
-def test_so_q_commutator_outside_its_span_is_witnessed(monkeypatch):
+def _patch_orthogonal_lie(monkeypatch, edit):
     real = orthogonal_lie
-    monkeypatch.setattr(triality_mod, "orthogonal_lie", lambda s: real(s)[:-1])
+    monkeypatch.setattr(triality_mod, "orthogonal_lie", lambda s: edit(real(s)))
+
+
+def test_so_q_commutator_outside_its_span_is_witnessed(monkeypatch):
+    _patch_orthogonal_lie(monkeypatch, lambda basis: basis[:-1])
     with pytest.raises(VerificationError, match=r"so\(q\) commutator escapes") as err:
         triality(symmetric_composition("pO"))
-    k, l = err.value.witness["pair"]
-    assert 0 <= k < l < 27
+    assert str(err.value).startswith("tri(pO): so(q) commutator")
+    assert err.value.witness == {"pair": [15, 21]}
     json.dumps(err.value.witness)
 
 
@@ -178,9 +224,32 @@ def test_bracket_outside_the_span_is_witnessed(monkeypatch):
     _patch_tri_nullspace(monkeypatch, lambda sols: sols[:-1])
     with pytest.raises(VerificationError, match="bracket escapes the span") as err:
         triality(symmetric_composition("pO"))
-    i, j = err.value.witness["pair"]
-    assert 0 <= i < j < 27
+    assert err.value.witness == {"pair": [15, 21]}
     json.dumps(err.value.witness)
+
+
+# the witness is the first failing pair in lexicographic order, as the
+# slot-by-slot scan of every pair found it before the generating-set proof
+DROPPED = {"last": (lambda v: v[:-1], [15, 21]), "first": (lambda v: v[1:], [0, 1])}
+
+
+@pytest.mark.parametrize("which", sorted(DROPPED))
+@pytest.mark.parametrize("name", ["pO", "Ok"])
+def test_dropped_solution_witness_is_pinned(monkeypatch, name, which):
+    edit, pair = DROPPED[which]
+    _patch_tri_nullspace(monkeypatch, edit)
+    with pytest.raises(VerificationError, match=rf"^tri\({name}\): bracket escapes") as err:
+        triality(symmetric_composition(name))
+    assert err.value.witness == {"pair": pair}
+
+
+@pytest.mark.parametrize("which", sorted(DROPPED))
+def test_dropped_so_q_vector_witness_is_pinned(monkeypatch, which):
+    edit, pair = DROPPED[which]
+    _patch_orthogonal_lie(monkeypatch, edit)
+    with pytest.raises(VerificationError, match=r"^tri\(pO\): so\(q\) commutator") as err:
+        triality(symmetric_composition("pO"))
+    assert err.value.witness == {"pair": pair}
 
 
 def test_theta_outside_the_span_is_witnessed(monkeypatch):
