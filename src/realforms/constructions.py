@@ -7,6 +7,14 @@ is major.  For S' = R the square collapses to tri(S) + S^3 (dimension 52
 when dim S = 8), and that algebra acts on the 27-dimensional Jordan
 algebra by derivations; extending by the traceless part of the Jordan
 algebra yields the 78-dimensional model used for the rank-2 real form.
+
+The table of theta^k(t_{e_a, e_b}) that the iota-iota brackets read is
+held by tri(S) (`TrialityAlgebra.theta_t_table`), so squares over one S
+share it.  In
+the derivation model, rho(b_i) z is the combination of the columns of
+rho(b_i) at the support of z, and the commutators of Jordan
+multiplications are read over the images that the injectivity check of
+`check_rho_homomorphism` has already eliminated.
 """
 
 from __future__ import annotations
@@ -22,8 +30,7 @@ from .linalg import (
     SparseMatrix,
     SparseVec,
     SpanSolver,
-    add_product,
-    apply,
+    combine,
     commutator,
     flatten,
     transpose,
@@ -85,27 +92,8 @@ def magic_square(
     off_iota = nts + ntsp
     eps_s = [sc(e) for e in eps]
 
-    def theta_t_table(tri: TrialityAlgebra) -> List[List[SparseVec]]:
-        """pow[k][a * n + b] = theta^k(t_{e_a, e_b}) with n = dim tri.comp."""
-        n = tri.comp.dim
-        base: List[SparseVec] = []
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    base.append({})
-                elif b > a:
-                    base.append(tri.t_element({a: ONE}, {b: ONE}))
-                else:
-                    base.append({p: -x for p, x in base[b * n + a].items()})
-        out = [base]
-        for _ in range(2):
-            acc: List[SparseVec] = [{} for _ in base]
-            add_product(acc, out[-1], tri.theta_rows)
-            out.append(acc)
-        return out
-
-    ts_pow = theta_t_table(tri_s)
-    tsp_pow = theta_t_table(tri_sp)
+    ts_pow = tri_s.theta_t_table
+    tsp_pow = tri_sp.theta_t_table
 
     def decode(idx: int):
         if idx < nts:
@@ -293,6 +281,7 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     R = rho_images(square, alg)
     solver = SpanSolver()
     check_rho_homomorphism(square, R, solver)
+    cols = [transpose(m) for m in R]  # cols[i][q] = rho(b_i) e_q
     nd = len(R)
     n27 = alg.dim
     zs = alg.zero_trace_basis()
@@ -303,13 +292,19 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
         if j < nd:
             return square.lie.bracket_basis(i, j)
         if i < nd:
-            coords = traceless.coords_sparse(apply(R[i], zs[j - nd]))
+            # rho(b_i) z: the columns of rho(b_i) at the support of z, combined
+            image = combine((x, cols[i][q]) for q, x in zs[j - nd].items())
+            coords = traceless.coords_sparse(image)
             if coords is None:
-                raise VerificationError("bracket left the traceless subspace")
+                raise VerificationError(
+                    "bracket left the traceless subspace", witness={"pair": [i, j]}
+                )
             return {nd + k: x for k, x in coords.items()}
         coords = solver.coords_sparse(flatten(commutator(lmuls[i - nd], lmuls[j - nd])))
         if coords is None:
-            raise VerificationError("commutator of multiplications is not in the image")
+            raise VerificationError(
+                "commutator of multiplications is not in the image", witness={"pair": [i, j]}
+            )
         return coords
 
     labels = list(square.lie.labels) + ["E0-E1", "E2-E0"] + [

@@ -274,10 +274,13 @@ def eigen_split(
     m: SparseMatrix, context: str = ""
 ) -> List[Tuple[Scalar, List[SparseVec]]]:
     """(eigenvalue, kernel basis) pairs, the kernel vectors sparse;
-    dimensions must sum to dim."""
+    dimensions must sum to dim.  A 1 x 1 matrix is its own eigenvalue, a
+    Scalar and so in the field, with the whole line as eigenspace."""
     n = len(m)
     if n == 0:
         return []
+    if n == 1:
+        return [(m[0].get(0, ZERO), [{0: ONE}])]
     out = []
     covered = 0
     for lam in exact_eigenvalues(m, context):
@@ -365,7 +368,9 @@ def root_decomposition(
     the unit vectors on, is fully reduced at the largest index of each
     vector: an eigenvector is a `nullspace` vector in layer coordinates,
     so it is 1 at the pivot of the layer vector it extends and 0 at the
-    pivots of the others."""
+    pivots of the others.  `eigen_split` certifies that the eigenspaces of
+    each layer cover it, with distinct eigenvalues, so the spaces have
+    distinct covectors and their dimensions sum to the dimension."""
     idx = range(L.dim) if subspace is None else sorted(subspace)
     if not set(idx) <= set(range(L.dim)):
         raise ConstructionError(f"subspace index outside {name or L.name}")
@@ -391,10 +396,7 @@ def root_decomposition(
     if zero is None:
         zero = RootSpace(tuple([ZERO] * len(hs)), [])
     spaces.sort(key=lambda s: tuple(x.key() for x in s.covector))
-    datum = RootDatum(L, hs, spaces, zero)
-    if datum.total_dim() != len(idx):
-        raise VerificationError("decomposition lost dimensions")
-    return datum
+    return RootDatum(L, hs, spaces, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,18 @@ and contains that generating set, so every pair is certified.  For
 dim S = 8 every pivot of the b_k lies in the third slot, where b_k is a
 unit vector, so each entry read is one lookup in the so(q) table.  theta
 rotates the three coefficient slots, and no elimination is run.
+
+The magic square reads theta^k(t_{e_a, e_b}) for k = 0, 1, 2 and every
+pair of basis vectors of S.  tri(S) holds that table
+(`theta_t_table`, built on first use), and `triality_cached` keeps one
+tri(S) per algebra, so a process solves the t elements of S once however
+many squares it builds over S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .algebras import AlgebraTable
@@ -162,6 +169,27 @@ class TrialityAlgebra:
         d1 = shifted(comp.rmul_matrix(x), comp.lmul_matrix(y))
         d2 = shifted(comp.lmul_matrix(x), comp.rmul_matrix(y))
         return self.coords_of_triple((self.sigma_map(x, y), d1, d2))
+
+    @cached_property
+    def theta_t_table(self) -> List[List[SparseVec]]:
+        """table[k][a * n + b] = theta^k(t_{e_a, e_b}) for k = 0, 1, 2, with
+        n = dim comp, as zero-free coordinates; built on first use."""
+        n = self.comp.dim
+        base: List[SparseVec] = []
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    base.append({})
+                elif b > a:
+                    base.append(self.t_element({a: ONE}, {b: ONE}))
+                else:
+                    base.append({p: -x for p, x in base[b * n + a].items()})
+        out = [base]
+        for _ in range(2):
+            acc: List[SparseVec] = [{} for _ in base]
+            add_product(acc, out[-1], self.theta_rows)
+            out.append([{q: x for q, x in v.items() if x} for v in acc])
+        return out
 
     def theta(self, coords: SparseVec, power: int = 1) -> SparseVec:
         out = coords

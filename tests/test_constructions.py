@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from realforms.algebras import albert, symmetric_composition
+import realforms.constructions as constructions_mod
+import realforms.triality as triality_mod
+from realforms.algebras import AlbertAlgebra, albert, symmetric_composition
 from realforms.constructions import (
     check_rho_homomorphism,
     derivation_model,
@@ -19,7 +21,7 @@ from realforms.lie import (
     killing_form,
     killing_signature,
 )
-from realforms.linalg import apply, combine, to_dense
+from realforms.linalg import apply, combine, flatten, to_dense
 from realforms.scalars import HALF, IUNIT, ONE, SQRT3, ZERO, sc
 
 
@@ -241,6 +243,99 @@ def test_rho_homomorphism_okubo_model():
     R = model.rho
     assert check_rho_homomorphism(model.square, R) == {"pairs": 52 * 51 // 2}
     assert model.lie.dim == 78
+
+
+def test_second_square_over_a_tri_solves_no_t_element(monkeypatch):
+    """The theta-power table of t_{e_a, e_b} is held by tri(S), so only
+    the first square over S solves for the 28 t elements of tri(pO)."""
+    calls = []
+    real = triality_mod.TrialityAlgebra.t_element
+
+    def counted(self, x, y):
+        calls.append(self.comp.name)
+        return real(self, x, y)
+
+    pO, pC = symmetric_composition("pO"), symmetric_composition("pC")
+    magic_square(pO, pC, (1, 1, 1))
+    monkeypatch.setattr(triality_mod.TrialityAlgebra, "t_element", counted)
+    magic_square(pO, symmetric_composition("R"), (1, 1, 1))
+    magic_square(pO, pC, (1, -1, 1))
+    assert calls == []
+    _ = triality_mod.triality(pO).theta_t_table
+    assert calls == ["pO"] * 28
+
+
+def traceless_coords(v):
+    """Coordinates of a traceless Jordan element over E0 - E1, E2 - E0 and
+    the iota basis vectors, in closed form."""
+    out = {0: -v.get(1, ZERO), 1: v.get(2, ZERO)}
+    out.update((k - 1, x) for k, x in v.items() if k >= 3)
+    return {k: x for k, x in out.items() if x}
+
+
+@pytest.mark.parametrize("name", ["pO", "Ok"])
+def test_rho_on_traceless_part_matches_apply_oracle(request, name):
+    if name == "pO":
+        model = request.getfixturevalue("model78")
+    else:
+        model = derivation_model(symmetric_composition(name))
+    nd = model.der_dim
+    zs = model.alg.zero_trace_basis()
+    for i in range(nd):
+        for j, z in enumerate(zs, start=nd):
+            image = apply(model.rho[i], z)
+            assert model.alg.trace(image) == ZERO
+            want = {nd + k: x for k, x in traceless_coords(image).items()}
+            assert model.lie.bracket_basis(i, j) == want
+
+
+def test_rho_image_outside_the_traceless_basis_is_witnessed(monkeypatch):
+    """Replace iota_2(e_1) in the traceless basis by a second copy of
+    iota_2(e_0): the first pair (i, j), in lexicographic order, whose image
+    rho(b_i) z_j meets the lost direction fails."""
+    pC = symmetric_composition("pC")
+    full = derivation_model(pC)
+    nd, zs = full.der_dim, full.alg.zero_trace_basis()
+    lost = full.alg.iota_index(2, 1)
+    assert zs[-1] == {lost: ONE}
+    short = zs[:-1] + [zs[-2]]
+    want = next(
+        [i, j]
+        for i in range(nd)
+        for j, z in enumerate(short, start=nd)
+        if lost in apply(full.rho[i], z)
+    )
+    monkeypatch.setattr(AlbertAlgebra, "zero_trace_basis", lambda self: short)
+    with pytest.raises(VerificationError, match="left the traceless subspace") as info:
+        derivation_model(pC)
+    assert info.value.witness == {"pair": want}
+
+
+def test_commutator_outside_the_images_is_witnessed(monkeypatch):
+    """Leave the last derivation image out of the span that the
+    commutators of multiplications are read over: the first pair of the
+    traceless part whose commutator needs it fails."""
+    pC = symmetric_composition("pC")
+    full = derivation_model(pC)
+    nd, L = full.der_dim, full.lie
+    want = next(
+        [i, j]
+        for i in range(nd, L.dim)
+        for j in range(i + 1, L.dim)
+        if nd - 1 in L.bracket_basis(i, j)
+    )
+    real = constructions_mod.check_rho_homomorphism
+
+    def short_span(square, R, images):
+        report = real(square, R)
+        for m in R[:-1]:
+            images.add(flatten(m))
+        return report
+
+    monkeypatch.setattr(constructions_mod, "check_rho_homomorphism", short_span)
+    with pytest.raises(VerificationError, match="not in the image") as info:
+        derivation_model(pC)
+    assert info.value.witness == {"pair": want}
 
 
 def test_model78_structure(model78):

@@ -200,6 +200,7 @@ def verification_raises(obj):
         (satake.build_satake, 2),
         (satake._bonds, 1),
         (constructions.check_rho_homomorphism, 2),
+        (constructions.derivation_model, 2),
         (rootspace.classify_cartan_matrix, 1),
         (rootspace.classify_restricted, 1),
         (rootspace.split_indices, 1),

@@ -212,6 +212,33 @@ def test_eigen_split_dimensions():
     assert dims == {"2": 2, "-1": 1}
 
 
+@pytest.mark.parametrize("lam", [ZERO, sc("1/2") - SQRT3 * IUNIT], ids=["0", "1/2-r3*i"])
+def test_eigen_split_of_a_1x1_matrix_is_its_entry(monkeypatch, lam):
+    def no_krylov(m, context=""):
+        raise AssertionError("a 1 x 1 matrix needs no eigenvalue search")
+
+    monkeypatch.setattr(rootspace_mod, "exact_eigenvalues", no_krylov)
+    split = eigen_split(rows([[lam]]))
+    assert split == [(lam, [{0: ONE}])]
+    assert isinstance(split[0][0], Scalar)
+
+
+def test_lost_eigenvector_fails_the_coverage_check_first(monkeypatch):
+    """A kernel that loses a vector is caught inside eigen_split, so the
+    root decomposition needs no dimension check of its own."""
+    real = rootspace_mod.nullspace
+
+    def dropping(rows, n):
+        ker = real(rows, n)
+        return ker[:-1] if len(ker) > 1 else ker
+
+    monkeypatch.setattr(rootspace_mod, "nullspace", dropping)
+    L = sl2()
+    with pytest.raises(VerificationError, match="not semisimple") as exc:
+        root_decomposition(L, [{}], name="sl2")
+    assert exc.value.witness == {"covered": 2, "dim": 3}
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sets(st.integers(-3, 3), min_size=1, max_size=3))
 def test_exact_eigenvalues_of_diagonal(values):

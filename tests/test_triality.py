@@ -166,6 +166,18 @@ def test_pivot_reads_match_certified_coordinates(monkeypatch, name):
                 assert {q: x for q, x in read(i, j).items() if x} == coords(i, j)
 
 
+@pytest.mark.parametrize("name", ["pO", "pOs", "Ok", "pC"])
+def test_theta_t_table_matches_theta_of_t_elements(name):
+    tri = triality_mod.triality_cached(symmetric_composition(name))
+    n = tri.comp.dim
+    table = tri.theta_t_table
+    for a in range(n):
+        for b in range(n):
+            t = tri.t_element({a: ONE}, {b: ONE})
+            for k in range(3):
+                assert table[k][a * n + b] == tri.theta(t, k)
+
+
 def test_bracket_certified_on_the_generating_rows_only(monkeypatch):
     _, calls = _record_closures(monkeypatch)
     tri = triality(symmetric_composition("pO"))
