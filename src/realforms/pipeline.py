@@ -3,12 +3,13 @@
 The registry covers the twelve signature-table cells through eight named
 models (the epsilon-twisted cells that repeat a signature reuse the same
 construction).  Each of the four noncompact e6 models names a Cartan
-involution theta.  Its +1 and -1 eigenspaces t and p are certified as a
-Cartan decomposition g = t + p, and the Cartan subalgebra is read off
-them: a maximal abelian a in p, certified by z_p(a) = a, then a maximal
-torus t_h of z_t(a).  The Satake pass decomposes g under hs = a + t_h,
-checks that the split part of the roots is exactly a, derives the
-sigma-order simple system and prints its diagram and restricted table.
+involution theta, certified as one (`verify_cartan_decomposition`) before
+anything reads its +1 and -1 eigenspaces t and p.  The Cartan subalgebra
+is read off them: a maximal abelian a in p, certified by z_p(a) = a, then
+a maximal torus t_h of z_t(a).  The Satake pass decomposes g under
+hs = a + t_h, checks that the split part of the roots is exactly a,
+derives the sigma-order simple system and prints its diagram and
+restricted table.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .linalg import (
     nullspace,
     sylvester_signature,
     to_sparse,
-    transpose,
 )
 from .rootspace import (
     Covector,
@@ -61,7 +61,7 @@ from .satake import (
     compact_satake,
     e6_label_order,
 )
-from .scalars import ONE, Scalar
+from .scalars import ONE
 
 # ---------------------------------------------------------------------------
 # model registry
@@ -144,10 +144,15 @@ class ModelBuild:
 
     @cached_property
     def cartan(self) -> "CartanData":
-        """t, p and hs of the model's Cartan involution, computed on first
-        use and shared by the Satake pass, the Cartan decomposition report
-        and `roots`."""
-        return _cartan_data(self)
+        """The model's Cartan involution, certified on first use, and the
+        hs read off its eigenspaces t and p; shared by the Satake pass, the
+        Cartan decomposition report and `roots`."""
+        L = self.lie
+        t, p, report = verify_cartan_decomposition(L, cartan_involution(self), self.killing)
+        a = _maximal_abelian(L, p)
+        certificate = certify_maximal_abelian(L, a, p)
+        t_h = _maximal_abelian(L, _centraliser(L, a, t))
+        return CartanData(a, t_h, certificate, report)
 
 
 def build_model(key: str) -> ModelBuild:
@@ -375,15 +380,15 @@ def cartan_involution(build: ModelBuild) -> SparseMatrix:
 
 @dataclass(eq=False)
 class CartanData:
-    """The eigenspaces t (+1) and p (-1) of theta, and the theta-stable
-    Cartan subalgebra hs = a + t_h read off them: a is maximal abelian in
-    p, and t_h is a maximal abelian subalgebra of z_t(a)."""
+    """The theta-stable Cartan subalgebra hs = a + t_h read off the
+    eigenspaces t (+1) and p (-1) of theta, certified a Cartan involution
+    (`report`): a is maximal abelian in p, and t_h is a maximal abelian
+    subalgebra of z_t(a)."""
 
-    t: List[SparseVec]
-    p: List[SparseVec]
     a: List[SparseVec]
     t_h: List[SparseVec]
     maximally_noncompact: Dict[str, int]
+    report: Dict[str, object]
 
     @property
     def hs(self) -> List[SparseVec]:
@@ -432,33 +437,15 @@ def certify_maximal_abelian(
     return {"dim_p": len(p), "dim_z_p_a": len(z)}
 
 
-def _cartan_data(build: ModelBuild) -> CartanData:
-    L = build.lie
-    cols = transpose(cartan_involution(build))  # row i: entry i of every theta(b_k)
-
-    def eigenspace(lam: Scalar) -> List[SparseVec]:
-        rows = [combine([(ONE, row), (-lam, {i: ONE})]) for i, row in enumerate(cols)]
-        return nullspace(rows, L.dim)
-
-    t, p = eigenspace(ONE), eigenspace(-ONE)
-    a = _maximal_abelian(L, p)
-    certificate = certify_maximal_abelian(L, a, p)
-    t_h = _maximal_abelian(L, _centraliser(L, a, t))
-    return CartanData(t, p, a, t_h, certificate)
-
-
 def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) -> Dict[str, object]:
-    """Certify t = ker(theta - 1) and p = ker(theta + 1) as a Cartan
-    decomposition (`verify_cartan_decomposition`) whose signature is the
-    certified Killing signature.  hs lists a first, so `cartan_in_p`, the
-    k with h_k in p, is 0, ..., dim a - 1."""
+    """The report of theta's certificate as a Cartan involution, whose
+    signature must be the certified Killing signature.  hs lists a first,
+    so `cartan_in_p`, the k with h_k in p, is 0, ..., dim a - 1."""
     key = PRESET_MODEL.get(key, key)
     if build is None:
         build = build_model(key)
     cartan = build.cartan
-    report = verify_cartan_decomposition(
-        build.lie, cartan.t, cartan.p, killing=build.killing
-    )
+    report = cartan.report
     sig = build.signature[0] - build.signature[1]
     if report["signature"] != sig:
         raise VerificationError(
@@ -466,9 +453,11 @@ def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) ->
             f"differs from the Killing signature {sig}",
             witness=(report["signature"], sig),
         )
-    report["cartan_in_p"] = list(range(len(cartan.a)))
-    report["dim_p_outside_cartan"] = report["dim_p"] - len(cartan.a)
-    return report
+    return {
+        **report,
+        "cartan_in_p": list(range(len(cartan.a))),
+        "dim_p_outside_cartan": report["dim_p"] - len(cartan.a),
+    }
 
 
 # ---------------------------------------------------------------------------

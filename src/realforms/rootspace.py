@@ -20,6 +20,10 @@ form to a subsystem need not be the abstract one).  Positivity adapted to
 the split part is Araki's sigma-order: a root is positive when the first
 nonzero entry of (its restriction to a, then its torus part divided by i)
 is positive, a lexicographic order decided exactly by `Scalar.sign`.
+
+A Cartan involution is certified from its rows theta(b_k): its +1 and -1
+eigenspaces t, p fill g, are real, with Killing form negative on t and
+positive on p, and theta respects the brackets of a generating set with g.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, VerificationError
-from .lie import LieAlgebra, killing_form
+from .lie import LieAlgebra, generating_set, killing_form
 from .linalg import (
     Echelon,
     SparseMatrix,
@@ -42,6 +46,7 @@ from .linalg import (
     nullspace,
     sylvester_signature,
     to_sparse,
+    transpose,
 )
 from .scalars import HALF, ONE, ZERO, Rat, Scalar
 
@@ -108,7 +113,9 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     g = poly_gcd(a, b)
     q, r = poly_divmod(poly_mul(a, b), g)
     if r:
-        raise VerificationError("gcd does not divide the product in poly_lcm")
+        raise VerificationError(
+            "gcd does not divide the product in poly_lcm", witness=[c.to_str() for c in r]
+        )
     if q:
         inv = q[-1].inverse()
         q = [x * inv for x in q]
@@ -135,7 +142,9 @@ def poly_squarefree(p: Poly) -> Poly:
         return list(p)
     q, r = poly_divmod(p, g)
     if r:
-        raise VerificationError("gcd(p, p') does not divide p in poly_squarefree")
+        raise VerificationError(
+            "gcd(p, p') does not divide p in poly_squarefree", witness=[c.to_str() for c in r]
+        )
     return poly_normalize(q)
 
 
@@ -751,66 +760,53 @@ def adapted_simple_system(
 
 
 def verify_cartan_decomposition(
-    L: LieAlgebra,
-    t_basis: List[SparseVec],
-    p_basis: List[SparseVec],
-    killing: Optional[SparseMatrix] = None,
-) -> Dict[str, object]:
-    """Certify g = t + p for real t and p with [t,t], [p,p] in t, [t,p] in
-    p, Killing negative definite on t and positive definite on p.  Returns
-    the report; raises VerificationError on the first failed condition.  A
-    basis vector with a non-real coordinate fails, with its index in t_basis
-    followed by p_basis as witness; the other failures name the dependent
-    vector, the dimensions, the failing bracket pair or the signature."""
+    L: LieAlgebra, theta: SparseMatrix, killing: Optional[SparseMatrix] = None
+) -> Tuple[List[SparseVec], List[SparseVec], Dict[str, object]]:
+    """Certify theta, given as rows theta(b_k), as a Cartan involution of
+    L; return t = ker(theta - 1), p = ker(theta + 1) and the report.
+
+    Eigenvectors of distinct eigenvalues are independent, so dim t + dim p
+    = dim L makes g = t + p direct and theta an involution.  t and p must
+    be real.  theta[b_g, b_q] = [theta b_g, theta b_q] is checked for g in
+    `generating_set(L)` and every q: by the Jacobi identity of L, the x
+    with theta[x, y] = [theta x, theta y] for all y form a subalgebra that
+    contains the generators, so it is L: theta is an automorphism, which
+    puts [t, t] and [p, p] in t and [t, p] in p.
+    Last, the Killing form must be negative definite on t and positive
+    definite on p (Knapp, Lie Groups Beyond an Introduction, VI.2).  The
+    first failed condition raises, with the index in t followed by p of a
+    non-real vector, the dimensions, the pair (g, q) or the signature."""
+    cols = transpose(theta)  # row i: entry i of every theta(b_k)
+    t_basis, p_basis = (
+        nullspace([combine([(ONE, row), (-lam, {i: ONE})]) for i, row in enumerate(cols)], L.dim)
+        for lam in (ONE, -ONE)
+    )
+    if len(t_basis) + len(p_basis) != L.dim:
+        raise VerificationError(
+            f"theta is not an involution: dim t + dim p = {len(t_basis) + len(p_basis)} < {L.dim}",
+            witness={"dim_t": len(t_basis), "dim_p": len(p_basis), "dim": L.dim},
+        )
     for k, v in enumerate(t_basis + p_basis):
         if not all(x.is_real() for x in v.values()):
             part = "t" if k < len(t_basis) else "p"
             raise VerificationError(
                 f"basis vector {k} ({part}) has a non-real coordinate", witness=k
             )
-    ech_t, ech_p = Echelon(), Echelon()
-    for part, vecs, ech in (("t", t_basis, ech_t), ("p", p_basis, ech_p)):
-        for k, v in enumerate(vecs):
-            if not ech.add(v):
+    for g in generating_set(L):
+        for q in range(L.dim):
+            image = combine((x, theta[k]) for k, x in L.bracket_basis(g, q).items())
+            if image != L.bracket(theta[g], theta[q]):
                 raise VerificationError(
-                    "dependent vectors in t or p", witness={"part": part, "index": k}
+                    "theta is not an automorphism: theta[b_g, b_q] != [theta b_g, theta b_q]",
+                    witness={"pair": [g, q]},
                 )
-    total = Echelon()
-    for v in t_basis + p_basis:
-        total.add(v)
-    if total.rank != L.dim or len(t_basis) + len(p_basis) != L.dim:
-        raise VerificationError(
-            "t + p is not a direct sum decomposition",
-            witness={"dim_t": len(t_basis), "dim_p": len(p_basis),
-                     "rank": total.rank, "dim": L.dim},
-        )
-    for name, left, right, target in (
-        ("[t,t] in t", t_basis, t_basis, ech_t),
-        ("[t,p] in p", t_basis, p_basis, ech_p),
-        ("[p,p] in t", p_basis, p_basis, ech_t),
-    ):
-        for i, u in enumerate(left):
-            start = i + 1 if left is right else 0
-            for j in range(start, len(right)):
-                if not target.contains(L.bracket(u, right[j])):
-                    raise VerificationError(
-                        f"bracket condition {name} fails",
-                        witness={"condition": name, "pair": [i, j]},
-                    )
     if killing is None:
         killing = killing_form(L)
 
     def gram(vs: List[SparseVec]) -> SparseMatrix:
         kv: SparseMatrix = [{} for _ in vs]
         add_product(kv, vs, killing)  # row i: v_i^T K
-        return [
-            {
-                j: x
-                for j, w in enumerate(vs)
-                if (x := sum((y * w[q] for q, y in row.items() if q in w), ZERO))
-            }
-            for row in kv
-        ]
+        return [apply(kv, w) for w in vs]  # column j, which is row j
 
     sig_t = sylvester_signature(gram(t_basis))
     sig_p = sylvester_signature(gram(p_basis))
@@ -822,7 +818,7 @@ def verify_cartan_decomposition(
         raise VerificationError(
             f"Killing form not positive definite on p: {sig_p}", witness={"signature": list(sig_p)}
         )
-    return {
+    return t_basis, p_basis, {
         "dim_t": len(t_basis),
         "dim_p": len(p_basis),
         "signature": len(p_basis) - len(t_basis),

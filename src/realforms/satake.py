@@ -103,25 +103,6 @@ class SatakeDiagram:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "SatakeDiagram":
-        try:
-            raw = json.loads(text)
-            nodes = [SatakeNode(d["label"], bool(d["filled"])) for d in raw["nodes"]]
-            edges = [
-                SatakeEdge(d["a"], d["b"], d["bond"], d.get("arrow_to"))
-                for d in raw["edges"]
-            ]
-            arrows = [tuple(p) for p in raw["arrows"]]
-            meta = dict(raw.get("meta", {}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IOFormatError(f"bad Satake diagram JSON: {exc}") from exc
-        diag = cls(nodes, edges, arrows, meta)
-        for a, b in diag.arrows:
-            if diag.nodes[a].filled or diag.nodes[b].filled:
-                raise IOFormatError("arrow touches a filled node")
-        return diag
-
     # -- renderers ---------------------------------------------------------
 
     def _adjacency(self) -> Dict[int, List[int]]:
@@ -368,7 +349,9 @@ def compact_satake(diagram_type: str, meta: Optional[Dict[str, int]] = None) -> 
         "F4": ([(0, 1), (1, 2), (2, 3)], 4, [1, 2, 1], [None, 2, None]),
     }
     if diagram_type not in shapes:
-        raise VerificationError(f"no compact template for {diagram_type}")
+        raise VerificationError(
+            f"no compact template for {diagram_type}", witness={"type": diagram_type}
+        )
     pairs, n, bonds, arrow_to = shapes[diagram_type]
     nodes = [SatakeNode(f"a{k + 1}", True) for k in range(n)]
     edges = [
@@ -456,11 +439,17 @@ def build_restricted_table(
             classes.append((r, [k]))
     bbar = [r for r, _ in classes]
     verify_simple_basis(sigma, bbar)
+
+    def witness(r: Covector, members: List[int]) -> dict:
+        return {"label": labels[members[0]], "restriction": [x.to_str() for x in r]}
+
     two = Scalar(2)
     rows = []
     for r, members in classes:
         if r not in rmult:
-            raise VerificationError("restricted simple root has no multiplicity")
+            raise VerificationError(
+                "restricted simple root has no multiplicity", witness=witness(r, members)
+            )
         rows.append(
             RestrictedRow(
                 label=labels[members[0]],
@@ -471,9 +460,11 @@ def build_restricted_table(
             )
         )
     ind = indivisible_roots(sigma)
-    for r in bbar:
+    for r, members in classes:
         if r not in ind:
-            raise VerificationError("restricted simple root is divisible")
+            raise VerificationError(
+                "restricted simple root is divisible", witness=witness(r, members)
+            )
     bonds = _bonds(cartan_matrix(bbar, ind))
     sigma_type = classify_restricted(sigma, bbar)
     return RestrictedTable(rows, bonds, sigma_type, sum(rmult.values()))

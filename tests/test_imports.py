@@ -199,6 +199,8 @@ def verification_raises(obj):
         (satake.e6_label_order, 1),
         (satake.build_satake, 2),
         (satake._bonds, 1),
+        (satake.compact_satake, 1),
+        (satake.build_restricted_table, 2),
         (constructions.check_rho_homomorphism, 2),
         (constructions.derivation_model, 2),
         (rootspace.classify_cartan_matrix, 1),
@@ -210,7 +212,9 @@ def verification_raises(obj):
         (rootspace._restricted_matrix, 1),
         (rootspace.eigen_split, 2),
         (rootspace.verify_simple_basis, 2),
-        (rootspace.verify_cartan_decomposition, 6),
+        (rootspace.verify_cartan_decomposition, 5),
+        (rootspace.poly_lcm, 1),
+        (rootspace.poly_squarefree, 1),
         (rootspace._integer_coords, 2),
     ],
     ids=lambda x: getattr(x, "__name__", str(x)).rpartition(".")[2],

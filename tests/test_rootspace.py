@@ -10,7 +10,7 @@ from realforms import pipeline
 from realforms.cli import _jsonable
 from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import LieAlgebra, lie_from_fn
-from realforms.linalg import combine, to_sparse
+from realforms.linalg import to_sparse
 from realforms.rootspace import (
     RootDatum,
     RootSpace,
@@ -31,6 +31,7 @@ from realforms.rootspace import (
     poly_divmod,
     poly_eval,
     poly_gcd,
+    poly_lcm,
     poly_mul,
     poly_normalize,
     poly_squarefree,
@@ -84,6 +85,24 @@ def test_poly_squarefree_strips_multiplicity():
     assert poly_squarefree(p) == [ZERO, ONE]
     q = poly_mul(poly_mul([sc(-1), ONE], [sc(-1), ONE]), [sc(1), ONE])
     assert poly_squarefree(q) == poly_normalize(poly_mul([sc(-1), ONE], [sc(1), ONE]))
+
+
+# a gcd that divides neither input reaches the exact-division checks of
+# lcm and squarefree part, with the remainder as witness
+
+
+def test_poly_lcm_rejects_a_gcd_that_does_not_divide(monkeypatch):
+    monkeypatch.setattr(rootspace_mod, "poly_gcd", lambda a, b: [ONE, ONE])  # x + 1
+    with pytest.raises(VerificationError, match="poly_lcm") as info:
+        poly_lcm([ZERO, ONE], [sc(-1), ONE])  # lcm(x, x - 1)
+    assert info.value.witness == ["2"]  # x^2 - x = (x + 1)(x - 2) + 2
+
+
+def test_poly_squarefree_rejects_a_gcd_that_does_not_divide(monkeypatch):
+    monkeypatch.setattr(rootspace_mod, "poly_gcd", lambda a, b: [ONE, ONE])  # x + 1
+    with pytest.raises(VerificationError, match="poly_squarefree") as info:
+        poly_squarefree([ZERO, ZERO, ONE])  # x^2
+    assert info.value.witness == ["1"]  # x^2 = (x + 1)(x - 1) + 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -547,18 +566,18 @@ def test_adapted_simple_system_g2_without_split_part():
 # Cartan decomposition checks
 
 
-def add(u, v):
-    return combine([(ONE, u), (ONE, v)])
+def theta_rows(*images):
+    """theta as the rows theta(b_k) of the basis h, e, f (or x, y, z)."""
+    return [{k: sc(x) for k, x in im.items()} for im in images]
 
 
-def sub(u, v):
-    return combine([(ONE, u), (-ONE, v)])
+# theta(h, e, f) = (-h, -f, -e): t = span(e - f), p = span(h, e + f)
+SL2_THETA = theta_rows({0: -1}, {2: -1}, {1: -1})
 
 
 def test_verify_cartan_decomposition_sl2():
-    L = sl2()
-    h, e, f = L.basis_vec(0), L.basis_vec(1), L.basis_vec(2)
-    report = verify_cartan_decomposition(L, [sub(e, f)], [h, add(e, f)])
+    t, p, report = verify_cartan_decomposition(sl2(), SL2_THETA)
+    assert (t, p) == ([{1: -ONE, 2: ONE}], [{0: ONE}, {1: ONE, 2: ONE}])
     assert report["dim_t"] == 1
     assert report["dim_p"] == 2
     assert report["signature"] == 1
@@ -567,83 +586,86 @@ def test_verify_cartan_decomposition_sl2():
 
 
 def test_verify_cartan_decomposition_so3_compact():
-    L = so3()
-    report = verify_cartan_decomposition(L, [L.basis_vec(k) for k in range(3)], [])
+    t, p, report = verify_cartan_decomposition(so3(), theta_rows({0: 1}, {1: 1}, {2: 1}))
+    assert p == []
     assert report["dim_t"] == 3
     assert report["signature"] == -3
     assert report["killing_on_t"] == (0, 3, 0)
 
 
 def test_verify_cartan_decomposition_rejects_swap():
-    L = sl2()
-    h, e, f = L.basis_vec(0), L.basis_vec(1), L.basis_vec(2)
-    with pytest.raises(VerificationError):
-        verify_cartan_decomposition(L, [h, add(e, f)], [sub(e, f)])
+    # -theta: t = span(h, e + f), p = span(e - f), and h -> h, e -> f is
+    # no automorphism
+    swapped = [{k: -x for k, x in row.items()} for row in SL2_THETA]
+    with pytest.raises(VerificationError, match="not an automorphism") as info:
+        verify_cartan_decomposition(sl2(), swapped)
+    assert info.value.witness == {"pair": [0, 1]}
 
 
 def test_verify_cartan_decomposition_rejects_complex_basis():
-    """The compact form i*h, e - f, i(e + f) of sl2 as t with an empty p
-    passes every bracket and Killing condition, but sl2(R) has signature
-    (2, 1, 0): t must be real."""
+    """Ad([[0, i], [1, 0]]) (h -> -h, e -> -i f, f -> i e) is an involutive
+    automorphism of sl2 over the field, but its +1 eigenspace e - i f is
+    not real.  A linear involution with real t = span(e - f) and
+    p = span(h, e + i f), no automorphism, fails the reality check first,
+    on p, at index 1 + 1."""
     L = sl2()
-    h, e, f = L.basis_vec(0), L.basis_vec(1), L.basis_vec(2)
-    ih = combine([(IUNIT, h)])
-    t = [ih, sub(e, f), combine([(IUNIT, add(e, f))])]
+    ad_g = theta_rows({0: -1}, {2: -IUNIT}, {1: IUNIT})
     with pytest.raises(VerificationError, match="non-real") as info:
-        verify_cartan_decomposition(L, t, [])
+        verify_cartan_decomposition(L, ad_g)
     assert info.value.witness == 0
+    mixed = theta_rows({0: -1}, {1: IUNIT, 2: -ONE - IUNIT}, {1: IUNIT - ONE, 2: -IUNIT})
     with pytest.raises(VerificationError, match="non-real") as info:
-        verify_cartan_decomposition(L, [sub(e, f)], [add(e, f), ih])
+        verify_cartan_decomposition(L, mixed)
     assert info.value.witness == 2
 
 
 def test_verify_cartan_decomposition_rejects_non_subalgebra():
-    L = sl2()
-    h, e, f = L.basis_vec(0), L.basis_vec(1), L.basis_vec(2)
-    # t = span(e) is a subalgebra but [t, p] leaves p
-    with pytest.raises(VerificationError):
-        verify_cartan_decomposition(L, [e], [h, f])
+    # t = span(e) is a subalgebra but [t, p] leaves p: h -> -h, e -> e,
+    # f -> -f is no automorphism
+    with pytest.raises(VerificationError, match="not an automorphism"):
+        verify_cartan_decomposition(sl2(), theta_rows({0: -1}, {1: 1}, {2: -1}))
 
 
 def test_verify_cartan_decomposition_rejects_compact_p():
     # the rotation by pi about x is an involution of so3, but the Killing
     # form is negative on its -1 eigenspace too
-    L = so3()
     with pytest.raises(VerificationError, match="not positive definite on p") as info:
-        verify_cartan_decomposition(L, [L.basis_vec(0)], [L.basis_vec(1), L.basis_vec(2)])
+        verify_cartan_decomposition(so3(), theta_rows({0: 1}, {1: -1}, {2: -1}))
     assert info.value.witness == {"signature": [0, 2, 0]}
 
 
-# mutations of the certified e6p2 decomposition (t and p the eigenspaces
-# of theta) reach each remaining failure, with a JSON witness
+def _flip_iota_0(theta, build):
+    block = build.square.iota_block(0)
+    return [{k: -x for k, x in row.items()} if i in block else row for i, row in enumerate(theta)]
+
+
+# mutations of e6p2's theta reach the automorphism and involution checks,
+# with a JSON witness
 
 
 @pytest.mark.parametrize(
     "mutate,match,witness",
     [
-        (lambda t, p: (t + t[:1], p), "dependent vectors", {"part": "t", "index": 38}),
+        (_flip_iota_0, "not an automorphism", {"pair": [49, 32]}),
         (
-            lambda t, p: (t, p[1:]),
-            "not a direct sum",
-            {"dim_t": 38, "dim_p": 39, "rank": 77, "dim": 78},
-        ),
-        (
-            lambda t, p: (t + p[:1], p[1:]),
-            r"\[t,t\] in t fails",
-            {"condition": "[t,t] in t", "pair": [0, 38]},
+            lambda theta, build: [{k: x + x for k, x in row.items()} for row in theta],
+            "not an involution",
+            {"dim_t": 0, "dim_p": 0, "dim": 78},
         ),
     ],
-    ids=["duplicated t vector", "p vector dropped", "p vector moved into t"],
+    ids=["block sign flip", "2 theta"],
 )
 def test_verify_cartan_decomposition_mutations_are_witnessed(
     monkeypatch, get_build, mutate, match, witness
 ):
-    def mutated(L, t, p, killing):
-        return verify_cartan_decomposition(L, *mutate(t, p), killing=killing)
+    build = dataclasses.replace(get_build("e6p2"))  # no memoised Cartan data
+
+    def mutated(L, theta, killing):
+        return verify_cartan_decomposition(L, mutate(theta, build), killing=killing)
 
     monkeypatch.setattr(pipeline, "verify_cartan_decomposition", mutated)
     with pytest.raises(VerificationError, match=match) as info:
-        pipeline.cartan_decomposition_report("e6p2", get_build("e6p2"))
+        pipeline.cartan_decomposition_report("e6p2", build)
     assert json.loads(json.dumps(info.value.witness)) == witness
 
 
@@ -651,9 +673,18 @@ def test_indefinite_grading_is_witnessed(monkeypatch, get_build):
     # e6m14's block signs on e6p2: an automorphism of order 2 whose Killing
     # form is indefinite on t, so not a Cartan involution
     monkeypatch.setitem(pipeline.CARTAN_THETA, "e6p2", ({}, {}, (-1, 1, -1)))
-    fresh = dataclasses.replace(get_build("e6p2"))  # no memoised t and p
+    fresh = dataclasses.replace(get_build("e6p2"))  # no memoised Cartan data
     with pytest.raises(VerificationError, match="not negative definite on t") as info:
         pipeline.cartan_decomposition_report("e6p2", fresh)
+    assert info.value.witness == {"signature": [24, 22, 0]}
+
+
+def test_satake_rejects_the_indefinite_grading(monkeypatch, get_build):
+    # the Satake pass reads t and p only through theta's certificate
+    monkeypatch.setitem(pipeline.CARTAN_THETA, "e6p2", ({}, {}, (-1, 1, -1)))
+    fresh = dataclasses.replace(get_build("e6p2"))
+    with pytest.raises(VerificationError, match="not negative definite on t") as info:
+        pipeline.run_satake("e6p2", fresh)
     assert info.value.witness == {"signature": [24, 22, 0]}
 
 

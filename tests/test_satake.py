@@ -1,7 +1,14 @@
 import pytest
 
 from realforms.errors import IOFormatError, VerificationError
-from realforms.rootspace import RootDatum, RootSpace, cov_key, cov_neg
+from realforms.rootspace import (
+    RootDatum,
+    RootSpace,
+    cov_key,
+    cov_neg,
+    cov_scale,
+    restrict_covector,
+)
 from realforms.satake import (
     RestrictedRow,
     RestrictedTable,
@@ -13,7 +20,7 @@ from realforms.satake import (
     compact_satake,
     e6_label_order,
 )
-from realforms.scalars import ONE, sc
+from realforms.scalars import HALF, ONE, sc
 
 
 def cov(*xs):
@@ -46,32 +53,9 @@ def test_compact_templates():
     f4 = compact_satake("F4")
     assert [e.bond for e in f4.edges] == [1, 2, 1]
     assert f4.edges[1].arrow_to == 2
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="no compact template") as exc:
         compact_satake("E8")
-
-
-def test_json_round_trip():
-    diag = compact_satake("F4", {"signature": -52})
-    back = SatakeDiagram.from_json(diag.to_json())
-    assert back.canonical_key() == diag.canonical_key()
-    assert [n.label for n in back.nodes] == [n.label for n in diag.nodes]
-    assert back.meta["signature"] == -52
-
-
-def test_from_json_rejects_arrow_on_filled():
-    diag = SatakeDiagram(
-        [SatakeNode("a1", True), SatakeNode("a2", False)],
-        [SatakeEdge(0, 1, 1)],
-        [(0, 1)],
-        {},
-    )
-    with pytest.raises(IOFormatError, match="filled"):
-        SatakeDiagram.from_json(diag.to_json())
-
-
-def test_from_json_rejects_malformed():
-    with pytest.raises(IOFormatError):
-        SatakeDiagram.from_json('{"nodes": [{"label": "a1"}]}')
+    assert exc.value.witness == {"type": "E8"}
 
 
 def test_canonical_key_relabeling_invariance():
@@ -272,6 +256,38 @@ def test_restricted_table_from_arrow_pair():
     assert (row.m, row.m2) == (2, 1)
     # both signs count toward the multiplicity sum
     assert table.mult_sum == 6
+
+
+# mutations of the EIII simple system reach the two checks on the
+# restricted simple roots, which `verify_simple_basis` on them lets through
+
+
+def test_restricted_table_rejects_a_restriction_without_multiplicity(get_satake):
+    # a2 halved: the restricted simple roots still give every restricted
+    # root integer coordinates of one sign, but a2 / 2 restricts to (0, 1),
+    # which is no restricted root
+    res = get_satake("EIII")
+    simple = list(res.simple)
+    simple[1] = cov_scale(HALF, simple[1])
+    with pytest.raises(VerificationError, match="no multiplicity") as exc:
+        build_restricted_table(res.datum, res.a_idx, simple)
+    assert exc.value.witness == {"label": "a2", "restriction": ["0", "1"]}
+
+
+def test_restricted_table_rejects_a_divisible_restriction(get_satake):
+    # the black a3 replaced by a root restricting to 2 (a1 | a): the
+    # restricted simple roots (1, -1), (0, 2), (2, -2) are dependent, the
+    # third unused by the coordinates, which stay integral of one sign
+    res = get_satake("EIII")
+    double = next(
+        s.covector for s in res.datum.spaces
+        if restrict_covector(s.covector, res.a_idx) == cov(2, -2)
+    )
+    simple = list(res.simple)
+    simple[2] = double
+    with pytest.raises(VerificationError, match="is divisible") as exc:
+        build_restricted_table(res.datum, res.a_idx, simple)
+    assert exc.value.witness == {"label": "a3", "restriction": ["2", "-2"]}
 
 
 def test_restricted_table_serialization():
