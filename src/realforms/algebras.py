@@ -349,10 +349,13 @@ def check_composition(t: AlgebraTable) -> Dict[str, int]:
         for j in range(n):
             b = t.basis_vec(j)
             if t.mul(t.unit, b) != b or t.mul(b, t.unit) != b:
-                raise VerificationError(f"{t.name}: unit fails on {t.labels[j]}")
+                raise VerificationError(
+                    f"{t.name}: unit fails on {t.labels[j]}", witness={"index": j}
+                )
             checked += 1
-        if t.norm(t.unit) != ONE:
-            raise VerificationError(f"{t.name}: n(1) != 1")
+        norm_unit = t.norm(t.unit)
+        if norm_unit != ONE:
+            raise VerificationError(f"{t.name}: n(1) != 1", witness=norm_unit.to_str())
     prods = t.sc
     F = t.form
     for i in range(n):
@@ -365,7 +368,8 @@ def check_composition(t: AlgebraTable) -> Dict[str, int]:
                     if lhs != F[i].get(k, ZERO) * F[j].get(l, ZERO):
                         raise VerificationError(
                             f"{t.name}: composition law fails at "
-                            f"({t.labels[i]},{t.labels[j]},{t.labels[k]},{t.labels[l]})"
+                            f"({t.labels[i]},{t.labels[j]},{t.labels[k]},{t.labels[l]})",
+                            witness=[i, j, k, l],
                         )
                     checked += 1
     return {"tuples": checked}
@@ -385,7 +389,8 @@ def check_symmetric(t: AlgebraTable) -> Dict[str, int]:
                 if t.polar(pij, t.basis_vec(k)) != t.polar(bi, prods[j][k]):
                     raise VerificationError(
                         f"{t.name}: form associativity fails at "
-                        f"({t.labels[i]},{t.labels[j]},{t.labels[k]})"
+                        f"({t.labels[i]},{t.labels[j]},{t.labels[k]})",
+                        witness=[i, j, k],
                     )
                 assoc += 1
     counts["assoc_triples"] = assoc

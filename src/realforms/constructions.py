@@ -35,7 +35,7 @@ from .linalg import (
     flatten,
     transpose,
 )
-from .scalars import ONE, TWO, ZERO, Scalar, sc
+from .scalars import ONE, TWO, ZERO, Scalar, add_scaled, sc
 from .triality import TrialityAlgebra, triality_cached
 
 
@@ -140,9 +140,7 @@ def magic_square(
             coef = eps_s[i1] * eps_s[i2]
             qp = sp.form[b].get(d)
             if qp:
-                cc = coef * qp
-                for p, v in ts_pow[blki][a * ns + c].items():
-                    out[p] = out.get(p, ZERO) + cc * v
+                add_scaled(out, coef * qp, ts_pow[blki][a * ns + c])
             q = s.form[a].get(c)
             if q:
                 cc = coef * q

@@ -48,7 +48,7 @@ from .linalg import (
     nullspace,
     sylvester_signature,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, add_scaled
 
 
 @dataclass(eq=False)
@@ -80,13 +80,18 @@ class LieAlgebra:
         return ad
 
     def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        """[x, y] of sparse elements, as a zero-free sparse vector."""
+        """[x, y] of sparse elements, as a zero-free sparse vector: the sum
+        of the columns [b_i, b_p] with coefficients x_i y_p."""
         acc: Dict[int, Scalar] = {}
         ad = self.ad
         for i, xi in x.items():
-            if ad[i]:
-                _add_bracket(acc, {p: xi * c for p, c in y.items()}, ad[i])
-        return {q: v for q, v in acc.items() if v}
+            ad_i = ad[i]
+            if ad_i:
+                for p, yp in y.items():
+                    col = ad_i.get(p)
+                    if col:
+                        add_scaled(acc, xi * yp, col)
+        return acc
 
     def basis_vec(self, i: int) -> SparseVec:
         return {i: ONE}
@@ -109,19 +114,6 @@ def lie_from_fn(
 
 # ---------------------------------------------------------------------------
 # certificates
-
-
-def _add_bracket(
-    acc: Dict[int, Scalar], v: Optional[SparseVec], ad_x: Dict[int, SparseVec]
-) -> None:
-    """acc += [x, v] where ad_x is the ad table row of x."""
-    if not v:
-        return
-    for p, c in v.items():
-        col = ad_x.get(p)
-        if col:
-            for q, w in col.items():
-                acc[q] = acc.get(q, ZERO) + c * w
 
 
 # an entry (sign, column of (key, int) pairs) and a row of the integer ad table
@@ -223,9 +215,12 @@ def _stride_order(n: int) -> List[int]:
 
 
 def _ad_apply(ad_x: Dict[int, SparseVec], v: SparseVec) -> SparseVec:
-    """[x, v] from the ad row of x; entries that cancel stay as zeros."""
+    """[x, v] from the ad row of x, as a zero-free sparse vector."""
     acc: Dict[int, Scalar] = {}
-    _add_bracket(acc, v, ad_x)
+    for p, c in v.items():
+        col = ad_x.get(p)
+        if col:
+            add_scaled(acc, c, col)
     return acc
 
 

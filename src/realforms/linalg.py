@@ -8,7 +8,10 @@ from the point where it is built, Gram matrices (polar forms, Killing
 forms) included; `flatten` is the one map from such matrices to span
 vectors.  Root covectors stay tuples, since they key root sets, and
 `to_sparse` reads them.  The one dense helper left is `mat_mul`, which no
-stage of the pipeline calls.  Two kernels carry the package.
+stage of the pipeline calls.  Every sparse sum here ends in one step,
+acc += x v, and `scalars.add_scaled` is that step: `combine`, the
+eliminations of `Echelon` and `sylvester_signature`, and `add_product`
+call it, so their results are zero-free with no filtering pass.
 `add_product` is the only matrix product: it multiplies matrices stored
 as sparse rows, row by row (Gustavson's algorithm), and `mat_mul` and
 `commutator` wrap it.  The one coordinate reader is a fully reduced basis
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, add_scaled
 
 SparseVec = Dict[int, Scalar]
 DenseVec = List[Scalar]
@@ -48,21 +51,8 @@ def combine(terms: Iterable[Tuple[Scalar, SparseVec]]) -> SparseVec:
     """The sum of c v over the (c, v) pairs, as a zero-free sparse vector."""
     acc: SparseVec = {}
     for c, v in terms:
-        if c:
-            for q, x in v.items():
-                acc[q] = acc.get(q, ZERO) + c * x
-    return {q: x for q, x in acc.items() if x}
-
-
-def _sub_scaled(acc: SparseVec, x: Scalar, v: SparseVec) -> None:
-    """acc -= x v in place, for x != 0 and v zero-free; entries that
-    cancel are dropped."""
-    for q, y in v.items():
-        nv = acc.get(q, ZERO) - x * y
-        if nv:
-            acc[q] = nv
-        else:
-            del acc[q]
+        add_scaled(acc, c, v)
+    return acc
 
 
 class Echelon:
@@ -113,7 +103,7 @@ class Echelon:
         piv = self.piv
         mults = [(piv[c], x) for c, x in w.items() if c in piv]
         for r, x in mults:
-            _sub_scaled(w, x, self.rows[r])
+            add_scaled(w, -x, self.rows[r])
         return mults
 
     def coords(self, v: SparseVec) -> Optional[SparseVec]:
@@ -138,7 +128,7 @@ class Echelon:
         if self.track:
             combo = {idx: ONE}
             for r, x in mults:
-                _sub_scaled(combo, x, self.combos[r])
+                add_scaled(combo, -x, self.combos[r])
         if lead != ONE:
             inv = lead.inverse()
             w = {c: inv * x for c, x in w.items()}
@@ -148,9 +138,9 @@ class Echelon:
         for r, row in enumerate(self.rows):
             coef = row.get(p)
             if coef:
-                _sub_scaled(row, coef, w)
+                add_scaled(row, -coef, w)
                 if self.track:
-                    _sub_scaled(self.combos[r], coef, combo)
+                    add_scaled(self.combos[r], -coef, combo)
         self.piv[p] = len(self.rows)
         self.rows.append(w)
         if self.track:
@@ -238,15 +228,14 @@ def add_product(
     """acc += coef * (a b), all three matrices stored as lists of sparse rows.
 
     Row p of the product is the combination of the rows of b weighted by
-    row p of a.  Entries that cancel stay in acc as explicit zeros.
+    row p of a, accumulated with `add_scaled`: entries that cancel are
+    deleted, so acc stays zero-free if it starts so.
     """
     for row_a, row_acc in zip(a, acc):
         for r, x in row_a.items():
             row_b = b[r]
             if row_b:
-                cx = coef * x
-                for q, y in row_b.items():
-                    row_acc[q] = row_acc.get(q, ZERO) + cx * y
+                add_scaled(row_acc, coef * x, row_b)
 
 
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> Matrix:
@@ -266,7 +255,7 @@ def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     acc: SparseMatrix = [{} for _ in a]
     add_product(acc, a, b)
     add_product(acc, b, a, -ONE)
-    return [{q: x for q, x in row.items() if x} for row in acc]
+    return acc
 
 
 def flatten(*mats: SparseMatrix) -> SparseVec:
@@ -351,16 +340,7 @@ def sylvester_signature(gram: SparseMatrix) -> Tuple[int, int, int]:
             minus += 1
         active.remove(pivot)
         for m, coef in row_p.items():
-            if m == pivot:
-                continue
-            f = coef / d
-            row_m = g[m]
-            del row_m[pivot]
-            for c, x in row_p.items():
-                if c != pivot:
-                    nv = row_m.get(c, ZERO) - f * x
-                    if nv:
-                        row_m[c] = nv
-                    else:
-                        row_m.pop(c, None)
+            if m != pivot:
+                # row m -= (coef / d) row p, which clears row m's pivot entry
+                add_scaled(g[m], -(coef / d), row_p)
     return plus, minus, len(g) - plus - minus

@@ -571,11 +571,22 @@ def _simple_witness(root: Covector, simple: List[Covector]) -> Dict[str, object]
 
 
 def verify_simple_basis(roots: set, simple: List[Covector]) -> Dict[str, int]:
-    """Each root must be an integer combination of the claimed simple roots
-    with coefficients all of one sign.  A failure carries the simple
-    system, and the root where there is one, as witness."""
+    """Certify the claimed simple roots a base of the root system: they are
+    roots, they are linearly independent, and each root is an integer
+    combination of them with coefficients all of one sign.  A failure
+    carries the simple system, and the root where there is one, as
+    witness."""
     dim = len(simple[0])
-    solver = SpanSolver(map(to_sparse, simple))
+    solver = SpanSolver()
+    for s in simple:
+        if s not in roots:
+            raise VerificationError(
+                f"simple root {s} is not a root", witness=_simple_witness(s, simple)
+            )
+        if not solver.add(to_sparse(s)):
+            raise VerificationError(
+                "simple roots are dependent", witness=_simple_witness(s, simple)
+            )
     positives = 0
     for cov in roots:
         signs = {1 if c > 0 else -1 for c in _integer_coords(solver, simple, cov) if c}

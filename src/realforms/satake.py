@@ -438,34 +438,22 @@ def build_restricted_table(
         else:
             classes.append((r, [k]))
     bbar = [r for r, _ in classes]
+    # a certified base: each r in bbar is a restricted root, so it has a
+    # multiplicity, and is indivisible, since r/2 would have the simple
+    # coordinate 1/2
     verify_simple_basis(sigma, bbar)
-
-    def witness(r: Covector, members: List[int]) -> dict:
-        return {"label": labels[members[0]], "restriction": [x.to_str() for x in r]}
-
     two = Scalar(2)
-    rows = []
-    for r, members in classes:
-        if r not in rmult:
-            raise VerificationError(
-                "restricted simple root has no multiplicity", witness=witness(r, members)
-            )
-        rows.append(
-            RestrictedRow(
-                label=labels[members[0]],
-                members=[labels[k] for k in members],
-                restriction=r,
-                m=rmult[r],
-                m2=rmult.get(cov_scale(two, r), 0),
-            )
+    rows = [
+        RestrictedRow(
+            label=labels[members[0]],
+            members=[labels[k] for k in members],
+            restriction=r,
+            m=rmult[r],
+            m2=rmult.get(cov_scale(two, r), 0),
         )
-    ind = indivisible_roots(sigma)
-    for r, members in classes:
-        if r not in ind:
-            raise VerificationError(
-                "restricted simple root is divisible", witness=witness(r, members)
-            )
-    bonds = _bonds(cartan_matrix(bbar, ind))
+        for r, members in classes
+    ]
+    bonds = _bonds(cartan_matrix(bbar, indivisible_roots(sigma)))
     sigma_type = classify_restricted(sigma, bbar)
     return RestrictedTable(rows, bonds, sigma_type, sum(rmult.values()))
 

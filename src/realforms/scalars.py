@@ -15,6 +15,13 @@ and d.
 The cube root of unity omega = -1/2 + (sqrt3/2) i is a unit of F, which is
 what makes the Okubo product expressible here.  Signs of real elements are
 decided exactly (no floating point anywhere).
+
+`add_scaled` is the multiply-accumulate step acc[q] += x * v[q] of every
+sparse sum in the package (linear combinations, eliminations, matrix
+products, brackets).  It reads the integer fields directly, so each entry
+forms the product's numerators, adds them over the common denominator and
+normalises once, where `acc[q] + x * v[q]` builds two Scalars and
+normalises twice; entries that cancel are deleted, never stored as zeros.
 """
 
 from __future__ import annotations
@@ -423,3 +430,54 @@ OMEGA = Scalar(Rat(-1, 2), 0, 0, Rat(1, 2))  # primitive cube root of unity
 
 _ZERO = ZERO
 _ONE = ONE
+
+
+def add_scaled(acc: dict, x: Scalar, v: dict) -> None:
+    """acc[q] += x * v[q] for every q in v, in place, and acc[q] is deleted
+    where the sum vanishes, so no zero is stored.
+
+    This is the multiply-accumulate step of every sparse sum in the
+    package.  Each entry forms the integer numerators of x * v[q] (with
+    the rational-factor fast paths of `Scalar.__mul__`), adds them to
+    acc[q] over the common denominator and normalises once; the result
+    equals acc.get(q, ZERO) + x * v[q], since a Scalar has one normal form.
+    """
+    a1, b1, c1, d1, n1 = x._a, x._b, x._c, x._d, x._n
+    x_rational = not (b1 or c1 or d1)
+    if x_rational and not a1:
+        return
+    b3, d3 = 3 * b1, 3 * d1
+    get = acc.get
+    for q, y in v.items():
+        a2, b2, c2, d2 = y._a, y._b, y._c, y._d
+        if x_rational:
+            a, b, c, d = a1 * a2, a1 * b2, a1 * c2, a1 * d2
+        elif not (b2 or c2 or d2):
+            a, b, c, d = a1 * a2, b1 * a2, c1 * a2, d1 * a2
+        else:
+            a = a1 * a2 + b3 * b2 - c1 * c2 - d3 * d2
+            b = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
+            c = a1 * c2 + b3 * d2 + c1 * a2 + d3 * b2
+            d = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
+        m = n1 * y._n
+        s = get(q)
+        if s is None:
+            if a or b or c or d:
+                acc[q] = _make(a, b, c, d, m)
+            continue
+        n = s._n
+        if n == m:
+            a += s._a
+            b += s._b
+            c += s._c
+            d += s._d
+        else:
+            a = s._a * m + a * n
+            b = s._b * m + b * n
+            c = s._c * m + c * n
+            d = s._d * m + d * n
+            m *= n
+        if a or b or c or d:
+            acc[q] = _make(a, b, c, d, m)
+        else:
+            del acc[q]

@@ -57,7 +57,7 @@ from .linalg import (
     transpose,
 )
 from .lie import LieAlgebra, closed_subalgebra
-from .scalars import HALF, ONE, ZERO, Scalar
+from .scalars import HALF, ONE, ZERO, Scalar, add_scaled
 
 Triple = Tuple[SparseMatrix, SparseMatrix, SparseMatrix]
 
@@ -188,7 +188,7 @@ class TrialityAlgebra:
         for _ in range(2):
             acc: List[SparseVec] = [{} for _ in base]
             add_product(acc, out[-1], self.theta_rows)
-            out.append([{q: x for q, x in v.items() if x} for v in acc])
+            out.append(acc)
         return out
 
     def theta(self, coords: SparseVec, power: int = 1) -> SparseVec:
@@ -196,7 +196,7 @@ class TrialityAlgebra:
         for _ in range(power % 3):
             acc: SparseMatrix = [{}]
             add_product(acc, [out], self.theta_rows)
-            out = {q: x for q, x in acc[0].items() if x}
+            out = acc[0]
         return out
 
 
@@ -259,21 +259,23 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     def brk(i: int, j: int, cols: List[Dict[int, int]]) -> SparseVec:
         # slot by slot, [sum x_k B_k, sum y_l B_l] = sum x_k y_l [B_k, B_l];
         # entry slot * no + m lands at key cols[slot][m], others are dropped
+        # (the keys of distinct slots are distinct, so nothing is summed twice)
         acc: SparseVec = {}
         for slot, (a, b) in enumerate(zip(slots[i], slots[j])):
             keys = cols[slot]
             if not keys:
                 continue
+            part: SparseVec = {}
             for k, x in a.items():
                 row = so_ad[k]
                 for l, y in b.items():
                     col = row.get(l)
                     if col:
-                        xy = x * y
-                        for m, z in col.items():
-                            q = keys.get(m)
-                            if q is not None:
-                                acc[q] = acc.get(q, ZERO) + xy * z
+                        add_scaled(part, x * y, col)
+            for m, z in part.items():
+                q = keys.get(m)
+                if q is not None:
+                    acc[q] = z
         return acc
 
     # the full bracket over so(q)^3: every entry keeps its own index

@@ -136,8 +136,39 @@ def test_composition_check_catches_corruption():
     bad = [[dict(v) for v in row] for row in t.sc]
     bad[1][1][0] = ONE  # i*i = +1 breaks the norm law
     broken = type(t)(t.name, t.labels, bad, t.form, t.unit, t.invol)
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="composition law fails") as exc:
         check_composition(broken)
+    # n(1 1, i i) + n(1 i, i 1) = 2 + 2 with i i = +1, but n(1, i) n(1, i) = 0
+    assert exc.value.witness == [0, 0, 1, 1]
+
+
+def test_composition_check_rejects_a_wrong_unit():
+    t = hurwitz("H")
+    two = {p: x * sc(2) for p, x in t.unit.items()}
+    broken = type(t)(t.name, t.labels, t.sc, t.form, two, t.invol)
+    with pytest.raises(VerificationError, match="unit fails on 1") as exc:
+        check_composition(broken)
+    assert exc.value.witness == {"index": 0}
+
+
+def test_composition_check_rejects_a_rescaled_form():
+    # the unit axioms hold, but n(1) = n(1, 1)/2 doubles with the form
+    t = hurwitz("C")
+    form = [{q: x * sc(2) for q, x in row.items()} for row in t.form]
+    broken = type(t)(t.name, t.labels, t.sc, form, t.unit, t.invol)
+    with pytest.raises(VerificationError, match=r"n\(1\) != 1") as exc:
+        check_composition(broken)
+    assert exc.value.witness == "2"
+
+
+def test_symmetric_check_rejects_a_hurwitz_product():
+    # C is a composition algebra, but its form is not associative:
+    # n(1 i, i) = n(i, i) = 2 while n(1, i i) = n(1, -1) = -2
+    t = hurwitz("C")
+    check_composition(t)
+    with pytest.raises(VerificationError, match="form associativity fails at") as exc:
+        check_symmetric(t)
+    assert exc.value.witness == [0, 1, 1]
 
 
 def test_albert_dimensions_and_unit():

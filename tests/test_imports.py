@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from realforms import constructions, lie, pipeline, rootspace, satake, triality
+from realforms import algebras, constructions, lie, pipeline, rootspace, satake, triality
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "realforms"
@@ -194,13 +194,14 @@ def verification_raises(obj):
     "obj,count",
     [
         (triality, 3),
+        (algebras.check_composition, 3),
+        (algebras.check_symmetric, 1),
         (lie, 6),
         (pipeline, 8),
         (satake.e6_label_order, 1),
         (satake.build_satake, 2),
         (satake._bonds, 1),
         (satake.compact_satake, 1),
-        (satake.build_restricted_table, 2),
         (constructions.check_rho_homomorphism, 2),
         (constructions.derivation_model, 2),
         (rootspace.classify_cartan_matrix, 1),
@@ -211,7 +212,7 @@ def verification_raises(obj):
         (rootspace.highest_root, 1),
         (rootspace._restricted_matrix, 1),
         (rootspace.eigen_split, 2),
-        (rootspace.verify_simple_basis, 2),
+        (rootspace.verify_simple_basis, 4),
         (rootspace.verify_cartan_decomposition, 5),
         (rootspace.poly_lcm, 1),
         (rootspace.poly_squarefree, 1),

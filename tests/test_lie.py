@@ -281,6 +281,28 @@ def test_bracket_is_zero_free():
     assert L.bracket({1: ONE, 2: ONE}, {1: ONE, 2: sc(-1)}) == {0: sc(-2)}
 
 
+MIXED = [ONE, -ONE, sc("1/2"), SQRT3, IUNIT, sc("-1/2 + 1/2*r3*i"), sc("(2/3 - r3)*i")]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.dictionaries(st.integers(0, 27), st.sampled_from(MIXED), max_size=5),
+    st.dictionaries(st.integers(0, 27), st.sampled_from(MIXED), max_size=5),
+)
+def test_bracket_matches_the_basis_brackets_and_is_zero_free(x, y):
+    # tri(Ok): structure constants over omega and sqrt3
+    L = triality_cached(symmetric_composition("Ok")).lie
+    want = {}
+    for i, xi in x.items():
+        for p, yp in y.items():
+            for q, c in L.bracket_basis(i, p).items():
+                want[q] = want.get(q, ZERO) + xi * yp * c
+    xy = L.bracket(x, y)
+    assert xy == {q: c for q, c in want.items() if c}
+    assert all(xy.values())
+    assert L.bracket(x, x) == {}
+
+
 def test_derivations_of_complex_numbers_vanish():
     assert derivations(hurwitz("C")) == []
 

@@ -169,6 +169,25 @@ def test_commutator_matches_naive_loop(n):
         assert commutator(sa, sa) == [{} for _ in range(n)]
 
 
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_add_product_and_commutator_rows_are_zero_free(n):
+    rng = random.Random(40 + n)
+    for _ in range(5):
+        a, b = rand_matrix(rng, n, n), rand_matrix(rng, n, n)
+        sa, sb = [to_sparse(r) for r in a], [to_sparse(r) for r in b]
+        # acc starts zero-free; a b - a b cancels every entry it made
+        start = [to_sparse(r) for r in rand_matrix(rng, n, n)]
+        acc = [dict(r) for r in start]
+        add_product(acc, sa, sb, SQRT3)
+        assert all(zero_free(r) for r in acc)
+        ab = naive_mul(a, b)
+        assert acc == [to_sparse([x + SQRT3 * y for x, y in zip(to_dense(r0, n), r1)])
+                       for r0, r1 in zip(start, ab)]
+        add_product(acc, sa, sb, -SQRT3)
+        assert acc == start
+        assert all(zero_free(r) for r in commutator(sa, sb))
+
+
 # ---------------------------------------------------------------------------
 # the one coordinate reader: a fully reduced basis read at its pivots
 

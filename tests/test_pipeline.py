@@ -472,9 +472,10 @@ def test_preset_root_that_is_not_a_root(get_build, name):
     preset = list(PRESET_SIMPLE[name])
     preset[2] = cov_scale(sc(2), preset[2])
     assert preset[2] not in datum.root_set()
-    with pytest.raises(VerificationError, match="non-integer simple coordinates") as exc:
+    with pytest.raises(VerificationError, match=r"simple root \(.*\) is not a root") as exc:
         build_satake(datum, a_idx, preset)
     assert exc.value.witness["simple"] == _strs(preset)
+    assert exc.value.witness["covector"] == _strs([preset[2]])[0]
 
 
 @pytest.mark.parametrize("name", ["EIV", "EIII", "EII"])
@@ -493,6 +494,10 @@ def _strs(covs):
     return [[x.to_str() for x in c] for c in covs]
 
 
+def _strs_key(c):
+    return [x.key() for x in c]
+
+
 @pytest.mark.parametrize(
     "mutation,match",
     [
@@ -500,6 +505,8 @@ def _strs(covs):
         ("drop", "outside the simple span"),
         ("double", "non-integer simple coordinates"),
         ("positive", "positive roots are not half"),
+        ("not-a-root", "is not a root"),
+        ("dependent", "simple roots are dependent"),
     ],
 )
 def test_simple_basis_failures_carry_the_system(get_satake, mutation, match):
@@ -511,7 +518,15 @@ def test_simple_basis_failures_carry_the_system(get_satake, mutation, match):
     elif mutation == "drop":
         simple = simple[:5]
     elif mutation == "double":
+        # a root with a3-coordinate 2 in place of a3: independent roots
+        # that span an index-2 sublattice, over which a3 has coordinate 1/2
+        simple[2] = next(
+            r for r in sorted(roots, key=_strs_key) if simple_coords(r, simple)[2] == 2
+        )
+    elif mutation == "not-a-root":
         simple[2] = cov_scale(sc(2), simple[2])
+    elif mutation == "dependent":
+        simple[5] = cov_neg(simple[0])
     else:
         roots = {c for c in roots if sum(simple_coords(c, simple)) > 0}
     with pytest.raises(VerificationError, match=match) as exc:
@@ -520,6 +535,12 @@ def test_simple_basis_failures_carry_the_system(get_satake, mutation, match):
     assert w.pop("simple") == _strs(simple)
     if mutation == "positive":
         assert w == {"positive": 36, "roots": 36}
+    elif mutation == "not-a-root":
+        assert w == {"covector": _strs([simple[2]])[0]}
+        assert simple[2] not in roots
+    elif mutation == "dependent":
+        assert w == {"covector": _strs([simple[5]])[0]}
+        assert simple[5] in roots
     else:
         assert tuple(sc(x) for x in w["covector"]) in roots
 

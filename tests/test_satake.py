@@ -258,8 +258,9 @@ def test_restricted_table_from_arrow_pair():
     assert table.mult_sum == 6
 
 
-# mutations of the EIII simple system reach the two checks on the
-# restricted simple roots, which `verify_simple_basis` on them lets through
+# mutations of the EIII simple system fail the base certificate of the
+# restricted simple roots: a restricted simple root that is no restricted
+# root, or one that is dependent on the others, never reaches the table
 
 
 def test_restricted_table_rejects_a_restriction_without_multiplicity(get_satake):
@@ -269,15 +270,15 @@ def test_restricted_table_rejects_a_restriction_without_multiplicity(get_satake)
     res = get_satake("EIII")
     simple = list(res.simple)
     simple[1] = cov_scale(HALF, simple[1])
-    with pytest.raises(VerificationError, match="no multiplicity") as exc:
+    with pytest.raises(VerificationError, match=r"simple root \(.*\) is not a root") as exc:
         build_restricted_table(res.datum, res.a_idx, simple)
-    assert exc.value.witness == {"label": "a2", "restriction": ["0", "1"]}
+    assert exc.value.witness == {"covector": ["0", "1"], "simple": [["1", "-1"], ["0", "1"]]}
 
 
 def test_restricted_table_rejects_a_divisible_restriction(get_satake):
     # the black a3 replaced by a root restricting to 2 (a1 | a): the
-    # restricted simple roots (1, -1), (0, 2), (2, -2) are dependent, the
-    # third unused by the coordinates, which stay integral of one sign
+    # restricted simple roots (1, -1), (0, 2), (2, -2) are dependent, so
+    # they are no base, and (2, -2) is divisible
     res = get_satake("EIII")
     double = next(
         s.covector for s in res.datum.spaces
@@ -285,9 +286,11 @@ def test_restricted_table_rejects_a_divisible_restriction(get_satake):
     )
     simple = list(res.simple)
     simple[2] = double
-    with pytest.raises(VerificationError, match="is divisible") as exc:
+    with pytest.raises(VerificationError, match="simple roots are dependent") as exc:
         build_restricted_table(res.datum, res.a_idx, simple)
-    assert exc.value.witness == {"label": "a3", "restriction": ["2", "-2"]}
+    assert exc.value.witness == {
+        "covector": ["2", "-2"], "simple": [["1", "-1"], ["0", "2"], ["2", "-2"]]
+    }
 
 
 def test_restricted_table_serialization():

@@ -3,7 +3,7 @@ import sys
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from realforms.scalars import (
     HALF,
@@ -13,6 +13,7 @@ from realforms.scalars import (
     SQRT3,
     ZERO,
     Scalar,
+    add_scaled,
     parse_scalar,
     sc,
 )
@@ -282,3 +283,79 @@ def test_key_order_unchanged():
         0,
         fractions.Fraction(1, 2),
     )
+
+
+# ---------------------------------------------------------------------------
+# add_scaled, the fused multiply-accumulate kernel, against the operators
+
+# mixed denominators: a small rational times 1, 1/2, omega, sqrt3, i or
+# sqrt3 i, so products and sums cross denominators 1, 2, 3, 4, 6, ...
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+mixed_scalars = st.builds(
+    lambda r, u: Scalar(r) * u,
+    small_rationals,
+    st.sampled_from([ONE, HALF, OMEGA, SQRT3, IUNIT, SQRT3 * IUNIT]),
+)
+mixed_vecs = st.dictionaries(st.integers(0, 7), mixed_scalars, max_size=6)
+
+
+def operator_sum(acc, x, v):
+    """acc + x v entry by entry with Scalar's own operators, zeros dropped."""
+    out = dict(acc)
+    for q, y in v.items():
+        out[q] = acc.get(q, ZERO) + x * y
+    return {q: s for q, s in out.items() if s}
+
+
+def assert_canonical(s):
+    a, b, c, d, n = s.as_ints()
+    assert n > 0 and gcd(a, b, c, d, n) == 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(mixed_vecs, st.one_of(mixed_scalars, scalars()), mixed_vecs)
+def test_add_scaled_matches_the_operators(acc, x, v):
+    acc = {q: s for q, s in acc.items() if s}
+    out = dict(acc)
+    add_scaled(out, x, v)
+    assert out == operator_sum(acc, x, v)
+    assert all(out.values())
+    for s in out.values():
+        assert_canonical(s)
+    # entries of acc that v does not touch are left as they were
+    for q in acc.keys() - v.keys():
+        assert out[q] is acc[q]
+
+
+@settings(deadline=None, max_examples=60)
+@given(mixed_vecs, mixed_vecs)
+def test_add_scaled_by_zero_changes_nothing(acc, v):
+    acc = {q: s for q, s in acc.items() if s}
+    out = dict(acc)
+    add_scaled(out, ZERO, v)
+    assert out == acc
+
+
+@settings(deadline=None, max_examples=100)
+@given(mixed_scalars, mixed_scalars, mixed_vecs)
+def test_add_scaled_removes_a_sum_that_cancels(x, y, rest):
+    assume(x and y)
+    # acc[0] = x y over a different denominator than -x and y have alone
+    acc = {q: s for q, s in rest.items() if s and q}
+    acc[0] = x * y
+    out = dict(acc)
+    add_scaled(out, -x, {0: y})
+    assert 0 not in out
+    assert out == {q: s for q, s in acc.items() if q}
+
+
+def test_add_scaled_hand_cases():
+    # omega/2 - omega * (1/2) cancels; 1/3 + sqrt3 * sqrt3/2 = 11/6
+    acc = {0: OMEGA * HALF, 1: sc("1/3"), 2: IUNIT}
+    add_scaled(acc, OMEGA, {0: -HALF})
+    add_scaled(acc, SQRT3, {1: SQRT3 * HALF, 3: sc("2/3")})
+    assert acc == {1: sc("11/6"), 2: IUNIT, 3: sc("2/3*r3")}
+    assert_canonical(acc[1])
+    # a zero entry of v adds nothing and stores nothing
+    add_scaled(acc, ONE, {4: ZERO})
+    assert 4 not in acc
