@@ -366,9 +366,11 @@ def test_config_eps_is_normalised_and_checked_on_read(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # golden output: sha256 of the stdout of two e6 builds, of the two Okubo
-# algebras (whose constants carry sqrt3 and i), and of a root decomposition,
-# a Satake table and two Cartan decomposition reports; a change to the scalar
-# or vector representation or to the renderer must not move a byte
+# algebras (whose constants carry sqrt3 and i), of a root decomposition, of
+# the Satake diagrams of the four noncompact e6 forms and of e6(-78), of the
+# combined table and of two Cartan decomposition reports; a change to the
+# scalar or vector representation, to the Bourbaki labelling or to the
+# renderer must not move a byte
 
 
 GOLDEN_SHA256 = {
@@ -384,6 +386,18 @@ GOLDEN_SHA256 = {
         "e9b53e52f8c9309ebfa1fd300e49351b88f51c2cba15cf10ab33b51113924821",
     ("satake", "e6p2", "--format", "json"):
         "5f34b3f9dc0420b9eecc9f64b8d7df9171e1f1150a737cd26cfa9dc03a1e961a",
+    ("satake", "e6m14"):
+        "de836a6256f75ae53ba29e405f61fb6e5ba813944028b81ece42e3a2dc927b78",
+    ("satake", "e6m14", "--format", "json"):
+        "db97adab51419368349b59c4811aeb236b8161d07feb1e5ca511fec3d79169b6",
+    ("satake", "e6m26", "--format", "json"):
+        "2dfc1e0153fa1983108be1ed6d24518098e7eb7eb145b915b9c1c95339fe85ce",
+    ("satake", "e6p6", "--format", "json"):
+        "8355a430f2156ff4471b6684c1659e21d53e9f599b072d7f394f6a4528018d39",
+    ("satake", "e6m78"):
+        "3fe86a08dafaee147ee74248e663d02cd7aa2784467a915a437cd86abc18169a",
+    ("table", "--json"):
+        "0d29de4d6c3b1b6cce0ef8363b575ab5fe00dfab6fe1f1e30206b819101f1a98",
     ("roots", "verify-cartan-decomp", "--model", "e6p2"):
         "1e48b483e045c6452442ef64c123ca6b9f7625d77ce6757efeae88eb665d7e55",
     ("roots", "verify-cartan-decomp", "--model", "e6p6"):
