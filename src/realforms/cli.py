@@ -283,7 +283,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 def cmd_satake(args: argparse.Namespace) -> int:
     name = args.model
     spec = MODELS.get(name)
-    if spec is not None and spec.compact_type is not None:
+    if spec is not None and spec.compact:
         diagram, table, checks, label = compact_diagram(name), None, None, name
     else:
         res = run_satake(_model_key(name))

@@ -8,8 +8,9 @@ anything reads its +1 and -1 eigenspaces t and p.  The Cartan subalgebra
 is read off them: a maximal abelian a in p, certified by z_p(a) = a, then
 a maximal torus t_h of z_t(a).  The Satake pass decomposes g under
 hs = a + t_h, checks that the split part of the roots is exactly a,
-derives the sigma-order simple system and prints its diagram and
-restricted table.
+derives the sigma-order simple system, lists it in Bourbaki order read off
+the match of its Cartan matrix with the catalog of the model's root type,
+and prints its diagram and restricted table.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .rootspace import (
     Covector,
     RootDatum,
     adapted_simple_system,
+    bourbaki_orders,
     cartan_matrix,
     classify_cartan_matrix,
     cov_is_zero,
@@ -59,7 +61,6 @@ from .satake import (
     build_restricted_table,
     build_satake,
     compact_satake,
-    e6_label_order,
 )
 from .scalars import ONE
 
@@ -76,29 +77,31 @@ class ModelSpec:
     eps: Tuple[int, int, int]
     signature: int
     description: str
+    root_type: str  # the type of the complexified root system
+    compact: bool = False
     satake_preset: Optional[str] = None
-    compact_type: Optional[str] = None
 
 
 MODELS: Dict[str, ModelSpec] = {
     m.key: m
     for m in [
         ModelSpec("f4m52", "magic", "pO", "R", (1, 1, 1), -52,
-                  "compact form of f4", compact_type="F4"),
+                  "compact form of f4", "F4", compact=True),
         ModelSpec("f4m20", "magic", "pO", "R", (1, -1, 1), -20,
-                  "f4(-20), the rank-1 real form"),
+                  "f4(-20), the rank-1 real form", "F4"),
         ModelSpec("f4p4", "magic", "pOs", "R", (1, 1, 1), 4,
-                  "f4(4), the split form"),
+                  "f4(4), the split form", "F4"),
         ModelSpec("e6m78", "magic", "pO", "pC", (1, 1, 1), -78,
-                  "compact form of e6", compact_type="E6"),
+                  "compact form of e6", "E6", compact=True),
         ModelSpec("e6m14", "magic", "pO", "pC", (1, -1, 1), -14,
-                  "e6(-14), Satake type EIII", satake_preset="EIII"),
+                  "e6(-14), Satake type EIII", "E6", satake_preset="EIII"),
         ModelSpec("e6p2", "magic", "pOs", "pC", (1, 1, 1), 2,
-                  "e6(2), Satake type EII", satake_preset="EII"),
+                  "e6(2), Satake type EII", "E6", satake_preset="EII"),
         ModelSpec("e6p6", "magic", "pOs", "pRR", (1, 1, 1), 6,
-                  "e6(6), the split form (Satake type EI)", satake_preset="EI"),
+                  "e6(6), the split form (Satake type EI)", "E6",
+                  satake_preset="EI"),
         ModelSpec("e6m26", "tits", "pO", "", (1, 1, 1), -26,
-                  "e6(-26), Satake type EIV (derivation model)",
+                  "e6(-26), Satake type EIV (derivation model)", "E6",
                   satake_preset="EIV"),
     ]
 }
@@ -257,16 +260,6 @@ def _delta0_data(
     return len(delta0), classify_cartan_matrix(cartan_matrix(black, delta0))
 
 
-def _bourbaki_order(simple: List[Covector], cm: List[List[int]]) -> List[Covector]:
-    """An E6 simple system with Cartan matrix cm, in Bourbaki label order."""
-    n = len(simple)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if cm[i][j]]
-    ordered = [simple[k] for k in e6_label_order(edges, n)]
-    # two Bourbaki orders exist (arm swap); pick deterministically
-    alt = [ordered[k] for k in (5, 1, 4, 3, 2, 0)]
-    return min(ordered, alt, key=lambda o: tuple(cov_key(c) for c in o))
-
-
 def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
     """Satake data of the sigma-order simple system of the root
     decomposition under the model's hs = a + t_h."""
@@ -282,21 +275,22 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
             witness={"covector": [x.to_str() for x in wide[0].covector],
                      "dim": wide[0].dim},
         )
-    if len(datum.spaces) != 72 or datum.zero.dim != 6:
-        raise VerificationError(
-            f"{key}: expected 72 roots and a 6-dim zero space, got "
-            f"{len(datum.spaces)} and {datum.zero.dim}",
-            witness={"roots": len(datum.spaces), "zero_dim": datum.zero.dim},
-        )
     covectors = Echelon()
     for s in datum.spaces:
         covectors.add(to_sparse(s.covector))
-    if not len(cartan.hs) == datum.zero.dim == covectors.rank:
+    rank = len(cartan.hs)
+    if not rank == datum.zero.dim == covectors.rank:
         raise VerificationError(
-            f"{key}: {len(cartan.hs)} Cartan generators, but the zero space has "
+            f"{key}: {rank} Cartan generators, but the zero space has "
             f"dim {datum.zero.dim} and the roots span {covectors.rank}",
-            witness={"generators": len(cartan.hs), "zero_dim": datum.zero.dim,
+            witness={"generators": rank, "zero_dim": datum.zero.dim,
                      "root_rank": covectors.rank},
+        )
+    if len(datum.spaces) != build.lie.dim - rank:
+        raise VerificationError(
+            f"{key}: expected {build.lie.dim - rank} roots and a {rank}-dim zero "
+            f"space, got {len(datum.spaces)} and {datum.zero.dim}",
+            witness={"roots": len(datum.spaces), "zero_dim": datum.zero.dim},
         )
     roots = datum.root_set()
     a_idx = split_indices(datum)
@@ -307,14 +301,17 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
             witness={"split_indices": list(a_idx), "a": list(range(len(cartan.a)))},
         )
     adapted = adapted_simple_system(datum, a_idx)
-    cm = cartan_matrix(adapted, roots)
-    delta_type = classify_cartan_matrix(cm)
-    if delta_type != "E6":
+    delta_type, orders = bourbaki_orders(cartan_matrix(adapted, roots))
+    if delta_type != build.spec.root_type:
         raise VerificationError(
             f"{key}: root system classified as {delta_type}",
             witness={"type": delta_type},
         )
-    simple = _bourbaki_order(adapted, cm)
+    # one Bourbaki order per diagram automorphism; the least in cov_key
+    simple = min(
+        ([adapted[k] for k in order] for order in orders),
+        key=lambda system: tuple(cov_key(c) for c in system),
+    )
     sig = build.signature[0] - build.signature[1]
     diagram = build_satake(datum, a_idx, simple, meta={"signature": sig})
     table = build_restricted_table(datum, a_idx, simple)
@@ -333,7 +330,7 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         "sigma_type": table.sigma_type,
         "mult_sum": table.mult_sum,
         "real_rank": len(a_idx),
-        "rank_identity": 6
+        "rank_identity": rank
         == len(a_idx) + len(diagram.arrows) + len(diagram.filled_indices()),
         "maximally_noncompact": cartan.maximally_noncompact,
     }
@@ -499,8 +496,8 @@ def table_rows(only: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
 
 def compact_diagram(key: str) -> SatakeDiagram:
     spec = MODELS[key]
-    if spec.compact_type is None:
+    if not spec.compact:
         raise ConstructionError(
             f"model {key} is not compact and has no Cartan preset"
         )
-    return compact_satake(spec.compact_type, {"signature": spec.signature})
+    return compact_satake(spec.root_type, {"signature": spec.signature})

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra, generating_set, killing_form
@@ -474,6 +474,9 @@ def _chain_matrix(k: int) -> List[List[int]]:
 
 
 def _catalog(k: int) -> List[Tuple[str, List[List[int]]]]:
+    """The Cartan matrices of rank k, each in Bourbaki order (Bourbaki, Lie
+    Groups and Lie Algebras, ch. VI, Plates): row i, column j holds
+    <a_j, a_i^vee>, so a matching permutation labels a simple system."""
     out: List[Tuple[str, List[List[int]]]] = [(f"A{k}", _chain_matrix(k))]
     if k >= 2:
         b = _chain_matrix(k)
@@ -484,43 +487,37 @@ def _catalog(k: int) -> List[Tuple[str, List[List[int]]]]:
         c[k - 2][k - 1] = -2  # last root long
         out.append((f"C{k}", c))
     if k >= 4:
-        d = _chain_matrix(k - 1)
-        for row in d:
-            row.append(0)
-        d.append([0] * k)
-        d[k - 1][k - 1] = 2
-        d[k - 3][k - 1] = -1
-        d[k - 1][k - 3] = -1
-        d[k - 2][k - 1] = 0
-        d[k - 1][k - 2] = 0
+        # chain 1-2-...-(k-1), node k on node k-2
+        d = _chain_matrix(k)
+        d[k - 2][k - 1] = d[k - 1][k - 2] = 0
+        d[k - 3][k - 1] = d[k - 1][k - 3] = -1
         out.append((f"D{k}", d))
     if k == 2:
-        g = [[2, -1], [-3, 2]]
+        g = [[2, -3], [-1, 2]]  # alpha1 short
         out.append(("G2", g))
     if k == 4:
         f = _chain_matrix(4)
         f[2][1] = -2  # alpha2 long, alpha3 short
         out.append(("F4", f))
     if k in (6, 7, 8):
-        # chain 1-3-4-5-..., extra node attached at the third chain slot
-        e = _chain_matrix(k - 1)
-        for row in e:
-            row.append(0)
-        e.append([0] * k)
-        e[k - 1][k - 1] = 2
-        e[2][k - 1] = -1
-        e[k - 1][2] = -1
+        # chain 1-3-4-...-k, node 2 on node 4
+        e = _chain_matrix(k)
+        e[0][1] = e[1][0] = 0
+        e[1][2] = e[2][1] = 0
+        e[0][2] = e[2][0] = -1
+        e[1][3] = e[3][1] = -1
         out.append((f"E{k}", e))
     return out
 
 
-def _matrices_match(a: List[List[int]], b: List[List[int]]) -> bool:
-    k = len(a)
-    idx = range(k)
-    for perm in itertools.permutations(idx):
-        if all(a[i][j] == b[perm[i]][perm[j]] for i in idx for j in idx):
-            return True
-    return False
+def _matrices_match(a: List[List[int]], b: List[List[int]]) -> Iterator[Tuple[int, ...]]:
+    """Every permutation `order` with a[order[i]][order[j]] == b[i][j]:
+    node i of b is node order[i] of a.  When a is b up to the order of its
+    nodes, there is one per automorphism of b's Dynkin diagram."""
+    idx = range(len(a))
+    for order in itertools.permutations(idx):
+        if all(a[order[i]][order[j]] == b[i][j] for i in idx for j in idx):
+            yield order
 
 
 def _components(c: List[List[int]]) -> List[List[int]]:
@@ -550,7 +547,7 @@ def classify_cartan_matrix(c: List[List[int]]) -> str:
         k = len(comp)
         name = None
         for cand_name, cand in _catalog(k):
-            if _matrices_match(sub, cand):
+            if next(_matrices_match(sub, cand), None) is not None:
                 name = cand_name
                 break
         if name is None:
@@ -560,6 +557,20 @@ def classify_cartan_matrix(c: List[List[int]]) -> str:
         names.append(name)
     names.sort(key=lambda s: (-int(s[1:]), s[0]))
     return "+".join(names)
+
+
+def bourbaki_orders(c: List[List[int]]) -> Tuple[str, List[Tuple[int, ...]]]:
+    """The type of the Cartan matrix c and, when c is irreducible, every
+    order of its nodes that carries it onto the catalog matrix of that
+    type: node order[i] of c is the Bourbaki node a_{i+1}.  There is one
+    order per automorphism of the Dynkin diagram (two for E6); a reducible
+    c has none."""
+    if len(_components(c)) == 1:
+        for name, cand in _catalog(len(c)):
+            orders = list(_matrices_match(c, cand))
+            if orders:
+                return name, orders
+    return classify_cartan_matrix(c), []
 
 
 def _simple_witness(root: Covector, simple: List[Covector]) -> Dict[str, object]:

@@ -3,9 +3,12 @@
 A diagram is the Dynkin graph of a verified simple system, decorated with
 filled nodes (simple roots vanishing on the split part) and arrows (white
 nodes with equal restriction).  Bonds and directions come from root-string
-Cartan integers only.  Canonical forms minimize over node permutations, so
-two diagrams compare equal exactly when they are isomorphic as decorated
-graphs.
+Cartan integers only.  Node k is labelled a(k+1): the Satake pass hands
+the simple system over in Bourbaki order, read off the classification match
+(`rootspace.bourbaki_orders`), so the E6 renderer and the compact template
+share one fixed Bourbaki layout.  Canonical forms minimize over node
+permutations, so two diagrams compare equal exactly when they are
+isomorphic as decorated graphs.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from .rootspace import (
     verify_simple_basis,
 )
 from .scalars import Scalar
+
+
+# the Bourbaki E6 diagram on nodes a1..a6 (0-based): the chain a1 a3 a4 a5 a6
+# and a2 on a4
+_E6_EDGES = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
 
 
 @dataclass
@@ -128,46 +136,31 @@ class SatakeDiagram:
                 return core
         return "   "
 
+    def _chain_lines(self, chain: List[int]) -> List[str]:
+        """The nodes of a chain in one row, bonded, over their labels."""
+        row = labels = ""
+        for k, idx in enumerate(chain):
+            if k:
+                row += " " + self._edge_glyph(chain[k - 1], idx) + " "
+            row += self._mark(idx)
+            labels = labels.ljust(6 * k) + self.nodes[idx].label
+        return [row, labels]
+
     def render_ascii(self) -> str:
-        lines: List[str] = []
-        order = _e6_order([(e.a, e.b) for e in self.edges], len(self.nodes))
-        if order is not None:
-            branch = order[1]
-            chain = [order[0]] + order[2:]
-            width = 6
-            pos = {idx: width * k for k, idx in enumerate(chain)}
-            # the stem joins a2 to the degree-3 node a4 (order[3])
-            hub = pos[order[3]]
-            top = " " * hub + self._mark(branch) + "  " + self.nodes[branch].label
-            stem = " " * hub + "|"
-            row = ""
-            for k, idx in enumerate(chain):
-                if k:
-                    row += " " + self._edge_glyph(chain[k - 1], idx) + " "
-                row += self._mark(idx)
-            labels = ""
-            for idx in chain:
-                labels = labels.ljust(pos[idx]) + self.nodes[idx].label
-            lines += [top, stem, row, labels]
+        edges = sorted((e.a, e.b) for e in self.edges)
+        if len(self.nodes) == 6 and edges == sorted(_E6_EDGES):
+            # the chain a1 a3 a4 a5 a6, with a2 over a4 (column 12)
+            top = " " * 12 + self._mark(1) + "  " + self.nodes[1].label
+            lines = [top, " " * 12 + "|"] + self._chain_lines([0, 2, 3, 4, 5])
+        elif (chain := _path_order(self)) is not None:
+            lines = self._chain_lines(chain)
         else:
-            chain = _path_order(self)
-            if chain is not None:
-                row = ""
-                for k, idx in enumerate(chain):
-                    if k:
-                        row += " " + self._edge_glyph(chain[k - 1], idx) + " "
-                    row += self._mark(idx)
-                labels = ""
-                for k, idx in enumerate(chain):
-                    labels = labels.ljust(6 * k) + self.nodes[idx].label
-                lines += [row, labels]
-            else:
-                for e in self.edges:
-                    lines.append(
-                        f"{self.nodes[e.a].label}({self._mark(e.a)}) "
-                        f"{self._edge_glyph(e.a, e.b)} "
-                        f"{self.nodes[e.b].label}({self._mark(e.b)})"
-                    )
+            lines = [
+                f"{self.nodes[e.a].label}({self._mark(e.a)}) "
+                f"{self._edge_glyph(e.a, e.b)} "
+                f"{self.nodes[e.b].label}({self._mark(e.b)})"
+                for e in self.edges
+            ]
         for a, b in self.arrows:
             lines.append(f"arrow: {self.nodes[a].label} <--> {self.nodes[b].label}")
         return "\n".join(lines) + "\n"
@@ -224,51 +217,6 @@ def _path_order(diag: SatakeDiagram) -> Optional[List[int]]:
             return None
         prev, cur = cur, nxts[0]
         order.append(cur)
-    return order
-
-
-def _e6_order(edges: List[Tuple[int, int]], n: int) -> Optional[List[int]]:
-    """Node indices in Bourbaki order a1,...,a6 when the graph is E6-shaped,
-    else None.
-
-    a4 is the degree-3 node, a2 its leaf neighbor; of the two remaining
-    arms (a3,a1) and (a5,a6), orientation is fixed by the caller sorting
-    the returned candidates.
-    """
-    if n != 6 or len(edges) != 5:
-        return None
-    adj: Dict[int, List[int]] = {k: [] for k in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    deg3 = [k for k in range(n) if len(adj[k]) == 3]
-    if len(deg3) != 1:
-        return None
-    c = deg3[0]
-    branch = None
-    arms = []
-    for w in adj[c]:
-        if len(adj[w]) == 1:
-            branch = w
-        else:
-            nxt = [x for x in adj[w] if x != c]
-            if len(nxt) != 1 or len(adj[nxt[0]]) != 1:
-                return None
-            arms.append((w, nxt[0]))
-    if branch is None or len(arms) != 2:
-        return None
-    (m1, t1), (m2, t2) = arms
-    return [t1, branch, m1, c, m2, t2]
-
-
-def e6_label_order(diag_edges: List[Tuple[int, int]], n: int) -> List[int]:
-    """`_e6_order`, raising when the graph is not E6-shaped."""
-    order = _e6_order(diag_edges, n)
-    if order is None:
-        raise VerificationError(
-            "diagram is not E6-shaped",
-            witness={"edges": [list(e) for e in diag_edges], "nodes": n},
-        )
     return order
 
 
@@ -345,7 +293,7 @@ def build_satake(
 def compact_satake(diagram_type: str, meta: Optional[Dict[str, int]] = None) -> SatakeDiagram:
     """All-black diagram of the given type (compact-form convention)."""
     shapes = {
-        "E6": ([(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)], 6, [1] * 5, [None] * 5),
+        "E6": (_E6_EDGES, 6, [1] * 5, [None] * 5),
         "F4": ([(0, 1), (1, 2), (2, 3)], 4, [1, 2, 1], [None, 2, None]),
     }
     if diagram_type not in shapes:

@@ -198,7 +198,6 @@ def verification_raises(obj):
         (algebras.check_symmetric, 1),
         (lie, 6),
         (pipeline, 8),
-        (satake.e6_label_order, 1),
         (satake.build_satake, 2),
         (satake._bonds, 1),
         (satake.compact_satake, 1),

@@ -465,6 +465,22 @@ def test_run_satake_rejects_non_e6_system(get_build, get_satake, monkeypatch):
     assert w["type"] != "E6"
 
 
+@pytest.mark.parametrize("key", ["e6m14", "e6p2"])
+def test_labelling_ignores_the_order_of_the_adapted_system(get_build, get_satake, key, monkeypatch):
+    # the Bourbaki labels are read off the classification, not off the
+    # order in which the simple roots come
+    res = get_satake(key)
+    real = pipeline.adapted_simple_system
+    for shuffle in (lambda s: s[::-1], lambda s: s[2:] + s[:2]):
+        monkeypatch.setattr(
+            pipeline, "adapted_simple_system", lambda d, a, f=shuffle: f(real(d, a))
+        )
+        again = run_satake(key, get_build(key))
+        assert again.simple == res.simple
+        assert again.diagram.to_json() == res.diagram.to_json()
+        assert again.table.to_json_dict() == res.table.to_json_dict()
+
+
 @pytest.mark.parametrize("name", ["EIV", "EIII", "EII"])
 def test_preset_root_that_is_not_a_root(get_build, name):
     # 2 alpha_3 is not a root, and alpha_3 is half of it

@@ -15,6 +15,7 @@ from realforms.rootspace import (
     RootDatum,
     RootSpace,
     adapted_simple_system,
+    bourbaki_orders,
     cartan_integer,
     cartan_matrix,
     classify_cartan_matrix,
@@ -43,6 +44,7 @@ from realforms.rootspace import (
     verify_cartan_decomposition,
     verify_simple_basis,
 )
+from realforms.satake import _bonds, compact_satake
 from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Rat, Scalar, sc
 
 
@@ -384,7 +386,9 @@ def test_classify_direct_sum():
     assert classify_cartan_matrix(cm) == "A1+A1"
 
 
-def _bourbaki_e(k: int):
+def _e_branch_node_last(k: int):
+    """E_k with its nodes listed along the chain of length k - 1, then the
+    branch node, joined to the third chain node."""
     cm = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
 
     def join(i, j):
@@ -396,9 +400,87 @@ def _bourbaki_e(k: int):
     return cm
 
 
+def _bourbaki_e(k: int):
+    """E_k in Bourbaki order: the chain a1 a3 a4 ... ak, with a2 on a4."""
+    cm = [[2 if i == j else 0 for j in range(k)] for i in range(k)]
+    for a, b in [(1, 3), (2, 4)] + [(j, j + 1) for j in range(3, k)]:
+        cm[a - 1][b - 1] = cm[b - 1][a - 1] = -1
+    return cm
+
+
 def test_classify_e_series():
     for k in (6, 7, 8):
+        assert classify_cartan_matrix(_e_branch_node_last(k)) == f"E{k}"
         assert classify_cartan_matrix(_bourbaki_e(k)) == f"E{k}"
+
+
+def test_bourbaki_orders_of_bourbaki_e_series():
+    # the identity labels a Bourbaki matrix; E6 also has the arm swap
+    # a1 <-> a6, a3 <-> a5
+    identity = tuple(range(6))
+    assert bourbaki_orders(_bourbaki_e(6)) == ("E6", [identity, (5, 1, 4, 3, 2, 0)])
+    for k in (7, 8):
+        assert bourbaki_orders(_bourbaki_e(k)) == (f"E{k}", [tuple(range(k))])
+    # chain 0-1-2-3-4 with 5 on 2: a2 is node 5, a4 node 2, a1 a chain end
+    name, orders = bourbaki_orders(_e_branch_node_last(6))
+    assert name == "E6"
+    assert sorted(orders) == [(0, 5, 1, 2, 3, 4), (4, 5, 3, 2, 1, 0)]
+
+
+def test_bourbaki_orders_put_the_short_root_where_bourbaki_does():
+    # G2: a1 short; B2: a2 short; read off root strings
+    assert bourbaki_orders(cartan_matrix([cov(0, 1), cov(1, 0)], G2)) == ("G2", [(0, 1)])
+    assert bourbaki_orders(cartan_matrix([cov(1, 0), cov(0, 1)], G2)) == ("G2", [(1, 0)])
+    assert bourbaki_orders(cartan_matrix([cov(1, -1), cov(0, 1)], B2)) == ("B2", [(0, 1)])
+    # F4: a3 and a4 short; C3: a3 long
+    f4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
+    assert bourbaki_orders(f4) == ("F4", [(0, 1, 2, 3)])
+    assert bourbaki_orders([[2, -1, 0], [-1, 2, -2], [0, -1, 2]]) == ("C3", [(0, 1, 2)])
+
+
+# |Aut| of each connected Dynkin diagram of rank <= 6: 2 for A_n, n > 1,
+# and 1 for the types not listed
+_AUTOMORPHISMS = {"A1": 1, "D4": 6, "D5": 2, "D6": 2, "E6": 2}
+_CATALOG_TO_RANK_6 = [entry for k in range(1, 7) for entry in rootspace_mod._catalog(k)]
+
+
+@pytest.mark.parametrize(
+    "name,cm", _CATALOG_TO_RANK_6, ids=[name for name, _ in _CATALOG_TO_RANK_6]
+)
+def test_bourbaki_orders_one_per_diagram_automorphism(name, cm):
+    k = len(cm)
+    # the odd nodes first, then the even ones
+    shuffle = list(range(1, k, 2)) + list(range(0, k, 2))
+    scrambled = [[cm[i][j] for j in shuffle] for i in shuffle]
+    typ, orders = bourbaki_orders(scrambled)
+    assert typ == name
+    automorphisms = _AUTOMORPHISMS.get(name, 2 if name[0] == "A" else 1)
+    assert len(orders) == len(set(orders)) == automorphisms
+    for order in orders:
+        assert sorted(order) == list(range(k))
+        assert all(
+            scrambled[order[i]][order[j]] == cm[i][j] for i in range(k) for j in range(k)
+        )
+
+
+@pytest.mark.parametrize("name", ["E6", "F4"])
+def test_compact_templates_are_the_bourbaki_catalog_diagrams(name):
+    # same edges, bonds and arrows; the template keeps its own edge order
+    template = compact_satake(name)
+    cm = dict(rootspace_mod._catalog(len(template.nodes)))[name]
+
+    def edge_set(edges):
+        return {(e.a, e.b, e.bond, e.arrow_to) for e in edges}
+
+    assert edge_set(template.edges) == edge_set(_bonds(cm))
+
+
+def test_bourbaki_orders_of_reducible_and_unknown_matrices():
+    cm = cartan_matrix([cov(1, 0), cov(0, 1)], pm(cov(1, 0), cov(0, 1)))
+    assert bourbaki_orders(cm) == ("A1+A1", [])
+    with pytest.raises(VerificationError, match="unrecognized") as exc:
+        bourbaki_orders([[2, -4], [-4, 2]])
+    assert exc.value.witness == [[2, -4], [-4, 2]]
 
 
 def test_classify_f4_c3():

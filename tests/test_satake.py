@@ -18,7 +18,6 @@ from realforms.satake import (
     build_restricted_table,
     build_satake,
     compact_satake,
-    e6_label_order,
 )
 from realforms.scalars import HALF, ONE, sc
 
@@ -173,23 +172,6 @@ def test_render_dispatch():
     assert diag.render("json") == diag.to_json()
     with pytest.raises(IOFormatError, match="unknown format"):
         diag.render("svg")
-
-
-# ---------------------------------------------------------------------------
-# Bourbaki ordering
-
-
-def test_e6_label_order_identity_shape():
-    edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
-    assert e6_label_order(edges, 6) == [0, 1, 2, 3, 4, 5]
-
-
-def test_e6_label_order_rejects_path():
-    with pytest.raises(VerificationError, match="E6") as exc:
-        e6_label_order([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 6)
-    assert exc.value.witness == {
-        "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]], "nodes": 6
-    }
 
 
 # ---------------------------------------------------------------------------
