@@ -221,9 +221,10 @@ def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[SparseMat
 
 def check_rho_homomorphism(
     square: MagicSquareAlgebra, R: List[SparseMatrix], images: Optional[SpanSolver] = None
-) -> Dict[str, int]:
+) -> Dict[str, object]:
     """[rho b_i, rho b_j] = rho [b_i, b_j] on all basis pairs i < j,
     exactly, and rho injective; R holds the images as sparse rows.
+    Returns the Jacobi record of g + A, the certificate it runs.
 
     A linear rho: g -> gl(V) is a representation exactly when the split
     extension g + V, with V an abelian ideal and [x, v] = rho(x) v, is a
@@ -259,14 +260,13 @@ def check_rho_homomorphism(
     labels = list(square.lie.labels) + [f"e{q}" for q in range(n)]
     extension = lie_from_fn(f"{square.lie.name}+A", labels, fn)
     try:
-        certify_jacobi(extension)
+        return certify_jacobi(extension)
     except VerificationError as exc:
         i, j, k = exc.witness
         where = f"at pair ({i}, {j})" if k >= nb else f"(g fails Jacobi on ({i}, {j}, {k}))"
         raise VerificationError(
             f"action map fails to be a homomorphism {where}", witness=(i, j)
         ) from exc
-    return {"pairs": nb * (nb - 1) // 2}
 
 
 def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:

@@ -4,8 +4,7 @@ Brackets are stored sparsely for i < j only.  Every certificate is exact
 and runs over these sparse tables, so the same code serves rational
 constants and the sqrt3 constants of the Okubo-built algebras, and nothing
 can overflow.  The Killing form is one scatter pass over the bracket table
-in Scalar arithmetic that touches only nonzero products; Killing
-invariance runs in Scalar arithmetic over the ad table.  The Jacobi
+in Scalar arithmetic that touches only nonzero products.  The Jacobi
 certificate is a proof in two parts.  `generating_set` picks basis indices
 S whose span, closed under the ad(b_s) for s in S, is all of L; this step
 only evaluates brackets.  The Jacobi sum is then evaluated on the triples
@@ -16,9 +15,9 @@ table's denominators are cleared and each constant is written in integer
 coordinates over the Q-basis 1, sqrt3, i, i sqrt3 of Q(sqrt3, i)
 (`int_coords`).
 
-The generating-set argument serves three certificates: `certify_jacobi`;
-the rho certificate of `constructions`, which is `certify_jacobi` on the
-split extension g + A and so also certifies that g satisfies Jacobi; and
+The generating-set argument serves `certify_jacobi`, whose S the theta
+certificate of `rootspace` reuses; the rho certificate of `constructions`,
+`certify_jacobi` on the split extension g + A, which also certifies g; and
 `closed_subalgebra`, which proves a subspace T of a Lie algebra closed
 under the bracket: the x in T with [x, T] inside T form a subalgebra, by
 the Jacobi identity of the ambient algebra, so certifying the brackets
@@ -36,18 +35,7 @@ from math import gcd, lcm
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import VerificationError
-from .linalg import (
-    Echelon,
-    SparseMatrix,
-    SparseVec,
-    SpanSolver,
-    add_product,
-    commutator,
-    flatten,
-    matrix_rows,
-    nullspace,
-    sylvester_signature,
-)
+from .linalg import Echelon, SparseMatrix, SparseVec, SpanSolver
 from .scalars import ONE, ZERO, Scalar, add_scaled
 
 
@@ -337,17 +325,19 @@ def _failing_pairs(
 def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
     """[b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]] = 0 on every
     basis triple i < j < k, exactly.  Raises with the first failing triple,
-    in lexicographic order, as witness.
+    in lexicographic order, as witness, else returns {"generators": S,
+    "triples": N}.
 
-    The sum is evaluated only on the triples that contain an index of
-    S = `generating_set(L)`: these vanish exactly when ad(b_s) is a
-    derivation for each s in S.  That proves every triple.  The x with
-    ad(x) a derivation form a subspace T, and T is closed under brackets:
-    if ad(x) is a derivation then ad([x, y]) = [ad(x), ad(y)], and the
-    commutator of two derivations is one.  So T contains the closure of
-    span(S) under the ad(b_s), which `generating_set` showed to be L.
-    Antisymmetry holds by construction of the i < j table.  When a sum is
-    nonzero, the full lexicographic scan finds the witness.
+    The sum is evaluated only on the N = C(n, 3) - C(n - |S|, 3) triples
+    that contain an index of S = `generating_set(L)`: these vanish exactly
+    when ad(b_s) is a derivation for each s in S.  That proves every
+    triple.  The x with ad(x) a derivation form a subspace T, and T is
+    closed under brackets: if ad(x) is a derivation then ad([x, y]) =
+    [ad(x), ad(y)], and the commutator of two derivations is one.  So T
+    contains the closure of span(S) under the ad(b_s), which
+    `generating_set` showed to be L.  Antisymmetry holds by construction
+    of the i < j table.  When a sum is nonzero, the full lexicographic
+    scan finds the witness.
 
     The sums run on Python ints over the table of _integer_ad.  A Jacobi
     sum of D*L is D^2 times that of L, and F -> Q^4 is a Q-linear
@@ -357,10 +347,11 @@ def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
     n = L.dim
     gens = generating_set(L)
     iad = _integer_ad(L)
-    done = set()
+    done, triples = set(), 0
     for s in gens:
         done.add(s)
         others = [x for x in range(n) if x not in done]
+        triples += len(others) * (len(others) - 1) // 2
         if next(_failing_pairs(iad, s, others), None) is not None:
             i, (j, k) = next(
                 (i, pair)
@@ -372,7 +363,7 @@ def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
                 f"({L.labels[i]}, {L.labels[j]}, {L.labels[k]})",
                 witness=(i, j, k),
             )
-    return {"method": "sparse", "triples": n * (n - 1) * (n - 2) // 6}
+    return {"generators": gens, "triples": triples}
 
 
 def killing_form(L: LieAlgebra) -> SparseMatrix:
@@ -423,73 +414,6 @@ def killing_form(L: LieAlgebra) -> SparseMatrix:
     return out
 
 
-def killing_signature(L: LieAlgebra) -> Tuple[int, int, int]:
-    return sylvester_signature(killing_form(L))
-
-
-def check_killing_invariance(L: LieAlgebra) -> Dict[str, object]:
-    """k([x,y], z) + k(y, [x,z]) = 0 on all basis triples.
-
-    Equivalent to K ad(b_i) being antisymmetric for every i; row j of
-    m = ad(b_i)^T K holds k([b_i, b_j], b_k).
-    """
-    n = L.dim
-    k_rows = killing_form(L)
-    ad = L.ad
-    for i in range(n):
-        m: List[SparseVec] = [{} for _ in range(n)]
-        add_product(m, [ad[i].get(j, {}) for j in range(n)], k_rows)
-        for j, row in enumerate(m):
-            for k, x in row.items():
-                if x + m[k].get(j, ZERO):
-                    j0, k0 = min(j, k), max(j, k)
-                    raise VerificationError(
-                        f"{L.name}: Killing invariance fails on "
-                        f"({L.labels[i]}, {L.labels[j0]}, {L.labels[k0]})",
-                        witness=(i, j0, k0),
-                    )
-    return {"method": "sparse", "triples": n * n * n}
-
-
-# ---------------------------------------------------------------------------
-# derivation algebras of structure-constant tables
-
-
-def derivation_rows(table) -> List[SparseVec]:
-    """Linear conditions on D (row-major n x n unknowns) for
-    D(b_i b_j) = D(b_i) b_j + b_i D(b_j)."""
-    n = table.dim
-    sc_ = table.sc
-    commutative = all(
-        sc_[i][j] == sc_[j][i] for i in range(n) for j in range(i + 1, n)
-    )
-    pairs = (
-        [(i, j) for i in range(n) for j in range(i, n)]
-        if commutative
-        else [(i, j) for i in range(n) for j in range(n)]
-    )
-    rows: List[SparseVec] = []
-    for i, j in pairs:
-        prod = sc_[i][j]
-        for p in range(n):
-            row: SparseVec = {p * n + q: v for q, v in prod.items()}
-            for r in range(n):
-                for k, v in ((r * n + i, sc_[r][j].get(p)), (r * n + j, sc_[i][r].get(p))):
-                    if v:
-                        row[k] = row.get(k, ZERO) - v
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append(row)
-    return rows
-
-
-def derivations(table) -> List[SparseMatrix]:
-    """Basis of the derivation algebra, as sparse-row matrices acting on
-    coordinates."""
-    n = table.dim
-    return [matrix_rows(vec, n) for vec in nullspace(derivation_rows(table), n * n)]
-
-
 def _independent_solver(name: str, what: str, vectors: Iterable[SparseVec]) -> SpanSolver:
     """A SpanSolver over `vectors`; raises, with the index of the first
     vector in the span of the earlier ones as witness, if they are
@@ -499,22 +423,6 @@ def _independent_solver(name: str, what: str, vectors: Iterable[SparseVec]) -> S
         if not solver.add(v):
             raise VerificationError(f"{name}: {what} is dependent", witness={"index": k})
     return solver
-
-
-def derivation_lie_algebra(name: str, mats: List[SparseMatrix]) -> LieAlgebra:
-    """Close a list of matrices under commutator brackets (must span one)."""
-    solver = _independent_solver(name, "derivation basis", (flatten(m) for m in mats))
-
-    def comm(i: int, j: int) -> SparseVec:
-        coords = solver.coords_sparse(flatten(commutator(mats[i], mats[j])))
-        if coords is None:
-            raise VerificationError(
-                f"{name}: commutator escapes the span", witness={"pair": [i, j]}
-            )
-        return coords
-
-    labels = [f"D{k}" for k in range(len(mats))]
-    return lie_from_fn(name, labels, comm)
 
 
 def sub_lie_algebra(

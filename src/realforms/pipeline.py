@@ -151,7 +151,8 @@ class ModelBuild:
         hs read off its eigenspaces t and p; shared by the Satake pass, the
         Cartan decomposition report and `roots`."""
         L = self.lie
-        t, p, report = verify_cartan_decomposition(L, cartan_involution(self), self.killing)
+        theta, gens = cartan_involution(self), self.jacobi["generators"]
+        t, p, report = verify_cartan_decomposition(L, theta, gens, self.killing)
         a = _maximal_abelian(L, p)
         certificate = certify_maximal_abelian(L, a, p)
         t_h = _maximal_abelian(L, _centraliser(L, a, t))
@@ -333,6 +334,7 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         "rank_identity": rank
         == len(a_idx) + len(diagram.arrows) + len(diagram.filled_indices()),
         "maximally_noncompact": cartan.maximally_noncompact,
+        "cartan_involution": cartan.report,
     }
     if build.spec.satake_preset == "EIII":
         top = highest_root(roots, simple)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, VerificationError
-from .lie import LieAlgebra, generating_set, killing_form
+from .lie import LieAlgebra
 from .linalg import (
     Echelon,
     SparseMatrix,
@@ -782,22 +782,23 @@ def adapted_simple_system(
 
 
 def verify_cartan_decomposition(
-    L: LieAlgebra, theta: SparseMatrix, killing: Optional[SparseMatrix] = None
+    L: LieAlgebra, theta: SparseMatrix, generators: List[int], killing: SparseMatrix
 ) -> Tuple[List[SparseVec], List[SparseVec], Dict[str, object]]:
     """Certify theta, given as rows theta(b_k), as a Cartan involution of
     L; return t = ker(theta - 1), p = ker(theta + 1) and the report.
 
     Eigenvectors of distinct eigenvalues are independent, so dim t + dim p
     = dim L makes g = t + p direct and theta an involution.  t and p must
-    be real.  theta[b_g, b_q] = [theta b_g, theta b_q] is checked for g in
-    `generating_set(L)` and every q: by the Jacobi identity of L, the x
-    with theta[x, y] = [theta x, theta y] for all y form a subalgebra that
-    contains the generators, so it is L: theta is an automorphism, which
-    puts [t, t] and [p, p] in t and [t, p] in p.
-    Last, the Killing form must be negative definite on t and positive
-    definite on p (Knapp, Lie Groups Beyond an Introduction, VI.2).  The
-    first failed condition raises, with the index in t followed by p of a
-    non-real vector, the dimensions, the pair (g, q) or the signature."""
+    be real.  theta[b_g, b_q] = [theta b_g, theta b_q] is checked on the
+    |S| dim L pairs with g in S = `generators`, a set that `certify_jacobi`
+    certified to generate L under its own ad: by the Jacobi identity of L,
+    the x with theta[x, y] = [theta x, theta y] for all y form a subalgebra
+    that contains S, so it is L: theta is an automorphism, which puts
+    [t, t] and [p, p] in t and [t, p] in p.  Last, `killing`, the Killing
+    form of L, must be negative definite on t and positive definite on p
+    (Knapp, Lie Groups Beyond an Introduction, VI.2).  The first failed
+    condition raises, with the index in t followed by p of a non-real
+    vector, the dimensions, the pair (g, q) or the signature."""
     cols = transpose(theta)  # row i: entry i of every theta(b_k)
     t_basis, p_basis = (
         nullspace([combine([(ONE, row), (-lam, {i: ONE})]) for i, row in enumerate(cols)], L.dim)
@@ -814,7 +815,7 @@ def verify_cartan_decomposition(
             raise VerificationError(
                 f"basis vector {k} ({part}) has a non-real coordinate", witness=k
             )
-    for g in generating_set(L):
+    for g in generators:
         for q in range(L.dim):
             image = combine((x, theta[k]) for k, x in L.bracket_basis(g, q).items())
             if image != L.bracket(theta[g], theta[q]):
@@ -822,8 +823,6 @@ def verify_cartan_decomposition(
                     "theta is not an automorphism: theta[b_g, b_q] != [theta b_g, theta b_q]",
                     witness={"pair": [g, q]},
                 )
-    if killing is None:
-        killing = killing_form(L)
 
     def gram(vs: List[SparseVec]) -> SparseMatrix:
         kv: SparseMatrix = [{} for _ in vs]
@@ -846,4 +845,6 @@ def verify_cartan_decomposition(
         "signature": len(p_basis) - len(t_basis),
         "killing_on_t": sig_t,
         "killing_on_p": sig_p,
+        "generators": list(generators),
+        "pairs": len(generators) * L.dim,
     }

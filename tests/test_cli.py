@@ -51,7 +51,8 @@ def test_construct_small_magic_square(capsys):
     assert code == 0
     assert data["dim"] == 8
     assert data["signature"] == -8
-    assert data["jacobi"] == {"method": "sparse", "triples": 56}
+    # 3 generators: the C(8, 3) - C(5, 3) triples that meet them are summed
+    assert data["jacobi"] == {"generators": [0, 5, 2], "triples": 46}
 
 
 def test_satake_compact_ascii(capsys):
@@ -374,34 +375,34 @@ def test_config_eps_is_normalised_and_checked_on_read(tmp_path, capsys):
 
 
 GOLDEN_SHA256 = {
-    ("build", "e6m14"): "89097f891849e212bc7767dc4e9493942f7b151d75edd10f477f3189f7dbfe65",
-    ("build", "e6m26"): "9519c89f273564837d0c6d99219a0b11ffe9473a425d166a7b02578c6f13fc91",
+    ("build", "e6m14"): "b4532da85ae93c35fc8641fd8335d18deb5e68c6ad3e96ea29d83f623ec683e0",
+    ("build", "e6m26"): "1aad7e4e9264ad4f620751a269ceb41930af12c15b059be04d281253efd75abb",
     ("algebra", "Ok"): "a811bd251c881c2f4a93f4a9fd96dd9276a0f9833c1c49945cc07b1b3914c775",
     ("algebra", "Oks"): "b7f821f4cf7a9e18f425c4b87aea8961b47ae53c8055316d685d5aa165f3ca14",
     ("construct", "--s", "Ok", "--sp", "R"):
-        "9054889b84aad8bf882a0ace8c903ce026edbc8691939a7b5b313c1b79bb771b",
+        "f0658addf89c27f6b7f0fb660b0d306eff28152c0303772718e438d46d41425c",
     ("construct", "--s", "Ok", "--tits"):
-        "d8fe6a28f197b9fbf981f4c1affa774a167111d34d17df8e917607f20dc9a741",
+        "3853c0be0ea68f7e2f1b77445cdaf8dc0f2a1bee1e877cc6b9d1b60cab48e7bf",
     ("roots", "decompose", "--model", "e6m26"):
         "e9b53e52f8c9309ebfa1fd300e49351b88f51c2cba15cf10ab33b51113924821",
     ("satake", "e6p2", "--format", "json"):
-        "5f34b3f9dc0420b9eecc9f64b8d7df9171e1f1150a737cd26cfa9dc03a1e961a",
+        "dc55f8f5214561691ea1f258fc861ca77204e1e5e2fcc8e11d15b6cbefb39978",
     ("satake", "e6m14"):
         "de836a6256f75ae53ba29e405f61fb6e5ba813944028b81ece42e3a2dc927b78",
     ("satake", "e6m14", "--format", "json"):
-        "db97adab51419368349b59c4811aeb236b8161d07feb1e5ca511fec3d79169b6",
+        "69e677a1af5362ec18f8da373918c28819e1bbb0f5d5d4cca2d671cc00ac19e4",
     ("satake", "e6m26", "--format", "json"):
-        "2dfc1e0153fa1983108be1ed6d24518098e7eb7eb145b915b9c1c95339fe85ce",
+        "979c3408e99aced9282b57caf658c10ec0ab5ce4e8e31c196ba70cd91f88bfed",
     ("satake", "e6p6", "--format", "json"):
-        "8355a430f2156ff4471b6684c1659e21d53e9f599b072d7f394f6a4528018d39",
+        "aade65f591566cb80e5bcc490bec6789dc50896b2c8cee8d84b456ff5e8785d8",
     ("satake", "e6m78"):
         "3fe86a08dafaee147ee74248e663d02cd7aa2784467a915a437cd86abc18169a",
     ("table", "--json"):
         "0d29de4d6c3b1b6cce0ef8363b575ab5fe00dfab6fe1f1e30206b819101f1a98",
     ("roots", "verify-cartan-decomp", "--model", "e6p2"):
-        "1e48b483e045c6452442ef64c123ca6b9f7625d77ce6757efeae88eb665d7e55",
+        "6e7f6300dbd851398754392137c3f0c74c311ea62c4f8a14327fabf339392654",
     ("roots", "verify-cartan-decomp", "--model", "e6p6"):
-        "b9fa262adde652e21cadcfa262923b3e569511e67057f981ce53c36ba99b6333",
+        "d9f2fc43bc82a6101de908260f7fc06b1d35310ea1e6de8640a2ff97a8a7697a",
 }
 
 

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -14,15 +15,11 @@ from realforms.constructions import (
     rho_images,
 )
 from realforms.errors import VerificationError
-from realforms.lie import (
-    LieAlgebra,
-    certify_jacobi,
-    derivations,
-    killing_form,
-    killing_signature,
-)
+from realforms.lie import LieAlgebra, certify_jacobi, killing_form
 from realforms.linalg import apply, combine, flatten, to_dense
 from realforms.scalars import HALF, IUNIT, ONE, SQRT3, ZERO, sc
+
+from oracles import derivations, killing_signature
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +147,9 @@ def test_rho_homomorphism_catches_corruption():
     s = symmetric_composition("pC")
     square = magic_square(s, symmetric_composition("R"), (1, 1, 1))
     R = rho_images(square, albert(s, (1, 1, 1)))
-    assert check_rho_homomorphism(square, R) == {"pairs": 8 * 7 // 2}
+    # the Jacobi record of g + A: 6 of its 8 + 9 indices generate it
+    record = {"generators": [0, 11, 5, 10, 9, 3], "triples": comb(17, 3) - comb(11, 3)}
+    assert check_rho_homomorphism(square, R) == record
     R[1][3][4] = R[1][3].get(4, ZERO) + ONE
     with pytest.raises(VerificationError, match="homomorphism") as info:
         check_rho_homomorphism(square, R)
@@ -191,6 +190,13 @@ def naive_rho_witness(square, R):
     return None
 
 
+# the Jacobi record of f4 + A for the 27-dimensional A over pO or Ok
+PO_RHO_RECORD = {
+    "generators": [0, 49, 19, 68, 38, 8, 54],
+    "triples": comb(52 + 27, 3) - comb(52 + 27 - 7, 3),
+}
+
+
 @pytest.fixture(scope="module")
 def po_rho(f4_square):
     return rho_images(f4_square, albert(symmetric_composition("pO"), (1, 1, 1)))
@@ -228,7 +234,7 @@ def test_rho_homomorphism_lanes_of_the_constants(f4_square, po_rho):
     square = replace(f4_square, lie=LieAlgebra("scaled", f4_square.lie.labels, scaled))
     assert any(c.d for v in scaled.values() for c in v.values())
     assert not any(x.d for m in R for row in m for x in row.values())
-    assert check_rho_homomorphism(square, R) == {"pairs": 52 * 51 // 2}
+    assert check_rho_homomorphism(square, R) == PO_RHO_RECORD
     m = next(m for m in scaled[(a, b)] if m not in (a, b))
     scaled[(a, b)][m] = scaled[(a, b)][m] + IUNIT * SQRT3
     with pytest.raises(VerificationError, match="homomorphism") as info:
@@ -241,7 +247,7 @@ def test_rho_homomorphism_okubo_model():
     consts = [c for v in model.square.lie.brk.values() for c in v.values()]
     assert any(c.b for c in consts)  # sqrt3 lanes in the constants
     R = model.rho
-    assert check_rho_homomorphism(model.square, R) == {"pairs": 52 * 51 // 2}
+    assert check_rho_homomorphism(model.square, R) == PO_RHO_RECORD
     assert model.lie.dim == 78
 
 

@@ -196,7 +196,7 @@ def verification_raises(obj):
         (triality, 3),
         (algebras.check_composition, 3),
         (algebras.check_symmetric, 1),
-        (lie, 6),
+        (lie, 4),
         (pipeline, 8),
         (satake.build_satake, 2),
         (satake._bonds, 1),

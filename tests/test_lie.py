@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,9 @@ from realforms.lie import (
     LieAlgebra,
     certify_jacobi,
     closed_subalgebra,
-    derivation_lie_algebra,
-    derivations,
     generating_set,
     int_coords,
     killing_form,
-    killing_signature,
     lie_from_fn,
     sub_lie_algebra,
 )
@@ -25,6 +23,13 @@ from realforms.linalg import Echelon
 from realforms.pipeline import MODELS
 from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Scalar, sc
 from realforms.triality import triality_cached
+
+from oracles import (
+    check_killing_invariance,
+    derivation_lie_algebra,
+    derivations,
+    killing_signature,
+)
 
 
 def sl2() -> LieAlgebra:
@@ -63,7 +68,7 @@ def test_lie_from_fn_stores_zero_free_copy():
 
 def test_sl2_jacobi_sparse_report():
     report = certify_jacobi(sl2())
-    assert report == {"method": "sparse", "triples": 1}
+    assert report == {"generators": [0, 2, 1], "triples": 1}
 
 
 def test_sl2_killing_oracle():
@@ -104,7 +109,7 @@ def sl2_scaled(t: Scalar = SQRT3) -> LieAlgebra:
 def test_sqrt3_table_matches_scaling():
     L = sl2_scaled()
     report = certify_jacobi(L)
-    assert report == {"method": "sparse", "triples": 1}
+    assert report == {"generators": [0, 2, 1], "triples": 1}
     k = killing_form(L)
     assert k == [{0: sc(8)}, {2: sc(4) * SQRT3}, {1: sc(4) * SQRT3}]
     assert killing_signature(L) == (2, 1, 0)
@@ -136,7 +141,7 @@ def jacobi_witness(L: LieAlgebra):
 def test_imaginary_scaled_sl2_passes(t):
     # no constructed table has i parts; these exercise the i, i*r3 columns
     L = sl2_scaled(t)
-    assert certify_jacobi(L) == {"method": "sparse", "triples": 1}
+    assert certify_jacobi(L) == {"generators": [0, 2, 1], "triples": 1}
     assert naive_jacobi_witness(L) is None
 
 
@@ -159,7 +164,8 @@ def two_sl2s() -> LieAlgebra:
 @pytest.mark.parametrize("pair", [(1, 4), (0, 3), (1, 2), (4, 5)])
 def test_jacobi_corruption_in_each_component(delta, pair):
     L = two_sl2s()
-    assert certify_jacobi(L) == {"method": "sparse", "triples": 20}
+    # only h' lies outside S, so all C(6, 3) triples meet S
+    assert certify_jacobi(L) == {"generators": [0, 5, 4, 2, 1], "triples": 20}
     v = dict(L.brk.get(pair, {}))
     v[1] = v.get(1, ZERO) + delta
     L.brk[pair] = {p: x for p, x in v.items() if x}
@@ -409,15 +415,11 @@ def test_closed_subalgebra_rejects_unclosed_span():
 
 
 def test_killing_invariance_sl2_and_so3():
-    from realforms.lie import check_killing_invariance
-
     assert check_killing_invariance(sl2()) == {"method": "sparse", "triples": 27}
     assert check_killing_invariance(so3())["triples"] == 27
 
 
 def test_killing_invariance_flags_non_lie_table():
-    from realforms.lie import check_killing_invariance
-
     def fn(i, j):
         if (i, j) == (0, 1):
             return {2: ONE}
@@ -509,7 +511,7 @@ def test_jacobi_does_not_build_ad():
 def test_abelian_table_needs_the_whole_basis(n):
     L = LieAlgebra("abelian", [f"b{k}" for k in range(n)], {})
     assert sorted(generating_set(L)) == list(range(n))
-    assert certify_jacobi(L) == {"method": "sparse", "triples": n * (n - 1) * (n - 2) // 6}
+    assert certify_jacobi(L) == {"generators": generating_set(L), "triples": comb(n, 3)}
 
 
 def test_whole_basis_generators_still_find_the_witness():
@@ -556,8 +558,9 @@ def genuine_lie_algebras(draw):
 @settings(deadline=None, max_examples=40)
 @given(genuine_lie_algebras())
 def test_genuine_lie_algebras_pass(L):
-    n = L.dim
-    assert certify_jacobi(L) == {"method": "sparse", "triples": n * (n - 1) * (n - 2) // 6}
+    n, gens = L.dim, generating_set(L)
+    triples = comb(n, 3) - comb(n - len(gens), 3)
+    assert certify_jacobi(L) == {"generators": gens, "triples": triples}
     assert naive_jacobi_witness(L) is None
 
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from realforms import pipeline
+from realforms import lie, pipeline, rootspace
 from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import lie_from_fn
 from realforms.linalg import combine
@@ -607,6 +607,44 @@ def test_cartan_decomposition_ei(get_cartan_report):
     assert report["killing_on_t"] == (0, 36, 0)
     assert report["killing_on_p"] == (42, 0, 0)
     assert report["cartan_in_p"] == [0, 1, 2, 3, 4, 5]
+
+
+# the Jacobi record of a build: S and the C(78, 3) - C(78 - |S|, 3) triples
+JACOBI_RECORDS = {
+    "e6m14": {"generators": [0, 49, 20, 69, 40, 60], "triples": 16436},
+    "e6p2": {"generators": [0, 49, 20, 69, 40, 60, 31, 51], "triples": 21336},
+}
+
+
+@pytest.mark.parametrize("key,pairs", [("e6m14", 6 * 78), ("e6p2", 8 * 78)])
+def test_theta_certificate_prints_the_jacobi_generators(get_build, get_satake, key, pairs):
+    build = get_build(key)
+    assert build.jacobi == JACOBI_RECORDS[key]
+    report = build.cartan.report
+    assert (report["generators"], report["pairs"]) == (build.jacobi["generators"], pairs)
+    assert get_satake(key).checks["cartan_involution"] is report
+
+
+def test_one_generating_set_per_build(monkeypatch):
+    """The theta certificate takes S from the Jacobi record: the build and
+    its Cartan data find S and the Killing form of the table once each."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(L):
+            calls.append((fn.__name__, L.dim))
+            return fn(L)
+
+        return wrapper
+
+    monkeypatch.setattr(lie, "generating_set", counted(lie.generating_set))
+    monkeypatch.setattr(pipeline, "killing_form", counted(pipeline.killing_form))
+    build = pipeline.build_model("e6m14")
+    report = build.cartan.report
+    assert calls.count(("generating_set", 78)) == 1
+    assert calls.count(("killing_form", 78)) == 1
+    assert report["generators"] == build.jacobi["generators"]
+    assert not {"generating_set", "killing_form"} & set(vars(rootspace))
 
 
 @pytest.mark.parametrize("name", ["EIV", "EIII", "EII", "EI"])

@@ -9,7 +9,7 @@ import realforms.rootspace as rootspace_mod
 from realforms import pipeline
 from realforms.cli import _jsonable
 from realforms.errors import ConstructionError, VerificationError
-from realforms.lie import LieAlgebra, lie_from_fn
+from realforms.lie import LieAlgebra, generating_set, killing_form, lie_from_fn
 from realforms.linalg import to_sparse
 from realforms.rootspace import (
     RootDatum,
@@ -657,22 +657,30 @@ def theta_rows(*images):
 SL2_THETA = theta_rows({0: -1}, {2: -1}, {1: -1})
 
 
+def verify_theta(L, theta):
+    """verify_cartan_decomposition with the generating set and Killing
+    form of L, as a build hands them on."""
+    return verify_cartan_decomposition(L, theta, generating_set(L), killing_form(L))
+
+
 def test_verify_cartan_decomposition_sl2():
-    t, p, report = verify_cartan_decomposition(sl2(), SL2_THETA)
+    t, p, report = verify_theta(sl2(), SL2_THETA)
     assert (t, p) == ([{1: -ONE, 2: ONE}], [{0: ONE}, {1: ONE, 2: ONE}])
     assert report["dim_t"] == 1
     assert report["dim_p"] == 2
     assert report["signature"] == 1
     assert report["killing_on_t"] == (0, 1, 0)
     assert report["killing_on_p"] == (2, 0, 0)
+    assert (report["generators"], report["pairs"]) == ([0, 2, 1], 9)
 
 
 def test_verify_cartan_decomposition_so3_compact():
-    t, p, report = verify_cartan_decomposition(so3(), theta_rows({0: 1}, {1: 1}, {2: 1}))
+    t, p, report = verify_theta(so3(), theta_rows({0: 1}, {1: 1}, {2: 1}))
     assert p == []
     assert report["dim_t"] == 3
     assert report["signature"] == -3
     assert report["killing_on_t"] == (0, 3, 0)
+    assert (report["generators"], report["pairs"]) == ([0, 2], 6)
 
 
 def test_verify_cartan_decomposition_rejects_swap():
@@ -680,7 +688,7 @@ def test_verify_cartan_decomposition_rejects_swap():
     # no automorphism
     swapped = [{k: -x for k, x in row.items()} for row in SL2_THETA]
     with pytest.raises(VerificationError, match="not an automorphism") as info:
-        verify_cartan_decomposition(sl2(), swapped)
+        verify_theta(sl2(), swapped)
     assert info.value.witness == {"pair": [0, 1]}
 
 
@@ -693,11 +701,11 @@ def test_verify_cartan_decomposition_rejects_complex_basis():
     L = sl2()
     ad_g = theta_rows({0: -1}, {2: -IUNIT}, {1: IUNIT})
     with pytest.raises(VerificationError, match="non-real") as info:
-        verify_cartan_decomposition(L, ad_g)
+        verify_theta(L, ad_g)
     assert info.value.witness == 0
     mixed = theta_rows({0: -1}, {1: IUNIT, 2: -ONE - IUNIT}, {1: IUNIT - ONE, 2: -IUNIT})
     with pytest.raises(VerificationError, match="non-real") as info:
-        verify_cartan_decomposition(L, mixed)
+        verify_theta(L, mixed)
     assert info.value.witness == 2
 
 
@@ -705,14 +713,14 @@ def test_verify_cartan_decomposition_rejects_non_subalgebra():
     # t = span(e) is a subalgebra but [t, p] leaves p: h -> -h, e -> e,
     # f -> -f is no automorphism
     with pytest.raises(VerificationError, match="not an automorphism"):
-        verify_cartan_decomposition(sl2(), theta_rows({0: -1}, {1: 1}, {2: -1}))
+        verify_theta(sl2(), theta_rows({0: -1}, {1: 1}, {2: -1}))
 
 
 def test_verify_cartan_decomposition_rejects_compact_p():
     # the rotation by pi about x is an involution of so3, but the Killing
     # form is negative on its -1 eigenspace too
     with pytest.raises(VerificationError, match="not positive definite on p") as info:
-        verify_cartan_decomposition(so3(), theta_rows({0: 1}, {1: -1}, {2: -1}))
+        verify_theta(so3(), theta_rows({0: 1}, {1: -1}, {2: -1}))
     assert info.value.witness == {"signature": [0, 2, 0]}
 
 
@@ -742,8 +750,8 @@ def test_verify_cartan_decomposition_mutations_are_witnessed(
 ):
     build = dataclasses.replace(get_build("e6p2"))  # no memoised Cartan data
 
-    def mutated(L, theta, killing):
-        return verify_cartan_decomposition(L, mutate(theta, build), killing=killing)
+    def mutated(L, theta, generators, killing):
+        return verify_cartan_decomposition(L, mutate(theta, build), generators, killing)
 
     monkeypatch.setattr(pipeline, "verify_cartan_decomposition", mutated)
     with pytest.raises(VerificationError, match=match) as info:

@@ -5,10 +5,12 @@ import pytest
 import realforms.triality as triality_mod
 from realforms.algebras import symmetric_composition
 from realforms.errors import ConstructionError, VerificationError
-from realforms.lie import certify_jacobi, generating_set, killing_signature
+from realforms.lie import certify_jacobi, generating_set
 from realforms.linalg import SpanSolver, apply, combine, commutator, flatten, nullspace
 from realforms.scalars import HALF, ONE, ZERO, sc
 from realforms.triality import orthogonal_lie, triality
+
+from oracles import killing_signature
 
 
 def test_orthogonal_dimensions():
