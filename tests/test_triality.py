@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -291,3 +292,42 @@ def test_non_skew_component_is_witnessed_by_its_slot():
         with pytest.raises(VerificationError, match="not a triality element") as err:
             tri.coords_of_triple(tuple(triple))
         assert err.value.witness == {"slot": slot}
+
+
+# ---------------------------------------------------------------------------
+# golden pin: the tri(S) tables, byte for byte
+
+
+def _canonical(v):
+    """A sparse vector as its sorted (index, scalar text) pairs."""
+    return [[k, x.to_str()] for k, x in sorted(v.items())]
+
+
+def _tri_dump(name):
+    tri = triality(symmetric_composition(name))
+    return json.dumps(
+        {
+            "coefs": [_canonical(v) for v in tri.coefs.rows],
+            "brk": [[i, j, _canonical(v)] for (i, j), v in sorted(tri.lie.brk.items())],
+            "theta_rows": [_canonical(v) for v in tri.theta_rows],
+            "theta_t_table": [[_canonical(v) for v in power] for power in tri.theta_t_table],
+        },
+        separators=(",", ":"),
+    )
+
+
+# the solved basis, bracket table, theta rows and theta-power table of
+# t_{e_a, e_b}; a change to how tri(S) is computed must not move a byte
+TRI_SHA256 = {
+    "pO": "32f51d9091bdc4153619a14456c90fde53634dba99dbacd5b61109ba2ece1256",
+    "pOs": "6badfd6f583007ffe94e0e15f7dc8de7181ab65f1191a32841479de96aa2a90c",
+    "Ok": "2a6c34f1b6da7951f7308c2a44922a0d01160ab0d63f3d95c8326244d6b0dbb1",
+    "Oks": "25248c903d70a08d5429757da8a9d9f9f889ff8136d33843ebc277b86ec57e9f",
+    "pC": "bb8fd30a54a802dc90750385fd355a6581f1d4079ced6c1552dedd07526fa9cc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRI_SHA256))
+def test_tri_tables_golden(name):
+    digest = hashlib.sha256(_tri_dump(name).encode("utf-8")).hexdigest()
+    assert digest == TRI_SHA256[name]
