@@ -188,6 +188,7 @@ class DerivationModel:
     alg: AlbertAlgebra
     square: MagicSquareAlgebra
     rho: List[SparseMatrix]  # certified by check_rho_homomorphism
+    rho_record: Dict[str, object]  # the Jacobi record of g + A it returned
 
     @property
     def der_dim(self) -> int:
@@ -278,7 +279,7 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
     alg = albert(s, (1, 1, 1))
     R = rho_images(square, alg)
     solver = SpanSolver()
-    check_rho_homomorphism(square, R, solver)
+    rho_record = check_rho_homomorphism(square, R, solver)
     cols = [transpose(m) for m in R]  # cols[i][q] = rho(b_i) e_q
     nd = len(R)
     n27 = alg.dim
@@ -309,7 +310,7 @@ def derivation_model(s: Optional[AlgebraTable] = None) -> DerivationModel:
         alg.table.labels[k] for k in range(3, n27)
     ]
     lie = lie_from_fn(f"Der({alg.table.name})+A0", labels, fn)
-    return DerivationModel(lie, alg, square, R)
+    return DerivationModel(lie, alg, square, R, rho_record)
 
 
 def _by_label(alg: AlgebraTable, images: Dict[str, str]) -> List[Tuple[int, Scalar]]:

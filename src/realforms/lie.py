@@ -4,7 +4,8 @@ Brackets are stored sparsely for i < j only.  Every certificate is exact
 and runs over these sparse tables, so the same code serves rational
 constants and the sqrt3 constants of the Okubo-built algebras, and nothing
 can overflow.  The Killing form is one scatter pass over the bracket table
-in Scalar arithmetic that touches only nonzero products.  The Jacobi
+that touches only nonzero products, summed on Python ints over the
+cleared denominator and made one Scalar per entry at the end.  The Jacobi
 certificate is a proof in two parts.  `generating_set` picks basis indices
 S whose span, closed under the ad(b_s) for s in S, is all of L; this step
 only evaluates brackets.  The Jacobi sum is then evaluated on the triples
@@ -32,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import VerificationError
 from .linalg import Echelon, SparseMatrix, SparseVec, SpanSolver
-from .scalars import ONE, ZERO, Scalar, add_scaled
+from .scalars import ONE, Scalar, add_scaled
 
 
 @dataclass(eq=False)
@@ -141,6 +142,24 @@ def int_coords(v: SparseVec, s: int, den: int, n: int) -> List[Tuple[int, int]]:
     return out
 
 
+def _denominator_and_lanes(L: LieAlgebra) -> Tuple[int, Set[int]]:
+    """The lcm of the denominators of L's constants, and the s in 0..3 for
+    which e_s occurs in one of them (always 0)."""
+    den, lanes = 1, {0}
+    for v in L.brk.values():
+        for x in v.values():
+            _, b, c, d, m = x.as_ints()
+            if den % m:
+                den = lcm(den, m)
+            if b:
+                lanes.add(1)
+            if c:
+                lanes.add(2)
+            if d:
+                lanes.add(3)
+    return den, lanes
+
+
 def _integer_ad(L: LieAlgebra) -> List[IntRow]:
     """The ad table of D*L over Q, where D is the lcm of L's denominators.
 
@@ -154,18 +173,7 @@ def _integer_ad(L: LieAlgebra) -> List[IntRow]:
     column iad[j][k] itself (s = 0).
     """
     n = L.dim
-    den, lanes = 1, {0}
-    for v in L.brk.values():
-        for x in v.values():
-            _, b, c, d, m = x.as_ints()
-            if den % m:
-                den = lcm(den, m)
-            if b:
-                lanes.add(1)
-            if c:
-                lanes.add(2)
-            if d:
-                lanes.add(3)
+    den, lanes = _denominator_and_lanes(L)
     iad: List[IntRow] = [{} for _ in range(n)]
     for (i, j), v in L.brk.items():
         for s in lanes:
@@ -366,6 +374,10 @@ def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
     return {"generators": gens, "triples": triples}
 
 
+# the integer parts (a, b, c, d) of a + b sqrt3 + (c + d sqrt3) i
+Parts = Tuple[int, int, int, int]
+
+
 def killing_form(L: LieAlgebra) -> SparseMatrix:
     """K[i][j] = trace(ad b_i ad b_j) = sum_{q,p} A_i[q][p] A_j[p][q], exact,
     where A_i[q][p] is coordinate q of [b_i, b_p], as zero-free symmetric
@@ -375,15 +387,44 @@ def killing_form(L: LieAlgebra) -> SparseMatrix:
     q*n + p lists the (i, A_i[q][p]) read straight from `brk` and its
     antisymmetry, and each pair of transposed positions (q, p), (p, q)
     adds its products into K[i][j] for j >= i.  Only nonzero products are
-    formed, and the ad table is neither read nor built.
+    formed, and the ad table is neither read nor built.  The sums run on
+    Python ints: with D the lcm of the table's denominators, the index
+    holds each constant of `brk` once, as the integer parts of D times it,
+    and A_i[q][p] is that or its negative as i < p or i > p.  Each entry
+    of D^2 K becomes one Scalar at the end.
     """
     n = L.dim
-    index: Dict[int, List[Tuple[int, Scalar]]] = {}
+    den, _ = _denominator_and_lanes(L)
+    # index[q * n + p]: the (i, t) with D A_i[q][p] = +-t, the sign + exactly
+    # when i < p; [b_i, b_j] and [b_j, b_i] share one t
+    index: Dict[int, List[Tuple[int, Parts]]] = {}
     for (i, j), v in L.brk.items():
         for q, x in v.items():
-            index.setdefault(q * n + j, []).append((i, x))
-            index.setdefault(q * n + i, []).append((j, -x))
-    upper: SparseMatrix = [{} for _ in range(n)]  # K[i][j] for j >= i
+            a, b, c, d, m = x.as_ints()
+            f = den // m
+            t = (a * f, b * f, c * f, d * f)
+            index.setdefault(q * n + j, []).append((i, t))
+            index.setdefault(q * n + i, []).append((j, t))
+    # upper[i][j] = [a, b, c, d]: the integer parts of D^2 K[i][j], for j >= i
+    upper: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+
+    def add(row: Dict[int, List[int]], j: int, x: Parts, w: Parts, coef: int) -> None:
+        # row[j] += coef x w
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = w
+        if coef != 1:
+            a1, b1, c1, d1 = coef * a1, coef * b1, coef * c1, coef * d1
+        acc = row.get(j)
+        if acc is None:
+            acc = row[j] = [0, 0, 0, 0]
+        if b1 or c1 or d1 or b2 or c2 or d2:
+            acc[0] += a1 * a2 + 3 * b1 * b2 - c1 * c2 - 3 * d1 * d2
+            acc[1] += a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
+            acc[2] += a1 * c2 + 3 * b1 * d2 + c1 * a2 + 3 * d1 * b2
+            acc[3] += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
+        else:
+            acc[0] += a1 * a2
+
     for pos, col in index.items():
         q, p = divmod(pos, n)
         if q == p:
@@ -392,25 +433,27 @@ def killing_form(L: LieAlgebra) -> SparseMatrix:
                 row = upper[a]
                 for b, w in col:
                     if b >= a:
-                        row[b] = row.get(b, ZERO) + x * w
+                        add(row, b, x, w, 1 if (a < q) == (b < q) else -1)
         elif q < p:
             # A_i[q][p] A_j[p][q] and A_i[p][q] A_j[q][p] give the same
             # products; they land in K[i][j] and K[j][i], one of them stored
             for a, x in index.get(p * n + q, ()):
                 for b, w in col:
-                    t = x * w
+                    sign = 1 if (a < q) == (b < p) else -1
                     if a < b:
-                        upper[a][b] = upper[a].get(b, ZERO) + t
+                        add(upper[a], b, x, w, sign)
                     elif a > b:
-                        upper[b][a] = upper[b].get(a, ZERO) + t
+                        add(upper[b], a, x, w, sign)
                     else:
-                        upper[a][a] = upper[a].get(a, ZERO) + t + t
+                        # both products land in K[a][a]
+                        add(upper[a], a, x, w, 2 * sign)
+    d2 = den * den
     out: SparseMatrix = [{} for _ in range(n)]
     for i, row in enumerate(upper):
         for j in sorted(row):
-            x = row[j]
-            if x:
-                out[i][j] = out[j][i] = x
+            parts = row[j]
+            if any(parts):
+                out[i][j] = out[j][i] = Scalar.from_ints(*parts, d2)
     return out
 
 

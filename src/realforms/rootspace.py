@@ -28,7 +28,6 @@ positive on p, and theta respects the brackets of a generating set with g.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -513,11 +512,32 @@ def _catalog(k: int) -> List[Tuple[str, List[List[int]]]]:
 def _matrices_match(a: List[List[int]], b: List[List[int]]) -> Iterator[Tuple[int, ...]]:
     """Every permutation `order` with a[order[i]][order[j]] == b[i][j]:
     node i of b is node order[i] of a.  When a is b up to the order of its
-    nodes, there is one per automorphism of b's Dynkin diagram."""
-    idx = range(len(a))
-    for order in itertools.permutations(idx):
-        if all(a[order[i]][order[j]] == b[i][j] for i in idx for j in idx):
-            yield order
+    nodes, there is one per automorphism of b's Dynkin diagram.
+
+    A backtracking search: node i of b is matched to each free node v of a
+    in increasing order, and v is kept only if its entries against itself
+    and the nodes already placed agree with b.  Every full order reached
+    matches, and the orders come in lexicographic order."""
+    k = len(a)
+    order: List[int] = []
+    free = [True] * k
+
+    def extend(i: int) -> Iterator[Tuple[int, ...]]:
+        if i == k:
+            yield tuple(order)
+            return
+        row = b[i]
+        for v in range(k):
+            if free[v] and a[v][v] == row[i] and all(
+                a[u][v] == b[h][i] and a[v][u] == row[h] for h, u in enumerate(order)
+            ):
+                free[v] = False
+                order.append(v)
+                yield from extend(i + 1)
+                order.pop()
+                free[v] = True
+
+    return extend(0)
 
 
 def _components(c: List[List[int]]) -> List[List[int]]:

@@ -112,6 +112,12 @@ class Scalar:
     def d(self) -> Fraction:
         return Fraction(self._d, self._n)
 
+    @staticmethod
+    def from_ints(a: int, b: int, c: int, d: int, n: int) -> "Scalar":
+        """The Scalar (a + b r3 + (c + d r3) i)/n for ints with n > 0, in
+        lowest terms: the inverse of `as_ints`."""
+        return _make(a, b, c, d, n)
+
     def as_ints(self) -> tuple[int, int, int, int, int]:
         """(a, b, c, d, n): the value is (a + b r3 + (c + d r3) i)/n, in
         lowest terms with n > 0."""

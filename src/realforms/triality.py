@@ -17,29 +17,40 @@ both `nullspace` bases, hence fully reduced at their free columns:
 coordinates of a vector in their span are its entries at those pivot
 columns, and `coords` certifies membership by recombining exactly.
 
+The equations of tri(S) are read off tables formed once: the columns
+B_k e_q of each B_k and the products e_p e_q of S.  The cell (i, j, k)
+sums the columns B_k e_q over the entries of e_i e_j for the d0 term,
+and the products e_q e_j and e_i e_q over the entries of B_k e_i and
+B_k e_j for the d1 and d2 terms; no matrix is applied to a vector.
+
 Both bracket tables are read off the pivot columns alone and certified
 by `lie.closed_subalgebra`: so(q) inside gl(n), then tri(S) inside
 so(q)^3, whose brackets come slot by slot from the structure constants
 of so(q).  Only the rows of a generating set are recombined (7 of 28 for
 pO and Ok, 9 for pOs); the subspace of elements whose brackets stay in
 the span is a subalgebra, by the Jacobi identity of the ambient algebra,
-and contains that generating set, so every pair is certified.  For
+and contains that generating set, so every pair is certified.  The
+certificate asks for one row at a time, and the ad over so(q) of each
+slot of that row's generator is built once per row and applied to the
+slot of every other b_j; only the current row's ads are held.  For
 dim S = 8 every pivot of the b_k lies in the third slot, where b_k is a
 unit vector, so each entry read is one lookup in the so(q) table.  theta
 rotates the three coefficient slots, and no elimination is run.
 
 The magic square reads theta^k(t_{e_a, e_b}) for k = 0, 1, 2 and every
 pair of basis vectors of S.  tri(S) holds that table
-(`theta_t_table`, built on first use), and `triality_cached` keeps one
-tri(S) per algebra, so a process solves the t elements of S once however
-many squares it builds over S.
+(`theta_t_table`, built on first use); it forms the 2n multiplication
+matrices l_{e_a} and r_{e_a} once per table and solves each t element
+from them (`t_coords`).  `triality_cached` keeps one tri(S) per algebra,
+so a process solves the t elements of S once however many squares it
+builds over S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebras import AlgebraTable
 from .errors import ConstructionError, VerificationError
@@ -48,7 +59,6 @@ from .linalg import (
     SparseMatrix,
     SparseVec,
     add_product,
-    apply,
     combine,
     commutator,
     flatten,
@@ -158,30 +168,47 @@ class TrialityAlgebra:
     def t_element(self, x: SparseVec, y: SparseVec) -> SparseVec:
         """Coordinates of t_{x,y} in the solved tri basis."""
         comp = self.comp
-        half_q = comp.polar(x, y) * HALF
+        return self.t_coords(
+            x, y, (comp.lmul_matrix(x), comp.rmul_matrix(x)),
+            (comp.lmul_matrix(y), comp.rmul_matrix(y)),
+        )
+
+    def t_coords(
+        self, x: SparseVec, y: SparseVec,
+        mx: Tuple[SparseMatrix, SparseMatrix], my: Tuple[SparseMatrix, SparseMatrix],
+    ) -> SparseVec:
+        """Coordinates of t_{x,y}, given mx = (l_x, r_x) and my = (l_y, r_y)."""
+        n = self.comp.dim
+        half_q = self.comp.polar(x, y) * HALF
 
         def shifted(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
             # half_q I - a b
-            acc: SparseMatrix = [{p: half_q} if half_q else {} for p in range(comp.dim)]
+            acc: SparseMatrix = [{p: half_q} if half_q else {} for p in range(n)]
             add_product(acc, a, b, -ONE)
             return acc
 
-        d1 = shifted(comp.rmul_matrix(x), comp.lmul_matrix(y))
-        d2 = shifted(comp.lmul_matrix(x), comp.rmul_matrix(y))
+        d1 = shifted(mx[1], my[0])
+        d2 = shifted(mx[0], my[1])
         return self.coords_of_triple((self.sigma_map(x, y), d1, d2))
 
     @cached_property
     def theta_t_table(self) -> List[List[SparseVec]]:
         """table[k][a * n + b] = theta^k(t_{e_a, e_b}) for k = 0, 1, 2, with
-        n = dim comp, as zero-free coordinates; built on first use."""
-        n = self.comp.dim
+        n = dim comp, as zero-free coordinates; built on first use.  The
+        multiplication matrices l_{e_a} and r_{e_a} are formed once each."""
+        comp = self.comp
+        n = comp.dim
+        e = [{a: ONE} for a in range(n)]
+        # (l_{e_a}, r_{e_a}): their columns are the products e_a e_c and e_c e_a
+        sc = comp.sc
+        mults = [(transpose(sc[a]), transpose([row[a] for row in sc])) for a in range(n)]
         base: List[SparseVec] = []
         for a in range(n):
             for b in range(n):
                 if a == b:
                     base.append({})
                 elif b > a:
-                    base.append(self.t_element({a: ONE}, {b: ONE}))
+                    base.append(self.t_coords(e[a], e[b], mults[a], mults[b]))
                 else:
                     base.append({p: -x for p, x in base[b * n + a].items()})
         out = [base]
@@ -207,6 +234,45 @@ def _at_pivots(ech: Echelon, v: SparseVec) -> SparseVec:
     return {piv[c]: x for c, x in v.items() if c in piv}
 
 
+def _certified_brackets(
+    ech: Echelon, slots: List[List[SparseVec]], so_ad: List[Dict[int, SparseVec]]
+) -> Callable[[int, int], Optional[SparseVec]]:
+    """The coordinates of [b_i, b_j] over the rows of ech, certified by
+    `Echelon.coords`, where slots[k] holds the so(q) coordinates of the
+    three components of b_k and so_ad is the ad table of so(q).
+
+    The bracket is formed in full over so(q)^3, slot by slot.  The
+    closure certificate asks for the pairs (i, j) row by row, so the ad
+    over so(q) of each slot of b_i (column l is sum_k x_k [B_k, B_l]) is
+    built when the row changes and held until the next one."""
+    no = len(so_ad)
+    current: int = -1
+    ads: List[Dict[int, SparseVec]] = []
+
+    def slot_ad(a: SparseVec) -> Dict[int, SparseVec]:
+        ad: Dict[int, SparseVec] = {}
+        for k, x in a.items():
+            for l, col in so_ad[k].items():
+                add_scaled(ad.setdefault(l, {}), x, col)
+        return ad
+
+    def coords(i: int, j: int) -> Optional[SparseVec]:
+        nonlocal current, ads
+        if i != current:
+            current, ads = i, [slot_ad(a) for a in slots[i]]
+        acc: SparseVec = {}
+        for slot, (ad, b) in enumerate(zip(ads, slots[j])):
+            part: SparseVec = {}
+            for l, y in b.items():
+                col = ad.get(l)
+                if col:
+                    add_scaled(part, y, col)
+            acc.update((slot * no + m, z) for m, z in part.items())
+        return ech.coords(acc)
+
+    return coords
+
+
 def triality(s: AlgebraTable) -> TrialityAlgebra:
     n = s.dim
     name = f"tri({s.name})"
@@ -225,23 +291,26 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
         lambda k, l: oech.coords(so_brk(k, l)),
         f"{name}: so(q) commutator",
     ).ad
+    sc = s.sc
+    # the equations d1(e_i) e_j + e_i d2(e_j) - d0(e_i e_j) = 0
     rows: List[SparseVec] = []
     for i in range(n):
         for j in range(n):
-            prod = s.sc[i][j]
+            neg_prod = {q: -x for q, x in sc[i][j].items()}
             # row p: the coefficient of e_p in each unknown's contribution
             by_p: List[SparseVec] = [{} for _ in range(n)]
             for k in range(no):
                 cols = bcols[k]
-                # d0 term: B_k applied to (e_i * e_j)
-                for p, x in apply(orth[k], prod).items():
-                    by_p[p][k] = x
-                # d1 term: -(B_k e_i) * e_j
-                for p, x in s.mul(cols[i], {j: ONE}).items():
-                    by_p[p][no + k] = -x
-                # d2 term: -e_i * (B_k e_j)
-                for p, x in s.mul({i: ONE}, cols[j]).items():
-                    by_p[p][2 * no + k] = -x
+                for col, term in (
+                    # d0 term: -B_k (e_i e_j), the columns B_k e_q over -e_i e_j
+                    (k, combine((x, cols[q]) for q, x in neg_prod.items())),
+                    # d1 term: (B_k e_i) e_j, the products e_q e_j over B_k e_i
+                    (no + k, combine((x, sc[q][j]) for q, x in cols[i].items())),
+                    # d2 term: e_i (B_k e_j), the products e_i e_q over B_k e_j
+                    (2 * no + k, combine((x, sc[i][q]) for q, x in cols[j].items())),
+                ):
+                    for p, x in term.items():
+                        by_p[p][col] = x
             rows.extend(row for row in by_p if row)
     sols = nullspace(rows, 3 * no)
     ech = _reduced(sols, s.name)
@@ -256,13 +325,13 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     for q, r in ech.piv.items():
         pivots[q // no][q % no] = r
 
-    def brk(i: int, j: int, cols: List[Dict[int, int]]) -> SparseVec:
+    def read(i: int, j: int) -> SparseVec:
         # slot by slot, [sum x_k B_k, sum y_l B_l] = sum x_k y_l [B_k, B_l];
-        # entry slot * no + m lands at key cols[slot][m], others are dropped
+        # entry slot * no + m lands at key pivots[slot][m], others are dropped
         # (the keys of distinct slots are distinct, so nothing is summed twice)
         acc: SparseVec = {}
         for slot, (a, b) in enumerate(zip(slots[i], slots[j])):
-            keys = cols[slot]
+            keys = pivots[slot]
             if not keys:
                 continue
             part: SparseVec = {}
@@ -278,14 +347,9 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
                     acc[q] = z
         return acc
 
-    # the full bracket over so(q)^3: every entry keeps its own index
-    every = [{m: slot * no + m for m in range(no)} for slot in range(3)]
     lie = closed_subalgebra(
-        name,
-        [f"t{k}" for k in range(len(sols))],
-        lambda i, j: brk(i, j, pivots),
-        lambda i, j: ech.coords(brk(i, j, every)),
-        f"{name}: bracket",
+        name, [f"t{k}" for k in range(len(sols))], read,
+        _certified_brackets(ech, slots, so_ad), f"{name}: bracket",
     )
     theta_rows = []
     for k, c in enumerate(sols):

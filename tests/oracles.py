@@ -1,8 +1,10 @@
 """Test oracles that no package code calls: the Killing signature of a
-table, Killing invariance over the ad table, and derivation algebras of
-structure-constant tables.  They stay outside the package so that each
+table, Killing invariance over the ad table, derivation algebras of
+structure-constant tables, and the node orders matching two Cartan
+matrices by a scan of every permutation.  They stay outside the package so that each
 oracle is independent of the certificate it checks."""
 
+from itertools import permutations
 from typing import Dict, List, Tuple
 
 from realforms.errors import VerificationError
@@ -101,3 +103,20 @@ def derivation_lie_algebra(name: str, mats: List[SparseMatrix]) -> LieAlgebra:
 
     labels = [f"D{k}" for k in range(len(mats))]
     return lie_from_fn(name, labels, comm)
+
+
+# ---------------------------------------------------------------------------
+# Cartan matrices
+
+
+def matrices_match_by_permutations(
+    a: List[List[int]], b: List[List[int]]
+) -> List[Tuple[int, ...]]:
+    """Every permutation `order` with a[order[i]][order[j]] == b[i][j], in
+    lexicographic order: all k! orders of the nodes are tried."""
+    idx = range(len(a))
+    return [
+        order
+        for order in permutations(idx)
+        if all(a[order[i]][order[j]] == b[i][j] for i in idx for j in idx)
+    ]

@@ -248,22 +248,29 @@ def test_rho_homomorphism_okubo_model():
     assert any(c.b for c in consts)  # sqrt3 lanes in the constants
     R = model.rho
     assert check_rho_homomorphism(model.square, R) == PO_RHO_RECORD
+    assert model.rho_record == PO_RHO_RECORD
     assert model.lie.dim == 78
+
+
+def test_derivation_model_keeps_the_rho_record(model78):
+    """The model holds the Jacobi record of g + A that its rho
+    certificate returned."""
+    assert model78.rho_record == PO_RHO_RECORD
 
 
 def test_second_square_over_a_tri_solves_no_t_element(monkeypatch):
     """The theta-power table of t_{e_a, e_b} is held by tri(S), so only
     the first square over S solves for the 28 t elements of tri(pO)."""
     calls = []
-    real = triality_mod.TrialityAlgebra.t_element
+    real = triality_mod.TrialityAlgebra.t_coords
 
-    def counted(self, x, y):
+    def counted(self, x, y, mx, my):
         calls.append(self.comp.name)
-        return real(self, x, y)
+        return real(self, x, y, mx, my)
 
     pO, pC = symmetric_composition("pO"), symmetric_composition("pC")
     magic_square(pO, pC, (1, 1, 1))
-    monkeypatch.setattr(triality_mod.TrialityAlgebra, "t_element", counted)
+    monkeypatch.setattr(triality_mod.TrialityAlgebra, "t_coords", counted)
     magic_square(pO, symmetric_composition("R"), (1, 1, 1))
     magic_square(pO, pC, (1, -1, 1))
     assert calls == []

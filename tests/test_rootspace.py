@@ -47,6 +47,8 @@ from realforms.rootspace import (
 from realforms.satake import _bonds, compact_satake
 from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Rat, Scalar, sc
 
+from oracles import matrices_match_by_permutations
+
 
 def cov(*xs):
     return tuple(sc(x) for x in xs)
@@ -461,6 +463,23 @@ def test_bourbaki_orders_one_per_diagram_automorphism(name, cm):
         assert all(
             scrambled[order[i]][order[j]] == cm[i][j] for i in range(k) for j in range(k)
         )
+
+
+@pytest.mark.parametrize(
+    "name,cm", _CATALOG_TO_RANK_6, ids=[name for name, _ in _CATALOG_TO_RANK_6]
+)
+def test_matrices_match_equals_the_permutation_scan(name, cm):
+    """The backtracking match yields the orders of the scan over all k!
+    permutations, in the same sequence, against every catalog matrix of
+    the rank: the matching type and each type that does not match."""
+    k = len(cm)
+    shuffle = list(range(1, k, 2)) + list(range(0, k, 2))
+    scrambled = [[cm[i][j] for j in shuffle] for i in shuffle]
+    for _, cand in rootspace_mod._catalog(k):
+        for a in (scrambled, cm):
+            assert list(rootspace_mod._matrices_match(a, cand)) == (
+                matrices_match_by_permutations(a, cand)
+            )
 
 
 @pytest.mark.parametrize("name", ["E6", "F4"])
