@@ -30,14 +30,17 @@ certificate fails.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, DefaultDict, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from .errors import VerificationError
 from .linalg import Echelon, SparseMatrix, SparseVec, SpanSolver
-from .scalars import ONE, Scalar, add_scaled
+from .scalars import ONE, Scalar, add_product_ints, add_scaled
 
 
 @dataclass(eq=False)
@@ -374,10 +377,6 @@ def certify_jacobi(L: LieAlgebra) -> Dict[str, object]:
     return {"generators": gens, "triples": triples}
 
 
-# the integer parts (a, b, c, d) of a + b sqrt3 + (c + d sqrt3) i
-Parts = Tuple[int, int, int, int]
-
-
 def killing_form(L: LieAlgebra) -> SparseMatrix:
     """K[i][j] = trace(ad b_i ad b_j) = sum_{q,p} A_i[q][p] A_j[p][q], exact,
     where A_i[q][p] is coordinate q of [b_i, b_p], as zero-free symmetric
@@ -397,34 +396,20 @@ def killing_form(L: LieAlgebra) -> SparseMatrix:
     den, _ = _denominator_and_lanes(L)
     # index[q * n + p]: the (i, t) with D A_i[q][p] = +-t, the sign + exactly
     # when i < p; [b_i, b_j] and [b_j, b_i] share one t
-    index: Dict[int, List[Tuple[int, Parts]]] = {}
+    # (t is a list: a 4-tuple per constant would stay in CPython's tuple
+    # free list after the call)
+    index: Dict[int, List[Tuple[int, List[int]]]] = {}
     for (i, j), v in L.brk.items():
         for q, x in v.items():
             a, b, c, d, m = x.as_ints()
             f = den // m
-            t = (a * f, b * f, c * f, d * f)
+            t = [a * f, b * f, c * f, d * f]
             index.setdefault(q * n + j, []).append((i, t))
             index.setdefault(q * n + i, []).append((j, t))
     # upper[i][j] = [a, b, c, d]: the integer parts of D^2 K[i][j], for j >= i
-    upper: List[Dict[int, List[int]]] = [{} for _ in range(n)]
-
-    def add(row: Dict[int, List[int]], j: int, x: Parts, w: Parts, coef: int) -> None:
-        # row[j] += coef x w
-        a1, b1, c1, d1 = x
-        a2, b2, c2, d2 = w
-        if coef != 1:
-            a1, b1, c1, d1 = coef * a1, coef * b1, coef * c1, coef * d1
-        acc = row.get(j)
-        if acc is None:
-            acc = row[j] = [0, 0, 0, 0]
-        if b1 or c1 or d1 or b2 or c2 or d2:
-            acc[0] += a1 * a2 + 3 * b1 * b2 - c1 * c2 - 3 * d1 * d2
-            acc[1] += a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
-            acc[2] += a1 * c2 + 3 * b1 * d2 + c1 * a2 + 3 * d1 * b2
-            acc[3] += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-        else:
-            acc[0] += a1 * a2
-
+    upper: List[DefaultDict[int, List[int]]] = [
+        defaultdict(lambda: [0, 0, 0, 0]) for _ in range(n)
+    ]
     for pos, col in index.items():
         q, p = divmod(pos, n)
         if q == p:
@@ -433,7 +418,7 @@ def killing_form(L: LieAlgebra) -> SparseMatrix:
                 row = upper[a]
                 for b, w in col:
                     if b >= a:
-                        add(row, b, x, w, 1 if (a < q) == (b < q) else -1)
+                        add_product_ints(row[b], x, w, 1 if (a < q) == (b < q) else -1)
         elif q < p:
             # A_i[q][p] A_j[p][q] and A_i[p][q] A_j[q][p] give the same
             # products; they land in K[i][j] and K[j][i], one of them stored
@@ -441,12 +426,12 @@ def killing_form(L: LieAlgebra) -> SparseMatrix:
                 for b, w in col:
                     sign = 1 if (a < q) == (b < p) else -1
                     if a < b:
-                        add(upper[a], b, x, w, sign)
+                        add_product_ints(upper[a][b], x, w, sign)
                     elif a > b:
-                        add(upper[b], a, x, w, sign)
+                        add_product_ints(upper[b][a], x, w, sign)
                     else:
                         # both products land in K[a][a]
-                        add(upper[a], a, x, w, 2 * sign)
+                        add_product_ints(upper[a][a], x, w, 2 * sign)
     d2 = den * den
     out: SparseMatrix = [{} for _ in range(n)]
     for i, row in enumerate(upper):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from typing import List
 
 Rat = Fraction
 
@@ -436,6 +437,25 @@ OMEGA = Scalar(Rat(-1, 2), 0, 0, Rat(1, 2))  # primitive cube root of unity
 
 _ZERO = ZERO
 _ONE = ONE
+
+
+def add_product_ints(acc: List[int], x: List[int], w: List[int], coef: int) -> None:
+    """acc += coef * x * w on integer parts [a, b, c, d], read as
+    a + b sqrt3 + (c + d sqrt3) i: the multiply-accumulate of a sum kept
+    on Python ints over a cleared denominator, which `Scalar.from_ints`
+    normalises once at the end.  `Scalar.__mul__` and `add_scaled` write
+    the same product inline, as it runs once per entry of their loops."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = w
+    if coef != 1:
+        a1, b1, c1, d1 = coef * a1, coef * b1, coef * c1, coef * d1
+    if b1 or c1 or d1 or b2 or c2 or d2:
+        acc[0] += a1 * a2 + 3 * b1 * b2 - c1 * c2 - 3 * d1 * d2
+        acc[1] += a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
+        acc[2] += a1 * c2 + 3 * b1 * d2 + c1 * a2 + 3 * d1 * b2
+        acc[3] += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
+    else:
+        acc[0] += a1 * a2
 
 
 def add_scaled(acc: dict, x: Scalar, v: dict) -> None:

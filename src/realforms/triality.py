@@ -30,11 +30,12 @@ of so(q).  Only the rows of a generating set are recombined (7 of 28 for
 pO and Ok, 9 for pOs); the subspace of elements whose brackets stay in
 the span is a subalgebra, by the Jacobi identity of the ambient algebra,
 and contains that generating set, so every pair is certified.  The
-certificate asks for one row at a time, and the ad over so(q) of each
-slot of that row's generator is built once per row and applied to the
-slot of every other b_j; only the current row's ads are held.  For
-dim S = 8 every pivot of the b_k lies in the third slot, where b_k is a
-unit vector, so each entry read is one lookup in the so(q) table.  theta
+table and the certificate form their brackets with one routine and ask
+for them one row i at a time; the ad over so(q) of each slot of b_i is
+built column by column as the b_j need it and held only while the row
+lasts.  The table reads only the slots that hold pivots: for dim S = 8
+every pivot of the b_k lies in the third slot, where b_k is a unit
+vector, so each entry read is one column of the so(q) table.  theta
 rotates the three coefficient slots, and no elimination is run.
 
 The magic square reads theta^k(t_{e_a, e_b}) for k = 0, 1, 2 and every
@@ -234,43 +235,39 @@ def _at_pivots(ech: Echelon, v: SparseVec) -> SparseVec:
     return {piv[c]: x for c, x in v.items() if c in piv}
 
 
-def _certified_brackets(
-    ech: Echelon, slots: List[List[SparseVec]], so_ad: List[Dict[int, SparseVec]]
-) -> Callable[[int, int], Optional[SparseVec]]:
-    """The coordinates of [b_i, b_j] over the rows of ech, certified by
-    `Echelon.coords`, where slots[k] holds the so(q) coordinates of the
-    three components of b_k and so_ad is the ad table of so(q).
+def _slot_brackets(
+    slots: List[List[SparseVec]], so_ad: List[Dict[int, SparseVec]]
+) -> Callable[[int, int, int], SparseVec]:
+    """bracket(i, j, slot): the so(q) coordinates of component `slot` of
+    [b_i, b_j], where slots[k] holds the so(q) coordinates of the three
+    components of b_k and so_ad is the ad table of so(q).
 
-    The bracket is formed in full over so(q)^3, slot by slot.  The
-    closure certificate asks for the pairs (i, j) row by row, so the ad
-    over so(q) of each slot of b_i (column l is sum_k x_k [B_k, B_l]) is
-    built when the row changes and held until the next one."""
-    no = len(so_ad)
-    current: int = -1
+    Both the table and its closure certificate ask for the pairs (i, j)
+    row by row, so the ad over so(q) of each slot of b_i is held while the
+    row lasts: its column l, sum_k x_k [B_k, B_l], is built the first time
+    a b_j needs it and dropped when the row changes."""
+    current = -1
     ads: List[Dict[int, SparseVec]] = []
 
-    def slot_ad(a: SparseVec) -> Dict[int, SparseVec]:
-        ad: Dict[int, SparseVec] = {}
-        for k, x in a.items():
-            for l, col in so_ad[k].items():
-                add_scaled(ad.setdefault(l, {}), x, col)
-        return ad
-
-    def coords(i: int, j: int) -> Optional[SparseVec]:
+    def bracket(i: int, j: int, slot: int) -> SparseVec:
         nonlocal current, ads
         if i != current:
-            current, ads = i, [slot_ad(a) for a in slots[i]]
-        acc: SparseVec = {}
-        for slot, (ad, b) in enumerate(zip(ads, slots[j])):
-            part: SparseVec = {}
-            for l, y in b.items():
-                col = ad.get(l)
-                if col:
-                    add_scaled(part, y, col)
-            acc.update((slot * no + m, z) for m, z in part.items())
-        return ech.coords(acc)
+            current, ads = i, [{}, {}, {}]
+        a, ad = slots[i][slot], ads[slot]
+        part: SparseVec = {}
+        for l, y in slots[j][slot].items():
+            col = ad.get(l)
+            if col is None:
+                col = ad[l] = {}
+                for k, x in a.items():
+                    c = so_ad[k].get(l)
+                    if c:
+                        add_scaled(col, x, c)
+            if col:
+                add_scaled(part, y, col)
+        return part
 
-    return coords
+    return bracket
 
 
 def triality(s: AlgebraTable) -> TrialityAlgebra:
@@ -325,31 +322,29 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     for q, r in ech.piv.items():
         pivots[q // no][q % no] = r
 
+    bracket = _slot_brackets(slots, so_ad)
+
     def read(i: int, j: int) -> SparseVec:
-        # slot by slot, [sum x_k B_k, sum y_l B_l] = sum x_k y_l [B_k, B_l];
         # entry slot * no + m lands at key pivots[slot][m], others are dropped
         # (the keys of distinct slots are distinct, so nothing is summed twice)
         acc: SparseVec = {}
-        for slot, (a, b) in enumerate(zip(slots[i], slots[j])):
-            keys = pivots[slot]
-            if not keys:
-                continue
-            part: SparseVec = {}
-            for k, x in a.items():
-                row = so_ad[k]
-                for l, y in b.items():
-                    col = row.get(l)
-                    if col:
-                        add_scaled(part, x * y, col)
-            for m, z in part.items():
-                q = keys.get(m)
-                if q is not None:
-                    acc[q] = z
+        for slot, keys in enumerate(pivots):
+            if keys:
+                for m, z in bracket(i, j, slot).items():
+                    q = keys.get(m)
+                    if q is not None:
+                        acc[q] = z
         return acc
 
+    def coords(i: int, j: int) -> Optional[SparseVec]:
+        # the bracket in full over so(q)^3, certified by recombination
+        acc: SparseVec = {}
+        for slot in range(3):
+            acc.update((slot * no + m, z) for m, z in bracket(i, j, slot).items())
+        return ech.coords(acc)
+
     lie = closed_subalgebra(
-        name, [f"t{k}" for k in range(len(sols))], read,
-        _certified_brackets(ech, slots, so_ad), f"{name}: bracket",
+        name, [f"t{k}" for k in range(len(sols))], read, coords, f"{name}: bracket"
     )
     theta_rows = []
     for k, c in enumerate(sols):

@@ -252,12 +252,6 @@ def test_rho_homomorphism_okubo_model():
     assert model.lie.dim == 78
 
 
-def test_derivation_model_keeps_the_rho_record(model78):
-    """The model holds the Jacobi record of g + A that its rho
-    certificate returned."""
-    assert model78.rho_record == PO_RHO_RECORD
-
-
 def test_second_square_over_a_tri_solves_no_t_element(monkeypatch):
     """The theta-power table of t_{e_a, e_b} is held by tri(S), so only
     the first square over S solves for the 28 t elements of tri(pO)."""
@@ -353,6 +347,7 @@ def test_commutator_outside_the_images_is_witnessed(monkeypatch):
 
 def test_model78_structure(model78):
     assert model78.lie.dim == 78
+    assert model78.rho_record == PO_RHO_RECORD
     certify_jacobi(model78.lie)
     assert killing_signature(model78.lie) == (26, 52, 0)
 
