@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import ConstructionError, IOFormatError, VerificationError
 from .linalg import (
-    Echelon,
     SparseMatrix,
     SparseVec,
     SpanSolver,
@@ -507,100 +506,3 @@ def check_jordan_sampled(alg: AlbertAlgebra, trials: int = 40, seed: int = 20260
         if lhs != rhs:
             raise VerificationError(f"{t.name}: Jordan identity fails", witness=(xs, ys))
     return {"pairs": n * (n + 1) // 2, "jordan_samples": trials, "seed": seed}
-
-
-# ---------------------------------------------------------------------------
-# hermitian 3x3 octonion matrices, for the explicit isomorphism
-
-
-def h3_octonions() -> Tuple[AlgebraTable, AlgebraTable]:
-    """The Jordan algebra of hermitian 3x3 octonion matrices.
-
-    Basis: F11, F22, F33, then for each off-diagonal pair (2,3), (1,3),
-    (1,2) the eight elements x E_jk + conj(x) E_kj, x running over the
-    octonion basis.  Returns (table, octonions).
-    """
-    o = hurwitz("O")
-    d = o.dim
-    n = 3 + 3 * d
-    pairs = [(1, 2), (0, 2), (0, 1)]  # (2,3), (1,3), (1,2) zero-indexed
-
-    def basis_matrix(k: int):
-        m: List[List[SparseVec]] = [[{} for _ in range(3)] for _ in range(3)]
-        if k < 3:
-            m[k][k] = o.unit
-            return m
-        slot, b = divmod(k - 3, d)
-        r, c = pairs[slot]
-        m[r][c] = {b: ONE}
-        m[c][r] = o.invol[b]
-        return m
-
-    def jordan(a, b):
-        return [
-            [
-                combine(
-                    (HALF, p)
-                    for k in range(3)
-                    for p in (o.mul(a[r][k], b[k][c]), o.mul(b[r][k], a[k][c]))
-                )
-                for c in range(3)
-            ]
-            for r in range(3)
-        ]
-
-    def coords(m) -> SparseVec:
-        v: SparseVec = {}
-        for a in range(3):
-            entry = m[a][a]
-            if entry.keys() - {0}:
-                raise ConstructionError("H3(O): non-real diagonal entry")
-            if entry:
-                v[a] = entry[0]
-        for slot, (r, c) in enumerate(pairs):
-            upper = m[r][c]
-            if m[c][r] != o.conj_vec(upper):
-                raise ConstructionError("H3(O): result is not hermitian")
-            v.update(_shift(upper, 3 + slot * d))
-        return v
-
-    mats = [basis_matrix(k) for k in range(n)]
-    tab = [[coords(jordan(mats[i], mats[j])) for j in range(n)] for i in range(n)]
-    labels = ["F11", "F22", "F33"] + [
-        f"s{slot}({o.labels[b]})" for slot in range(3) for b in range(d)
-    ]
-    unit = {0: ONE, 1: ONE, 2: ONE}
-    return AlgebraTable("H3(O)", labels, tab, _trace_form(tab), unit=unit), o
-
-
-def albert_matrix_isomorphism() -> Dict[str, int]:
-    """Explicit isomorphism A(pO, +++) -> H3(O), checked on all pairs.
-
-    E_a -> F_aa and iota_i(x) -> 2 * (x placed in the i-th off-diagonal
-    slot), with x conjugated in slots 0 and 2.
-    """
-    alg = albert(symmetric_composition("pO"), (1, 1, 1))
-    h3, o = h3_octonions()
-    n = alg.dim
-    images: List[SparseVec] = [{a: ONE} for a in range(3)]  # image of b_k
-    for i in range(3):
-        for b in range(o.dim):
-            img = {b: ONE} if i == 1 else o.invol[b]
-            images.append({alg.iota_index(i, p): TWO * x for p, x in img.items()})
-    ech = Echelon()
-    for v in images:
-        ech.add(v)
-    if ech.rank != n:
-        raise VerificationError("Albert matrix map is not bijective")
-    checked = 0
-    for i in range(n):
-        for j in range(i, n):
-            lhs = combine((c, images[k]) for k, c in alg.table.sc[i][j].items())
-            rhs = h3.mul(images[i], images[j])
-            if lhs != rhs:
-                raise VerificationError(
-                    f"Albert matrix map fails at ({alg.table.labels[i]}, "
-                    f"{alg.table.labels[j]})"
-                )
-            checked += 1
-    return {"pairs": checked}

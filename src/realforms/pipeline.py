@@ -289,9 +289,8 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         )
     if len(datum.spaces) != build.lie.dim - rank:
         raise VerificationError(
-            f"{key}: expected {build.lie.dim - rank} roots and a {rank}-dim zero "
-            f"space, got {len(datum.spaces)} and {datum.zero.dim}",
-            witness={"roots": len(datum.spaces), "zero_dim": datum.zero.dim},
+            f"{key}: expected {build.lie.dim - rank} roots, got {len(datum.spaces)}",
+            witness={"roots": len(datum.spaces)},
         )
     roots = datum.root_set()
     a_idx = split_indices(datum)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra
@@ -365,24 +365,15 @@ def _restricted_matrix(
     return rows
 
 
-def root_decomposition(
-    L: LieAlgebra,
-    hs: List[SparseVec],
-    subspace: Optional[Sequence[int]] = None,
-    name: str = "",
-) -> RootDatum:
-    """The simultaneous eigenspaces of the ad(h), h in hs, on L or on the
-    span of the basis vectors with indices `subspace`.  Each layer, from
-    the unit vectors on, is fully reduced at the largest index of each
-    vector: an eigenvector is a `nullspace` vector in layer coordinates,
+def root_decomposition(L: LieAlgebra, hs: List[SparseVec], name: str = "") -> RootDatum:
+    """The simultaneous eigenspaces of the ad(h), h in hs, on L.  Each
+    layer, from the unit vectors on, is fully reduced at the largest index
+    of each vector: an eigenvector is a `nullspace` vector in layer coordinates,
     so it is 1 at the pivot of the layer vector it extends and 0 at the
     pivots of the others.  `eigen_split` certifies that the eigenspaces of
     each layer cover it, with distinct eigenvalues, so the spaces have
     distinct covectors and their dimensions sum to the dimension."""
-    idx = range(L.dim) if subspace is None else sorted(subspace)
-    if not set(idx) <= set(range(L.dim)):
-        raise ConstructionError(f"subspace index outside {name or L.name}")
-    start = [L.basis_vec(k) for k in idx]
+    start = [L.basis_vec(k) for k in range(L.dim)]
     layers: List[Tuple[List[Scalar], List[SparseVec]]] = [([], start)]
     for hi in range(len(hs)):
         nxt: List[Tuple[List[Scalar], List[SparseVec]]] = []

@@ -1,25 +1,37 @@
 """Test oracles that no package code calls: the Killing signature of a
-table, Killing invariance over the ad table, derivation algebras of
-structure-constant tables, and the node orders matching two Cartan
-matrices by a scan of every permutation.  They stay outside the package so that each
+table, Killing invariance over the ad table, the first failing Jacobi
+triple by a plain loop, derivation algebras of structure-constant tables,
+the node orders matching two Cartan matrices by a scan of every
+permutation, and the hermitian 3x3 octonion matrices with their explicit
+isomorphism to A(pO, +++).  They stay outside the package so that each
 oracle is independent of the certificate it checks."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Dict, List, Tuple
 
-from realforms.errors import VerificationError
+from realforms.algebras import (
+    AlgebraTable,
+    _shift,
+    _trace_form,
+    albert,
+    hurwitz,
+    symmetric_composition,
+)
+from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import LieAlgebra, _independent_solver, killing_form, lie_from_fn
 from realforms.linalg import (
+    Echelon,
     SparseMatrix,
     SparseVec,
     add_product,
+    combine,
     commutator,
     flatten,
     matrix_rows,
     nullspace,
     sylvester_signature,
 )
-from realforms.scalars import ZERO
+from realforms.scalars import HALF, ONE, TWO, ZERO
 
 
 def killing_signature(L: LieAlgebra) -> Tuple[int, int, int]:
@@ -48,6 +60,20 @@ def check_killing_invariance(L: LieAlgebra) -> Dict[str, object]:
                         witness=(i, j0, k0),
                     )
     return {"method": "sparse", "triples": n * n * n}
+
+
+def naive_jacobi_witness(L: LieAlgebra):
+    """The first basis triple i < j < k on which the Jacobi sum is nonzero,
+    computed from bracket_basis in Scalar arithmetic; None if there is none."""
+    for i, j, k in combinations(range(L.dim), 3):
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for p, x in L.bracket_basis(b, c).items():
+                for q, y in L.bracket_basis(a, p).items():
+                    total[q] = total.get(q, ZERO) + x * y
+        if any(total.values()):
+            return (i, j, k)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -120,3 +146,100 @@ def matrices_match_by_permutations(
         for order in permutations(idx)
         if all(a[order[i]][order[j]] == b[i][j] for i in idx for j in idx)
     ]
+
+
+# ---------------------------------------------------------------------------
+# hermitian 3x3 octonion matrices, for the explicit isomorphism
+
+
+def h3_octonions() -> Tuple[AlgebraTable, AlgebraTable]:
+    """The Jordan algebra of hermitian 3x3 octonion matrices.
+
+    Basis: F11, F22, F33, then for each off-diagonal pair (2,3), (1,3),
+    (1,2) the eight elements x E_jk + conj(x) E_kj, x running over the
+    octonion basis.  Returns (table, octonions).
+    """
+    o = hurwitz("O")
+    d = o.dim
+    n = 3 + 3 * d
+    pairs = [(1, 2), (0, 2), (0, 1)]  # (2,3), (1,3), (1,2) zero-indexed
+
+    def basis_matrix(k: int):
+        m: List[List[SparseVec]] = [[{} for _ in range(3)] for _ in range(3)]
+        if k < 3:
+            m[k][k] = o.unit
+            return m
+        slot, b = divmod(k - 3, d)
+        r, c = pairs[slot]
+        m[r][c] = {b: ONE}
+        m[c][r] = o.invol[b]
+        return m
+
+    def jordan(a, b):
+        return [
+            [
+                combine(
+                    (HALF, p)
+                    for k in range(3)
+                    for p in (o.mul(a[r][k], b[k][c]), o.mul(b[r][k], a[k][c]))
+                )
+                for c in range(3)
+            ]
+            for r in range(3)
+        ]
+
+    def coords(m) -> SparseVec:
+        v: SparseVec = {}
+        for a in range(3):
+            entry = m[a][a]
+            if entry.keys() - {0}:
+                raise ConstructionError("H3(O): non-real diagonal entry")
+            if entry:
+                v[a] = entry[0]
+        for slot, (r, c) in enumerate(pairs):
+            upper = m[r][c]
+            if m[c][r] != o.conj_vec(upper):
+                raise ConstructionError("H3(O): result is not hermitian")
+            v.update(_shift(upper, 3 + slot * d))
+        return v
+
+    mats = [basis_matrix(k) for k in range(n)]
+    tab = [[coords(jordan(mats[i], mats[j])) for j in range(n)] for i in range(n)]
+    labels = ["F11", "F22", "F33"] + [
+        f"s{slot}({o.labels[b]})" for slot in range(3) for b in range(d)
+    ]
+    unit = {0: ONE, 1: ONE, 2: ONE}
+    return AlgebraTable("H3(O)", labels, tab, _trace_form(tab), unit=unit), o
+
+
+def albert_matrix_isomorphism() -> Dict[str, int]:
+    """Explicit isomorphism A(pO, +++) -> H3(O), checked on all pairs.
+
+    E_a -> F_aa and iota_i(x) -> 2 * (x placed in the i-th off-diagonal
+    slot), with x conjugated in slots 0 and 2.
+    """
+    alg = albert(symmetric_composition("pO"), (1, 1, 1))
+    h3, o = h3_octonions()
+    n = alg.dim
+    images: List[SparseVec] = [{a: ONE} for a in range(3)]  # image of b_k
+    for i in range(3):
+        for b in range(o.dim):
+            img = {b: ONE} if i == 1 else o.invol[b]
+            images.append({alg.iota_index(i, p): TWO * x for p, x in img.items()})
+    ech = Echelon()
+    for v in images:
+        ech.add(v)
+    if ech.rank != n:
+        raise VerificationError("Albert matrix map is not bijective")
+    checked = 0
+    for i in range(n):
+        for j in range(i, n):
+            lhs = combine((c, images[k]) for k, c in alg.table.sc[i][j].items())
+            rhs = h3.mul(images[i], images[j])
+            if lhs != rhs:
+                raise VerificationError(
+                    f"Albert matrix map fails at ({alg.table.labels[i]}, "
+                    f"{alg.table.labels[j]})"
+                )
+            checked += 1
+    return {"pairs": checked}

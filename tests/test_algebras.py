@@ -2,11 +2,9 @@ import pytest
 
 from realforms.algebras import (
     albert,
-    albert_matrix_isomorphism,
     check_composition,
     check_jordan_sampled,
     check_symmetric,
-    h3_octonions,
     hurwitz,
     okubo_compact,
     okubo_split,
@@ -16,6 +14,8 @@ from realforms.algebras import (
 from realforms.errors import VerificationError
 from realforms.linalg import SpanSolver, combine, to_sparse
 from realforms.scalars import HALF, ONE, ZERO, sc
+
+from oracles import albert_matrix_isomorphism, h3_octonions
 
 
 HURWITZ_DIMS = {"R": 1, "RR": 2, "C": 2, "Mat2": 4, "H": 4, "O": 8, "Os": 8}

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -16,10 +15,11 @@ from realforms.constructions import (
 )
 from realforms.errors import VerificationError
 from realforms.lie import LieAlgebra, certify_jacobi, killing_form
-from realforms.linalg import apply, combine, flatten, to_dense
-from realforms.scalars import HALF, IUNIT, ONE, SQRT3, ZERO, sc
+from realforms.linalg import SpanSolver, apply, combine, flatten
+from realforms.pipeline import build_model, certify
+from realforms.scalars import HALF, IUNIT, ONE, SQRT3, TWO, ZERO, sc
 
-from oracles import derivations, killing_signature
+from oracles import derivations, killing_signature, naive_jacobi_witness
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def e6_indef_square():
 
 @pytest.fixture(scope="module")
 def model78():
-    return derivation_model()
+    return derivation_model(symmetric_composition("pO"))
 
 
 def test_f4_square_is_compact_f4(f4_square):
@@ -143,90 +143,76 @@ def test_rho_images_are_derivations(f4_square):
                 assert lhs == rhs
 
 
-def test_rho_homomorphism_catches_corruption():
+def test_rho_homomorphism_catches_corruption(monkeypatch):
+    """rho(b_1) doubled stays independent of the other images, keeps A0
+    and leaves their span as it was, so the derivation model is built; it
+    is no longer a homomorphism, and the model's Jacobi certificate fails
+    on a triple (b_i, b_j, z) with z in A0."""
     s = symmetric_composition("pC")
     square = magic_square(s, symmetric_composition("R"), (1, 1, 1))
-    R = rho_images(square, albert(s, (1, 1, 1)))
-    # the Jacobi record of g + A: 6 of its 8 + 9 indices generate it
-    record = {"generators": [0, 11, 5, 10, 9, 3], "triples": comb(17, 3) - comb(11, 3)}
-    assert check_rho_homomorphism(square, R) == record
-    R[1][3][4] = R[1][3].get(4, ZERO) + ONE
-    with pytest.raises(VerificationError, match="homomorphism") as info:
-        check_rho_homomorphism(square, R)
-    assert info.value.witness == (0, 1)
+    alg = albert(s, (1, 1, 1))
+    R = rho_images(square, alg)
+    assert check_rho_homomorphism(R, alg.table.unit).rank == 8
+    R[1] = [{q: TWO * x for q, x in row.items()} for row in R[1]]
+    monkeypatch.setattr(constructions_mod, "rho_images", lambda square, alg: R)
+    model = derivation_model(s)
+    expected = naive_jacobi_witness(model.lie)
+    assert expected is not None and expected[1] < model.der_dim <= expected[2]
+    with pytest.raises(VerificationError, match="Jacobi fails") as info:
+        certify(model.lie, None, "tits(pC)")
+    assert info.value.witness == expected
 
 
 def test_rho_homomorphism_rejects_dependent_images():
     s = symmetric_composition("pC")
     square = magic_square(s, symmetric_composition("R"), (1, 1, 1))
-    R = rho_images(square, albert(s, (1, 1, 1)))
+    alg = albert(s, (1, 1, 1))
+    R = rho_images(square, alg)
     R[5] = [dict(row) for row in R[2]]
     with pytest.raises(VerificationError, match="dependent") as info:
-        check_rho_homomorphism(square, R)
+        check_rho_homomorphism(R, alg.table.unit)
     assert info.value.witness == {"index": 5}
 
 
-def naive_rho_witness(square, R):
-    """The first pair i < j, in lexicographic order, on which
-    [R_i, R_j] - sum_m c^m_ij R_m is nonzero, from dense Scalar matrices;
-    None if there is none."""
-    n = len(R[0])
-    dense = [[to_dense(row, n) for row in m] for m in R]
-    for i, j in combinations(range(len(R)), 2):
-        a, b = dense[i], dense[j]
-        diff = [
-            [
-                sum((a[p][r] * b[r][q] - b[p][r] * a[r][q] for r in range(n)), ZERO)
-                for q in range(n)
-            ]
-            for p in range(n)
-        ]
-        for m, c in square.lie.brk.get((i, j), {}).items():
-            for p in range(n):
-                for q in range(n):
-                    diff[p][q] = diff[p][q] - c * dense[m][p][q]
-        if any(x for row in diff for x in row):
-            return (i, j)
-    return None
-
-
-# the Jacobi record of f4 + A for the 27-dimensional A over pO or Ok
-PO_RHO_RECORD = {
-    "generators": [0, 49, 19, 68, 38, 8, 54],
-    "triples": comb(52 + 27, 3) - comb(52 + 27 - 7, 3),
+# the Jacobi record of the 78-dimensional model over pO or Ok
+MODEL78_JACOBI = {
+    "generators": [0, 49, 20, 69, 40, 11],
+    "triples": comb(78, 3) - comb(78 - 6, 3),
 }
-
-
-@pytest.fixture(scope="module")
-def po_rho(f4_square):
-    return rho_images(f4_square, albert(symmetric_composition("pO"), (1, 1, 1)))
 
 
 @pytest.mark.parametrize(
     "delta", [ONE, SQRT3, IUNIT, IUNIT * SQRT3], ids=["1", "r3", "i", "i*r3"]
 )
-def test_rho_homomorphism_mutation_in_each_lane(f4_square, po_rho, delta):
-    R = [[dict(row) for row in m] for m in po_rho]
-    row = next(row for row in R[17] if row)
-    q = min(row)
-    row[q] = row[q] + delta
-    expected = naive_rho_witness(f4_square, R)
+def test_rho_homomorphism_mutation_in_each_lane(monkeypatch, f4_square, delta):
+    """A constant of g corrupted in one lane reaches the model's table,
+    and the EIV build fails its Jacobi certificate at the first failing
+    triple of that table."""
+    brk = {k: dict(v) for k, v in f4_square.lie.brk.items()}
+    a, b = next(k for k, v in brk.items() if set(v) - set(k))
+    m = next(m for m in brk[(a, b)] if m not in (a, b))
+    brk[(a, b)][m] = brk[(a, b)][m] + delta
+    bad = replace(f4_square, lie=LieAlgebra("bad", f4_square.lie.labels, brk))
+    monkeypatch.setattr(constructions_mod, "magic_square", lambda s, sp, eps: bad)
+    expected = naive_jacobi_witness(derivation_model(symmetric_composition("pO")).lie)
     assert expected is not None
-    with pytest.raises(VerificationError, match="homomorphism") as info:
-        check_rho_homomorphism(f4_square, R)
+    with pytest.raises(VerificationError, match="Jacobi fails") as info:
+        build_model("e6m26")
     assert info.value.witness == expected
 
 
-def test_rho_homomorphism_lanes_of_the_constants(f4_square, po_rho):
+def test_rho_homomorphism_lanes_of_the_constants(monkeypatch, f4_square):
     """Rescale b_a by sqrt3 and b_b by i: the images gain the sqrt3 and i
     lanes, and the constant t_a t_b / t_m c^m_ab the i sqrt3 lane, which no
-    image has.  The identity still holds, and a corrupted constant in that
-    lane is still caught."""
+    image has.  The model built on them still passes Jacobi, and a
+    corrupted constant in that lane is still caught."""
+    pO = symmetric_composition("pO")
     brk = f4_square.lie.brk
     a, b = next(k for k, v in brk.items() if set(v) - set(k))
-    t = [ONE] * len(po_rho)
+    R = rho_images(f4_square, albert(pO, (1, 1, 1)))
+    t = [ONE] * len(R)
     t[a], t[b] = SQRT3, IUNIT
-    R = [[{q: t[k] * x for q, x in row.items()} for row in m] for k, m in enumerate(po_rho)]
+    R = [[{q: t[k] * x for q, x in row.items()} for row in m] for k, m in enumerate(R)]
     scaled = {
         (i, j): {m: t[i] * t[j] * c / t[m] for m, c in v.items()}
         for (i, j), v in brk.items()
@@ -234,21 +220,25 @@ def test_rho_homomorphism_lanes_of_the_constants(f4_square, po_rho):
     square = replace(f4_square, lie=LieAlgebra("scaled", f4_square.lie.labels, scaled))
     assert any(c.d for v in scaled.values() for c in v.values())
     assert not any(x.d for m in R for row in m for x in row.values())
-    assert check_rho_homomorphism(square, R) == PO_RHO_RECORD
+    monkeypatch.setattr(constructions_mod, "magic_square", lambda s, sp, eps: square)
+    monkeypatch.setattr(constructions_mod, "rho_images", lambda square, alg: R)
+    assert certify_jacobi(derivation_model(pO).lie) == MODEL78_JACOBI
     m = next(m for m in scaled[(a, b)] if m not in (a, b))
     scaled[(a, b)][m] = scaled[(a, b)][m] + IUNIT * SQRT3
-    with pytest.raises(VerificationError, match="homomorphism") as info:
-        check_rho_homomorphism(square, R)
-    assert info.value.witness == (a, b)
+    model = derivation_model(pO)
+    expected = naive_jacobi_witness(model.lie)
+    assert expected is not None
+    with pytest.raises(VerificationError, match="Jacobi fails") as info:
+        certify_jacobi(model.lie)
+    assert info.value.witness == expected
 
 
 def test_rho_homomorphism_okubo_model():
     model = derivation_model(symmetric_composition("Ok"))
     consts = [c for v in model.square.lie.brk.values() for c in v.values()]
     assert any(c.b for c in consts)  # sqrt3 lanes in the constants
-    R = model.rho
-    assert check_rho_homomorphism(model.square, R) == PO_RHO_RECORD
-    assert model.rho_record == PO_RHO_RECORD
+    assert check_rho_homomorphism(model.rho, model.alg.table.unit).rank == 52
+    assert certify_jacobi(model.lie) == MODEL78_JACOBI
     assert model.lie.dim == 78
 
 
@@ -333,11 +323,9 @@ def test_commutator_outside_the_images_is_witnessed(monkeypatch):
     )
     real = constructions_mod.check_rho_homomorphism
 
-    def short_span(square, R, images):
-        report = real(square, R)
-        for m in R[:-1]:
-            images.add(flatten(m))
-        return report
+    def short_span(R, unit):
+        real(R, unit)
+        return SpanSolver(flatten(m) for m in R[:-1])
 
     monkeypatch.setattr(constructions_mod, "check_rho_homomorphism", short_span)
     with pytest.raises(VerificationError, match="not in the image") as info:
@@ -347,8 +335,7 @@ def test_commutator_outside_the_images_is_witnessed(monkeypatch):
 
 def test_model78_structure(model78):
     assert model78.lie.dim == 78
-    assert model78.rho_record == PO_RHO_RECORD
-    certify_jacobi(model78.lie)
+    assert certify_jacobi(model78.lie) == MODEL78_JACOBI
     assert killing_signature(model78.lie) == (26, 52, 0)
 
 
@@ -363,11 +350,21 @@ def test_model78_traceless_part_brackets_into_derivations(model78):
             assert all(p < nd for p in v)
 
 
-def test_model78_derivations_kill_unit(model78):
-    alg = model78.alg
-    unit = alg.table.unit
-    for m in (model78.rho[3], model78.rho[33]):
-        assert apply(m, unit) == {}
+def test_model78_derivations_kill_unit(monkeypatch, model78):
+    """The model's Jacobi certificate sees rho only on A0; rho(b) 1 = 0
+    is checked before the model is built.  Adding e_3 to rho(b_33) E0,
+    E1 and E2 moves the unit and no element of A0."""
+    unit = model78.alg.table.unit
+    assert all(apply(m, unit) == {} for m in model78.rho)
+    R = [[dict(row) for row in m] for m in model78.rho]
+    for c in range(3):
+        R[33][3][c] = R[33][3].get(c, ZERO) + ONE
+    assert all(apply(R[33], z) == apply(model78.rho[33], z)
+               for z in model78.alg.zero_trace_basis())
+    monkeypatch.setattr(constructions_mod, "rho_images", lambda square, alg: R)
+    with pytest.raises(VerificationError, match="does not kill the unit") as info:
+        derivation_model(symmetric_composition("pO"))
+    assert info.value.witness == {"index": next(k for k, m in enumerate(R) if apply(m, unit))}
 
 
 def test_induced_automorphism_rejects_a_non_automorphism(get_build):

@@ -29,6 +29,7 @@ from oracles import (
     derivation_lie_algebra,
     derivations,
     killing_signature,
+    naive_jacobi_witness,
 )
 
 
@@ -113,20 +114,6 @@ def test_sqrt3_table_matches_scaling():
     k = killing_form(L)
     assert k == [{0: sc(8)}, {2: sc(4) * SQRT3}, {1: sc(4) * SQRT3}]
     assert killing_signature(L) == (2, 1, 0)
-
-
-def naive_jacobi_witness(L: LieAlgebra):
-    """The first basis triple i < j < k on which the Jacobi sum is nonzero,
-    computed from bracket_basis in Scalar arithmetic; None if there is none."""
-    for i, j, k in combinations(range(L.dim), 3):
-        total = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for p, x in L.bracket_basis(b, c).items():
-                for q, y in L.bracket_basis(a, p).items():
-                    total[q] = total.get(q, ZERO) + x * y
-        if any(total.values()):
-            return (i, j, k)
-    return None
 
 
 def jacobi_witness(L: LieAlgebra):

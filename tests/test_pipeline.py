@@ -6,6 +6,7 @@ expensive magic-square builds and root decompositions happen once.
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -449,8 +450,8 @@ def test_run_satake_rejects_lost_root_space(get_build, monkeypatch):
         return dataclasses.replace(datum, spaces=datum.spaces[:-1])
 
     monkeypatch.setattr(pipeline, "root_decomposition", lossy)
-    w = _raises_witnessed("e6m26", get_build("e6m26"), "expected 72 roots")
-    assert w == {"roots": 71, "zero_dim": 6}
+    w = _raises_witnessed("e6m26", get_build("e6m26"), "expected 72 roots, got 71$")
+    assert w == {"roots": 71}
 
 
 def test_run_satake_rejects_non_e6_system(get_build, get_satake, monkeypatch):
@@ -645,6 +646,24 @@ def test_one_generating_set_per_build(monkeypatch):
     assert calls.count(("killing_form", 78)) == 1
     assert report["generators"] == build.jacobi["generators"]
     assert not {"generating_set", "killing_form"} & set(vars(rootspace))
+
+
+def test_one_jacobi_certificate_per_eiv_build(monkeypatch):
+    """rho is certified a homomorphism by the Jacobi identity of the
+    derivation model itself, so the EIV build sums Jacobi on its
+    78-dimensional table only."""
+    calls = []
+    real = lie.certify_jacobi
+
+    def counted(L):
+        calls.append(L.dim)
+        return real(L)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("realforms") and vars(mod).get("certify_jacobi") is real:
+            monkeypatch.setattr(mod, "certify_jacobi", counted)
+    pipeline.build_model("e6m26")
+    assert calls == [78]
 
 
 @pytest.mark.parametrize("name", ["EIV", "EIII", "EII", "EI"])

@@ -349,15 +349,18 @@ def test_eigen_split_rejects_spurious_eigenvalue(monkeypatch):
     assert exc.value.witness == {"eigenvalue": "5"}
 
 
-def test_root_decomposition_of_a_subspace():
+def test_root_decomposition_rejects_a_dependent_layer(monkeypatch):
+    """A layer whose kernel basis repeats a vector is refused by the next
+    generator's restricted matrix, before any eigenvalue of it is read."""
+    real = rootspace_mod.eigen_split
+
+    def repeating(m, context=""):
+        return [(lam, ker + ker[:1]) for lam, ker in real(m, context)]
+
+    monkeypatch.setattr(rootspace_mod, "eigen_split", repeating)
     L = sl2()
-    datum = root_decomposition(L, [L.basis_vec(0)], subspace=[2, 1], name="e, f")
-    assert datum.root_set() == pm(cov(2))
-    assert [s.basis for s in datum.spaces] == [[{2: ONE}], [{1: ONE}]]
-    with pytest.raises(ConstructionError, match="dependent subspace basis"):
-        root_decomposition(L, [L.basis_vec(0)], subspace=[0, 1, 1], name="bad")
-    with pytest.raises(ConstructionError, match="subspace index outside bad"):
-        root_decomposition(L, [L.basis_vec(0)], subspace=[1, 3], name="bad")
+    with pytest.raises(ConstructionError, match=r"dependent subspace basis \(h2 of sl2\)"):
+        root_decomposition(L, [L.basis_vec(0), L.basis_vec(0)], name="sl2")
 
 
 # ---------------------------------------------------------------------------
