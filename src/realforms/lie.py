@@ -17,8 +17,9 @@ coordinates over the Q-basis 1, sqrt3, i, i sqrt3 of Q(sqrt3, i)
 (`int_coords`).
 
 The generating-set argument serves `certify_jacobi`, whose S the theta
-certificate of `rootspace` reuses; the rho certificate of `constructions`,
-`certify_jacobi` on the split extension g + A, which also certifies g; and
+certificate of `rootspace` reuses, and whose run on the derivation model
+of `constructions` also proves rho a homomorphism (with rho(b) 1 = 0 and
+rho(b) A0 inside A0, which `constructions` checks); and
 `closed_subalgebra`, which proves a subspace T of a Lie algebra closed
 under the bracket: the x in T with [x, T] inside T form a subalgebra, by
 the Jacobi identity of the ambient algebra, so certifying the brackets

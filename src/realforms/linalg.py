@@ -11,7 +11,8 @@ vectors.  Root covectors stay tuples, since they key root sets, and
 stage of the pipeline calls.  Every sparse sum here ends in one step,
 acc += x v, and `scalars.add_scaled` is that step: `combine`, the
 eliminations of `Echelon` and `sylvester_signature`, and `add_product`
-call it, so their results are zero-free with no filtering pass.
+call it, so their results are zero-free with no filtering pass; `apply`
+sums each row with `scalars.dot`, normalising once.
 `add_product` is the only matrix product: it multiplies matrices stored
 as sparse rows, row by row (Gustavson's algorithm), and `mat_mul` and
 `commutator` wrap it.  The one coordinate reader is a fully reduced basis
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Scalar, add_scaled
+from .scalars import ONE, ZERO, Scalar, add_scaled, dot
 
 SparseVec = Dict[int, Scalar]
 DenseVec = List[Scalar]
@@ -206,16 +207,17 @@ def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
 def apply(m: SparseMatrix, v: SparseVec) -> SparseVec:
     """m v for a matrix stored as sparse rows and a sparse vector, zero-free.
 
-    Each nonempty row meets v by walking the shorter of the two.
+    Each nonempty row meets v by walking the shorter of the two, and
+    `scalars.dot` sums the products it meets, normalising once per row.
     """
     out: SparseVec = {}
     for p, row in enumerate(m):
-        if not row:
-            continue
         short, other = (row, v) if len(row) <= len(v) else (v, row)
-        x = sum((c * other[q] for q, c in short.items() if q in other), ZERO)
-        if x:
-            out[p] = x
+        pairs = [(c, other[q]) for q, c in short.items() if q in other]
+        if pairs:
+            x = dot(pairs)
+            if x:
+                out[p] = x
     return out
 
 

@@ -153,9 +153,9 @@ class ModelBuild:
         L = self.lie
         theta, gens = cartan_involution(self), self.jacobi["generators"]
         t, p, report = verify_cartan_decomposition(L, theta, gens, self.killing)
-        a = _maximal_abelian(L, p)
-        certificate = certify_maximal_abelian(L, a, p)
-        t_h = _maximal_abelian(L, _centraliser(L, a, t))
+        a, z = _maximal_abelian(L, p)
+        certificate = certify_maximal_abelian(a, z, p)
+        t_h, _ = _maximal_abelian(L, _centraliser(L, a, t))
         return CartanData(a, t_h, certificate, report)
 
 
@@ -407,26 +407,30 @@ def _centraliser(L: LieAlgebra, xs: List[SparseVec], basis: List[SparseVec]) -> 
     ]
 
 
-def _maximal_abelian(L: LieAlgebra, basis: List[SparseVec]) -> List[SparseVec]:
-    """A maximal abelian subspace of span(basis), grown greedily: each step
-    adds the sparsest vector of its centraliser that lies outside it."""
+def _maximal_abelian(
+    L: LieAlgebra, basis: List[SparseVec]
+) -> Tuple[List[SparseVec], List[SparseVec]]:
+    """A maximal abelian subspace hs of span(basis), grown greedily: each
+    step adds the sparsest vector of its centraliser that lies outside it.
+    Returned with the last centraliser solved, that of hs itself."""
     hs: List[SparseVec] = []
     span = Echelon()
     while True:
-        fresh = [v for v in _centraliser(L, hs, basis) if not span.contains(v)]
+        z = _centraliser(L, hs, basis)
+        fresh = [v for v in z if not span.contains(v)]
         if not fresh:
-            return hs
+            return hs, z
         hs.append(min(fresh, key=len))
         span.add(hs[-1])
 
 
 def certify_maximal_abelian(
-    L: LieAlgebra, a: List[SparseVec], p: List[SparseVec]
+    a: List[SparseVec], z: List[SparseVec], p: List[SparseVec]
 ) -> Dict[str, int]:
-    """Certify that the abelian a is maximal abelian in p: its centraliser
-    z_p(a) has the dimension of a, so it is a (Knapp, Lie Groups Beyond an
+    """Certify that the abelian a is maximal abelian in p from a basis z of
+    its centraliser z_p(a) (`_centraliser`): z_p(a) contains a, so when it
+    has the dimension of a it is a (Knapp, Lie Groups Beyond an
     Introduction, VI.6)."""
-    z = _centraliser(L, a, p)
     if len(z) != len(a):
         raise VerificationError(
             f"a is not maximal abelian in p: dim z_p(a) = {len(z)}, dim a = {len(a)}",

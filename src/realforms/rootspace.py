@@ -6,13 +6,17 @@ operator.  Every such basis is fully reduced, so ad(h) is restricted to
 it by reading coordinates off its pivot columns (`Echelon.reduced`), with
 no elimination.  Lie algebra elements, root vectors and restricted
 matrices are zero-free sparse vectors and rows throughout.  Eigenvalues are found
-exactly: the minimal polynomial of the restricted matrix comes from Krylov
-sequences.  If D clears the denominators of its monic squarefree part, every
-root in the field has coordinates over 1, sqrt3, i, i sqrt3 in Z/(2D), since
-D times a root is an integer of Q(zeta12).  Float roots of both embeddings
-propose grid points; each is accepted only when the polynomial vanishes on
-it exactly, and deg p accepted roots certify that none is missing.  The
-eigenspace dimensions must then sum to the dimension of the space.
+exactly, one Krylov chain at a time: the minimal polynomial of the vector
+sum_k e_k, then of e_j times prod (m - lam) over the eigenvalues lam found
+so far, until the eigenspaces cover the layer.  No minimal polynomial of
+the whole matrix is formed; the coverage is the certificate, since
+eigenvectors of distinct eigenvalues are independent, and an eigenvalue
+found twice proves the layer not semisimple.  If D clears the
+denominators of a chain's monic squarefree polynomial, every root in the
+field has coordinates over 1, sqrt3, i, i sqrt3 in Z/(2D), since D times
+a root is an integer of Q(zeta12).  Float roots of both embeddings
+propose grid points; each is accepted only when the polynomial vanishes
+on it exactly, and deg p accepted roots certify that none is missing.
 
 Root systems are then classified intrinsically through root strings;
 coordinate geometry is never trusted (the restriction of the invariant
@@ -47,7 +51,7 @@ from .linalg import (
     to_sparse,
     transpose,
 )
-from .scalars import HALF, ONE, ZERO, Rat, Scalar
+from .scalars import HALF, ONE, ZERO, Scalar, add_scaled
 
 Covector = Tuple[Scalar, ...]
 Poly = List[Scalar]  # coefficients, low degree first
@@ -104,23 +108,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if not a:
-        return list(b)
-    if not b:
-        return list(a)
-    g = poly_gcd(a, b)
-    q, r = poly_divmod(poly_mul(a, b), g)
-    if r:
-        raise VerificationError(
-            "gcd does not divide the product in poly_lcm", witness=[c.to_str() for c in r]
-        )
-    if q:
-        inv = q[-1].inverse()
-        q = [x * inv for x in q]
-    return q
-
-
 def poly_eval(p: Poly, x: Scalar) -> Scalar:
     acc = ZERO
     for c in reversed(p):
@@ -151,35 +138,28 @@ def poly_squarefree(p: Poly) -> Poly:
 # exact eigenvalues of a matrix over Q(sqrt3, i)
 
 
-def minimal_polynomial(m: SparseMatrix) -> Poly:
-    """The lcm of the monic annihilators of the Krylov sequences e, m e,
-    m^2 e, ... of unit vectors e, until their spans fill the space."""
-    n = len(m)
-    total = Echelon()
-    minpoly: Poly = [ONE]
-    for start in range(n):
-        e = {start: ONE}
-        if total.contains(e):
-            continue
-        krylov = SpanSolver([e])
-        total.add(e)
-        last = e
-        while True:
-            last = apply(m, last)
-            coords = krylov.coords_sparse(last)
-            if coords is not None:
-                # monic annihilator: x^k - sum coords[j] x^j
-                k = krylov.rank
-                ann = [ZERO] * k + [ONE]
-                for j, c in coords.items():
-                    ann[j] = -c
-                minpoly = poly_lcm(minpoly, ann)
-                break
-            krylov.add(last)
-            total.add(last)
-        if total.rank == n:
-            break
-    return minpoly
+def _times(cols: SparseMatrix, v: SparseVec) -> SparseVec:
+    """m v for the matrix m with columns `cols`: one `combine`."""
+    return combine((c, cols[j]) for j, c in v.items())
+
+
+def minimal_polynomial(cols: SparseMatrix, v: SparseVec) -> Poly:
+    """The minimal polynomial of the vector v under the matrix m with
+    columns `cols`: the monic annihilator of the Krylov sequence v, m v,
+    m^2 v, ..., read off the first power in the span of the ones before.
+    Each m w sums the columns, one normalisation per entry."""
+    krylov = SpanSolver([v])
+    last = v
+    while True:
+        last = _times(cols, last)
+        coords = krylov.coords_sparse(last)
+        if coords is not None:
+            # monic annihilator: x^k - sum coords[j] x^j
+            ann = [ZERO] * krylov.rank + [ONE]
+            for j, c in coords.items():
+                ann[j] = -c
+            return ann
+        krylov.add(last)
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -225,14 +205,14 @@ def _float_roots(p: List[complex]) -> List[complex]:
     return zs
 
 
-def exact_eigenvalues(m: SparseMatrix, context: str = "") -> List[Scalar]:
-    """The distinct eigenvalues of m in Q(sqrt3, i), each certified exactly.
+def exact_eigenvalues(p: Poly, context: str = "") -> List[Scalar]:
+    """The distinct roots in Q(sqrt3, i) of the monic p, each certified
+    exactly, sorted by `key()`.
 
-    Let p be the monic squarefree part of the minimal polynomial and D the
-    lcm of its coefficient denominators.  D*lam is then an algebraic integer
-    of Q(sqrt3, i) = Q(zeta12), whose ring of integers is Z[zeta12], so every
-    root lam in the field has coordinates over 1, sqrt3, i, i*sqrt3 in
-    Z/(2D).  Floats only propose: the roots z+ of p and z- of its image
+    Let p now be its squarefree part and D the lcm of its coefficient
+    denominators.  D*lam is then an algebraic integer of Q(sqrt3, i) =
+    Q(zeta12), whose ring of integers is Z[zeta12], so every root lam in
+    the field has coordinates over 1, sqrt3, i, i*sqrt3 in Z/(2D).  Floats only propose: the roots z+ of p and z- of its image
     under sqrt3 -> -sqrt3 pair into u = (z+ + z-)/2 and
     w = (z+ - z-)/(2 sqrt3), whose real and imaginary parts are snapped to
     that grid (pairs more than a quarter step off are dropped), closest
@@ -241,7 +221,7 @@ def exact_eigenvalues(m: SparseMatrix, context: str = "") -> List[Scalar]:
     root outside the field (or one that double precision cannot resolve on
     the grid) and VerificationError carries p's coefficients as witness.
     """
-    poly = poly_squarefree(minimal_polynomial(m))
+    poly = poly_squarefree(p)
     deg = len(poly) - 1
     grid = 2 * math.lcm(*(c.as_ints()[4] for c in poly))
     emb_plus, emb_minus = _embedded(poly, _SQRT3), _embedded(poly, -_SQRT3)
@@ -265,13 +245,13 @@ def exact_eigenvalues(m: SparseMatrix, context: str = "") -> List[Scalar]:
     for _, ints in proposals:
         if len(found) == deg:
             break
-        lam = Scalar(*(Rat(k, grid) for k in ints))
+        lam = Scalar.from_ints(*ints, grid)
         if lam not in found and not poly_eval(poly, lam):
             found.append(lam)
     if len(found) < deg:
         raise VerificationError(
             f"eigenvalues outside Q(sqrt3, i) {context}: certified {len(found)} "
-            f"of {deg} roots of the minimal polynomial",
+            f"of {deg} roots of the squarefree polynomial",
             witness=poly,
         )
     found.sort(key=lambda s: s.key())
@@ -281,39 +261,68 @@ def exact_eigenvalues(m: SparseMatrix, context: str = "") -> List[Scalar]:
 def eigen_split(
     m: SparseMatrix, context: str = ""
 ) -> List[Tuple[Scalar, List[SparseVec]]]:
-    """(eigenvalue, kernel basis) pairs, the kernel vectors sparse;
-    dimensions must sum to dim.  A 1 x 1 matrix is its own eigenvalue, a
-    Scalar and so in the field, with the whole line as eigenspace."""
+    """(eigenvalue, kernel basis) pairs sorted by `key()`, the kernel
+    vectors sparse; dimensions must sum to dim.  A 1 x 1 matrix is its own
+    eigenvalue, a Scalar and so in the field, with the whole line as
+    eigenspace.
+
+    The eigenvalues come one Krylov chain at a time, from the starts
+    sum_k e_k, e_0, ..., e_{n-1}: a start v becomes w = prod (m - lam) v
+    over the eigenvalues lam found so far, and unless w = 0 the roots of
+    its minimal polynomial are new eigenvalues, each with the kernel of
+    m - lam.  Eigenvectors of distinct eigenvalues are independent, so
+    kernels that cover n prove m diagonalisable with exactly these
+    eigenvalues.  If m is, w lies in the eigenspaces not yet found, so a
+    root found a second time proves m not semisimple; and while the
+    kernels fall short of n, prod (m - lam) != 0 sends some e_j to w != 0,
+    whose roots are eigenvalues not yet found."""
     n = len(m)
     if n == 0:
         return []
     if n == 1:
         return [(m[0].get(0, ZERO), [{0: ONE}])]
-    out = []
+    cols = transpose(m)
+    out: List[Tuple[Scalar, List[SparseVec]]] = []
     covered = 0
-    for lam in exact_eigenvalues(m, context):
-        shifted = []
-        for p, row in enumerate(m):
-            r = dict(row)
-            x = r.get(p, ZERO) - lam
-            if x:
-                r[p] = x
-            else:
-                r.pop(p, None)
-            shifted.append(r)
-        ker = nullspace(shifted, n)
-        if not ker:
-            raise VerificationError(
-                f"spurious eigenvalue {lam} {context}", witness={"eigenvalue": lam.to_str()}
-            )
-        out.append((lam, ker))
-        covered += len(ker)
+    for w in [dict.fromkeys(range(n), ONE)] + [{k: ONE} for k in range(n)]:
+        if covered == n:
+            break
+        for lam, _ in out:
+            mw = _times(cols, w)
+            add_scaled(mw, -lam, w)
+            w = mw
+        if not w:
+            continue
+        for lam in exact_eigenvalues(minimal_polynomial(cols, w), context):
+            if any(lam == mu for mu, _ in out):
+                raise VerificationError(
+                    f"operator is not semisimple over the field {context}: eigenvalue "
+                    f"{lam} found again, with eigenspaces covering {covered} of {n}",
+                    witness={"eigenvalue": lam.to_str(), "covered": covered, "dim": n},
+                )
+            shifted = []
+            for p, row in enumerate(m):
+                r = dict(row)
+                x = r.get(p, ZERO) - lam
+                if x:
+                    r[p] = x
+                else:
+                    r.pop(p, None)
+                shifted.append(r)
+            ker = nullspace(shifted, n)
+            if not ker:
+                raise VerificationError(
+                    f"spurious eigenvalue {lam} {context}", witness={"eigenvalue": lam.to_str()}
+                )
+            out.append((lam, ker))
+            covered += len(ker)
     if covered != n:
         raise VerificationError(
             f"operator is not semisimple over the field {context}: "
             f"eigenspaces cover {covered} of {n}",
             witness={"covered": covered, "dim": n},
         )
+    out.sort(key=lambda pair: pair[0].key())
     return out
 
 
@@ -595,10 +604,10 @@ def _simple_witness(root: Covector, simple: List[Covector]) -> Dict[str, object]
 def verify_simple_basis(roots: set, simple: List[Covector]) -> Dict[str, int]:
     """Certify the claimed simple roots a base of the root system: they are
     roots, they are linearly independent, and each root is an integer
-    combination of them with coefficients all of one sign.  A failure
-    carries the simple system, and the root where there is one, as
-    witness."""
-    dim = len(simple[0])
+    combination of them with coefficients all of one sign.  The empty
+    system is the base of the empty root system.  A failure carries the
+    simple system, and the root where there is one, as witness."""
+    dim = len(simple[0]) if simple else 0
     solver = SpanSolver()
     for s in simple:
         if s not in roots:

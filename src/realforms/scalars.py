@@ -22,6 +22,8 @@ products, brackets).  It reads the integer fields directly, so each entry
 forms the product's numerators, adds them over the common denominator and
 normalises once, where `acc[q] + x * v[q]` builds two Scalars and
 normalises twice; entries that cancel are deleted, never stored as zeros.
+`dot` sums the products of a list of pairs into one Scalar, normalising
+once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List
+from typing import List, Sequence, Tuple
 
 Rat = Fraction
 
@@ -456,6 +458,25 @@ def add_product_ints(acc: List[int], x: List[int], w: List[int], coef: int) -> N
         acc[3] += a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
     else:
         acc[0] += a1 * a2
+
+
+def dot(pairs: Sequence[Tuple[Scalar, Scalar]]) -> Scalar:
+    """The sum of x * y over the (x, y) pairs, normalised once: the
+    integer parts of each product are added with `add_product_ints` over
+    the lcm of the denominators so far, where `sum` of the products would
+    normalise twice per pair."""
+    if len(pairs) < 2:
+        return pairs[0][0] * pairs[0][1] if pairs else _ZERO
+    acc = [0, 0, 0, 0]
+    den = 1
+    for x, y in pairs:
+        m = x._n * y._n
+        if den % m:
+            k = m // gcd(den, m)
+            acc = [t * k for t in acc]
+            den *= k
+        add_product_ints(acc, [x._a, x._b, x._c, x._d], [y._a, y._b, y._c, y._d], den // m)
+    return _make(acc[0], acc[1], acc[2], acc[3], den)
 
 
 def add_scaled(acc: dict, x: Scalar, v: dict) -> None:

@@ -210,10 +210,9 @@ def verification_raises(obj):
         (rootspace.strip_torus_part, 1),
         (rootspace.highest_root, 1),
         (rootspace._restricted_matrix, 1),
-        (rootspace.eigen_split, 2),
+        (rootspace.eigen_split, 3),
         (rootspace.verify_simple_basis, 4),
         (rootspace.verify_cartan_decomposition, 5),
-        (rootspace.poly_lcm, 1),
         (rootspace.poly_squarefree, 1),
         (rootspace._integer_coords, 2),
     ],

@@ -390,11 +390,33 @@ def test_run_satake_rejects_split_part_other_than_a(get_build, monkeypatch):
 
 def test_greedy_a_that_is_not_maximal_is_witnessed(get_build, monkeypatch):
     # a greedy loop that stops one step early leaves z_p(a) larger than a
+    # and hands out the centraliser it solved at that step
     real = pipeline._maximal_abelian
-    monkeypatch.setattr(pipeline, "_maximal_abelian", lambda L, basis: real(L, basis)[:-1])
+
+    def one_step_early(L, basis):
+        hs = real(L, basis)[0][:-1]
+        return hs, pipeline._centraliser(L, hs, basis)
+
+    monkeypatch.setattr(pipeline, "_maximal_abelian", one_step_early)
     fresh = dataclasses.replace(get_build("e6m14"))  # no memoised Cartan data
     w = _raises_witnessed("e6m14", fresh, "a is not maximal abelian in p")
     assert w == {"dim_a": 1, "dim_z_p_a": 8}
+
+
+def test_cartan_data_solves_each_centraliser_once(get_build, monkeypatch):
+    # the greedy a solves z_p of each of its dim a + 1 stages, the last of
+    # which is the certificate's z_p(a); then z_t(a) and the greedy t_h
+    calls = []
+    real = pipeline._centraliser
+
+    def counted(L, xs, basis):
+        calls.append(len(xs))
+        return real(L, xs, basis)
+
+    monkeypatch.setattr(pipeline, "_centraliser", counted)
+    cartan = dataclasses.replace(get_build("e6m14")).cartan
+    assert cartan.maximally_noncompact == {"dim_p": 32, "dim_z_p_a": 2}
+    assert calls == [0, 1, 2, 2, 0, 1, 2, 3, 4]
 
 
 _OFFDIAG = [(i, j) for i in range(3) for j in range(3) if i != j]
@@ -430,15 +452,16 @@ def test_maximally_noncompact_certificate():
     L = _sl3()
     e = {ij: 2 + n for n, ij in enumerate(_OFFDIAG)}
     p = [{0: ONE}, {1: ONE}] + [{e[i, j]: ONE, e[j, i]: ONE} for i, j in ((0, 1), (0, 2), (1, 2))]
-    a = pipeline._maximal_abelian(L, p)
+    a, z = pipeline._maximal_abelian(L, p)
     assert a == [{0: ONE}, {1: ONE}]
-    assert certify_maximal_abelian(L, a, p) == {"dim_p": 5, "dim_z_p_a": 2}
+    assert z == pipeline._centraliser(L, a, p)
+    assert certify_maximal_abelian(a, z, p) == {"dim_p": 5, "dim_z_p_a": 2}
     # a one-dimensional a is abelian in p but not maximal
     with pytest.raises(VerificationError, match="not maximal abelian") as exc:
-        certify_maximal_abelian(L, a[:1], p)
+        certify_maximal_abelian(a[:1], pipeline._centraliser(L, a[:1], p), p)
     assert exc.value.witness == {"dim_a": 1, "dim_z_p_a": 2}
     with pytest.raises(VerificationError, match="not maximal abelian") as exc:
-        certify_maximal_abelian(L, [], p)
+        certify_maximal_abelian([], pipeline._centraliser(L, [], p), p)
     assert exc.value.witness == {"dim_a": 0, "dim_z_p_a": 5}
 
 

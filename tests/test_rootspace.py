@@ -10,7 +10,7 @@ from realforms import pipeline
 from realforms.cli import _jsonable
 from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import LieAlgebra, generating_set, killing_form, lie_from_fn
-from realforms.linalg import to_sparse
+from realforms.linalg import to_sparse, transpose
 from realforms.rootspace import (
     RootDatum,
     RootSpace,
@@ -32,7 +32,6 @@ from realforms.rootspace import (
     poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_lcm,
     poly_mul,
     poly_normalize,
     poly_squarefree,
@@ -91,15 +90,8 @@ def test_poly_squarefree_strips_multiplicity():
     assert poly_squarefree(q) == poly_normalize(poly_mul([sc(-1), ONE], [sc(1), ONE]))
 
 
-# a gcd that divides neither input reaches the exact-division checks of
-# lcm and squarefree part, with the remainder as witness
-
-
-def test_poly_lcm_rejects_a_gcd_that_does_not_divide(monkeypatch):
-    monkeypatch.setattr(rootspace_mod, "poly_gcd", lambda a, b: [ONE, ONE])  # x + 1
-    with pytest.raises(VerificationError, match="poly_lcm") as info:
-        poly_lcm([ZERO, ONE], [sc(-1), ONE])  # lcm(x, x - 1)
-    assert info.value.witness == ["2"]  # x^2 - x = (x + 1)(x - 2) + 2
+# a gcd that does not divide the polynomial reaches the exact-division
+# check of the squarefree part, with the remainder as witness
 
 
 def test_poly_squarefree_rejects_a_gcd_that_does_not_divide(monkeypatch):
@@ -133,32 +125,38 @@ def test_poly_divmod_reconstructs(acoeffs, bcoeffs):
 # exact eigenvalues
 
 
+def ones_annihilator(m):
+    """The minimal polynomial of the all-ones vector, `eigen_split`'s first
+    Krylov start, under the dense test matrix m."""
+    return minimal_polynomial(transpose(rows(m)), dict.fromkeys(range(len(m)), ONE))
+
+
 def test_minimal_polynomial_diagonal():
     m = [[sc(1), ZERO, ZERO], [ZERO, sc(1), ZERO], [ZERO, ZERO, sc(-2)]]
-    # (x - 1)(x + 2) = x^2 + x - 2
-    assert minimal_polynomial(rows(m)) == [sc(-2), ONE, ONE]
+    # (x - 1)(x + 2) = x^2 + x - 2 at (1, 1, 1)
+    assert ones_annihilator(m) == [sc(-2), ONE, ONE]
 
 
 def test_minimal_polynomial_nilpotent():
     m = [[ZERO, ONE], [ZERO, ZERO]]
-    assert minimal_polynomial(rows(m)) == [ZERO, ZERO, ONE]
+    assert ones_annihilator(m) == [ZERO, ZERO, ONE]
 
 
 def test_exact_eigenvalues_rotation_gives_i():
     m = [[ZERO, sc(-1)], [ONE, ZERO]]
-    assert exact_eigenvalues(rows(m)) == sorted([IUNIT, -IUNIT], key=lambda s: s.key())
+    assert exact_eigenvalues(ones_annihilator(m)) == sorted([IUNIT, -IUNIT], key=lambda s: s.key())
 
 
 def test_exact_eigenvalues_sqrt3_lattice_stage():
     m = [[ZERO, sc("3/4")], [ONE, ZERO]]
-    vals = exact_eigenvalues(rows(m))
+    vals = exact_eigenvalues(ones_annihilator(m))
     half_r3 = sc("1/2") * SQRT3
     assert set(vals) == {half_r3, -half_r3}
 
 
 def test_exact_eigenvalues_denominators():
     m = [[sc("1/4"), ZERO], [ZERO, sc("-3/4")]]
-    assert exact_eigenvalues(rows(m)) == sorted(
+    assert exact_eigenvalues(ones_annihilator(m)) == sorted(
         [sc("1/4"), sc("-3/4")], key=lambda s: s.key()
     )
 
@@ -174,7 +172,7 @@ def test_exact_eigenvalues_fifths_and_sevenths():
         [ZERO, lam, sc("1/2")],
         [ZERO, ZERO, lam.conj()],
     ]
-    assert exact_eigenvalues(rows(m)) == by_key([sc("2/5"), lam, lam.conj()])
+    assert exact_eigenvalues(ones_annihilator(m)) == by_key([sc("2/5"), lam, lam.conj()])
 
 
 @pytest.mark.parametrize(
@@ -190,13 +188,17 @@ def test_exact_eigenvalues_half_integral_coordinates(trace, roots):
     # p = x^2 - trace x + 1 has integral coefficients (D = 1), yet its roots
     # have coordinates in Z/2: the grid is Z/(2D), not Z/D
     m = [[ZERO, -ONE], [ONE, sc(trace)]]
-    assert exact_eigenvalues(rows(m)) == by_key(sc(r) for r in roots)
+    assert exact_eigenvalues(ones_annihilator(m)) == by_key(sc(r) for r in roots)
 
 
 def test_exact_eigenvalues_outside_the_field():
     m = [[ZERO, sc(2)], [ONE, ZERO]]  # eigenvalues +-sqrt2
+    # x^2 - 2 annihilates (1, 1), the first start of eigen_split
     with pytest.raises(VerificationError, match=r"outside Q\(sqrt3, i\)") as err:
-        exact_eigenvalues(rows(m))
+        eigen_split(rows(m))
+    assert _jsonable(err.value.witness) == ["-2", "0", "1"]
+    with pytest.raises(VerificationError, match=r"outside Q\(sqrt3, i\)") as err:
+        exact_eigenvalues(ones_annihilator(m))
     assert _jsonable(err.value.witness) == ["-2", "0", "1"]
 
 
@@ -219,13 +221,24 @@ def test_exact_eigenvalues_of_triangular(diagonal, upper):
         [diagonal[i] if i == j else sc(next(fill)) if i < j else ZERO for j in range(n)]
         for i in range(n)
     ]
-    assert exact_eigenvalues(rows(m)) == by_key(set(diagonal))
+    # the characteristic polynomial prod (x - d_i) of the triangular m
+    char = [ONE]
+    for d in diagonal:
+        char = poly_mul(char, [-d, ONE])
+    assert exact_eigenvalues(char) == by_key(set(diagonal))
+    # which the minimal polynomial of every vector divides (Cayley-Hamilton)
+    cols = transpose(rows(m))
+    for j in range(n):
+        assert poly_divmod(char, minimal_polynomial(cols, {j: ONE}))[1] == []
 
 
 def test_eigen_split_rejects_nilpotent():
+    # x^2 annihilates (1, 1); the start e_1 is sent to e_0 by m, and x, the
+    # minimal polynomial of e_0, has the root 0 again
     m = [[ZERO, ONE], [ZERO, ZERO]]
-    with pytest.raises(VerificationError, match="not semisimple"):
+    with pytest.raises(VerificationError, match="not semisimple") as exc:
         eigen_split(rows(m))
+    assert exc.value.witness == {"eigenvalue": "0", "covered": 1, "dim": 2}
 
 
 def test_eigen_split_dimensions():
@@ -235,9 +248,58 @@ def test_eigen_split_dimensions():
     assert dims == {"2": 2, "-1": 1}
 
 
+def test_eigen_split_goes_on_from_an_eigenvector_start():
+    # (1, 1) is an eigenvector for 2, so the first chain finds only 2; the
+    # start e_0 becomes (m - 2) e_0 = -e_0, whose chain finds 1
+    m = [[ONE, ONE], [ZERO, sc(2)]]
+    assert ones_annihilator(m) == [sc(-2), ONE]
+    assert eigen_split(rows(m)) == [(ONE, [{0: ONE}]), (sc(2), [{0: ONE, 1: ONE}])]
+
+
+def test_eigen_split_rejects_a_root_found_twice():
+    # the first chain finds 1 and 2, covering 2 of 3; e_0 is then sent to
+    # 0, and e_1 to -e_0, whose minimal polynomial x - 1 has the root 1 again
+    m = [[ONE, ONE, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, sc(2)]]
+    with pytest.raises(VerificationError, match="not semisimple.*eigenvalue 1 found again") as exc:
+        eigen_split(rows(m))
+    assert exc.value.witness == {"eigenvalue": "1", "covered": 2, "dim": 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(field_elements, min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(0, 3), min_size=2, max_size=8),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), field_elements), max_size=12),
+)
+def test_eigen_split_of_a_conjugated_diagonal(values, picks, moves):
+    """m = P D P^-1 with P a product of elementary matrices I + c E_ij:
+    the eigenvalues are the entries of D, with their multiplicities as
+    kernel dimensions, and every kernel vector is an eigenvector."""
+    n = len(picks)
+    diagonal = [values[k % len(values)] for k in picks]
+    m = [[diagonal[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+    for i, j, c in moves:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        # m <- E m E^-1 with E = I + c E_ij and E^-1 = I - c E_ij
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[j] = row[j] - c * row[i]
+    split = eigen_split(rows(m))
+    assert [lam for lam, _ in split] == by_key(set(diagonal))
+    assert {lam: len(ker) for lam, ker in split} == {
+        lam: diagonal.count(lam) for lam in diagonal
+    }
+    for lam, ker in split:
+        for v in ker:
+            mv = [sum((row[q] * x for q, x in v.items()), ZERO) for row in m]
+            assert mv == [lam * v.get(p, ZERO) for p in range(n)]
+
+
 @pytest.mark.parametrize("lam", [ZERO, sc("1/2") - SQRT3 * IUNIT], ids=["0", "1/2-r3*i"])
 def test_eigen_split_of_a_1x1_matrix_is_its_entry(monkeypatch, lam):
-    def no_krylov(m, context=""):
+    def no_krylov(p, context=""):
         raise AssertionError("a 1 x 1 matrix needs no eigenvalue search")
 
     monkeypatch.setattr(rootspace_mod, "exact_eigenvalues", no_krylov)
@@ -268,7 +330,7 @@ def test_exact_eigenvalues_of_diagonal(values):
     vals = sorted(values)
     n = len(vals)
     m = [[Scalar(vals[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-    got = exact_eigenvalues(rows(m))
+    got = exact_eigenvalues(ones_annihilator(m))
     assert sorted(int(v.a) for v in got) == vals
 
 
@@ -328,7 +390,7 @@ def test_root_decomposition_rejects_noncartan():
     # a 1-dimensional kernel
     with pytest.raises(VerificationError, match="not semisimple") as exc:
         root_decomposition(L, [L.basis_vec(1)], name="bad")
-    assert exc.value.witness == {"covered": 1, "dim": 3}
+    assert exc.value.witness == {"eigenvalue": "0", "covered": 1, "dim": 3}
 
 
 def test_root_decomposition_rejects_non_invariant_layer():
@@ -342,11 +404,38 @@ def test_root_decomposition_rejects_non_invariant_layer():
 def test_eigen_split_rejects_spurious_eigenvalue(monkeypatch):
     real = rootspace_mod.exact_eigenvalues
     monkeypatch.setattr(
-        rootspace_mod, "exact_eigenvalues", lambda m, context="": real(m, context) + [sc(5)]
+        rootspace_mod, "exact_eigenvalues", lambda p, context="": real(p, context) + [sc(5)]
     )
     with pytest.raises(VerificationError, match="spurious eigenvalue 5") as exc:
         eigen_split(rows([[ONE, ZERO], [ZERO, sc(2)]]))
     assert exc.value.witness == {"eigenvalue": "5"}
+
+
+def test_root_decomposition_of_e6m14_runs_about_one_krylov_chain_per_layer(
+    monkeypatch, get_build
+):
+    """Each layer's eigenvalues come from the minimal polynomials of a few
+    vectors, not of the whole layer: the chains number at most the
+    non-trivial layers plus a few."""
+    build = get_build("e6m14")
+    chains, layers = [], []
+    real_chain, real_split = rootspace_mod.minimal_polynomial, rootspace_mod.eigen_split
+
+    def chain(cols, v):
+        chains.append(len(cols))
+        return real_chain(cols, v)
+
+    def split(m, context=""):
+        layers.append(len(m))
+        return real_split(m, context)
+
+    monkeypatch.setattr(rootspace_mod, "minimal_polynomial", chain)
+    monkeypatch.setattr(rootspace_mod, "eigen_split", split)
+    datum = root_decomposition(build.lie, build.cartan.hs, name="e6m14")
+    assert len(datum.spaces) == 72
+    nontrivial = sum(1 for n in layers if n > 1)
+    assert nontrivial == 76
+    assert nontrivial <= len(chains) <= nontrivial + 4
 
 
 def test_root_decomposition_rejects_a_dependent_layer(monkeypatch):
@@ -526,6 +615,16 @@ def test_classify_rejects_garbage():
 def test_verify_simple_basis_counts():
     report = verify_simple_basis(A2, [cov(1, 0), cov(0, 1)])
     assert report == {"roots": 6, "positive": 3, "rank_used": 2}
+
+
+def test_verify_simple_basis_of_the_empty_system():
+    # real rank 0: the restricted root system and its base are both empty
+    assert verify_simple_basis(set(), []) == {"roots": 0, "positive": 0, "rank_used": 0}
+    # roots with no simple roots lie outside their span
+    with pytest.raises(VerificationError, match="outside the simple span") as exc:
+        verify_simple_basis(pm(cov(1, 0)), [])
+    assert exc.value.witness["simple"] == []
+    assert exc.value.witness["covector"] in (["1", "0"], ["-1", "0"])
 
 
 def test_verify_simple_basis_rejects_mixed_signs():

@@ -14,6 +14,7 @@ from realforms.scalars import (
     ZERO,
     Scalar,
     add_scaled,
+    dot,
     parse_scalar,
     sc,
 )
@@ -359,3 +360,20 @@ def test_add_scaled_hand_cases():
     # a zero entry of v adds nothing and stores nothing
     add_scaled(acc, ONE, {4: ZERO})
     assert 4 not in acc
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.one_of(mixed_scalars, scalars()), mixed_scalars), max_size=6))
+def test_dot_matches_the_operators(pairs):
+    got = dot(pairs)
+    assert got == sum((x * y for x, y in pairs), ZERO)
+    assert_canonical(got)
+
+
+def test_dot_hand_cases():
+    assert dot([]) is ZERO
+    # omega/2 - omega * (1/2) cancels to the canonical zero
+    assert dot([(OMEGA, HALF), (-OMEGA, HALF)]).as_ints() == (0, 0, 0, 0, 1)
+    # 1/3 * 1/2 + sqrt3 * sqrt3/4 + i * 1/6 = 11/12 + i/6, over denominators 6, 4, 6
+    assert dot([(sc("1/3"), HALF), (SQRT3, sc("1/4*r3")), (IUNIT, sc("1/6"))]) == sc("11/12 + 1/6*i")
+
