@@ -67,19 +67,6 @@ def poly_normalize(p: Poly) -> Poly:
     return p
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return poly_normalize(out)
-
-
 def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     a = list(a)
     if not b:
@@ -212,14 +199,15 @@ def exact_eigenvalues(p: Poly, context: str = "") -> List[Scalar]:
     Let p now be its squarefree part and D the lcm of its coefficient
     denominators.  D*lam is then an algebraic integer of Q(sqrt3, i) =
     Q(zeta12), whose ring of integers is Z[zeta12], so every root lam in
-    the field has coordinates over 1, sqrt3, i, i*sqrt3 in Z/(2D).  Floats only propose: the roots z+ of p and z- of its image
-    under sqrt3 -> -sqrt3 pair into u = (z+ + z-)/2 and
-    w = (z+ - z-)/(2 sqrt3), whose real and imaginary parts are snapped to
-    that grid (pairs more than a quarter step off are dropped), closest
-    first.  A candidate is accepted only when poly_eval(p, lam) == 0 exactly,
-    and deg p distinct accepted roots are all of them.  Otherwise p has a
-    root outside the field (or one that double precision cannot resolve on
-    the grid) and VerificationError carries p's coefficients as witness.
+    the field has coordinates over 1, sqrt3, i, i*sqrt3 in Z/(2D).  Floats
+    only propose: the roots z+ of p and z- of its image under sqrt3 ->
+    -sqrt3 pair into u = (z+ + z-)/2 and w = (z+ - z-)/(2 sqrt3), whose
+    real and imaginary parts are snapped to that grid (pairs more than a
+    quarter step off are dropped), closest first.  A candidate is accepted
+    only when poly_eval(p, lam) == 0 exactly, and deg p distinct accepted
+    roots are all of them.  Otherwise p has a root outside the field (or
+    one that double precision cannot resolve on the grid) and
+    VerificationError carries p's coefficients as witness.
     """
     poly = poly_squarefree(p)
     deg = len(poly) - 1

@@ -2,8 +2,8 @@
 table, Killing invariance over the ad table, the first failing Jacobi
 triple by a plain loop, derivation algebras of structure-constant tables,
 the node orders matching two Cartan matrices by a scan of every
-permutation, and the hermitian 3x3 octonion matrices with their explicit
-isomorphism to A(pO, +++).  They stay outside the package so that each
+permutation, the hermitian 3x3 octonion matrices with their explicit
+isomorphism to A(pO, +++), and the product of two polynomials.  They stay outside the package so that each
 oracle is independent of the certificate it checks."""
 
 from itertools import combinations, permutations
@@ -31,6 +31,7 @@ from realforms.linalg import (
     nullspace,
     sylvester_signature,
 )
+from realforms.rootspace import Poly, poly_normalize
 from realforms.scalars import HALF, ONE, TWO, ZERO
 
 
@@ -243,3 +244,17 @@ def albert_matrix_isomorphism() -> Dict[str, int]:
                 )
             checked += 1
     return {"pairs": checked}
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    """The product of two polynomials, low degree first, normalised."""
+    if not a or not b:
+        return []
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return poly_normalize(out)

@@ -32,7 +32,6 @@ from realforms.rootspace import (
     poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_mul,
     poly_normalize,
     poly_squarefree,
     restrict_covector,
@@ -46,7 +45,7 @@ from realforms.rootspace import (
 from realforms.satake import _bonds, compact_satake
 from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Rat, Scalar, sc
 
-from oracles import matrices_match_by_permutations
+from oracles import matrices_match_by_permutations, poly_mul
 
 
 def cov(*xs):
@@ -125,6 +124,10 @@ def test_poly_divmod_reconstructs(acoeffs, bcoeffs):
 # exact eigenvalues
 
 
+def by_key(values):
+    return sorted(values, key=lambda s: s.key())
+
+
 def ones_annihilator(m):
     """The minimal polynomial of the all-ones vector, `eigen_split`'s first
     Krylov start, under the dense test matrix m."""
@@ -144,7 +147,7 @@ def test_minimal_polynomial_nilpotent():
 
 def test_exact_eigenvalues_rotation_gives_i():
     m = [[ZERO, sc(-1)], [ONE, ZERO]]
-    assert exact_eigenvalues(ones_annihilator(m)) == sorted([IUNIT, -IUNIT], key=lambda s: s.key())
+    assert exact_eigenvalues(ones_annihilator(m)) == by_key([IUNIT, -IUNIT])
 
 
 def test_exact_eigenvalues_sqrt3_lattice_stage():
@@ -159,10 +162,6 @@ def test_exact_eigenvalues_denominators():
     assert exact_eigenvalues(ones_annihilator(m)) == sorted(
         [sc("1/4"), sc("-3/4")], key=lambda s: s.key()
     )
-
-
-def by_key(values):
-    return sorted(values, key=lambda s: s.key())
 
 
 def test_exact_eigenvalues_fifths_and_sevenths():

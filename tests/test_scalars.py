@@ -375,5 +375,6 @@ def test_dot_hand_cases():
     # omega/2 - omega * (1/2) cancels to the canonical zero
     assert dot([(OMEGA, HALF), (-OMEGA, HALF)]).as_ints() == (0, 0, 0, 0, 1)
     # 1/3 * 1/2 + sqrt3 * sqrt3/4 + i * 1/6 = 11/12 + i/6, over denominators 6, 4, 6
-    assert dot([(sc("1/3"), HALF), (SQRT3, sc("1/4*r3")), (IUNIT, sc("1/6"))]) == sc("11/12 + 1/6*i")
+    pairs = [(sc("1/3"), HALF), (SQRT3, sc("1/4*r3")), (IUNIT, sc("1/6"))]
+    assert dot(pairs) == sc("11/12 + 1/6*i")
 
