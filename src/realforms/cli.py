@@ -39,7 +39,7 @@ from .pipeline import (
     signature_table,
     table_rows,
 )
-from .rootspace import cov_key, restricted_multiplicities, root_decomposition, split_indices
+from .rootspace import cov_sort_key, restricted_multiplicities, root_decomposition, split_indices
 from .scalars import Scalar
 
 _CONFIG_KEYS = ("model", "s", "sp", "eps", "format", "out", "only")
@@ -246,12 +246,13 @@ def cmd_roots(args: argparse.Namespace) -> int:
     a_idx = split_indices(datum)
     if args.action == "restricted":
         rmult = restricted_multiplicities(datum, a_idx)
+        key_of = cov_sort_key(rmult)
         data = {
             "model": key,
             "a_indices": list(a_idx),
             "multiplicities": [
                 {"restriction": [x.to_str() for x in r], "m": m}
-                for r, m in sorted(rmult.items(), key=lambda kv: cov_key(kv[0]))
+                for r, m in sorted(rmult.items(), key=lambda kv: key_of(kv[0]))
             ],
             "mult_sum": sum(rmult.values()),
         }

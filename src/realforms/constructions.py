@@ -10,8 +10,8 @@ algebra yields the 78-dimensional model used for the rank-2 real form.
 
 The table of theta^k(t_{e_a, e_b}) that the iota-iota brackets read is
 held by tri(S) (`TrialityAlgebra.theta_t_table`), so squares over one S
-share it.  In
-the derivation model, rho(b_i) z is the combination of the columns of
+share it; tri(S) solves each t element once and reads its theta powers at
+pivot columns.  In the derivation model, rho(b_i) z is the combination of the columns of
 rho(b_i) at the support of z, and the commutators of Jordan
 multiplications are read over the images that the injectivity check of
 `check_rho_homomorphism` has already eliminated.  That rho is a

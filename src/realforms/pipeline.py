@@ -45,7 +45,7 @@ from .rootspace import (
     cartan_matrix,
     classify_cartan_matrix,
     cov_is_zero,
-    cov_key,
+    cov_sort_key,
     highest_root,
     restrict_covector,
     restricted_multiplicities,
@@ -307,10 +307,11 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
             f"{key}: root system classified as {delta_type}",
             witness={"type": delta_type},
         )
-    # one Bourbaki order per diagram automorphism; the least in cov_key
+    # one Bourbaki order per diagram automorphism; the least in cov_sort_key
+    key_of = cov_sort_key(adapted)
     simple = min(
         ([adapted[k] for k in order] for order in orders),
-        key=lambda system: tuple(cov_key(c) for c in system),
+        key=lambda system: tuple(map(key_of, system)),
     )
     sig = build.signature[0] - build.signature[1]
     diagram = build_satake(datum, a_idx, simple, meta={"signature": sig})

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import ConstructionError, VerificationError
 from .lie import LieAlgebra
@@ -51,7 +51,7 @@ from .linalg import (
     to_sparse,
     transpose,
 )
-from .scalars import HALF, ONE, ZERO, Scalar, add_scaled
+from .scalars import HALF, ONE, ZERO, Scalar, add_scaled, sort_key
 
 Covector = Tuple[Scalar, ...]
 Poly = List[Scalar]  # coefficients, low degree first
@@ -242,7 +242,7 @@ def exact_eigenvalues(p: Poly, context: str = "") -> List[Scalar]:
             f"of {deg} roots of the squarefree polynomial",
             witness=poly,
         )
-    found.sort(key=lambda s: s.key())
+    found.sort(key=sort_key(found))
     return found
 
 
@@ -310,7 +310,8 @@ def eigen_split(
             f"eigenspaces cover {covered} of {n}",
             witness={"covered": covered, "dim": n},
         )
-    out.sort(key=lambda pair: pair[0].key())
+    key = sort_key([lam for lam, _ in out])
+    out.sort(key=lambda pair: key(pair[0]))
     return out
 
 
@@ -337,9 +338,6 @@ class RootDatum:
 
     def root_set(self) -> set:
         return {s.covector for s in self.spaces}
-
-    def total_dim(self) -> int:
-        return self.zero.dim + sum(s.dim for s in self.spaces)
 
 
 def _restricted_matrix(
@@ -391,7 +389,8 @@ def root_decomposition(L: LieAlgebra, hs: List[SparseVec], name: str = "") -> Ro
             zero = RootSpace(cov, basis)
     if zero is None:
         zero = RootSpace(tuple([ZERO] * len(hs)), [])
-    spaces.sort(key=lambda s: tuple(x.key() for x in s.covector))
+    key = cov_sort_key([s.covector for s in spaces])
+    spaces.sort(key=lambda s: key(s.covector))
     return RootDatum(L, hs, spaces, zero)
 
 
@@ -407,10 +406,6 @@ def cov_sub(a: Covector, b: Covector) -> Covector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def cov_neg(a: Covector) -> Covector:
-    return tuple(-x for x in a)
-
-
 def cov_scale(c: Scalar, a: Covector) -> Covector:
     return tuple(c * x for x in a)
 
@@ -419,8 +414,12 @@ def cov_is_zero(a: Covector) -> bool:
     return not any(a)
 
 
-def cov_key(a: Covector):
-    return tuple(x.key() for x in a)
+def cov_sort_key(covs: Iterable[Covector]) -> Callable[[Covector], tuple]:
+    """A sort key for the given covectors that orders them as the tuples
+    of `Scalar.key` of their entries do: each entry as its integer parts
+    over the lcm of all their denominators (`scalars.sort_key`)."""
+    key = sort_key([x for c in covs for x in c])
+    return lambda c: tuple(map(key, c))
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +781,8 @@ def adapted_simple_system(
     a root with a positive restriction is positive whatever its torus part.
     """
     positive = [c for c in datum.root_set() if lex_sign(c, a_idx) > 0]
-    return sorted(simple_from_positive(positive), key=cov_key)
+    simple = simple_from_positive(positive)
+    return sorted(simple, key=cov_sort_key(simple))
 
 
 # ---------------------------------------------------------------------------

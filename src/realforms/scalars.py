@@ -23,7 +23,8 @@ forms the product's numerators, adds them over the common denominator and
 normalises once, where `acc[q] + x * v[q]` builds two Scalars and
 normalises twice; entries that cancel are deleted, never stored as zeros.
 `dot` sums the products of a list of pairs into one Scalar, normalising
-once.
+once.  `sort_key` orders a list of scalars as `key()` does, on their
+integer parts over one denominator, with no Fraction.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 Rat = Fraction
 
@@ -439,6 +440,21 @@ OMEGA = Scalar(Rat(-1, 2), 0, 0, Rat(1, 2))  # primitive cube root of unity
 
 _ZERO = ZERO
 _ONE = ONE
+
+
+def sort_key(values: Iterable[Scalar]) -> Callable[[Scalar], Tuple[int, int, int, int]]:
+    """A sort key that orders the given values as `Scalar.key` does, with
+    no Fraction: the integer parts of D x, for D the lcm of the values'
+    denominators.  Multiplying by D > 0 keeps the order of each of the
+    four components, so the lexicographic order is the same.  The key is
+    meant for the given values only: D need not clear other denominators."""
+    den = lcm(*(x._n for x in values))
+
+    def key(x: Scalar) -> Tuple[int, int, int, int]:
+        f = den // x._n
+        return (x._a * f, x._b * f, x._c * f, x._d * f)
+
+    return key
 
 
 def add_product_ints(acc: List[int], x: List[int], w: List[int], coef: int) -> None:

@@ -38,13 +38,21 @@ every pivot of the b_k lies in the third slot, where b_k is a unit
 vector, so each entry read is one column of the so(q) table.  theta
 rotates the three coefficient slots, and no elimination is run.
 
+The so(q) table and its closure certificate share the commutators: each
+[B_k, B_l] with k < l is formed once, read at the pivot columns for the
+table, and recombined from the same vector (negated for k > l) where the
+certificate asks for it.
+
 The magic square reads theta^k(t_{e_a, e_b}) for k = 0, 1, 2 and every
 pair of basis vectors of S.  tri(S) holds that table
 (`theta_t_table`, built on first use); it forms the 2n multiplication
 matrices l_{e_a} and r_{e_a} once per table and solves each t element
-from them (`t_coords`).  `triality_cached` keeps one tri(S) per algebra,
-so a process solves the t elements of S once however many squares it
-builds over S.
+from them (`t_coords`).  theta^k(t) is not multiplied out: its
+coefficient vector over so(q)^3 is t's with the slots rotated, so its
+coordinates are read at the pivot columns, exactly, as t is certified in
+tri and tri is certified theta-stable.  `triality_cached` keeps one
+tri(S) per algebra, so a process solves the t elements of S once however
+many squares it builds over S.
 """
 
 from __future__ import annotations
@@ -172,13 +180,20 @@ class TrialityAlgebra:
         return self.t_coords(
             x, y, (comp.lmul_matrix(x), comp.rmul_matrix(x)),
             (comp.lmul_matrix(y), comp.rmul_matrix(y)),
-        )
+        )[0]
 
     def t_coords(
         self, x: SparseVec, y: SparseVec,
         mx: Tuple[SparseMatrix, SparseMatrix], my: Tuple[SparseMatrix, SparseMatrix],
-    ) -> SparseVec:
-        """Coordinates of t_{x,y}, given mx = (l_x, r_x) and my = (l_y, r_y)."""
+    ) -> List[SparseVec]:
+        """Coordinates of theta^k(t_{x,y}) for k = 0, 1, 2, given
+        mx = (l_x, r_x) and my = (l_y, r_y).
+
+        `coords_of_triple` certifies t_{x,y} in tri, and `triality`
+        certified theta(tri) in tri, so theta^k(t) lies in tri too.  Its
+        coefficient vector over so(q)^3 is t's with the slots rotated k
+        places, and its coordinates are that vector's entries at the pivot
+        columns of the b_k: no product is formed."""
         n = self.comp.dim
         half_q = self.comp.polar(x, y) * HALF
 
@@ -188,43 +203,42 @@ class TrialityAlgebra:
             add_product(acc, a, b, -ONE)
             return acc
 
-        d1 = shifted(mx[1], my[0])
-        d2 = shifted(mx[0], my[1])
-        return self.coords_of_triple((self.sigma_map(x, y), d1, d2))
+        t = (self.sigma_map(x, y), shifted(mx[1], my[0]), shifted(mx[0], my[1]))
+        out = [self.coords_of_triple(t)]
+        # slot s of t over so(q): its entries at the pivot columns of the B_k
+        no = self.orth.rank
+        slots = [_at_pivots(self.orth, flatten(m)) for m in t]
+        for k in (1, 2):
+            rotated = {
+                (slot + k) % 3 * no + j: z for slot, c in enumerate(slots) for j, z in c.items()
+            }
+            out.append(_at_pivots(self.coefs, rotated))
+        return out
 
     @cached_property
     def theta_t_table(self) -> List[List[SparseVec]]:
         """table[k][a * n + b] = theta^k(t_{e_a, e_b}) for k = 0, 1, 2, with
         n = dim comp, as zero-free coordinates; built on first use.  The
-        multiplication matrices l_{e_a} and r_{e_a} are formed once each."""
+        multiplication matrices l_{e_a} and r_{e_a} are formed once each,
+        and `t_coords` solves each t_{e_a, e_b} with a < b once, with its
+        theta powers."""
         comp = self.comp
         n = comp.dim
         e = [{a: ONE} for a in range(n)]
         # (l_{e_a}, r_{e_a}): their columns are the products e_a e_c and e_c e_a
         sc = comp.sc
         mults = [(transpose(sc[a]), transpose([row[a] for row in sc])) for a in range(n)]
-        base: List[SparseVec] = []
+        out: List[List[SparseVec]] = [[], [], []]
         for a in range(n):
             for b in range(n):
                 if a == b:
-                    base.append({})
+                    powers = [{}, {}, {}]
                 elif b > a:
-                    base.append(self.t_coords(e[a], e[b], mults[a], mults[b]))
+                    powers = self.t_coords(e[a], e[b], mults[a], mults[b])
                 else:
-                    base.append({p: -x for p, x in base[b * n + a].items()})
-        out = [base]
-        for _ in range(2):
-            acc: List[SparseVec] = [{} for _ in base]
-            add_product(acc, out[-1], self.theta_rows)
-            out.append(acc)
-        return out
-
-    def theta(self, coords: SparseVec, power: int = 1) -> SparseVec:
-        out = coords
-        for _ in range(power % 3):
-            acc: SparseMatrix = [{}]
-            add_product(acc, [out], self.theta_rows)
-            out = acc[0]
+                    powers = [{p: -x for p, x in v[b * n + a].items()} for v in out]
+                for v, w in zip(out, powers):
+                    v.append(w)
         return out
 
 
@@ -278,8 +292,17 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     oech = _reduced([flatten(m) for m in orth], s.name)
     bcols = [transpose(m) for m in orth]  # bcols[k][i] = B_k e_i
 
+    # [B_k, B_l] for k < l, each formed once: the table reads it at the
+    # pivot columns and the certificate recombines the same vector
+    so_brks: Dict[Tuple[int, int], SparseVec] = {}
+
     def so_brk(k: int, l: int) -> SparseVec:
-        return flatten(commutator(orth[k], orth[l]))
+        if k > l:
+            return {q: -x for q, x in so_brk(l, k).items()}
+        v = so_brks.get((k, l))
+        if v is None:
+            v = so_brks[k, l] = flatten(commutator(orth[k], orth[l]))
+        return v
 
     # the structure constants of so(q): so_ad[k][l] = coordinates of [B_k, B_l]
     so_ad = closed_subalgebra(
@@ -288,6 +311,7 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
         lambda k, l: oech.coords(so_brk(k, l)),
         f"{name}: so(q) commutator",
     ).ad
+    so_brks.clear()
     sc = s.sc
     # the equations d1(e_i) e_j + e_i d2(e_j) - d0(e_i e_j) = 0
     rows: List[SparseVec] = []

@@ -1,10 +1,12 @@
 """Test oracles that no package code calls: the Killing signature of a
 table, Killing invariance over the ad table, the first failing Jacobi
-triple by a plain loop, derivation algebras of structure-constant tables,
-the node orders matching two Cartan matrices by a scan of every
-permutation, the hermitian 3x3 octonion matrices with their explicit
-isomorphism to A(pO, +++), and the product of two polynomials.  They stay outside the package so that each
-oracle is independent of the certificate it checks."""
+triple by a plain loop, the composition law and form associativity by
+Scalar polar forms, derivation algebras of structure-constant tables,
+theta on tri(S) through its rows, the negative of a covector, the node
+orders matching two Cartan matrices by a scan of every permutation, the
+hermitian 3x3 octonion matrices with their explicit isomorphism to
+A(pO, +++), and the product of two polynomials.  They stay outside the
+package so that each oracle is independent of the certificate it checks."""
 
 from itertools import combinations, permutations
 from typing import Dict, List, Tuple
@@ -31,8 +33,9 @@ from realforms.linalg import (
     nullspace,
     sylvester_signature,
 )
-from realforms.rootspace import Poly, poly_normalize
+from realforms.rootspace import Covector, Poly, poly_normalize
 from realforms.scalars import HALF, ONE, TWO, ZERO
+from realforms.triality import TrialityAlgebra
 
 
 def killing_signature(L: LieAlgebra) -> Tuple[int, int, int]:
@@ -75,6 +78,89 @@ def naive_jacobi_witness(L: LieAlgebra):
         if any(total.values()):
             return (i, j, k)
     return None
+
+
+# ---------------------------------------------------------------------------
+# composition algebras, by Scalar polar forms
+
+
+def composition_oracle(t: AlgebraTable) -> Dict[str, int]:
+    """`algebras.check_composition` by a plain loop: the unit axioms, then
+    n(b_i b_j, b_k b_l) + n(b_i b_l, b_k b_j) = n(b_i, b_k) n(b_j, b_l) on
+    every tuple in lexicographic order, each side a Scalar from `polar`."""
+    n = t.dim
+    checked = 0
+    if t.unit is not None:
+        for j in range(n):
+            b = t.basis_vec(j)
+            if t.mul(t.unit, b) != b or t.mul(b, t.unit) != b:
+                raise VerificationError(
+                    f"{t.name}: unit fails on {t.labels[j]}", witness={"index": j}
+                )
+            checked += 1
+        norm_unit = t.norm(t.unit)
+        if norm_unit != ONE:
+            raise VerificationError(f"{t.name}: n(1) != 1", witness=norm_unit.to_str())
+    prods = t.sc
+    F = t.form
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    lhs = t.polar(prods[i][j], prods[k][l]) + t.polar(
+                        prods[i][l], prods[k][j]
+                    )
+                    if lhs != F[i].get(k, ZERO) * F[j].get(l, ZERO):
+                        raise VerificationError(
+                            f"{t.name}: composition law fails at "
+                            f"({t.labels[i]},{t.labels[j]},{t.labels[k]},{t.labels[l]})",
+                            witness=[i, j, k, l],
+                        )
+                    checked += 1
+    return {"tuples": checked}
+
+
+def symmetric_oracle(t: AlgebraTable) -> Dict[str, int]:
+    """`algebras.check_symmetric` by a plain loop: the composition oracle,
+    then n(b_i b_j, b_k) = n(b_i, b_j b_k) on every triple in
+    lexicographic order."""
+    n = t.dim
+    prods = t.sc
+    counts = composition_oracle(t)
+    assoc = 0
+    for i in range(n):
+        for j in range(n):
+            pij = prods[i][j]
+            bi = t.basis_vec(i)
+            for k in range(n):
+                if t.polar(pij, t.basis_vec(k)) != t.polar(bi, prods[j][k]):
+                    raise VerificationError(
+                        f"{t.name}: form associativity fails at "
+                        f"({t.labels[i]},{t.labels[j]},{t.labels[k]})",
+                        witness=[i, j, k],
+                    )
+                assoc += 1
+    counts["assoc_triples"] = assoc
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# theta on tri(S), and covectors
+
+
+def theta(tri: TrialityAlgebra, coords: SparseVec, power: int = 1) -> SparseVec:
+    """theta^power of an element of tri(S) given by its coordinates, as
+    products with the certified rows theta(b_k)."""
+    out = coords
+    for _ in range(power % 3):
+        acc: SparseMatrix = [{}]
+        add_product(acc, [out], tri.theta_rows)
+        out = acc[0]
+    return out
+
+
+def cov_neg(a: Covector) -> Covector:
+    return tuple(-x for x in a)
 
 
 # ---------------------------------------------------------------------------

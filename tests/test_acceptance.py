@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from conftest import ACCEPTANCE_LINES
-from oracles import albert_matrix_isomorphism, check_killing_invariance, derivations
+from oracles import albert_matrix_isomorphism, check_killing_invariance, cov_neg, derivations
 from test_pipeline import published_pair
 
 from realforms.algebras import (
@@ -28,8 +28,7 @@ from realforms.linalg import sylvester_signature
 from realforms.pipeline import MODELS, signature_table
 from realforms.rootspace import (
     cartan_integer,
-    cov_key,
-    cov_neg,
+    cov_sort_key,
     restricted_multiplicities,
 )
 from realforms.scalars import Scalar, sc
@@ -233,7 +232,7 @@ def test_criterion_8_property_suites(get_build, get_satake):
         for name in ("EIV", "EIII", "EII"):
             res = get_satake(name)
             roots = res.datum.root_set()
-            root_list = sorted(roots, key=cov_key)
+            root_list = sorted(roots, key=cov_sort_key(roots))
             for alpha in res.simple:
                 neg = cov_neg(alpha)
                 for beta in root_list:

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realforms.algebras import (
+    AlgebraTable,
     albert,
     check_composition,
     check_jordan_sampled,
@@ -13,9 +16,9 @@ from realforms.algebras import (
 )
 from realforms.errors import VerificationError
 from realforms.linalg import SpanSolver, combine, to_sparse
-from realforms.scalars import HALF, ONE, ZERO, sc
+from realforms.scalars import HALF, OMEGA, ONE, ZERO, Scalar, sc
 
-from oracles import albert_matrix_isomorphism, h3_octonions
+from oracles import albert_matrix_isomorphism, composition_oracle, h3_octonions, symmetric_oracle
 
 
 HURWITZ_DIMS = {"R": 1, "RR": 2, "C": 2, "Mat2": 4, "H": 4, "O": 8, "Os": 8}
@@ -169,6 +172,94 @@ def test_symmetric_check_rejects_a_hurwitz_product():
     with pytest.raises(VerificationError, match="form associativity fails at") as exc:
         check_symmetric(t)
     assert exc.value.witness == [0, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the integer-part checks against the Scalar oracle
+
+
+def _outcome(check, t):
+    """("ok", report) or ("fails", message, witness)."""
+    try:
+        return ("ok", check(t))
+    except VerificationError as exc:
+        return ("fails", str(exc), exc.witness)
+
+
+def _with_products(t, sc_):
+    return AlgebraTable(t.name, t.labels, sc_, t.form, t.unit, t.invol)
+
+
+# the package check and its oracle: Hurwitz C has a unit and no
+# associative form, the others are symmetric composition algebras
+CHECKED = {
+    "C": (lambda: hurwitz("C"), check_composition, composition_oracle),
+    "pO": (lambda: symmetric_composition("pO"), check_symmetric, symmetric_oracle),
+    "Ok": (okubo_compact, check_symmetric, symmetric_oracle),
+    "Oks": (okubo_split, check_symmetric, symmetric_oracle),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_integer_checks_match_the_oracle_on_intact_tables(name):
+    make, check, oracle = CHECKED[name]
+    t = make()
+    assert _outcome(check, t) == _outcome(oracle, t)
+    assert _outcome(check, t)[0] == "ok"
+
+
+entry_parts = st.integers(-2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(CHECKED)),
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
+    st.tuples(entry_parts, entry_parts, entry_parts, entry_parts),
+    st.sampled_from([1, 2, 3, 6]),
+)
+def test_one_corrupted_product_entry_fails_as_the_oracle_does(name, where, parts, den):
+    """Entry q of b_i b_j set to (a + b r3 + (c + d r3) i)/den, or removed
+    when that is 0: both checks pass, or both raise the same message with
+    the same witness."""
+    make, check, oracle = CHECKED[name]
+    t = make()
+    i, j, q = (x % t.dim for x in where)
+    bad = [[dict(v) for v in row] for row in t.sc]
+    x = Scalar.from_ints(*parts, den)
+    if x:
+        bad[i][j][q] = x
+    else:
+        bad[i][j].pop(q, None)
+    broken = _with_products(t, bad)
+    assert _outcome(check, broken) == _outcome(oracle, broken)
+
+
+def test_corrupted_okubo_product_reaches_the_composition_law():
+    # b3 b4 = -b8 turned into -omega b8: same norm line, other products
+    t = okubo_split()
+    bad = [[dict(v) for v in row] for row in t.sc]
+    bad[2][3][7] = bad[2][3][7] * OMEGA
+    broken = _with_products(t, bad)
+    with pytest.raises(VerificationError, match="composition law fails") as exc:
+        check_symmetric(broken)
+    assert str(exc.value) == "Oks: composition law fails at (b1,b4,b3,b7)"
+    assert exc.value.witness == [0, 3, 2, 6]
+    assert _outcome(symmetric_oracle, broken) == _outcome(check_symmetric, broken)
+
+
+def test_reflected_okubo_products_reach_form_associativity():
+    # every product followed by the reflection b2 -> -b2, an isometry of
+    # the diagonal form: the composition law still holds, associativity not
+    t = okubo_split()
+    bad = [[{q: -x if q == 1 else x for q, x in v.items()} for v in row] for row in t.sc]
+    broken = _with_products(t, bad)
+    assert check_composition(broken) == {"tuples": 8**4}
+    with pytest.raises(VerificationError, match="form associativity fails") as exc:
+        check_symmetric(broken)
+    assert str(exc.value) == "Oks: form associativity fails at (b1,b2,b2)"
+    assert exc.value.witness == [0, 1, 1]
+    assert _outcome(symmetric_oracle, broken) == _outcome(check_symmetric, broken)
 
 
 def test_albert_dimensions_and_unit():

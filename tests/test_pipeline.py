@@ -29,7 +29,6 @@ from realforms.pipeline import (
 from realforms.rootspace import (
     adapted_simple_system,
     cov_is_zero,
-    cov_neg,
     cov_scale,
     highest_root,
     restrict_covector,
@@ -45,6 +44,8 @@ from realforms.satake import (
     build_satake,
 )
 from realforms.scalars import HALF, ONE, Rat, Scalar, sc
+
+from oracles import cov_neg
 
 
 def cov(*xs):

@@ -4,8 +4,7 @@ from realforms.errors import IOFormatError, VerificationError
 from realforms.rootspace import (
     RootDatum,
     RootSpace,
-    cov_key,
-    cov_neg,
+    cov_sort_key,
     cov_scale,
     restrict_covector,
 )
@@ -21,6 +20,8 @@ from realforms.satake import (
 )
 from realforms.scalars import HALF, ONE, sc
 
+from oracles import cov_neg
+
 
 def cov(*xs):
     return tuple(sc(x) for x in xs)
@@ -28,7 +29,7 @@ def cov(*xs):
 
 def _datum(roots):
     spaces = [
-        RootSpace(c, [{}]) for c in sorted(roots, key=cov_key)
+        RootSpace(c, [{}]) for c in sorted(roots, key=cov_sort_key(roots))
     ]
     return RootDatum(None, [], spaces, RootSpace(None, []))
 

@@ -17,6 +17,7 @@ from realforms.scalars import (
     dot,
     parse_scalar,
     sc,
+    sort_key,
 )
 
 
@@ -284,6 +285,25 @@ def test_key_order_unchanged():
         0,
         fractions.Fraction(1, 2),
     )
+
+
+# components from a few values, so that leading components tie often
+tied_parts = st.sampled_from(
+    [fractions.Fraction(x) for x in ("-1", "-1/2", "0", "1/3", "1/2", "1", "3/2")]
+)
+tied_scalars = st.builds(Scalar, tied_parts, tied_parts, tied_parts, tied_parts)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(tied_scalars, min_size=1, max_size=10))
+def test_sort_key_orders_as_key(vals):
+    """The integer parts over one denominator sort as the Fraction key:
+    equal values have equal keys, so both stable sorts give one list."""
+    assert sorted(vals, key=sort_key(vals)) == sorted(vals, key=Scalar.key)
+    key = sort_key(vals)
+    for x in vals:
+        for y in vals:
+            assert (key(x) < key(y)) == (x.key() < y.key())
 
 
 # ---------------------------------------------------------------------------

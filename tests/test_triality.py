@@ -11,7 +11,7 @@ from realforms.linalg import SpanSolver, apply, combine, commutator, flatten, nu
 from realforms.scalars import HALF, ONE, ZERO, sc
 from realforms.triality import orthogonal_lie, triality
 
-from oracles import killing_signature
+from oracles import killing_signature, theta
 
 
 def test_orthogonal_dimensions():
@@ -59,12 +59,12 @@ def test_theta_is_order_three_automorphism():
     n = tri.dim
     for k in range(n):
         v = tri.lie.basis_vec(k)
-        assert tri.theta(v, 3) == v
+        assert theta(tri, v, 3) == v
     # automorphism on a few pairs
     for i, j in [(0, 1), (3, 17), (9, 22)]:
         vi, vj = tri.lie.basis_vec(i), tri.lie.basis_vec(j)
-        lhs = tri.theta(tri.lie.bracket(vi, vj))
-        rhs = tri.lie.bracket(tri.theta(vi), tri.theta(vj))
+        lhs = theta(tri, tri.lie.bracket(vi, vj))
+        rhs = tri.lie.bracket(theta(tri, vi), theta(tri, vj))
         assert lhs == rhs
 
 
@@ -178,7 +178,41 @@ def test_theta_t_table_matches_theta_of_t_elements(name):
         for b in range(n):
             t = tri.t_element({a: ONE}, {b: ONE})
             for k in range(3):
-                assert table[k][a * n + b] == tri.theta(t, k)
+                assert table[k][a * n + b] == theta(tri, t, k)
+
+
+def test_so_q_commutators_are_formed_once(monkeypatch):
+    """The so(q) table and its closure certificate share each [B_k, B_l]:
+    C(28, 2) = 378 commutators, where forming one per read and one per
+    certified pair would take 378 + 7 * 27 = 567."""
+    calls = []
+    real = triality_mod.commutator
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(triality_mod, "commutator", counted)
+    triality(symmetric_composition("pO"))
+    assert len(calls) == 28 * 27 // 2 == 378
+
+
+@pytest.mark.parametrize("name", ["pO", "Ok"])
+def test_theta_t_table_forms_no_product_with_theta_rows(monkeypatch, name):
+    """theta^k(t) is read at pivot columns: add_product runs only in the
+    solve of each t element, never with the theta rows."""
+    tri = triality(symmetric_composition(name))
+    seen = []
+    real = triality_mod.add_product
+
+    def counted(acc, a, b, *coef):
+        seen.append(b is tri.theta_rows)
+        return real(acc, a, b, *coef)
+
+    monkeypatch.setattr(triality_mod, "add_product", counted)
+    assert len(tri.theta_t_table[2]) == 64
+    assert len(seen) == 2 * 28
+    assert not any(seen)
 
 
 def test_bracket_certified_on_the_generating_rows_only(monkeypatch):
