@@ -34,7 +34,6 @@ from .pipeline import (
     build_model,
     cartan_decomposition_report,
     certify,
-    compact_diagram,
     run_satake,
     signature_table,
     table_rows,
@@ -282,30 +281,25 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_satake(args: argparse.Namespace) -> int:
-    name = args.model
-    spec = MODELS.get(name)
-    if spec is not None and spec.compact:
-        diagram, table, checks, label = compact_diagram(name), None, None, name
-    else:
-        res = run_satake(_model_key(name))
-        diagram, table, checks = res.diagram, res.table, res.checks
-        label = res.preset_key
+    key = _model_key(args.model)
+    res = run_satake(key)
+    diagram, table = res.diagram, res.table
     if args.out is None:
         if args.format == "json":
-            restricted = None if table is None else table.to_json_dict()
-            doc = {"diagram": diagram.to_json_dict(), "restricted": restricted, "checks": checks}
+            doc = {"diagram": diagram.to_json_dict(), "restricted": table.to_json_dict(),
+                   "checks": res.checks}
             _emit(_dump(doc), None, "")
             return 0
         _emit(diagram.render(args.format), None, "")
-        if table is not None and args.format == "ascii":
+        if args.format == "ascii":
             _emit(table.render_ascii(), None, "")
         return 0
+    label = res.preset_key or key
     _emit(diagram.to_json(), args.out, f"{label}.satake.json")
     _emit(diagram.render_dot(), args.out, f"{label}.satake.dot")
     _emit(diagram.render_ascii(), args.out, f"{label}.satake.txt")
-    if table is not None:
-        _emit(_dump(table.to_json_dict()), args.out, f"{label}.restricted.json")
-        _emit(table.render_ascii(), args.out, f"{label}.restricted.txt")
+    _emit(_dump(table.to_json_dict()), args.out, f"{label}.restricted.json")
+    _emit(table.render_ascii(), args.out, f"{label}.restricted.txt")
     return 0
 
 

@@ -2,9 +2,10 @@
 
 The registry covers the twelve signature-table cells through eight named
 models (the epsilon-twisted cells that repeat a signature reuse the same
-construction).  Each of the four noncompact e6 models names a Cartan
-involution theta, certified as one (`verify_cartan_decomposition`) before
-anything reads its +1 and -1 eigenspaces t and p.  The Cartan subalgebra
+construction).  Every model, compact or not, takes its Cartan involution
+theta from its cell (S, S', eps) by one rule (`cartan_involution`), and
+theta is certified as one (`verify_cartan_decomposition`) before anything
+reads its +1 and -1 eigenspaces t and p.  The Cartan subalgebra
 is read off them: a maximal abelian a in p, certified by z_p(a) = a, then
 a maximal torus t_h of z_t(a).  The Satake pass decomposes g under
 hs = a + t_h, checks that the split part of the roots is exactly a,
@@ -60,7 +61,6 @@ from .satake import (
     SatakeDiagram,
     build_restricted_table,
     build_satake,
-    compact_satake,
 )
 from .scalars import ONE
 
@@ -78,7 +78,6 @@ class ModelSpec:
     signature: int
     description: str
     root_type: str  # the type of the complexified root system
-    compact: bool = False
     satake_preset: Optional[str] = None
 
 
@@ -86,13 +85,13 @@ MODELS: Dict[str, ModelSpec] = {
     m.key: m
     for m in [
         ModelSpec("f4m52", "magic", "pO", "R", (1, 1, 1), -52,
-                  "compact form of f4", "F4", compact=True),
+                  "compact form of f4", "F4"),
         ModelSpec("f4m20", "magic", "pO", "R", (1, -1, 1), -20,
                   "f4(-20), the rank-1 real form", "F4"),
         ModelSpec("f4p4", "magic", "pOs", "R", (1, 1, 1), 4,
                   "f4(4), the split form", "F4"),
         ModelSpec("e6m78", "magic", "pO", "pC", (1, 1, 1), -78,
-                  "compact form of e6", "E6", compact=True),
+                  "compact form of e6", "E6"),
         ModelSpec("e6m14", "magic", "pO", "pC", (1, -1, 1), -14,
                   "e6(-14), Satake type EIII", "E6", satake_preset="EIII"),
         ModelSpec("e6p2", "magic", "pOs", "pC", (1, 1, 1), 2,
@@ -350,28 +349,26 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
 # ---------------------------------------------------------------------------
 # Cartan decompositions: t and p are the +1 and -1 eigenspaces of theta
 
-# theta on g(S, S'), per model: a signed permutation phi of S and phi' of
-# S' by label (`constructions.induced_automorphism`; unlisted labels are
-# fixed) and the signs c_i of the iota blocks.  The derivation model takes
-# theta of its square on Der and -1 on A0.  phi on pOs fixes the unit
-# e1 + e2 and swaps the u_i with the v_i: its +1 eigenspace {1, u_i + v_i}
-# is norm-positive and its -1 eigenspace norm-negative.
+# theta on g(S, S', eps) is induced (`constructions.induced_automorphism`)
+# by a signed permutation phi of each composition algebra, by label, and by
+# the signs c_i = eps_{i+1} eps_{i+2} on the iota blocks.  phi is the
+# identity on the definite pO, pC and R; on pOs it fixes the unit e1 + e2
+# and swaps the u_i with the v_i, and on pRR it sends u to -u: its +1
+# eigenspace is norm-positive and its -1 eigenspace norm-negative.  The
+# derivation model takes theta of its square on Der and -1 on A0.
 _SWAP_OS = {"e1": "e2", "e2": "e1", "u1": "v1", "v1": "u1",
             "u2": "v2", "v2": "u2", "u3": "v3", "v3": "u3"}
-CARTAN_THETA: Dict[str, Tuple[Dict[str, str], Dict[str, str], Tuple[int, int, int]]] = {
-    "e6m26": ({}, {}, (1, 1, 1)),
-    "e6m14": ({}, {}, (-1, 1, -1)),
-    "e6p2": (_SWAP_OS, {}, (1, 1, 1)),
-    "e6p6": (_SWAP_OS, {"u": "-u"}, (1, 1, 1)),
+_CARTAN_PHI: Dict[str, Dict[str, str]] = {
+    "pO": {}, "pC": {}, "R": {}, "pOs": _SWAP_OS, "pRR": {"u": "-u"},
 }
 
 
 def cartan_involution(build: ModelBuild) -> SparseMatrix:
-    """Row k: theta(b_k), from the model's entry of CARTAN_THETA."""
-    key = build.spec.key
-    if key not in CARTAN_THETA:
-        raise ConstructionError(f"no Cartan decomposition recipe for {key}")
-    rows = induced_automorphism(build.square, *CARTAN_THETA[key])
+    """Row k: theta(b_k), from the cell (S, S', eps) of the model's square."""
+    sq = build.square
+    e0, e1, e2 = sq.eps
+    phi, phi_p = _CARTAN_PHI[sq.s.name], _CARTAN_PHI[sq.sp.name]
+    rows = induced_automorphism(sq, phi, phi_p, (e1 * e2, e2 * e0, e0 * e1))
     # the rows past the square's are A0 of the derivation model
     rows += [{k: -ONE} for k in range(len(rows), build.lie.dim)]
     return rows
@@ -499,11 +496,3 @@ def table_rows(only: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
         )
     return rows
 
-
-def compact_diagram(key: str) -> SatakeDiagram:
-    spec = MODELS[key]
-    if not spec.compact:
-        raise ConstructionError(
-            f"model {key} is not compact and has no Cartan preset"
-        )
-    return compact_satake(spec.root_type, {"signature": spec.signature})

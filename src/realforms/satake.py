@@ -5,8 +5,8 @@ filled nodes (simple roots vanishing on the split part) and arrows (white
 nodes with equal restriction).  Bonds and directions come from root-string
 Cartan integers only.  Node k is labelled a(k+1): the Satake pass hands
 the simple system over in Bourbaki order, read off the classification match
-(`rootspace.bourbaki_orders`), so the E6 renderer and the compact template
-share one fixed Bourbaki layout.  Canonical forms minimize over node
+(`rootspace.bourbaki_orders`), so the E6 renderer reads every E6 diagram
+in one fixed Bourbaki layout.  Canonical forms minimize over node
 permutations, so two diagrams compare equal exactly when they are
 isomorphic as decorated graphs.
 """
@@ -288,24 +288,6 @@ def build_satake(
     if meta:
         full_meta.update(meta)
     return SatakeDiagram(nodes, edges, arrows, full_meta)
-
-
-def compact_satake(diagram_type: str, meta: Optional[Dict[str, int]] = None) -> SatakeDiagram:
-    """All-black diagram of the given type (compact-form convention)."""
-    shapes = {
-        "E6": (_E6_EDGES, 6, [1] * 5, [None] * 5),
-        "F4": ([(0, 1), (1, 2), (2, 3)], 4, [1, 2, 1], [None, 2, None]),
-    }
-    if diagram_type not in shapes:
-        raise VerificationError(
-            f"no compact template for {diagram_type}", witness={"type": diagram_type}
-        )
-    pairs, n, bonds, arrow_to = shapes[diagram_type]
-    nodes = [SatakeNode(f"a{k + 1}", True) for k in range(n)]
-    edges = [
-        SatakeEdge(a, b, bonds[k], arrow_to[k]) for k, (a, b) in enumerate(pairs)
-    ]
-    return SatakeDiagram(nodes, edges, [], {"real_rank": 0, **(meta or {})})
 
 
 @dataclass

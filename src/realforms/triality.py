@@ -123,8 +123,13 @@ class TrialityAlgebra:
         return len(self.basis)
 
     def coords_of_triple(self, t: Triple) -> SparseVec:
-        """Coordinates of a triple of skew maps in the tri basis: each
-        component is read off over so(q), then the triple over the b_k."""
+        """Coordinates of a triple of skew maps in the tri basis."""
+        return self._solve(t)[1]
+
+    def _solve(self, t: Triple) -> Tuple[SparseVec, SparseVec]:
+        """The coefficient vector of t over so(q)^3, index slot * orth.rank
+        + j, and t's coordinates in the tri basis: each component is read
+        off over so(q), then the triple over the b_k."""
         name = self.comp.name
         no = self.orth.rank
         coefs: SparseVec = {}
@@ -141,7 +146,7 @@ class TrialityAlgebra:
                 f"tri({name}): triple is not a triality element",
                 witness={"coefs": {str(j): x.to_str() for j, x in coefs.items()}},
             )
-        return c
+        return coefs, c
 
     def conjugate(self, k: int, phi: List[Tuple[int, Scalar]]) -> SparseVec:
         """Coordinates of (phi d0 phi^-1, phi d1 phi^-1, phi d2 phi^-1) for
@@ -189,8 +194,8 @@ class TrialityAlgebra:
         """Coordinates of theta^k(t_{x,y}) for k = 0, 1, 2, given
         mx = (l_x, r_x) and my = (l_y, r_y).
 
-        `coords_of_triple` certifies t_{x,y} in tri, and `triality`
-        certified theta(tri) in tri, so theta^k(t) lies in tri too.  Its
+        `_solve` certifies t_{x,y} in tri, and `triality` certified
+        theta(tri) in tri, so theta^k(t) lies in tri too.  Its
         coefficient vector over so(q)^3 is t's with the slots rotated k
         places, and its coordinates are that vector's entries at the pivot
         columns of the b_k: no product is formed."""
@@ -204,14 +209,11 @@ class TrialityAlgebra:
             return acc
 
         t = (self.sigma_map(x, y), shifted(mx[1], my[0]), shifted(mx[0], my[1]))
-        out = [self.coords_of_triple(t)]
-        # slot s of t over so(q): its entries at the pivot columns of the B_k
+        coefs, c = self._solve(t)
+        out = [c]
         no = self.orth.rank
-        slots = [_at_pivots(self.orth, flatten(m)) for m in t]
         for k in (1, 2):
-            rotated = {
-                (slot + k) % 3 * no + j: z for slot, c in enumerate(slots) for j, z in c.items()
-            }
+            rotated = {(i // no + k) % 3 * no + i % no: z for i, z in coefs.items()}
             out.append(_at_pivots(self.coefs, rotated))
         return out
 

@@ -5,11 +5,12 @@ Scalar polar forms, derivation algebras of structure-constant tables,
 theta on tri(S) through its rows, the negative of a covector, the node
 orders matching two Cartan matrices by a scan of every permutation, the
 hermitian 3x3 octonion matrices with their explicit isomorphism to
-A(pO, +++), and the product of two polynomials.  They stay outside the
-package so that each oracle is independent of the certificate it checks."""
+A(pO, +++), the product of two polynomials, and the all-black template
+diagrams of the compact forms.  They stay outside the package so that
+each oracle is independent of the certificate it checks."""
 
 from itertools import combinations, permutations
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from realforms.algebras import (
     AlgebraTable,
@@ -34,6 +35,7 @@ from realforms.linalg import (
     sylvester_signature,
 )
 from realforms.rootspace import Covector, Poly, poly_normalize
+from realforms.satake import _E6_EDGES, SatakeDiagram, SatakeEdge, SatakeNode
 from realforms.scalars import HALF, ONE, TWO, ZERO
 from realforms.triality import TrialityAlgebra
 
@@ -344,3 +346,21 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
             if y:
                 out[i + j] = out[i + j] + x * y
     return poly_normalize(out)
+
+
+def compact_satake(diagram_type: str, meta: Optional[Dict[str, int]] = None) -> SatakeDiagram:
+    """All-black diagram of the given type (compact-form convention)."""
+    shapes = {
+        "E6": (_E6_EDGES, 6, [1] * 5, [None] * 5),
+        "F4": ([(0, 1), (1, 2), (2, 3)], 4, [1, 2, 1], [None, 2, None]),
+    }
+    if diagram_type not in shapes:
+        raise VerificationError(
+            f"no compact template for {diagram_type}", witness={"type": diagram_type}
+        )
+    pairs, n, bonds, arrow_to = shapes[diagram_type]
+    nodes = [SatakeNode(f"a{k + 1}", True) for k in range(n)]
+    edges = [
+        SatakeEdge(a, b, bonds[k], arrow_to[k]) for k, (a, b) in enumerate(pairs)
+    ]
+    return SatakeDiagram(nodes, edges, [], {"real_rank": 0, **(meta or {})})

@@ -66,9 +66,11 @@ def test_satake_compact_json(capsys):
     code, out, _ = run(capsys, "satake", "e6m78", "--format", "json")
     data = json.loads(out)
     assert code == 0
-    assert data["diagram"]["meta"]["signature"] == -78
+    assert data["diagram"]["meta"] == {"real_rank": 0, "signature": -78}
     assert all(n["filled"] for n in data["diagram"]["nodes"])
-    assert data["restricted"] is None and data["checks"] is None
+    assert data["restricted"]["rows"] == [] and data["restricted"]["mult_sum"] == 0
+    assert (data["checks"]["black_nodes"], data["checks"]["roots"]) == (6, 72)
+    assert data["checks"]["cartan_involution"]["signature"] == -78
 
 
 @pytest.mark.parametrize("model", ["e6m14", "e6m26", "e6p2", "e6p6", "e6m78"])
@@ -77,9 +79,23 @@ def test_satake_json_is_one_document(capsys, model):
     assert code == 0
     data = json.loads(out)
     assert set(data) == {"diagram", "restricted", "checks"}
-    if model != "e6m78":
-        assert data["checks"]["rank_identity"] is True
-        assert data["restricted"]["mult_sum"] == data["checks"]["mult_sum"]
+    assert data["checks"]["rank_identity"] is True
+    assert data["restricted"]["mult_sum"] == data["checks"]["mult_sum"]
+
+
+@pytest.mark.parametrize("model,sigma", [("f4p4", "F4"), ("f4m20", "BC1")])
+def test_satake_f4_real_forms(capsys, model, sigma):
+    code, out, err = run(capsys, "satake", model)
+    assert code == 0 and not err
+    assert f"restricted system: {sigma} " in out
+
+
+def test_cartan_decomposition_of_the_compact_e6(capsys):
+    code, out, _ = run(capsys, "roots", "verify-cartan-decomp", "--model", "e6m78")
+    data = json.loads(out)
+    assert code == 0
+    assert (data["dim_t"], data["dim_p"], data["signature"]) == (78, 0, -78)
+    assert data["cartan_in_p"] == []
 
 
 def test_satake_deterministic_output(capsys):
@@ -92,8 +108,11 @@ def test_satake_out_dir(tmp_path, capsys):
     code, out, _ = run(capsys, "satake", "f4m52", "--out", str(tmp_path))
     assert code == 0
     names = {p.name for p in tmp_path.iterdir()}
-    assert names == {"f4m52.satake.json", "f4m52.satake.dot", "f4m52.satake.txt"}
-    assert out.count("wrote ") == 3
+    assert names == {
+        f"f4m52.{part}" for part in
+        ("satake.json", "satake.dot", "satake.txt", "restricted.json", "restricted.txt")
+    }
+    assert out.count("wrote ") == 5
     text = (tmp_path / "f4m52.satake.json").read_text()
     assert json.loads(text)["meta"]["signature"] == -52
 
@@ -223,7 +242,7 @@ def test_config_cli_argument_wins(tmp_path, capsys):
     cfg.write_text("model = e6m78\n")
     code, out, _ = run(capsys, "--config", str(cfg), "satake", "f4m52")
     assert code == 0
-    assert out.count("*") == 4  # f4 template, not the e6 one
+    assert out.count("*") == 4  # the f4 diagram, not the e6 one
 
 
 def test_config_cli_format_wins(tmp_path, capsys):
@@ -396,7 +415,7 @@ GOLDEN_SHA256 = {
     ("satake", "e6p6", "--format", "json"):
         "aade65f591566cb80e5bcc490bec6789dc50896b2c8cee8d84b456ff5e8785d8",
     ("satake", "e6m78"):
-        "3fe86a08dafaee147ee74248e663d02cd7aa2784467a915a437cd86abc18169a",
+        "e9e0695366ad2a4bcf7926e5aff7a76c36c7143f240f9332b740e0d1dcc0e54a",
     ("table", "--json"):
         "0d29de4d6c3b1b6cce0ef8363b575ab5fe00dfab6fe1f1e30206b819101f1a98",
     ("roots", "verify-cartan-decomp", "--model", "e6p2"):

@@ -200,7 +200,6 @@ def verification_raises(obj):
         (pipeline, 8),
         (satake.build_satake, 2),
         (satake._bonds, 1),
-        (satake.compact_satake, 1),
         (constructions.check_rho_homomorphism, 2),
         (constructions.derivation_model, 2),
         (rootspace.classify_cartan_matrix, 1),

@@ -17,12 +17,13 @@ from realforms.linalg import combine
 from realforms.pipeline import (
     MODELS,
     PRESET_MODEL,
+    SIGNATURE_CELLS,
     CartanData,
     ModelBuild,
+    ModelSpec,
     cartan_decomposition_report,
     cartan_involution,
     certify_maximal_abelian,
-    compact_diagram,
     run_satake,
     table_rows,
 )
@@ -45,7 +46,7 @@ from realforms.satake import (
 )
 from realforms.scalars import HALF, ONE, Rat, Scalar, sc
 
-from oracles import cov_neg
+from oracles import compact_satake, cov_neg
 
 
 def cov(*xs):
@@ -197,11 +198,6 @@ def test_scaled_cartan_decomposes(get_build, factor):
     assert datum.zero.dim == 6
 
 
-def test_cartan_data_rejects_models_without_theta(get_build):
-    with pytest.raises(ConstructionError, match="no Cartan decomposition recipe"):
-        get_build("e6m78").cartan
-
-
 # ---------------------------------------------------------------------------
 # the three diagrams
 
@@ -327,6 +323,92 @@ def test_ei_invariants(get_satake):
     assert c["sigma_type"] == "E6" and c["mult_sum"] == 72
     assert [(r.m, r.m2) for r in res.table.rows] == [(1, 0)] * 6
     assert "auto_matches_preset" not in c  # no published system to compare
+
+
+# ---------------------------------------------------------------------------
+# f4 and the compact forms, through the same pass
+#
+# Expected values from Helgason, Differential Geometry, Lie Groups, and
+# Symmetric Spaces, Ch. X, Table VI (after Araki, J. Math. Osaka City Univ.
+# 13, 1962): a compact form has every node black and real rank 0; FII,
+# f4(-20), has a1 a2 a3 black and Sigma = BC1 with m = 8, m2 = 7; FI, f4(4),
+# is split, with Sigma = F4 and every m = 1.
+
+
+@pytest.mark.parametrize("key,roots,root_type", [("f4m52", 48, "F4"), ("e6m78", 72, "E6")])
+def test_compact_forms_are_all_black(get_satake, key, roots, root_type):
+    res = get_satake(key)
+    c = res.checks
+    assert res.delta_type == root_type and (c["real_rank"], res.a_idx) == (0, ())
+    assert c["roots"] == roots and (c["delta0_type"], c["delta0_roots"]) == (root_type, roots)
+    assert c["black_nodes"] == len(res.simple) and c["arrows"] == []
+    assert (c["mult_sum"], res.table.rows) == (0, [])
+    assert c["maximally_noncompact"] == {"dim_p": 0, "dim_z_p_a": 0}
+
+
+def test_fii_invariants(get_satake):
+    res = get_satake("f4m20")
+    c = res.checks
+    assert res.delta_type == "F4" and c["roots"] == 48 and c["real_rank"] == 1
+    assert (c["delta0_type"], c["delta0_roots"]) == ("B3", 18)
+    assert [n.filled for n in res.diagram.nodes] == [True, True, True, False]
+    assert c["sigma_type"] == "BC1" and c["mult_sum"] == 30
+    assert [(r.label, r.m, r.m2) for r in res.table.rows] == [("a4", 8, 7)]
+
+
+def test_fi_invariants(get_satake):
+    res = get_satake("f4p4")
+    c = res.checks
+    assert res.delta_type == "F4" and c["real_rank"] == 4
+    assert (c["black_nodes"], c["arrows"]) == (0, [])
+    assert c["sigma_type"] == "F4" and c["mult_sum"] == 48
+    assert [(r.m, r.m2) for r in res.table.rows] == [(1, 0)] * 4
+
+
+def _edge_set(diagram):
+    return {(e.a, e.b, e.bond, e.arrow_to) for e in diagram.edges}
+
+
+def test_compact_diagrams_match_the_template(get_satake):
+    f4 = get_satake("f4m52").diagram
+    template = compact_satake("F4", {"signature": -52})
+    assert f4.to_json() == template.to_json()
+    assert f4.render_ascii() == template.render_ascii()
+    assert f4.render_dot() == template.render_dot()
+    # the pass lists the E6 edges in `_bonds` order, the template in its own
+    e6 = get_satake("e6m78").diagram
+    template = compact_satake("E6", {"signature": -78})
+    assert e6.render_ascii() == template.render_ascii()
+    assert _edge_set(e6) == _edge_set(template)
+    assert e6.meta == template.meta
+
+
+def test_cells_of_one_form_agree(monkeypatch, get_satake):
+    """The pass on each of the twelve signature cells, built as a magic
+    square, gives the diagram, Sigma, arrows, black nodes and (m, m2) of
+    the named model of its form (the signature names the form).  For
+    e6(-26) that is the derivation model e6m26: the two constructions of
+    EIV agree."""
+
+    def summary(res):
+        return (
+            res.diagram.render_ascii(),
+            res.table.sigma_type,
+            res.checks["arrows"],
+            res.diagram.filled_indices(),
+            [(r.m, r.m2) for r in res.table.rows],
+        )
+
+    named = {spec.signature: summary(get_satake(key)) for key, spec in MODELS.items()}
+    assert len(named) == 8
+    for n, cell in enumerate(SIGNATURE_CELLS):
+        key = f"cell{n}"
+        root_type = "F4" if cell.sp_name == "R" else "E6"
+        monkeypatch.setitem(MODELS, key, ModelSpec(
+            key, "magic", cell.s_name, cell.sp_name, cell.eps, cell.expected,
+            cell.form, root_type,
+        ))
+        assert summary(run_satake(key)) == named[cell.expected], cell
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +795,6 @@ def test_certify_wrong_signature_is_witnessed(get_build):
     }
 
 
-def test_cartan_decomposition_unknown_model(get_build):
-    from realforms.pipeline import cartan_decomposition_report
-
-    with pytest.raises(ConstructionError):
-        cartan_decomposition_report("e6m78")
-
-
 # ---------------------------------------------------------------------------
 # combined table
 
@@ -739,16 +814,6 @@ def test_table_ei_row_is_computed():
 def test_table_rejects_unknown_key():
     with pytest.raises(ConstructionError):
         table_rows(only=["f4m52"])
-
-
-def test_compact_diagrams():
-    e6 = compact_diagram("e6m78")
-    assert e6.meta["signature"] == -78
-    assert len(e6.filled_indices()) == 6
-    f4 = compact_diagram("f4m52")
-    assert f4.meta["signature"] == -52
-    with pytest.raises(ConstructionError):
-        compact_diagram("e6p2")
 
 
 def test_model_registry_signatures():

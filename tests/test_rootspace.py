@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import realforms.rootspace as rootspace_mod
 from realforms import pipeline
 from realforms.cli import _jsonable
+from realforms.constructions import induced_automorphism
 from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import LieAlgebra, generating_set, killing_form, lie_from_fn
 from realforms.linalg import to_sparse, transpose
@@ -41,10 +42,10 @@ from realforms.rootspace import (
     verify_cartan_decomposition,
     verify_simple_basis,
 )
-from realforms.satake import _bonds, compact_satake
+from realforms.satake import _bonds
 from realforms.scalars import IUNIT, ONE, SQRT3, ZERO, Rat, Scalar, sc
 
-from oracles import cov_neg, matrices_match_by_permutations, poly_mul
+from oracles import compact_satake, cov_neg, matrices_match_by_permutations, poly_mul
 
 
 def cov(*xs):
@@ -878,10 +879,18 @@ def test_verify_cartan_decomposition_mutations_are_witnessed(
     assert json.loads(json.dumps(info.value.witness)) == witness
 
 
+def _e6m14_signs_on_e6p2(monkeypatch):
+    # e6m14's block signs (-1, 1, -1) with the identity on pOs and pC: an
+    # automorphism of order 2 of e6p2 whose Killing form is indefinite on
+    # t, so not a Cartan involution
+    def graded(build):
+        return induced_automorphism(build.square, {}, {}, (-1, 1, -1))
+
+    monkeypatch.setattr(pipeline, "cartan_involution", graded)
+
+
 def test_indefinite_grading_is_witnessed(monkeypatch, get_build):
-    # e6m14's block signs on e6p2: an automorphism of order 2 whose Killing
-    # form is indefinite on t, so not a Cartan involution
-    monkeypatch.setitem(pipeline.CARTAN_THETA, "e6p2", ({}, {}, (-1, 1, -1)))
+    _e6m14_signs_on_e6p2(monkeypatch)
     fresh = dataclasses.replace(get_build("e6p2"))  # no memoised Cartan data
     with pytest.raises(VerificationError, match="not negative definite on t") as info:
         pipeline.cartan_decomposition_report("e6p2", fresh)
@@ -890,7 +899,7 @@ def test_indefinite_grading_is_witnessed(monkeypatch, get_build):
 
 def test_satake_rejects_the_indefinite_grading(monkeypatch, get_build):
     # the Satake pass reads t and p only through theta's certificate
-    monkeypatch.setitem(pipeline.CARTAN_THETA, "e6p2", ({}, {}, (-1, 1, -1)))
+    _e6m14_signs_on_e6p2(monkeypatch)
     fresh = dataclasses.replace(get_build("e6p2"))
     with pytest.raises(VerificationError, match="not negative definite on t") as info:
         pipeline.run_satake("e6p2", fresh)

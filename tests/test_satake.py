@@ -16,11 +16,10 @@ from realforms.satake import (
     SatakeNode,
     build_restricted_table,
     build_satake,
-    compact_satake,
 )
 from realforms.scalars import HALF, ONE, sc
 
-from oracles import cov_neg
+from oracles import compact_satake, cov_neg
 
 
 def cov(*xs):
