@@ -367,6 +367,12 @@ def cartan_involution(build: ModelBuild) -> SparseMatrix:
     """Row k: theta(b_k), from the cell (S, S', eps) of the model's square."""
     sq = build.square
     e0, e1, e2 = sq.eps
+    missing = [c.name for c in (sq.s, sq.sp) if c.name not in _CARTAN_PHI]
+    if missing:
+        raise ConstructionError(
+            f"no Cartan decomposition recipe for the composition algebra "
+            f"{missing[0]!r}; known: {', '.join(sorted(_CARTAN_PHI))}"
+        )
     phi, phi_p = _CARTAN_PHI[sq.s.name], _CARTAN_PHI[sq.sp.name]
     rows = induced_automorphism(sq, phi, phi_p, (e1 * e2, e2 * e0, e0 * e1))
     # the rows past the square's are A0 of the derivation model

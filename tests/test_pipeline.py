@@ -486,6 +486,15 @@ def test_greedy_a_that_is_not_maximal_is_witnessed(get_build, monkeypatch):
     assert w == {"dim_a": 1, "dim_z_p_a": 8}
 
 
+def test_cartan_data_rejects_models_without_theta(get_build, monkeypatch):
+    # theta needs a signed permutation of both composition algebras
+    monkeypatch.delitem(pipeline._CARTAN_PHI, "pO")
+    fresh = dataclasses.replace(get_build("e6m78"))  # no memoised Cartan data
+    msg = "no Cartan decomposition recipe for the composition algebra 'pO'"
+    with pytest.raises(ConstructionError, match=msg):
+        fresh.cartan
+
+
 def test_cartan_data_solves_each_centraliser_once(get_build, monkeypatch):
     # the greedy a solves z_p of each of its dim a + 1 stages, the last of
     # which is the certificate's z_p(a); then z_t(a) and the greedy t_h
@@ -714,6 +723,13 @@ def test_cartan_decomposition_ei(get_cartan_report):
     assert report["killing_on_t"] == (0, 36, 0)
     assert report["killing_on_p"] == (42, 0, 0)
     assert report["cartan_in_p"] == [0, 1, 2, 3, 4, 5]
+
+
+def test_cartan_decomposition_unknown_model():
+    from realforms.pipeline import cartan_decomposition_report
+
+    with pytest.raises(ConstructionError, match="unknown model 'e7m133'"):
+        cartan_decomposition_report("e7m133")
 
 
 # the Jacobi record of a build: S and the C(78, 3) - C(78 - |S|, 3) triples
