@@ -388,7 +388,8 @@ def test_config_eps_is_normalised_and_checked_on_read(tmp_path, capsys):
 # golden output: sha256 of the stdout of two e6 builds, of the two Okubo
 # algebras (whose constants carry sqrt3 and i), of a root decomposition, of
 # the Satake diagrams of the four noncompact e6 forms and of e6(-78), of the
-# combined table and of two Cartan decomposition reports; a change to the
+# combined table, of two Cartan decomposition reports, of the signature
+# table, of the e6m26 summary and of one twisted inline square; a change to the
 # scalar or vector representation, to the Bourbaki labelling or to the
 # renderer must not move a byte
 
@@ -422,6 +423,14 @@ GOLDEN_SHA256 = {
         "6e7f6300dbd851398754392137c3f0c74c311ea62c4f8a14327fabf339392654",
     ("roots", "verify-cartan-decomp", "--model", "e6p6"):
         "d9f2fc43bc82a6101de908260f7fc06b1d35310ea1e6de8640a2ff97a8a7697a",
+    ("signatures",):
+        "2361ac6bccbf0300dd8bf82a47351ab6935cf1ec4e1354f923f388f815e27692",
+    ("signatures", "--json"):
+        "0b711b207ba441e94925aeea511dd9bdcfe2572983df083b565882a8074c13b2",
+    ("lie", "e6m26"):
+        "bda03c5ff1238f76692fb66dcc85afef704cef1b26769ac4b8713d844d56165e",
+    ("construct", "--s", "pOs", "--sp", "pC", "--eps", "1,-1,1"):
+        "b091d75c6de9481b2904ccc56be9d78232d8bcd5810abfee9e2d4ecc48dec304",
 }
 
 
