@@ -80,17 +80,9 @@ class AlgebraTable:
     def norm(self, x: SparseVec) -> Scalar:
         return self.polar(x, x) * HALF
 
-    def conj_vec(self, x: SparseVec) -> SparseVec:
-        if self.invol is None:
-            raise ConstructionError(f"{self.name} carries no involution")
-        return combine((c, self.invol[j]) for j, c in x.items())
-
     def lmul_matrix(self, x: SparseVec) -> SparseMatrix:
         """Matrix of y -> x y (columns indexed by basis), as sparse rows."""
         return transpose([self.mul(x, {j: ONE}) for j in range(self.dim)])
-
-    def rmul_matrix(self, x: SparseVec) -> SparseMatrix:
-        return transpose([self.mul({j: ONE}, x) for j in range(self.dim)])
 
 
 def _shift(v: SparseVec, off: int) -> SparseVec:
@@ -509,17 +501,11 @@ class AlbertAlgebra:
     def dim(self) -> int:
         return self.table.dim
 
-    def E_index(self, a: int) -> int:
-        return a
-
     def iota_index(self, i: int, b: int) -> int:
         return 3 + i * self.comp.dim + b
 
     def iota_vec(self, i: int, x: SparseVec) -> SparseVec:
         return _shift(x, self.iota_index(i, 0))
-
-    def trace(self, v: SparseVec) -> Scalar:
-        return _diagonal_trace(v)
 
     def zero_trace_basis(self) -> List[SparseVec]:
         return [{0: ONE, 1: -ONE}, {0: -ONE, 2: ONE}] + [

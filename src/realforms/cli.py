@@ -25,20 +25,20 @@ from .algebras import (
     hurwitz,
     symmetric_composition,
 )
-from .constructions import derivation_model, magic_square
 from .errors import ConstructionError, IOFormatError, RealformsError
 from .lie import LieAlgebra
 from .pipeline import (
     MODELS,
-    PRESET_MODEL,
+    Cell,
+    build_cell,
     build_model,
     cartan_decomposition_report,
-    certify,
+    model_key,
     run_satake,
     signature_table,
     table_rows,
 )
-from .rootspace import cov_sort_key, restricted_multiplicities, root_decomposition, split_indices
+from .rootspace import cov_sort_key, restricted_multiplicities
 from .scalars import Scalar
 
 _CONFIG_KEYS = ("model", "s", "sp", "eps", "format", "out", "only")
@@ -197,21 +197,17 @@ def cmd_lie(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     eps = _parse_eps(args.eps)
-    s = symmetric_composition(args.s)
     if args.tits:
         if args.sp != "R" or eps != (1, 1, 1):
             raise ConstructionError(
                 "construct --tits takes only sp = R and eps = 1,1,1 "
                 f"(got sp = {args.sp}, eps = {args.eps})"
             )
-        model = derivation_model(s)
-        L = model.lie
-        kind = f"tits({args.s})"
+        cell, kind = Cell(args.s), f"tits({args.s})"
     else:
-        sp = symmetric_composition(args.sp)
-        L = magic_square(s, sp, eps).lie
-        kind = f"magic({args.s},{args.sp},{args.eps})"
-    jacobi, _, sig = certify(L, None, kind)
+        cell, kind = Cell(args.s, args.sp, eps), f"magic({args.s},{args.sp},{args.eps})"
+    obj, jacobi, _, sig = build_cell(cell, kind)
+    L = obj.lie  # type: ignore[attr-defined]
     data = {
         "construction": kind,
         "name": L.name,
@@ -225,10 +221,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def _model_key(name: Optional[str]) -> str:
     if name is None:
         raise ConstructionError("no model named (pass one or set it in --config)")
-    key = PRESET_MODEL.get(name, name)
-    if key not in MODELS:
-        raise ConstructionError(f"unknown model {name!r}")
-    return key
+    return model_key(name)
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
@@ -240,9 +233,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
         }
         _emit(_dump(rep2), args.out, f"{key}.cartan-decomp.json")
         return 0
-    build = build_model(key)
-    datum = root_decomposition(build.lie, build.cartan.hs, name=key)
-    a_idx = split_indices(datum)
+    res = run_satake(key)
+    datum, a_idx = res.datum, res.a_idx
     if args.action == "restricted":
         rmult = restricted_multiplicities(datum, a_idx)
         key_of = cov_sort_key(rmult)
@@ -269,7 +261,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
         )
     data = {
         "model": key,
-        "cartan": build.spec.satake_preset,
+        "cartan": res.preset_key,
         "a_indices": list(a_idx),
         "roots": len(datum.spaces),
         "zero_dim": datum.zero.dim,

@@ -17,7 +17,7 @@ multiplications are read over the images that the injectivity check of
 `check_rho_homomorphism` has already eliminated.  That rho is a
 homomorphism has no certificate of its own: it is the Jacobi identity of
 the model on the triples (b_i, b_j, z), together with rho(b) 1 = 0.
-`pipeline.certify`, not a constructor, certifies each table's Jacobi
+`pipeline.build_cell`, not a constructor, certifies each table's Jacobi
 identity.
 """
 
@@ -78,10 +78,6 @@ class MagicSquareAlgebra:
             for a, xa in x.items()
             for b, xb in xp.items()
         }
-
-    def t_s(self, a: int, b: int) -> SparseVec:
-        """t_{e_a, e_b} of the first factor, embedded (tri(S) comes first)."""
-        return self.tri_s.t_element({a: ONE}, {b: ONE})
 
 
 def magic_square(
@@ -192,10 +188,6 @@ class DerivationModel:
     alg: AlbertAlgebra
     square: MagicSquareAlgebra
     rho: List[SparseMatrix]  # a homomorphism once the model passes Jacobi
-
-    @property
-    def der_dim(self) -> int:
-        return len(self.rho)
 
 
 def rho_images(square: MagicSquareAlgebra, alg: AlbertAlgebra) -> List[SparseMatrix]:

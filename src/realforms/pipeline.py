@@ -1,17 +1,23 @@
-"""Named models, their Cartan involutions, and the end-to-end Satake pipelines.
+"""Cells, named models, their Cartan involutions, and the end-to-end Satake pipelines.
 
-The registry covers the twelve signature-table cells through eight named
-models (the epsilon-twisted cells that repeat a signature reuse the same
-construction).  Every model, compact or not, takes its Cartan involution
-theta from its cell (S, S', eps) by one rule (`cartan_involution`), and
-theta is certified as one (`verify_cartan_decomposition`) before anything
-reads its +1 and -1 eigenspaces t and p.  The Cartan subalgebra
-is read off them: a maximal abelian a in p, certified by z_p(a) = a, then
-a maximal torus t_h of z_t(a).  The Satake pass decomposes g under
-hs = a + t_h, checks that the split part of the roots is exactly a,
-derives the sigma-order simple system, lists it in Bourbaki order read off
-the match of its Cartan matrix with the catalog of the model's root type,
-and prints its diagram and restricted table.
+A cell (S, S', eps) of the magic square is the one unit of construction
+(`Cell`): it names its Killing signature, and its root type (F4 when
+S' = R, E6 otherwise) and form follow from it.  `SIGNATURE_CELLS` lists
+the twelve cells of the signature table; each of the eight named models
+(`MODELS`) points at its cell there, except e6m26, whose cell is the
+derivation model Der(A(pO)) + A0.  `build_cell` builds every construction
+and issues its Jacobi, Killing and Sylvester certificates.  Every model,
+compact or not, takes its Cartan involution theta from its cell
+(S, S', eps) by one rule (`cartan_involution`), and theta is certified as
+one (`verify_cartan_decomposition`) before anything reads its +1 and -1
+eigenspaces t and p.  The Cartan subalgebra is read off them: a maximal
+abelian a in p, certified by z_p(a) = a, then a maximal torus t_h of
+z_t(a).  The Satake pass decomposes g under hs = a + t_h, checks that the
+split part of the roots is exactly a, derives the sigma-order simple
+system, lists it in Bourbaki order read off the match of its Cartan matrix
+with the catalog of the model's root type, prints its diagram and
+restricted table, and reports the highest root's simple coordinates with
+the multiplicity of its restriction.
 """
 
 from __future__ import annotations
@@ -65,43 +71,73 @@ from .satake import (
 from .scalars import ONE
 
 # ---------------------------------------------------------------------------
-# model registry
+# the cells and the model registry
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A cell (S, S', eps) of the magic square, built as g(S, S', eps); a
+    cell without S' is the derivation model Der(A(S)) + A0 of the Jordan
+    algebra A(S, +++).  `signature`, when given, is the Killing signature
+    positive - negative that the build must certify."""
+
+    s_name: str
+    sp_name: Optional[str] = None
+    eps: Tuple[int, int, int] = (1, 1, 1)
+    signature: Optional[int] = None
+
+    @property
+    def root_type(self) -> str:
+        """The type of the complexified root system for an eight-dimensional
+        S: F4 when S' = R, E6 otherwise."""
+        return "F4" if self.sp_name == "R" else "E6"
+
+    @property
+    def form(self) -> str:
+        return f"{self.root_type.lower()}({self.signature})"
+
+
+SIGNATURE_CELLS: List[Cell] = [
+    Cell("pO", "R", (1, 1, 1), -52),
+    Cell("pO", "pC", (1, 1, 1), -78),
+    Cell("pO", "pRR", (1, 1, 1), -26),
+    Cell("pOs", "R", (1, 1, 1), 4),
+    Cell("pOs", "pC", (1, 1, 1), 2),
+    Cell("pOs", "pRR", (1, 1, 1), 6),
+    Cell("pO", "R", (1, -1, 1), -20),
+    Cell("pO", "pC", (1, -1, 1), -14),
+    Cell("pO", "pRR", (1, -1, 1), -26),
+    Cell("pOs", "R", (1, -1, 1), 4),
+    Cell("pOs", "pC", (1, -1, 1), 2),
+    Cell("pOs", "pRR", (1, -1, 1), 6),
+]
+_CELL = {(c.s_name, c.sp_name, c.eps): c for c in SIGNATURE_CELLS}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     key: str
-    kind: str  # "magic" or "tits"
-    s_name: str
-    sp_name: str
-    eps: Tuple[int, int, int]
-    signature: int
+    cell: Cell
     description: str
-    root_type: str  # the type of the complexified root system
     satake_preset: Optional[str] = None
 
 
+# the models with a Satake label are listed in the row order of `table_rows`
 MODELS: Dict[str, ModelSpec] = {
     m.key: m
     for m in [
-        ModelSpec("f4m52", "magic", "pO", "R", (1, 1, 1), -52,
-                  "compact form of f4", "F4"),
-        ModelSpec("f4m20", "magic", "pO", "R", (1, -1, 1), -20,
-                  "f4(-20), the rank-1 real form", "F4"),
-        ModelSpec("f4p4", "magic", "pOs", "R", (1, 1, 1), 4,
-                  "f4(4), the split form", "F4"),
-        ModelSpec("e6m78", "magic", "pO", "pC", (1, 1, 1), -78,
-                  "compact form of e6", "E6"),
-        ModelSpec("e6m14", "magic", "pO", "pC", (1, -1, 1), -14,
-                  "e6(-14), Satake type EIII", "E6", satake_preset="EIII"),
-        ModelSpec("e6p2", "magic", "pOs", "pC", (1, 1, 1), 2,
-                  "e6(2), Satake type EII", "E6", satake_preset="EII"),
-        ModelSpec("e6p6", "magic", "pOs", "pRR", (1, 1, 1), 6,
-                  "e6(6), the split form (Satake type EI)", "E6",
-                  satake_preset="EI"),
-        ModelSpec("e6m26", "tits", "pO", "", (1, 1, 1), -26,
-                  "e6(-26), Satake type EIV (derivation model)", "E6",
-                  satake_preset="EIV"),
+        ModelSpec("f4m52", _CELL["pO", "R", (1, 1, 1)], "compact form of f4"),
+        ModelSpec("f4m20", _CELL["pO", "R", (1, -1, 1)], "f4(-20), the rank-1 real form"),
+        ModelSpec("f4p4", _CELL["pOs", "R", (1, 1, 1)], "f4(4), the split form"),
+        ModelSpec("e6m78", _CELL["pO", "pC", (1, 1, 1)], "compact form of e6"),
+        ModelSpec("e6p2", _CELL["pOs", "pC", (1, 1, 1)], "e6(2), Satake type EII",
+                  satake_preset="EII"),
+        ModelSpec("e6m14", _CELL["pO", "pC", (1, -1, 1)], "e6(-14), Satake type EIII",
+                  satake_preset="EIII"),
+        ModelSpec("e6m26", Cell("pO", signature=-26),
+                  "e6(-26), Satake type EIV (derivation model)", satake_preset="EIV"),
+        ModelSpec("e6p6", _CELL["pOs", "pRR", (1, 1, 1)],
+                  "e6(6), the split form (Satake type EI)", satake_preset="EI"),
     ]
 }
 
@@ -111,32 +147,53 @@ PRESET_MODEL: Dict[str, str] = {
 }
 
 
-def certify(
-    lie: LieAlgebra, expected: Optional[int], what: str
-) -> Tuple[Dict[str, object], SparseMatrix, Tuple[int, int, int]]:
-    """The Jacobi certificate, the Killing form (zero-free symmetric sparse
-    rows) and its Sylvester signature (positive, negative, zero) of `lie`.
-    When `expected` is given, the form must be nondegenerate with
-    positive - negative == expected."""
+def model_key(name: str) -> str:
+    """The key of the model that `name`, a key or a Satake label, names."""
+    key = PRESET_MODEL.get(name, name)
+    if key not in MODELS:
+        raise ConstructionError(
+            f"unknown model {name!r}; known: {', '.join(sorted(MODELS))}"
+        )
+    return key
+
+
+def build_cell(
+    cell: Cell, what: str
+) -> Tuple[object, Dict[str, object], SparseMatrix, Tuple[int, int, int]]:
+    """The construction of `cell` (a MagicSquareAlgebra or a
+    DerivationModel), the Jacobi certificate of its Lie algebra, the Killing
+    form (zero-free symmetric sparse rows) and its Sylvester signature
+    (positive, negative, zero).  When the cell names a signature, the form
+    must be nondegenerate with positive - negative equal to it."""
+    s = symmetric_composition(cell.s_name)
+    if cell.sp_name is None:
+        obj: object = derivation_model(s)
+    else:
+        obj = magic_square(s, symmetric_composition(cell.sp_name), cell.eps)
+    lie = obj.lie  # type: ignore[attr-defined]
     jacobi = certify_jacobi(lie)
     killing = killing_form(lie)
     sig = sylvester_signature(killing)
+    expected = cell.signature
     if expected is not None and (sig[0] - sig[1] != expected or sig[2]):
         raise VerificationError(
             f"{what}: Killing signature {sig} does not match expected {expected}",
             witness={"signature": list(sig), "expected": expected},
         )
-    return jacobi, killing, sig
+    return obj, jacobi, killing, sig
 
 
 @dataclass(eq=False)
 class ModelBuild:
     spec: ModelSpec
-    lie: LieAlgebra
     obj: object  # MagicSquareAlgebra or DerivationModel
-    signature: Tuple[int, int, int]
     jacobi: Dict[str, object]
     killing: SparseMatrix
+    signature: Tuple[int, int, int]
+
+    @property
+    def lie(self) -> LieAlgebra:
+        return self.obj.lie  # type: ignore[attr-defined]
 
     @property
     def square(self) -> MagicSquareAlgebra:
@@ -159,60 +216,16 @@ class ModelBuild:
 
 
 def build_model(key: str) -> ModelBuild:
-    if key not in MODELS:
-        raise ConstructionError(
-            f"unknown model {key!r}; known: {', '.join(sorted(MODELS))}"
-        )
-    spec = MODELS[key]
-    if spec.kind == "magic":
-        s = symmetric_composition(spec.s_name)
-        sp = symmetric_composition(spec.sp_name)
-        obj: object = magic_square(s, sp, spec.eps)
-    else:
-        obj = derivation_model(symmetric_composition(spec.s_name))
-    lie = obj.lie  # type: ignore[attr-defined]
-    jacobi, killing, sig = certify(lie, spec.signature, key)
-    return ModelBuild(spec, lie, obj, sig, jacobi, killing)
-
-
-# ---------------------------------------------------------------------------
-# signature table (the twelve cells)
-
-
-@dataclass(frozen=True)
-class TableCell:
-    s_name: str
-    sp_name: str
-    eps: Tuple[int, int, int]
-    expected: int
-    form: str
-
-
-SIGNATURE_CELLS: List[TableCell] = [
-    TableCell("pO", "R", (1, 1, 1), -52, "f4(-52)"),
-    TableCell("pO", "pC", (1, 1, 1), -78, "e6(-78)"),
-    TableCell("pO", "pRR", (1, 1, 1), -26, "e6(-26)"),
-    TableCell("pOs", "R", (1, 1, 1), 4, "f4(4)"),
-    TableCell("pOs", "pC", (1, 1, 1), 2, "e6(2)"),
-    TableCell("pOs", "pRR", (1, 1, 1), 6, "e6(6)"),
-    TableCell("pO", "R", (1, -1, 1), -20, "f4(-20)"),
-    TableCell("pO", "pC", (1, -1, 1), -14, "e6(-14)"),
-    TableCell("pO", "pRR", (1, -1, 1), -26, "e6(-26)"),
-    TableCell("pOs", "R", (1, -1, 1), 4, "f4(4)"),
-    TableCell("pOs", "pC", (1, -1, 1), 2, "e6(2)"),
-    TableCell("pOs", "pRR", (1, -1, 1), 6, "e6(6)"),
-]
+    spec = MODELS[model_key(key)]
+    return ModelBuild(spec, *build_cell(spec.cell, spec.key))
 
 
 def signature_table() -> List[Dict[str, object]]:
     """All twelve (S, S', eps) Killing signatures, certified and compared."""
     rows = []
     for cell in SIGNATURE_CELLS:
-        s = symmetric_composition(cell.s_name)
-        sp = symmetric_composition(cell.sp_name)
-        sq = magic_square(s, sp, cell.eps)
         what = f"signature cell ({cell.s_name},{cell.sp_name},{cell.eps})"
-        sig = certify(sq.lie, cell.expected, what)[2]
+        sig = build_cell(cell, what)[3]
         rows.append(
             {
                 "s": cell.s_name,
@@ -253,8 +266,6 @@ def _delta0_data(
     """Size and type of the compact subsystem (roots vanishing on the
     split part), classified through the black simple roots."""
     delta0 = {c for c in datum.root_set() if cov_is_zero(restrict_covector(c, a_idx))}
-    if not delta0:
-        return 0, "empty"
     black = [s for s in simple if s in delta0]
     verify_simple_basis(delta0, black)
     return len(delta0), classify_cartan_matrix(cartan_matrix(black, delta0))
@@ -263,9 +274,9 @@ def _delta0_data(
 def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
     """Satake data of the sigma-order simple system of the root
     decomposition under the model's hs = a + t_h."""
-    key = PRESET_MODEL.get(key, key)
     if build is None:
         build = build_model(key)
+    key = build.spec.key
     cartan = build.cartan
     datum = root_decomposition(build.lie, cartan.hs, name=key)
     wide = [s for s in datum.spaces if s.dim != 1]
@@ -301,7 +312,7 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         )
     adapted = adapted_simple_system(datum, a_idx)
     delta_type, orders = bourbaki_orders(cartan_matrix(adapted, roots))
-    if delta_type != build.spec.root_type:
+    if delta_type != build.spec.cell.root_type:
         raise VerificationError(
             f"{key}: root system classified as {delta_type}",
             witness={"type": delta_type},
@@ -316,6 +327,10 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
     diagram = build_satake(datum, a_idx, simple, meta={"signature": sig})
     table = build_restricted_table(datum, a_idx, simple)
     d0_count, d0_type = _delta0_data(datum, a_idx, simple)
+    top = highest_root(roots, simple)
+    # every nonzero restriction of a root is a restricted root; at real rank 0
+    # the highest root restricts to 0, which is none, and its multiplicity is 0
+    top_mult = restricted_multiplicities(datum, a_idx).get(restrict_covector(top, a_idx), 0)
     checks: Dict[str, object] = {
         "roots": len(datum.spaces),
         # build_satake certified `simple`, so half of the roots are positive
@@ -334,13 +349,9 @@ def run_satake(key: str, build: Optional[ModelBuild] = None) -> SatakeResult:
         == len(a_idx) + len(diagram.arrows) + len(diagram.filled_indices()),
         "maximally_noncompact": cartan.maximally_noncompact,
         "cartan_involution": cartan.report,
+        "highest_root_coords": simple_coords(top, simple),
+        "highest_root_restricted_mult": top_mult,
     }
-    if build.spec.satake_preset == "EIII":
-        top = highest_root(roots, simple)
-        checks["highest_root_coords"] = simple_coords(top, simple)
-        checks["highest_root_restricted_mult"] = restricted_multiplicities(
-            datum, a_idx
-        )[restrict_covector(top, a_idx)]
     return SatakeResult(
         build, datum, a_idx, simple, delta_type, diagram, table, checks
     )
@@ -447,9 +458,9 @@ def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) ->
     """The report of theta's certificate as a Cartan involution, whose
     signature must be the certified Killing signature.  hs lists a first,
     so `cartan_in_p`, the k with h_k in p, is 0, ..., dim a - 1."""
-    key = PRESET_MODEL.get(key, key)
     if build is None:
         build = build_model(key)
+    key = build.spec.key
     cartan = build.cartan
     report = cartan.report
     sig = build.signature[0] - build.signature[1]
@@ -471,7 +482,7 @@ def cartan_decomposition_report(key: str, build: Optional[ModelBuild] = None) ->
 
 
 def table_rows(only: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
-    all_keys = ["e6p2", "e6m14", "e6m26", "e6p6"]
+    all_keys = [k for k, m in MODELS.items() if m.satake_preset]
     if only:
         bad = [k for k in only if k not in all_keys]
         if bad:

@@ -548,6 +548,8 @@ def _components(c: List[List[int]]) -> List[List[int]]:
 
 
 def classify_cartan_matrix(c: List[List[int]]) -> str:
+    """The type of c, its components joined by "+"; "empty" when c has no
+    node."""
     names = []
     for comp in _components(c):
         sub = [[c[i][j] for j in comp] for i in comp]
@@ -563,7 +565,7 @@ def classify_cartan_matrix(c: List[List[int]]) -> str:
             )
         names.append(name)
     names.sort(key=lambda s: (-int(s[1:]), s[0]))
-    return "+".join(names)
+    return "+".join(names) or "empty"
 
 
 def bourbaki_orders(c: List[List[int]]) -> Tuple[str, List[Tuple[int, ...]]]:

@@ -6,14 +6,11 @@ nodes with equal restriction).  Bonds and directions come from root-string
 Cartan integers only.  Node k is labelled a(k+1): the Satake pass hands
 the simple system over in Bourbaki order, read off the classification match
 (`rootspace.bourbaki_orders`), so the E6 renderer reads every E6 diagram
-in one fixed Bourbaki layout.  Canonical forms minimize over node
-permutations, so two diagrams compare equal exactly when they are
-isomorphic as decorated graphs.
+in one fixed Bourbaki layout.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -64,35 +61,6 @@ class SatakeDiagram:
 
     def filled_indices(self) -> List[int]:
         return [k for k, n in enumerate(self.nodes) if n.filled]
-
-    def canonical_key(self, decorations: Optional[Sequence[tuple]] = None):
-        n = len(self.nodes)
-        best = None
-        for perm in itertools.permutations(range(n)):
-            edges = []
-            for e in self.edges:
-                lo, hi = sorted((perm[e.a], perm[e.b]))
-                if e.arrow_to is None:
-                    point = 0
-                else:
-                    point = 1 if perm[e.arrow_to] == lo else 2
-                edges.append((lo, hi, e.bond, point))
-            edges.sort()
-            filled = tuple(sorted(perm[k] for k in self.filled_indices()))
-            arrows = tuple(
-                sorted(tuple(sorted((perm[a], perm[b]))) for a, b in self.arrows)
-            )
-            if decorations is None:
-                dec = ()
-            else:
-                slot = [None] * n
-                for k in range(n):
-                    slot[perm[k]] = tuple(decorations[k])
-                dec = tuple(slot)
-            key = (tuple(edges), filled, arrows, dec)
-            if best is None or key < best:
-                best = key
-        return best
 
     # -- serialization -----------------------------------------------------
 
@@ -306,13 +274,6 @@ class RestrictedTable:
     sigma_type: str
     mult_sum: int
 
-    def canonical_key(self):
-        diag = SatakeDiagram(
-            [SatakeNode(r.label, False) for r in self.rows], self.bonds, [], {}
-        )
-        dec = [(r.m, r.m2) for r in self.rows]
-        return (self.sigma_type, self.mult_sum, diag.canonical_key(dec))
-
     def to_json_dict(self) -> dict:
         return {
             "sigma_type": self.sigma_type,
@@ -339,7 +300,8 @@ class RestrictedTable:
             [SatakeNode(r.label, False) for r in self.rows], self.bonds, [], {}
         )
         lines = [f"restricted system: {self.sigma_type} (mult sum {self.mult_sum})"]
-        lines.append(diag.render_ascii().rstrip("\n"))
+        if self.rows:
+            lines.append(diag.render_ascii().rstrip("\n"))
         for r in self.rows:
             mem = "~".join(r.members)
             lines.append(f"  {r.label} ({mem}): m={r.m} m2={r.m2}")

@@ -116,7 +116,6 @@ class TrialityAlgebra:
     coefs: Echelon  # row k: b_k over so(q)^3, index slot * orth.rank + j
     basis: List[Triple]  # b_k as triples of matrices
     lie: LieAlgebra
-    theta_rows: SparseMatrix  # row k: coordinates of theta(b_k)
 
     @property
     def dim(self) -> int:
@@ -162,13 +161,6 @@ class TrialityAlgebra:
 
         return self.coords_of_triple(tuple(map(conj, self.basis[k])))  # type: ignore[arg-type]
 
-    def component_maps(self, coords: SparseVec) -> Triple:
-        n = self.comp.dim
-        return tuple(  # type: ignore[return-value]
-            [combine((c, self.basis[k][slot][p]) for k, c in coords.items()) for p in range(n)]
-            for slot in range(3)
-        )
-
     def sigma_map(self, x: SparseVec, y: SparseVec) -> SparseMatrix:
         """s_{x,y}: z -> q(x,z) y - q(y,z) x."""
         polar = self.comp.polar
@@ -178,14 +170,6 @@ class TrialityAlgebra:
                 for j in range(self.comp.dim)
             ]
         )
-
-    def t_element(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        """Coordinates of t_{x,y} in the solved tri basis."""
-        comp = self.comp
-        return self.t_coords(
-            x, y, (comp.lmul_matrix(x), comp.rmul_matrix(x)),
-            (comp.lmul_matrix(y), comp.rmul_matrix(y)),
-        )[0]
 
     def t_coords(
         self, x: SparseVec, y: SparseVec,
@@ -372,20 +356,17 @@ def triality(s: AlgebraTable) -> TrialityAlgebra:
     lie = closed_subalgebra(
         name, [f"t{k}" for k in range(len(sols))], read, coords, f"{name}: bracket"
     )
-    theta_rows = []
     for k, c in enumerate(sols):
         # theta(d0, d1, d2) = (d2, d0, d1): slot s of b_k moves to slot s + 1
-        row = ech.coords({(q // no + 1) % 3 * no + q % no: x for q, x in c.items()})
-        if row is None:
+        if not ech.contains({(q // no + 1) % 3 * no + q % no: x for q, x in c.items()}):
             raise VerificationError(f"{name}: theta leaves the span", witness={"index": k})
-        theta_rows.append(row)
     basis = [
         tuple(  # type: ignore[misc]
             [combine((x, orth[j][p]) for j, x in sl.items()) for p in range(n)] for sl in slot3
         )
         for slot3 in slots
     ]
-    return TrialityAlgebra(s, oech, ech, basis, lie, theta_rows)
+    return TrialityAlgebra(s, oech, ech, basis, lie)
 
 
 _TRI_CACHE: Dict[str, TrialityAlgebra] = {}

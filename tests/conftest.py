@@ -10,11 +10,11 @@ from typing import Callable, Dict
 import pytest
 
 from realforms.pipeline import (
-    PRESET_MODEL,
     ModelBuild,
     SatakeResult,
     build_model,
     cartan_decomposition_report,
+    model_key,
     run_satake,
 )
 
@@ -36,7 +36,7 @@ def get_build() -> Callable[[str], ModelBuild]:
 @pytest.fixture(scope="session")
 def get_satake(get_build) -> Callable[[str], SatakeResult]:
     def _get(name: str) -> SatakeResult:
-        key = PRESET_MODEL.get(name, name)
+        key = model_key(name)
         if key not in _SATAKE:
             _SATAKE[key] = run_satake(key, get_build(key))
         return _SATAKE[key]

@@ -2,13 +2,19 @@
 table, Killing invariance over the ad table, the first failing Jacobi
 triple by a plain loop, the composition law and form associativity by
 Scalar polar forms, derivation algebras of structure-constant tables,
-theta on tri(S) through its rows, the negative of a covector, the node
+theta on tri(S) through its rows solved on the flattened triples, the
+component maps of a tri(S) element, the negative of a covector, the node
 orders matching two Cartan matrices by a scan of every permutation, the
 hermitian 3x3 octonion matrices with their explicit isomorphism to
-A(pO, +++), the product of two polynomials, and the all-black template
-diagrams of the compact forms.  They stay outside the package so that
-each oracle is independent of the certificate it checks."""
+A(pO, +++), the product of two polynomials, the all-black template
+diagrams of the compact forms, the canonical form of a diagram or
+restricted table, and the basis layouts read off the constructions (the
+conjugate in a composition algebra, E_a and the trace of an Albert
+algebra, t_{e_a, e_b} in a magic square, the Der part of a derivation
+model).  They stay outside the package so that each oracle is
+independent of the certificate it checks."""
 
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Dict, List, Optional, Tuple
 
@@ -24,6 +30,7 @@ from realforms.errors import ConstructionError, VerificationError
 from realforms.lie import LieAlgebra, _independent_solver, killing_form, lie_from_fn
 from realforms.linalg import (
     Echelon,
+    SpanSolver,
     SparseMatrix,
     SparseVec,
     add_product,
@@ -33,10 +40,17 @@ from realforms.linalg import (
     matrix_rows,
     nullspace,
     sylvester_signature,
+    transpose,
 )
 from realforms.rootspace import Covector, Poly, poly_normalize
-from realforms.satake import _E6_EDGES, SatakeDiagram, SatakeEdge, SatakeNode
-from realforms.scalars import HALF, ONE, TWO, ZERO
+from realforms.satake import (
+    _E6_EDGES,
+    RestrictedTable,
+    SatakeDiagram,
+    SatakeEdge,
+    SatakeNode,
+)
+from realforms.scalars import HALF, ONE, TWO, ZERO, Scalar
 from realforms.triality import TrialityAlgebra
 
 
@@ -150,15 +164,33 @@ def symmetric_oracle(t: AlgebraTable) -> Dict[str, int]:
 # theta on tri(S), and covectors
 
 
+@lru_cache(maxsize=None)
+def theta_rows(tri: TrialityAlgebra) -> SparseMatrix:
+    """Row k: the coordinates of theta(b_k) = (d2, d0, d1) for the basis
+    triple b_k = (d0, d1, d2), solved on the flattened triples."""
+    solver = SpanSolver(flatten(*t) for t in tri.basis)
+    return [solver.coords_sparse(flatten(t[2], t[0], t[1])) for t in tri.basis]
+
+
 def theta(tri: TrialityAlgebra, coords: SparseVec, power: int = 1) -> SparseVec:
     """theta^power of an element of tri(S) given by its coordinates, as
-    products with the certified rows theta(b_k)."""
+    products with the rows theta(b_k)."""
     out = coords
     for _ in range(power % 3):
         acc: SparseMatrix = [{}]
-        add_product(acc, [out], tri.theta_rows)
+        add_product(acc, [out], theta_rows(tri))
         out = acc[0]
     return out
+
+
+def component_maps(tri: TrialityAlgebra, coords: SparseVec):
+    """The three component maps (d0, d1, d2) of the tri(S) element with
+    the given coordinates, as sparse rows."""
+    n = tri.comp.dim
+    return tuple(
+        [combine((c, tri.basis[k][slot][p]) for k, c in coords.items()) for p in range(n)]
+        for slot in range(3)
+    )
 
 
 def cov_neg(a: Covector) -> Covector:
@@ -287,7 +319,7 @@ def h3_octonions() -> Tuple[AlgebraTable, AlgebraTable]:
                 v[a] = entry[0]
         for slot, (r, c) in enumerate(pairs):
             upper = m[r][c]
-            if m[c][r] != o.conj_vec(upper):
+            if m[c][r] != conj_vec(o, upper):
                 raise ConstructionError("H3(O): result is not hermitian")
             v.update(_shift(upper, 3 + slot * d))
         return v
@@ -364,3 +396,92 @@ def compact_satake(diagram_type: str, meta: Optional[Dict[str, int]] = None) -> 
         SatakeEdge(a, b, bonds[k], arrow_to[k]) for k, (a, b) in enumerate(pairs)
     ]
     return SatakeDiagram(nodes, edges, [], {"real_rank": 0, **(meta or {})})
+
+
+# ---------------------------------------------------------------------------
+# canonical forms of diagrams and restricted tables
+
+
+def canonical_key(obj, decorations=None):
+    """The least form of a SatakeDiagram, with its optional per-node
+    decorations, over all node permutations: two diagrams have equal keys
+    exactly when they are isomorphic as decorated graphs.  A RestrictedTable
+    keys as its sigma type, its multiplicity sum and its bond diagram
+    decorated by each row's (m, m2)."""
+    if isinstance(obj, RestrictedTable):
+        diag = SatakeDiagram([SatakeNode(r.label, False) for r in obj.rows], obj.bonds, [], {})
+        return (obj.sigma_type, obj.mult_sum, canonical_key(diag, [(r.m, r.m2) for r in obj.rows]))
+    n = len(obj.nodes)
+    best = None
+    for perm in permutations(range(n)):
+        edges = []
+        for e in obj.edges:
+            lo, hi = sorted((perm[e.a], perm[e.b]))
+            if e.arrow_to is None:
+                point = 0
+            else:
+                point = 1 if perm[e.arrow_to] == lo else 2
+            edges.append((lo, hi, e.bond, point))
+        edges.sort()
+        filled = tuple(sorted(perm[k] for k in obj.filled_indices()))
+        arrows = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in obj.arrows))
+        if decorations is None:
+            dec = ()
+        else:
+            slot = [None] * n
+            for k in range(n):
+                slot[perm[k]] = tuple(decorations[k])
+            dec = tuple(slot)
+        key = (tuple(edges), filled, arrows, dec)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+# ---------------------------------------------------------------------------
+# basis layouts of the constructions
+
+
+def conj_vec(t: AlgebraTable, x: SparseVec) -> SparseVec:
+    """The conjugate of x under the involution of a composition algebra."""
+    if t.invol is None:
+        raise ConstructionError(f"{t.name} carries no involution")
+    return combine((c, t.invol[j]) for j, c in x.items())
+
+
+def E_index(alg, a: int) -> int:
+    """The basis index of the idempotent E_a of an Albert algebra: E0, E1,
+    E2 come first."""
+    return a
+
+
+def albert_trace(alg, v: SparseVec) -> Scalar:
+    """The trace of an Albert algebra element: the sum of its E0, E1, E2
+    coordinates."""
+    return sum((v.get(E_index(alg, a), ZERO) for a in range(3)), ZERO)
+
+
+def t_element(tri: TrialityAlgebra, x: SparseVec, y: SparseVec) -> SparseVec:
+    """Coordinates of t_{x,y} in the solved tri basis."""
+    comp = tri.comp
+
+    def mults(v: SparseVec) -> Tuple[SparseMatrix, SparseMatrix]:
+        # (l_v, r_v): their columns are the products v e_j and e_j v
+        return (
+            comp.lmul_matrix(v),
+            transpose([comp.mul({j: ONE}, v) for j in range(comp.dim)]),
+        )
+
+    return tri.t_coords(x, y, mults(x), mults(y))[0]
+
+
+def t_s(square, a: int, b: int) -> SparseVec:
+    """t_{e_a, e_b} of the first factor of a magic square, embedded (tri(S)
+    comes first)."""
+    return t_element(square.tri_s, {a: ONE}, {b: ONE})
+
+
+def der_dim(model) -> int:
+    """The dimension of the Der part of a derivation model: its rho
+    images come first in the basis."""
+    return len(model.rho)

@@ -406,17 +406,17 @@ GOLDEN_SHA256 = {
     ("roots", "decompose", "--model", "e6m26"):
         "e9b53e52f8c9309ebfa1fd300e49351b88f51c2cba15cf10ab33b51113924821",
     ("satake", "e6p2", "--format", "json"):
-        "dc55f8f5214561691ea1f258fc861ca77204e1e5e2fcc8e11d15b6cbefb39978",
+        "91f8bf1981ee37c145712a9edc6d116d675b0fc6906cf27793c7d476f436b7dd",
     ("satake", "e6m14"):
         "de836a6256f75ae53ba29e405f61fb6e5ba813944028b81ece42e3a2dc927b78",
     ("satake", "e6m14", "--format", "json"):
         "69e677a1af5362ec18f8da373918c28819e1bbb0f5d5d4cca2d671cc00ac19e4",
     ("satake", "e6m26", "--format", "json"):
-        "979c3408e99aced9282b57caf658c10ec0ab5ce4e8e31c196ba70cd91f88bfed",
+        "7706c3ea6279fa6bd8b419b109bbe76ca2c00f3e330c87e9adf26e74adc1759d",
     ("satake", "e6p6", "--format", "json"):
-        "aade65f591566cb80e5bcc490bec6789dc50896b2c8cee8d84b456ff5e8785d8",
+        "ca9dc91343e94b28e9fc01515452b0bc690d3f81e3787a526df2b4eafcd34c2b",
     ("satake", "e6m78"):
-        "e9e0695366ad2a4bcf7926e5aff7a76c36c7143f240f9332b740e0d1dcc0e54a",
+        "0e652da14122b7df07e5b86707e57ead14876a8e4f1006010357cdab6f4ef031",
     ("table", "--json"):
         "0d29de4d6c3b1b6cce0ef8363b575ab5fe00dfab6fe1f1e30206b819101f1a98",
     ("roots", "verify-cartan-decomp", "--model", "e6p2"):

@@ -1,5 +1,7 @@
 """Every name a source module imports is used in that module, every
-definition in the package is named somewhere else, no source module
+definition in the package is named somewhere else, and named in the
+package itself unless the benchmark traces it or `__all__` exports it
+(test-only code lives in tests/oracles.py), no source module
 relies on assert statements, which python -O strips, every span the
 benchmark traces names a public function of the package, and every
 `VerificationError` of the certified modules and functions carries a
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import realforms
 from realforms import algebras, constructions, lie, pipeline, rootspace, satake, triality
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,13 +110,13 @@ class References(ast.NodeVisitor):
             self.names.add(node.value)
 
 
-def unreferenced_definitions():
+def unreferenced_definitions(directories=("src", "tests")):
     """(file, line, name) of each function, method and class defined in the
-    package whose name no other node in src/ or tests/ uses; a local
+    package whose name no other node in the directories uses; a local
     variable that shares the name is no use."""
     defined = []
     refs = References()
-    for directory in ("src", "tests"):
+    for directory in directories:
         for path in sorted((ROOT / directory).rglob("*.py")):
             tree = ast.parse(path.read_text())
             refs.visit(tree)
@@ -128,6 +131,16 @@ def unreferenced_definitions():
 
 def test_no_unreferenced_definitions():
     assert unreferenced_definitions() == []
+
+
+def test_package_definitions_serve_the_package():
+    """A definition that only tests name is an oracle and belongs in
+    tests/oracles.py: each definition in the package is named in src/, is
+    a span the benchmark traces, or is exported through `__all__`."""
+    path = ROOT / "perfbench" / "one_pass.py"
+    spans = {q.rpartition(".")[2] for q in traced_spans(path)} if path.exists() else set()
+    allowed = spans | set(realforms.__all__)
+    assert [d for d in unreferenced_definitions(("src",)) if d[2] not in allowed] == []
 
 
 def assert_statements():

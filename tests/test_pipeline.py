@@ -21,6 +21,7 @@ from realforms.pipeline import (
     CartanData,
     ModelBuild,
     ModelSpec,
+    build_cell,
     cartan_decomposition_report,
     cartan_involution,
     certify_maximal_abelian,
@@ -29,8 +30,10 @@ from realforms.pipeline import (
 )
 from realforms.rootspace import (
     adapted_simple_system,
+    cartan_integer,
     cov_is_zero,
     cov_scale,
+    cov_sub,
     highest_root,
     restrict_covector,
     restricted_multiplicities,
@@ -46,7 +49,7 @@ from realforms.satake import (
 )
 from realforms.scalars import HALF, ONE, Rat, Scalar, sc
 
-from oracles import compact_satake, cov_neg
+from oracles import canonical_key, compact_satake, cov_neg, der_dim, t_s
 
 
 def cov(*xs):
@@ -104,16 +107,16 @@ def preset_hs(build: ModelBuild):
     quarter = Scalar(Rat(1, 4))
     square = build.square
     if key == "EIV":
-        der = build.obj.der_dim
+        der = der_dim(build.obj)
         hs = [
-            combine([(HALF, square.t_s(a, b))])
+            combine([(HALF, t_s(square, a, b))])
             for a, b in ((0, 1), (2, 3), (4, 5), (6, 7))
         ]
         return hs + [{der: Scalar(-1)}, {der + 1: Scalar(-1)}]  # E1 - E0, E0 - E2
     tri_sp, sp = square.tri_sp, square.sp
     if key == "EIII":
         hs = [
-            combine([(HALF, square.t_s(a, b))]) for a, b in ((2, 3), (4, 5), (6, 7))
+            combine([(HALF, t_s(square, a, b))]) for a, b in ((2, 3), (4, 5), (6, 7))
         ]
         # opposite orientation of the 2-dim factor: sigma_{e1,e0} throughout
         sigma = tri_sp.sigma_map(sp.basis_vec(1), sp.basis_vec(0))
@@ -124,7 +127,7 @@ def preset_hs(build: ModelBuild):
         hs.append({square.iota_index(0, 1, 0): -HALF})
         return hs
     # EII and EI: tri(S') is tri(pC) for EII and tri(pRR) for EI
-    hs = [square.t_s(0, 1), square.t_s(2, 5), square.t_s(3, 6), square.t_s(4, 7)]
+    hs = [t_s(square, 0, 1), t_s(square, 2, 5), t_s(square, 3, 6), t_s(square, 4, 7)]
     sigma = tri_sp.sigma_map(sp.basis_vec(0), sp.basis_vec(1))
     neg2 = [{q: -(x + x) for q, x in row.items()} for row in sigma]
     for triple in ((sigma, sigma, neg2), (sigma, neg2, sigma)):
@@ -257,8 +260,8 @@ def test_rank_identity_and_auto(get_build, get_satake, name):
     assert res.delta_type == "E6"
     # the derived system has the published diagram and restricted table
     diagram, table = published_pair(get_build(PRESET_MODEL[name]), name)
-    assert res.diagram.canonical_key() == diagram.canonical_key()
-    assert res.table.canonical_key() == table.canonical_key()
+    assert canonical_key(res.diagram) == canonical_key(diagram)
+    assert canonical_key(res.table) == canonical_key(table)
 
 
 def test_ei_matches_the_recipe(get_build, get_satake):
@@ -267,10 +270,10 @@ def test_ei_matches_the_recipe(get_build, get_satake):
     datum, a_idx = preset_datum(get_build("e6p6"))
     simple = adapted_simple_system(datum, a_idx)
     res = get_satake("EI")
-    assert res.diagram.canonical_key() == build_satake(datum, a_idx, simple).canonical_key()
+    assert canonical_key(res.diagram) == canonical_key(build_satake(datum, a_idx, simple))
     assert (
-        res.table.canonical_key()
-        == build_restricted_table(datum, a_idx, simple).canonical_key()
+        canonical_key(res.table)
+        == canonical_key(build_restricted_table(datum, a_idx, simple))
     )
 
 
@@ -342,7 +345,8 @@ def test_compact_forms_are_all_black(get_satake, key, roots, root_type):
     assert res.delta_type == root_type and (c["real_rank"], res.a_idx) == (0, ())
     assert c["roots"] == roots and (c["delta0_type"], c["delta0_roots"]) == (root_type, roots)
     assert c["black_nodes"] == len(res.simple) and c["arrows"] == []
-    assert (c["mult_sum"], res.table.rows) == (0, [])
+    assert (c["mult_sum"], res.table.rows, c["sigma_type"]) == (0, [], "empty")
+    assert res.table.render_ascii() == "restricted system: empty (mult sum 0)\n"
     assert c["maximally_noncompact"] == {"dim_p": 0, "dim_z_p_a": 0}
 
 
@@ -383,7 +387,7 @@ def test_compact_diagrams_match_the_template(get_satake):
     assert e6.meta == template.meta
 
 
-def test_cells_of_one_form_agree(monkeypatch, get_satake):
+def test_cells_of_one_form_agree(get_satake):
     """The pass on each of the twelve signature cells, built as a magic
     square, gives the diagram, Sigma, arrows, black nodes and (m, m2) of
     the named model of its form (the signature names the form).  For
@@ -399,16 +403,53 @@ def test_cells_of_one_form_agree(monkeypatch, get_satake):
             [(r.m, r.m2) for r in res.table.rows],
         )
 
-    named = {spec.signature: summary(get_satake(key)) for key, spec in MODELS.items()}
+    named = {spec.cell.signature: summary(get_satake(key)) for key, spec in MODELS.items()}
     assert len(named) == 8
     for n, cell in enumerate(SIGNATURE_CELLS):
         key = f"cell{n}"
-        root_type = "F4" if cell.sp_name == "R" else "E6"
-        monkeypatch.setitem(MODELS, key, ModelSpec(
-            key, "magic", cell.s_name, cell.sp_name, cell.eps, cell.expected,
-            cell.form, root_type,
-        ))
-        assert summary(run_satake(key)) == named[cell.expected], cell
+        build = ModelBuild(ModelSpec(key, cell, cell.form), *build_cell(cell, key))
+        assert summary(run_satake(key, build)) == named[cell.signature], cell
+
+
+# the multiplicity of the restricted highest root of each model, 0 at real
+# rank 0, where the highest root restricts to 0
+HIGHEST_ROOT_MULT = {
+    "f4m52": 0, "f4m20": 7, "f4p4": 1,
+    "e6m78": 0, "e6m14": 1, "e6p2": 1, "e6p6": 1, "e6m26": 8,
+}
+
+
+def _landing_multiplicity(res, r):
+    """The m or m2 of the restricted row whose root, or twice it, is
+    Weyl-conjugate to the positive restricted root r: r is reflected in the
+    simple restricted roots of the rows, each step lowering its height,
+    until it is one of them or twice one."""
+    sigma = set(restricted_multiplicities(res.datum, res.a_idx))
+    two = Scalar(2)
+    while True:
+        for row in res.table.rows:
+            if r == row.restriction:
+                return row.m
+            if r == cov_scale(two, row.restriction):
+                return row.m2
+        lam, k = next(
+            (row.restriction, k) for row in res.table.rows
+            if (k := cartan_integer(r, row.restriction, sigma)) > 0
+        )
+        r = cov_sub(r, cov_scale(Scalar(k), lam))
+
+
+@pytest.mark.parametrize("key,mult", sorted(HIGHEST_ROOT_MULT.items()))
+def test_highest_root_of_every_model(get_satake, key, mult):
+    res = get_satake(key)
+    c = res.checks
+    coords = {"F4": [2, 3, 4, 2], "E6": [1, 2, 2, 3, 2, 1]}[res.delta_type]
+    assert (c["highest_root_coords"], c["highest_root_restricted_mult"]) == (coords, mult)
+    top = restrict_covector(highest_root(res.datum.root_set(), res.simple), res.a_idx)
+    if res.a_idx:
+        assert _landing_multiplicity(res, top) == mult
+    else:
+        assert cov_is_zero(top) and mult == 0
 
 
 # ---------------------------------------------------------------------------
@@ -681,13 +722,13 @@ def test_preset_diagram_mismatch(get_build, get_satake):
     # the oracle's comparison is not vacuous: one flipped node breaks it
     diagram, _ = published_pair(get_build("e6m14"), "EIII")
     diagram.nodes[0] = SatakeNode("a1", not diagram.nodes[0].filled)
-    assert diagram.canonical_key() != get_satake("EIII").diagram.canonical_key()
+    assert canonical_key(diagram) != canonical_key(get_satake("EIII").diagram)
 
 
 def test_preset_table_mismatch(get_build, get_satake):
     _, table = published_pair(get_build("e6m14"), "EIII")
     table.rows[0].m += 1
-    assert table.canonical_key() != get_satake("EIII").table.canonical_key()
+    assert canonical_key(table) != canonical_key(get_satake("EIII").table)
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +844,10 @@ def test_cartan_decomposition_checks_killing_signature(get_build):
     assert exc.value.witness == (-14, 14)
 
 
-def test_certify_wrong_signature_is_witnessed(get_build):
+def test_certify_wrong_signature_is_witnessed():
+    wrong = dataclasses.replace(MODELS["e6m14"].cell, signature=14)
     with pytest.raises(VerificationError, match="does not match expected 14") as exc:
-        pipeline.certify(get_build("e6m14").lie, 14, "e6m14")
+        build_cell(wrong, "e6m14")
     assert json.loads(json.dumps(exc.value.witness)) == {
         "signature": [32, 46, 0], "expected": 14
     }
@@ -833,7 +875,7 @@ def test_table_rejects_unknown_key():
 
 
 def test_model_registry_signatures():
-    sigs = {k: MODELS[k].signature for k in MODELS}
+    sigs = {k: MODELS[k].cell.signature for k in MODELS}
     assert sigs == {
         "f4m52": -52,
         "f4m20": -20,
