@@ -154,6 +154,9 @@ def test_unknown_model_exit_code(capsys):
     assert code == 3 and not out
     payload = json.loads(err)
     assert payload["error"] == "ConstructionError"
+    assert payload["message"] == (
+        "unknown model 'nope'; known: e6m14, e6m26, e6m78, e6p2, e6p6, f4m20, f4m52, f4p4"
+    )
     assert payload["exit_code"] == 3
     assert payload["witness"] is None
 
